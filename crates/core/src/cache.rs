@@ -836,15 +836,28 @@ impl EnergyCache {
         }
         for &h in &unary_hosts {
             let host = network.host(h).map_err(Error::Model)?;
-            for (slot, binding) in slots[h.index()].iter().enumerate() {
-                let SlotBinding::Variable { var, candidates } = binding else {
-                    continue;
-                };
-                let service = host.services()[slot].service();
-                let mut unary = vec![params.preference_cost; candidates.len()];
-                for &g in network.neighbors(h) {
-                    let peer = network.host(g).map_err(Error::Model)?;
-                    let Some(slot_g) = peer.service_slot(service) else {
+            // One accumulator per free slot, so each neighbor's record is
+            // read once for all of them (in the same neighbor order).
+            let mut free: Vec<_> = slots[h.index()]
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, binding)| match binding {
+                    SlotBinding::Variable { var, candidates } => Some((
+                        *var,
+                        host.services()[slot].service(),
+                        candidates,
+                        vec![params.preference_cost; candidates.len()],
+                    )),
+                    SlotBinding::Fixed(_) => None,
+                })
+                .collect();
+            if free.is_empty() {
+                continue;
+            }
+            for &g in network.neighbors(h) {
+                let peer = network.host(g).map_err(Error::Model)?;
+                for (_, service, candidates, unary) in &mut free {
+                    let Some(slot_g) = peer.service_slot(*service) else {
                         continue;
                     };
                     let SlotBinding::Fixed(p) = slots[g.index()][slot_g] else {
@@ -862,7 +875,9 @@ impl EnergyCache {
                         }
                     }
                 }
-                model.set_unary(*var, unary).map_err(Error::Mrf)?;
+            }
+            for (var, _, _, unary) in free {
+                model.set_unary(var, unary).map_err(Error::Mrf)?;
             }
         }
 

@@ -874,14 +874,6 @@ impl ShardedEngine {
             self.solve()?;
         }
         let start = Instant::now();
-        let slot_only = deltas.iter().all(|d| {
-            matches!(
-                d,
-                NetworkDelta::FixSlot { .. }
-                    | NetworkDelta::UnfixSlot { .. }
-                    | NetworkDelta::ExtendCandidates { .. }
-            )
-        });
         let plan = self.route(deltas)?;
         let base_global = self.master.host_count();
         let pre_shards = self.shards.len();
@@ -896,59 +888,29 @@ impl ShardedEngine {
             .filter(|(_, d)| !d.is_empty())
             .map(|(s, _)| s)
             .collect();
-        let (reports, walls, effect) = if slot_only {
-            // Fast path: slot deltas never change topology or zones, and
-            // each one is validated transactionally by its owning shard —
-            // the master applies in place afterwards, skipping the
-            // full-network staging clone (the dominant fixed cost on the
-            // burst serving path).
-            if shards_touched.len() > 1 {
-                // Pre-validate every sub-batch so a late shard rejection
-                // cannot leave an earlier shard committed.
-                for &s in &shards_touched {
-                    let mut scratch = self.shards[s].engine.network().clone();
-                    if let Err(e) = scratch.apply_all(&plan.per_shard[s], &self.catalog) {
-                        return Err(remap_shard_error(&plan, s, Error::Model(e)));
-                    }
-                }
-            }
-            debug_assert!(plan.new_zones.is_empty(), "slot deltas never add zones");
-            let (reports, walls) = self
-                .run_shards(Some(&plan.per_shard))
-                .map_err(|(s, e)| remap_shard_error(&plan, s, self.remap_local_error(s, e)))?;
-            let effect = self
-                .master
-                .apply_all(deltas, &self.catalog)
-                .expect("slot burst was validated by its owning shards");
-            (reports, walls, effect)
-        } else {
-            let mut staged = self.master.clone();
-            let effect = staged
-                .apply_all(deltas, &self.catalog)
-                .map_err(|e| attribute_master_error(&plan, e))?;
-            // The burst validated against the full network: create the
-            // shards its new zones need (empty sub-networks inheriting
-            // this engine's configuration — the routed `AddHost` deltas
-            // populate them next). On the never-expected late shard
-            // failure the fresh shards are dropped again, restoring the
-            // engine-untouched contract.
-            for _ in &plan.new_zones {
-                self.push_new_shard();
-            }
-            match self
-                .run_shards(Some(&plan.per_shard))
-                .map_err(|(s, e)| remap_shard_error(&plan, s, self.remap_local_error(s, e)))
-            {
-                Ok((reports, walls)) => {
-                    self.master = staged;
-                    (reports, walls, effect)
-                }
-                Err(e) => {
-                    self.shards.truncate(pre_shards);
-                    return Err(e);
-                }
+        let mut staged = self.master.clone();
+        let effect = staged
+            .apply_all(deltas, &self.catalog)
+            .map_err(|e| attribute_master_error(&plan, e))?;
+        // The burst validated against the full network: create the shards
+        // its new zones need (empty sub-networks inheriting this engine's
+        // configuration — the routed `AddHost` deltas populate them next).
+        // On the never-expected late shard failure the fresh shards are
+        // dropped again, restoring the engine-untouched contract.
+        for _ in &plan.new_zones {
+            self.push_new_shard();
+        }
+        let (reports, walls) = match self
+            .run_shards(Some(&plan.per_shard))
+            .map_err(|(s, e)| remap_shard_error(&plan, s, self.remap_local_error(s, e)))
+        {
+            Ok(done) => done,
+            Err(e) => {
+                self.shards.truncate(pre_shards);
+                return Err(e);
             }
         };
+        self.master = staged;
         // Every fallible step is behind us: from here on the burst commits.
         // Move the previous assignment out instead of cloning it — it
         // becomes the base of the carried composition, and `self.last` is
@@ -3025,9 +2987,8 @@ mod tests {
         // apply into a cold solve.
         assert_eq!(engine.assignment(), Some(&assignment_before));
 
-        // A slot-only burst rejected mid-batch exercises the fast path's
-        // shard-side validation (no master staging); same contract, and
-        // the reported index maps back to the original batch position.
+        // A slot-only burst rejected mid-batch: same contract, and the
+        // reported index is the failing delta's position in the burst.
         let other = engine
             .network()
             .host(HostId(1))

@@ -25,6 +25,7 @@
 //! tests.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -296,12 +297,10 @@ impl Network {
         Ok(())
     }
 
-    /// Inserts an `a < b` normalized link into the sorted link list.
-    fn insert_link(&mut self, a: HostId, b: HostId) {
-        let key = if a < b { (a, b) } else { (b, a) };
-        if let Err(pos) = self.links.binary_search(&key) {
-            self.links.insert(pos, key);
-        }
+    /// The record of `id` for mutation, copied first if a clone still
+    /// shares it (module docs of [`crate::network`]).
+    fn host_mut(&mut self, id: HostId) -> &mut Host {
+        Arc::make_mut(&mut self.hosts[id.index()])
     }
 
     /// Applies one delta transactionally: the delta is validated in full
@@ -365,7 +364,7 @@ impl Network {
                     }
                 }
                 self.revision += 1;
-                self.hosts.push(Host {
+                self.hosts.push(Arc::new(Host {
                     name: name.clone(),
                     zone: zone.clone(),
                     services: services
@@ -376,15 +375,16 @@ impl Network {
                         })
                         .collect(),
                     removed: false,
-                });
+                }));
+                // The new host's CSR segment starts out empty, at the end.
+                self.offsets.push(self.neighbors.len() as u32);
                 self.host_revisions.push(self.revision);
                 self.topology_revision += 1;
                 self.link_revisions.push(self.revision);
                 for &peer in links {
-                    self.insert_link(peer, new_id);
+                    self.link(peer, new_id);
                     self.link_revisions[peer.index()] = self.revision;
                 }
-                self.rebuild_adjacency();
                 let mut touched = vec![new_id];
                 touched.extend_from_slice(links);
                 Ok(DeltaEffect {
@@ -398,7 +398,7 @@ impl Network {
                 self.live_host(*host)?;
                 self.revision += 1;
                 let former: Vec<HostId> = self.neighbors(*host).to_vec();
-                let h = &mut self.hosts[host.index()];
+                let h = self.host_mut(*host);
                 h.services.clear();
                 h.removed = true;
                 self.host_revisions[host.index()] = self.revision;
@@ -407,8 +407,7 @@ impl Network {
                 for &peer in &former {
                     self.link_revisions[peer.index()] = self.revision;
                 }
-                self.links.retain(|&(a, b)| a != *host && b != *host);
-                self.rebuild_adjacency();
+                self.detach(*host);
                 let mut touched = vec![*host];
                 touched.extend(former);
                 Ok(DeltaEffect {
@@ -432,8 +431,7 @@ impl Network {
                 self.topology_revision += 1;
                 self.link_revisions[a.index()] = self.revision;
                 self.link_revisions[b.index()] = self.revision;
-                self.insert_link(*a, *b);
-                self.rebuild_adjacency();
+                self.link(*a, *b);
                 Ok(DeltaEffect {
                     revision: self.revision,
                     touched: vec![*a, *b],
@@ -457,8 +455,7 @@ impl Network {
                 self.topology_revision += 1;
                 self.link_revisions[a.index()] = self.revision;
                 self.link_revisions[b.index()] = self.revision;
-                self.links.remove(pos);
-                self.rebuild_adjacency();
+                self.unlink(pos, *a, *b);
                 Ok(DeltaEffect {
                     revision: self.revision,
                     touched: vec![*a, *b],
@@ -484,7 +481,7 @@ impl Network {
                     });
                 }
                 self.revision += 1;
-                self.hosts[host.index()].services[slot].candidates = vec![*product];
+                self.host_mut(*host).services[slot].candidates = vec![*product];
                 self.host_revisions[host.index()] = self.revision;
                 Ok(DeltaEffect {
                     revision: self.revision,
@@ -520,7 +517,7 @@ impl Network {
                 }
                 Network::check_candidates(catalog, *service, candidates)?;
                 self.revision += 1;
-                self.hosts[host.index()].services[slot].candidates = candidates.clone();
+                self.host_mut(*host).services[slot].candidates = candidates.clone();
                 self.host_revisions[host.index()] = self.revision;
                 Ok(DeltaEffect {
                     revision: self.revision,
@@ -556,7 +553,7 @@ impl Network {
                     }
                 }
                 self.revision += 1;
-                self.hosts[host.index()].services[slot]
+                self.host_mut(*host).services[slot]
                     .candidates
                     .extend_from_slice(products);
                 self.host_revisions[host.index()] = self.revision;
@@ -822,7 +819,7 @@ mod tests {
         assert!(net.linked(HostId(3), HostId(2)));
         assert_eq!(net.host_revision(HostId(3)), 1);
         assert_eq!(net.host_revision(HostId(0)), 0, "peer domains unchanged");
-        // CSR stays symmetric after the rebuild.
+        // CSR stays symmetric after the in-place edits.
         for (id, _) in net.iter_hosts() {
             for &nb in net.neighbors(id) {
                 assert!(net.neighbors(nb).contains(&id));
@@ -1111,6 +1108,58 @@ mod tests {
         assert_eq!(effect.applied, 0);
         assert_eq!(effect.revision, 0);
         assert_eq!(net.revision(), 0);
+    }
+
+    #[test]
+    fn staging_on_a_clone_copies_only_the_mutated_host_records() {
+        use crate::topology::{generate, RandomNetworkConfig, TopologyKind};
+        let g = generate(
+            &RandomNetworkConfig {
+                hosts: 40,
+                mean_degree: 4,
+                services: 2,
+                products_per_service: 3,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            5,
+        );
+        let original = g.network;
+        // `Debug` renders every record by value: a deep image of the state.
+        let image = format!("{original:?}");
+        let mut shadow = original.clone();
+        let mut rng = StdRng::seed_from_u64(2);
+        let burst: Vec<NetworkDelta> = (0..40)
+            .map(|_| {
+                let delta = random_delta(&shadow, &g.catalog, &mut rng, &[]);
+                shadow.apply_delta(&delta, &g.catalog).unwrap();
+                delta
+            })
+            .collect();
+        let mut kinds: Vec<&str> = burst.iter().map(NetworkDelta::kind).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 7, "a burst of every kind: {kinds:?}");
+        // Link deltas rewire hosts without touching their records.
+        let mutated: Vec<HostId> = burst
+            .iter()
+            .filter_map(|d| match d {
+                NetworkDelta::RemoveHost { host }
+                | NetworkDelta::FixSlot { host, .. }
+                | NetworkDelta::UnfixSlot { host, .. }
+                | NetworkDelta::ExtendCandidates { host, .. } => Some(*host),
+                _ => None,
+            })
+            .collect();
+
+        let mut staged = original.clone();
+        staged.apply_all(&burst, &g.catalog).unwrap();
+        assert_eq!(staged, shadow);
+        for i in 0..original.host_count() {
+            let shared = Arc::ptr_eq(&original.hosts[i], &staged.hosts[i]);
+            assert_eq!(shared, !mutated.contains(&HostId(i as u32)), "host {i}");
+        }
+        assert_eq!(format!("{original:?}"), image, "the original is unchanged");
     }
 
     #[test]

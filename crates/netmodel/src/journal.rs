@@ -37,6 +37,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::assignment::Assignment;
 use crate::catalog::{Catalog, ProductSimilarity};
@@ -831,7 +832,7 @@ fn decode_network(v: &Value) -> Result<Network> {
                 candidates,
             })
             .collect();
-        hosts.push(Host {
+        hosts.push(Arc::new(Host {
             name: get(h, "name", "host")?.as_str("host name")?.to_owned(),
             zone: decode_zone(get(h, "zone", "host")?)?,
             services,
@@ -844,7 +845,7 @@ fn decode_network(v: &Value) -> Result<Network> {
                     )))
                 }
             },
-        });
+        }));
     }
     let n = hosts.len();
     let mut links = Vec::new();
@@ -858,6 +859,13 @@ fn decode_network(v: &Value) -> Result<Network> {
         if a.index() >= n || b.index() >= n {
             return Err(Error::Journal(format!(
                 "link {a}-{b}: endpoint out of range"
+            )));
+        }
+        // Deltas edit the adjacency by binary search, so links must arrive
+        // as the encoder writes them: strictly ascending `a < b` pairs.
+        if a >= b || links.last().is_some_and(|&last| last >= (a, b)) {
+            return Err(Error::Journal(format!(
+                "link {a}-{b}: links must be ascending pairs with a < b"
             )));
         }
         links.push((a, b));
@@ -1336,6 +1344,25 @@ mod tests {
                 assert!(s.assignment.is_some());
             }
             other => panic!("expected snapshot, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_links_must_be_ascending_pairs() {
+        let (_, _, network) = small_world();
+        let json = Record::Snapshot(SnapshotRecord {
+            revision: 0,
+            network,
+            assignment: None,
+        })
+        .encode();
+        assert!(json.contains("\"links\":[[0,1]]"));
+        for bad in ["[[1,0]]", "[[0,1],[0,1]]"] {
+            let tampered = json.replace("\"links\":[[0,1]]", &format!("\"links\":{bad}"));
+            assert!(
+                matches!(Record::decode(&tampered), Err(Error::Journal(_))),
+                "{bad} accepted"
+            );
         }
     }
 

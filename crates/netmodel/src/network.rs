@@ -17,8 +17,20 @@
 //! stable (removal tombstones a host instead of reindexing) and bump
 //! per-host and network-wide revision counters so downstream caches can
 //! rebuild only what a change actually touched.
+//!
+//! Both representations are built for cheap staging on a clone. Host
+//! records are shared copy-on-write: a clone copies one pointer per host,
+//! and a delta copies only the records it mutates, so a staged clone, its
+//! original and any shard extracted from either share every untouched
+//! host. Structural deltas edit the CSR arrays in place (a binary-search
+//! insert or removal in the affected segments, then a shift of the later
+//! offsets; a host removal compacts all its entries in one pass). Segments
+//! stay ascending, so the arrays equal a from-scratch rebuild. Staging a
+//! burst thus costs O(touched hosts) record copies plus memmoves of the
+//! flat link, offset and neighbor arrays, not O(V + E) allocations.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -97,10 +109,12 @@ impl Host {
 /// A validated network, evolvable through [`Network::apply_delta`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Network {
-    pub(crate) hosts: Vec<Host>,
+    /// Host records, shared copy-on-write between clones (module docs).
+    pub(crate) hosts: Vec<Arc<Host>>,
     /// Undirected links, kept sorted with `a < b`.
     pub(crate) links: Vec<(HostId, HostId)>,
-    // CSR adjacency.
+    // CSR adjacency: host `i`'s neighbors, ascending, are
+    // `neighbors[offsets[i]..offsets[i + 1]]`.
     pub(crate) offsets: Vec<u32>,
     pub(crate) neighbors: Vec<HostId>,
     /// Total number of deltas ever applied.
@@ -166,7 +180,8 @@ impl Network {
         self.link_revisions[id.index()]
     }
 
-    /// Rebuilds the CSR adjacency from `self.links`.
+    /// Builds the CSR adjacency from `self.links` (construction only;
+    /// deltas edit it in place). Sorted links give ascending segments.
     pub(crate) fn rebuild_adjacency(&mut self) {
         let n = self.hosts.len();
         let mut degree = vec![0u32; n];
@@ -190,6 +205,73 @@ impl Network {
         self.neighbors = neighbors;
     }
 
+    /// Inserts `peer` into `host`'s CSR segment at its sorted position.
+    fn adjacency_insert(&mut self, host: HostId, peer: HostId) {
+        let at = self.offsets[host.index()] as usize
+            + self.neighbors(host).partition_point(|&n| n < peer);
+        self.neighbors.insert(at, peer);
+        for offset in &mut self.offsets[host.index() + 1..] {
+            *offset += 1;
+        }
+    }
+
+    /// Removes `peer` from `host`'s CSR segment.
+    fn adjacency_remove(&mut self, host: HostId, peer: HostId) {
+        let at = self.offsets[host.index()] as usize
+            + self
+                .neighbors(host)
+                .binary_search(&peer)
+                .expect("CSR segments mirror the link list");
+        self.neighbors.remove(at);
+        for offset in &mut self.offsets[host.index() + 1..] {
+            *offset -= 1;
+        }
+    }
+
+    /// Adds the `a`–`b` link to the link list and both CSR segments.
+    pub(crate) fn link(&mut self, a: HostId, b: HostId) {
+        let key = if a < b { (a, b) } else { (b, a) };
+        if let Err(pos) = self.links.binary_search(&key) {
+            self.links.insert(pos, key);
+            self.adjacency_insert(a, b);
+            self.adjacency_insert(b, a);
+        }
+    }
+
+    /// Removes the `a`–`b` link, found at `pos` in the link list, from the
+    /// list and both CSR segments.
+    pub(crate) fn unlink(&mut self, pos: usize, a: HostId, b: HostId) {
+        self.links.remove(pos);
+        self.adjacency_remove(a, b);
+        self.adjacency_remove(b, a);
+    }
+
+    /// Drops every link of `host`: from the link list, from its peers'
+    /// CSR segments and its own, compacting the later segments in one pass.
+    pub(crate) fn detach(&mut self, host: HostId) {
+        self.links.retain(|&(a, b)| a != host && b != host);
+        let n = self.hosts.len();
+        // Segments below both `host` and its lowest peer are untouched.
+        let first = self.neighbors(host).first().map_or(host, |&p| p.min(host));
+        let mut write = self.offsets[first.index()] as usize;
+        for i in first.index()..n {
+            let (start, end) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+            self.offsets[i] = write as u32;
+            if i == host.index() {
+                continue;
+            }
+            for read in start..end {
+                let peer = self.neighbors[read];
+                if peer != host {
+                    self.neighbors[write] = peer;
+                    write += 1;
+                }
+            }
+        }
+        self.offsets[n] = write as u32;
+        self.neighbors.truncate(write);
+    }
+
     /// Number of undirected links.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -201,7 +283,10 @@ impl Network {
     ///
     /// Returns [`Error::UnknownHost`] for out-of-range ids.
     pub fn host(&self, id: HostId) -> Result<&Host> {
-        self.hosts.get(id.index()).ok_or(Error::UnknownHost(id))
+        self.hosts
+            .get(id.index())
+            .map(|h| &**h)
+            .ok_or(Error::UnknownHost(id))
     }
 
     /// Finds a host id by name.
@@ -217,7 +302,7 @@ impl Network {
         self.hosts
             .iter()
             .enumerate()
-            .map(|(i, h)| (HostId(i as u32), h))
+            .map(|(i, h)| (HostId(i as u32), &**h))
     }
 
     /// The undirected links, each reported once with `a < b`.
@@ -400,7 +485,7 @@ impl NetworkBuilder {
         // CSR adjacency from the deduplicated (sorted) link set.
         let n = self.hosts.len();
         let mut network = Network {
-            hosts: self.hosts,
+            hosts: self.hosts.into_iter().map(Arc::new).collect(),
             links: self.links.into_iter().collect(),
             offsets: Vec::new(),
             neighbors: Vec::new(),

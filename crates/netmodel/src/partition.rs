@@ -76,7 +76,9 @@
 //! # }
 //! ```
 
-use crate::network::{Host, Network};
+use std::sync::Arc;
+
+use crate::network::Network;
 use crate::HostId;
 
 /// One shard of a [`ZonePartition`]: a zone label and its member hosts.
@@ -389,7 +391,8 @@ impl ShardView {
 
 /// Extracts the induced sub-network on `members` (module docs): the listed
 /// hosts keep their name, zone, services and tombstone flag under new dense
-/// local ids; only links with *both* endpoints in `members` survive. The
+/// local ids, sharing the parent's host records until either side mutates
+/// one; only links with *both* endpoints in `members` survive. The
 /// extracted network starts at revision 0 with fresh per-host revisions —
 /// it is a new network as far as downstream caches are concerned.
 ///
@@ -398,13 +401,14 @@ impl ShardView {
 /// Panics if a member id is out of range for `network`.
 pub fn extract_shard(network: &Network, members: &[HostId]) -> ShardView {
     let mut to_local = vec![u32::MAX; network.host_count()];
-    let mut hosts: Vec<Host> = Vec::with_capacity(members.len());
+    let mut hosts = Vec::with_capacity(members.len());
     for (local, &global) in members.iter().enumerate() {
         let host = network
-            .host(global)
+            .hosts
+            .get(global.index())
             .expect("shard member must exist in the parent network");
         to_local[global.index()] = local as u32;
-        hosts.push(host.clone());
+        hosts.push(Arc::clone(host));
     }
     let links: Vec<(HostId, HostId)> = network
         .links()

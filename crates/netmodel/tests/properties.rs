@@ -6,6 +6,8 @@ use rand::{Rng, SeedableRng};
 
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
 use netmodel::delta::NetworkDelta;
+use netmodel::journal::{read_strict, Record, SnapshotRecord};
+use netmodel::network::Network;
 use netmodel::partition::partition_by_zone;
 use netmodel::strategies::{mono_assignment, random_assignment};
 use netmodel::topology::{
@@ -33,6 +35,21 @@ fn assert_connected_from_zero(g: &GeneratedNetwork) {
                 "asymmetric adjacency"
             );
         }
+    }
+}
+
+/// `net` after a journal snapshot round trip. The decoder rebuilds the CSR
+/// adjacency from the link list, so equality pins the in-place CSR edits
+/// of the delta layer to a from-scratch rebuild, entry for entry.
+fn journal_round_trip(net: &Network) -> Network {
+    let record = Record::Snapshot(SnapshotRecord {
+        revision: net.revision(),
+        network: net.clone(),
+        assignment: None,
+    });
+    match read_strict(record.to_line().as_bytes()).expect("a fresh record reads back")[..] {
+        [Record::Snapshot(ref snapshot)] => snapshot.network.clone(),
+        ref other => panic!("expected one snapshot record, got {other:?}"),
     }
 }
 
@@ -339,6 +356,7 @@ proptest! {
                 _ => unreachable!("only topology deltas are generated"),
             }
             prop_assert_eq!(&partition, &partition_by_zone(&net), "diverged after {}", delta);
+            prop_assert_eq!(&journal_round_trip(&net), &net, "CSR differs from a rebuild after {}", delta);
         }
     }
 

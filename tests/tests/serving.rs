@@ -6,7 +6,7 @@
 //! while the writer absorbs.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -204,15 +204,22 @@ fn readers_progress_while_the_writer_absorbs() {
     let serving = ServingEngine::start(DiversityEngine::new(g.network, g.catalog, g.similarity))
         .expect("cold solve succeeds");
 
+    const READERS: usize = 8;
     let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..8)
+    // Every reader is running before the first submit, and each takes its
+    // first read before it looks at `stop`: a reader the scheduler starts
+    // late still reads, however fast the writer finishes.
+    let start = Arc::new(Barrier::new(READERS + 1));
+    let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let mut reader = serving.reader();
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             thread::spawn(move || {
                 let mut reads = 0u64;
                 let mut observed = (0u64, 0u64);
-                while !stop.load(Ordering::Relaxed) {
+                start.wait();
+                loop {
                     let snapshot = reader.current();
                     let now = (snapshot.epoch(), snapshot.revision());
                     assert!(now >= observed, "went backwards: {observed:?} -> {now:?}");
@@ -221,11 +228,15 @@ fn readers_progress_while_the_writer_absorbs() {
                     assert!(!snapshot.products_at(HostId(0)).is_empty());
                     observed = now;
                     reads += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 reads
             })
         })
         .collect();
+    start.wait();
 
     let mut rng = StdRng::seed_from_u64(23);
     let mut submitted = 0u64;
