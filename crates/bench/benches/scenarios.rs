@@ -7,7 +7,7 @@
 //!   the sharded pass's certified gap, and the solved assignment's MTTC
 //!   under the sophisticated worm (entry `h0` → last host);
 //! - **adaptive row** — an adversary-in-the-loop churn replay
-//!   ([`run_churn_adaptive`]): total/max defender-lag across the window
+//!   ([`Bursts::Adaptive`]): total/max defender-lag across the window
 //!   (the MTTC gain forfeited to re-solve latency — finite by
 //!   construction, asserted here too);
 //! - **cve-feed row** — a [`CveFeed`] burst replay: Pareto-tail burst
@@ -21,12 +21,10 @@ use std::time::Instant;
 
 use criterion::Criterion;
 
-use ics_diversity::churn::{
-    run_churn_adaptive, run_churn_cve, AdaptiveChurnConfig, ChurnConfig, ChurnMode, CveFeed,
-    CveFeedConfig,
-};
+use ics_diversity::churn::{run_churn, Bursts, ChurnConfig, ChurnMode, CveFeed, CveFeedConfig};
 use ics_diversity::engine::DiversityEngine;
 use ics_diversity::shard::ShardedEngine;
+use ics_diversity::WriterCore;
 use netmodel::topology::{
     generate, generate_fat_tree, generate_scale_free, generate_tiered_enterprise, FatTreeConfig,
     GeneratedNetwork, RandomNetworkConfig, ScaleFreeConfig, TieredEnterpriseConfig, TopologyKind,
@@ -171,22 +169,19 @@ fn bench_adaptive(full: bool) -> AdaptiveEntry {
         },
         SEED,
     );
-    let mut engine = DiversityEngine::new(g.network, g.catalog, g.similarity);
-    engine.solve().expect("instance solves");
-    let config = AdaptiveChurnConfig {
-        churn: ChurnConfig {
-            steps: if full { 12 } else { 6 },
-            mode: ChurnMode::Batched { mean_burst: 3.0 },
-            mttc: MttcOptions {
-                runs: 40,
-                ..MttcOptions::default()
-            },
-            ..ChurnConfig::default()
+    let mut core = WriterCore::Single(DiversityEngine::new(g.network, g.catalog, g.similarity));
+    core.solve().expect("instance solves");
+    let config = ChurnConfig {
+        steps: if full { 12 } else { 6 },
+        mode: ChurnMode::Batched { mean_burst: 3.0 },
+        mttc: MttcOptions {
+            runs: 40,
+            ..MttcOptions::default()
         },
-        ..AdaptiveChurnConfig::default()
+        ..ChurnConfig::default()
     };
     let start = Instant::now();
-    let replay = run_churn_adaptive(&mut engine, &config).expect("churn replays");
+    let replay = run_churn(&mut core, &mut Bursts::Adaptive, &config).expect("churn replays");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let total: f64 = replay.iter().map(|s| s.defender_lag).sum();
     let max = replay.iter().map(|s| s.defender_lag).fold(0.0, f64::max);
@@ -228,8 +223,8 @@ fn bench_cve(full: bool) -> CveEntry {
     );
     let entry = HostId(0);
     let target = HostId(g.network.host_count() as u32 - 1);
-    let mut engine = DiversityEngine::new(g.network, g.catalog, g.similarity);
-    engine.solve().expect("instance solves");
+    let mut core = WriterCore::Single(DiversityEngine::new(g.network, g.catalog, g.similarity));
+    core.solve().expect("instance solves");
     let config = ChurnConfig {
         steps: if full { 16 } else { 8 },
         mttc: MttcOptions {
@@ -238,19 +233,18 @@ fn bench_cve(full: bool) -> CveEntry {
         },
         ..ChurnConfig::default()
     };
-    let mut feed = CveFeed::new(CveFeedConfig::default(), SEED);
+    let mut bursts = Bursts::Cve {
+        entry,
+        target,
+        feed: CveFeed::new(CveFeedConfig::default(), SEED),
+    };
     let start = Instant::now();
-    let replay =
-        run_churn_cve(&mut engine, entry, target, &config, &mut feed).expect("churn replays");
+    let replay = run_churn(&mut core, &mut bursts, &config).expect("churn replays");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     CveEntry {
         bursts: replay.len(),
-        deltas: replay.iter().map(|s| s.burst.deltas.len()).sum(),
-        largest_burst: replay
-            .iter()
-            .map(|s| s.burst.deltas.len())
-            .max()
-            .unwrap_or(0),
+        deltas: replay.iter().map(|s| s.deltas.len()).sum(),
+        largest_burst: replay.iter().map(|s| s.deltas.len()).max().unwrap_or(0),
         wall_ms,
         favor_reopt: replay
             .iter()

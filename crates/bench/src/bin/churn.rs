@@ -1,7 +1,10 @@
-//! Dynamic-churn scenario: replay a random delta stream through the
-//! incremental [`DiversityEngine`] — or, with `--shards`, through the
-//! zone-sharded [`ShardedEngine`] — and report, for every step, the MTTC of
-//! the carried-forward assignment vs. the warm re-optimized one.
+//! Dynamic-churn scenario: replay a delta stream through the incremental
+//! [`DiversityEngine`] — or, with `--shards`, through the zone-sharded
+//! [`ShardedEngine`] — and report, for every step, the MTTC of the
+//! carried-forward assignment vs. the warm re-optimized one. Every mode
+//! drives the engine through one [`WriterCore`] and one churn replay
+//! ([`run_churn`]); `--scenario` picks the topology family or the burst
+//! source.
 //!
 //! This is the workload the batch pipeline cannot serve: hosts join and
 //! leave, links change, products get mandated — and after each change the
@@ -18,20 +21,24 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ics_diversity::churn::{
-    defender_lag, run_churn, run_churn_adaptive, run_churn_cve, run_churn_sharded,
-    AdaptiveChurnConfig, ChurnConfig, ChurnMode, CveFeed, CveFeedConfig, LagModel, MttcGain,
+    defender_lag, run_churn, Bursts, ChurnConfig, ChurnMode, ChurnStep, CveFeed, CveFeedConfig,
+    Drawn, LagModel, MttcGain,
 };
 use ics_diversity::engine::DiversityEngine;
-use ics_diversity::journal::{engine_at_snapshot, read_records};
+use ics_diversity::journal::{check_revision, read_records, Checkpoint};
 use ics_diversity::optimizer::SolverKind;
 use ics_diversity::report::TextTable;
-use ics_diversity::serve::{Enqueue, MttcProbe, ServingConfig, ServingEngine, WriterCore};
+use ics_diversity::serve::{
+    EngineReport, Enqueue, MttcProbe, ServingConfig, ServingEngine, WriterCore,
+};
 use ics_diversity::shard::ShardedEngine;
 
 use bench::{flag_str, flag_value, full_mode, help_requested};
+use netmodel::assignment::Assignment;
 use netmodel::delta::random_delta;
 use netmodel::delta::NetworkDelta;
-use netmodel::journal::Record;
+use netmodel::journal::{BatchRecord, Record};
+use netmodel::network::Network;
 use netmodel::topology::{
     generate, generate_fat_tree, generate_scale_free, generate_tiered_enterprise, generate_zoned,
     FatTreeConfig, GeneratedNetwork, RandomNetworkConfig, ScaleFreeConfig, TieredEnterpriseConfig,
@@ -68,8 +75,9 @@ FLAGS:
                  assignment's largest monoculture cluster, and the step
                  reports defender-lag (MTTC gain forfeited to re-solve
                  latency). cve-feed: heavy-tailed Pareto advisory bursts
-                 hitting correlated product families together; composes
-                 with --journal.
+                 hitting correlated product families together. Both burst
+                 sources run on the random topology, or on the zoned one
+                 with --shards.
     --runs N     MTTC simulation runs per estimate (default 150; 400 with
                  --full). Lower it for quick smokes.
     --hosts N    Host count of the generated network (default 60; 300 with
@@ -105,8 +113,10 @@ FLAGS:
                  compaction) to the engine, so the whole churn window — the
                  problem preamble, the cold-solve snapshot, every committed
                  delta burst and the per-step MTTC measurements — lands in
-                 one replayable artifact. Composes with --batch and --shards
-                 (a sharded run records master-level bursts).
+                 one replayable artifact. Composes with --batch, --shards
+                 (a sharded run records master-level bursts) and --scenario;
+                 --scenario adaptive records nothing, since its worm re-aims
+                 every step.
     --replay PATH
                  Replay mode: re-run a window recorded with --journal.
                  Without --solver this is exact verification — each recorded
@@ -160,7 +170,8 @@ COLUMNS (sequential/batched mode):
                  similarity invalidation). \"-\" when the step edited.
     solve        Wall-clock time of the (localized) warm re-solve.
 
-EXTRA COLUMNS (sharded mode, replacing frontier/swept):
+EXTRA COLUMNS (sharded mode, replacing touched/frontier/swept/changed and
+the model edit/model rebuild/solve walls):
     shards       Indices of the shards the burst's deltas were routed to.
     rounds       Boundary-coordination rounds run (0: skipped — the burst
                  could not have leaked across shards).
@@ -174,7 +185,7 @@ EXTRA COLUMNS (sharded mode, replacing frontier/swept):
                  run in parallel).
     coord        Wall-clock time of the coordination loop.
 
-EXTRA COLUMNS (--scenario adaptive, replacing frontier/touched):
+EXTRA COLUMNS (--scenario adaptive):
     entry        The entry host the attacker picked from the committed
                  assignment's largest monoculture cluster this step.
     target       The attacker's target: the deepest host reachable from the
@@ -191,7 +202,7 @@ EXTRA COLUMNS (--scenario adaptive, replacing frontier/touched):
     Machine-readable \"trajectory:\" lines follow the table — one per step,
     seed-stable, diffed by CI to pin reproducibility.
 
-EXTRA COLUMNS (--scenario cve-feed, replacing frontier/swept):
+EXTRA COLUMNS (--scenario cve-feed):
     advisory     The product named by the step's advisory (service scoped).
     family       Size of the correlated product family hit together (the
                  advisory plus every same-service product whose similarity
@@ -281,44 +292,56 @@ fn main() {
         mode,
         ..ChurnConfig::default()
     };
-    match scenario.as_deref() {
-        Some("adaptive") => {
-            run_adaptive(hosts, runs, &config);
-            return;
-        }
-        Some("cve-feed") => {
-            run_cve(hosts, runs, &config, journal.as_deref());
-            return;
-        }
-        _ => {}
-    }
     let (g, topo_label) = build_topology(scenario.as_deref(), hosts, shards);
     let entry = HostId(0);
     let target = HostId(g.network.host_count() as u32 - 1);
-    match shards {
-        Some(_) => run_sharded(
-            g,
-            &topo_label,
-            steps,
-            runs,
-            &mode_label,
-            entry,
-            target,
-            &config,
-            journal.as_deref(),
+    let (bursts, title, stream) = match scenario.as_deref() {
+        Some("adaptive") => (
+            Bursts::Adaptive,
+            "Adaptive churn",
+            format!(
+                "{steps} steps ({mode_label}), adversary re-aims at the largest monoculture \
+                 cluster every step"
+            ),
         ),
-        None => run_single(
-            g,
-            &topo_label,
-            steps,
-            runs,
-            &mode_label,
-            entry,
-            target,
-            &config,
-            journal.as_deref(),
+        Some("cve-feed") => {
+            let feed = CveFeedConfig::default();
+            let stream = format!(
+                "{steps} advisory bursts (Pareto α={:.1}, sizes {}..={}), worm {entry}→{target}",
+                feed.pareto_alpha, feed.min_burst, feed.max_burst
+            );
+            let feed = CveFeed::new(feed, config.seed);
+            let bursts = Bursts::Cve {
+                entry,
+                target,
+                feed,
+            };
+            (bursts, "CVE-feed churn", stream)
+        }
+        _ => (
+            Bursts::Random { entry, target },
+            "Dynamic churn",
+            format!("{steps} steps ({mode_label}), worm {entry}→{target}"),
         ),
-    }
+    };
+    let core = match shards {
+        Some(_) => WriterCore::Sharded(ShardedEngine::new(g.network, g.catalog, g.similarity)),
+        None => WriterCore::Single(DiversityEngine::new(g.network, g.catalog, g.similarity)),
+    };
+    let shards = match &core {
+        WriterCore::Sharded(engine) => format!(
+            " in {} zone shards ({} boundary hosts, {} cross links)",
+            engine.partition().shards().len(),
+            engine.partition().boundary().len(),
+            engine.partition().cross_links().len(),
+        ),
+        WriterCore::Single(_) => String::new(),
+    };
+    let header = format!(
+        "{title} — {} hosts ({topo_label}){shards}, {stream} ({runs} MTTC runs/estimate)",
+        core.network().host_count()
+    );
+    run(core, bursts, &header, &config, journal.as_deref());
 }
 
 /// Builds the scenario topology: the default random instance, the zoned
@@ -331,7 +354,7 @@ fn build_topology(
     shards: Option<usize>,
 ) -> (GeneratedNetwork, String) {
     match scenario {
-        None => match shards {
+        None | Some("adaptive" | "cve-feed") => match shards {
             Some(zones) => {
                 let g = generate_zoned(
                     &ZonedNetworkConfig {
@@ -424,120 +447,73 @@ fn build_topology(
     }
 }
 
-/// The churn-config mark fields a recording embeds so a replay can rebuild
-/// the exact MTTC scenario without the original command line.
-fn config_fields(entry: HostId, target: HostId, config: &ChurnConfig) -> Vec<(&'static str, f64)> {
-    vec![
-        ("steps", config.steps as f64),
-        ("entry", f64::from(entry.0)),
-        ("target", f64::from(target.0)),
-        ("exploit_success", config.exploit_success),
-        ("baseline_rate", config.baseline_rate),
-        ("max_ticks", f64::from(config.max_ticks)),
-        ("mttc_runs", config.mttc.runs as f64),
-        ("seed", config.seed as f64),
-    ]
-}
-
-/// The per-step mark fields: step index, post-step revision, and the MTTC
-/// means (omitted when censored — `MarkRecord` carries finite values only).
-fn step_fields(
-    step: usize,
-    revision: u64,
-    before: &MttcEstimate,
-    after: &MttcEstimate,
-) -> Vec<(&'static str, f64)> {
-    let mut fields = vec![("step", step as f64), ("revision", revision as f64)];
-    if let Some(mean) = before.mean_ticks() {
-        fields.push(("mttc_carry", mean));
-    }
-    if let Some(mean) = after.mean_ticks() {
-        fields.push(("mttc_resolve", mean));
-    }
-    fields
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_single(
-    g: GeneratedNetwork,
-    topo_label: &str,
-    steps: usize,
-    runs: usize,
-    mode_label: &str,
-    entry: HostId,
-    target: HostId,
+/// Replays one churn window through [`run_churn`] and prints the per-step
+/// table — columns by engine and burst source — the summary, and, with
+/// `--journal`, where the recorded window went.
+fn run(
+    mut core: WriterCore,
+    mut bursts: Bursts,
+    header: &str,
     config: &ChurnConfig,
     journal: Option<&str>,
 ) {
-    let hosts = g.network.host_count();
-    let mut engine = DiversityEngine::new(g.network, g.catalog, g.similarity);
+    // The adaptive worm re-aims every step, which a replay's fixed scenario
+    // cannot rebuild: only fixed-worm windows are recorded.
+    let worm = match &bursts {
+        Bursts::Random { entry, target } | Bursts::Cve { entry, target, .. } => {
+            Some((*entry, *target))
+        }
+        Bursts::Adaptive => None,
+    };
+    let journal = journal.filter(|_| worm.is_some());
     if let Some(path) = journal {
-        // Full history, no compaction: the whole window stays replayable.
-        engine = engine
+        // Full history, no compaction: the whole window stays replayable. A
+        // sharded core journals master-level bursts, pre-routing, so the
+        // replay rebuilds one single-engine deployment.
+        core = core
             .with_journal_cadence(path, None)
             .expect("journal creates");
     }
-    let cold = engine.solve().expect("instance solves");
-    println!(
-        "Dynamic churn — {hosts} hosts ({topo_label}), {steps} steps ({mode_label}), \
-         worm {entry}→{target} ({runs} MTTC runs/estimate)\n"
-    );
+    let cold = core.solve().expect("instance solves");
+    println!("{header}\n");
     println!("cold solve: {cold}\n");
 
-    let replay = run_churn(&mut engine, entry, target, config).expect("churn replays");
-
-    let mut t = TextTable::new(&[
-        "step",
-        "deltas",
-        "touched",
-        "frontier",
-        "swept",
-        "changed",
+    let replay = run_churn(&mut core, &mut bursts, config).expect("churn replays");
+    let adaptive = matches!(bursts, Bursts::Adaptive);
+    let sharded = matches!(core, WriterCore::Sharded(_));
+    let mut columns = vec!["step", "deltas"];
+    match &bursts {
+        Bursts::Adaptive => columns.extend(["entry", "target", "cluster", "clusters"]),
+        Bursts::Cve { .. } => columns.extend(["advisory", "family", "quarantines"]),
+        Bursts::Random { .. } => {}
+    }
+    if sharded {
+        columns.extend(["shards", "rounds", "gap", "flips"]);
+    } else {
+        columns.extend(["touched", "frontier", "swept", "changed"]);
+    }
+    columns.extend([
         "obj carry",
         "obj resolve",
         "mttc carry",
         "mttc resolve",
         "gain",
-        "model edit",
-        "model rebuild",
-        "solve",
     ]);
+    if adaptive {
+        columns.extend(["lag", "defender-lag"]);
+    }
+    if sharded {
+        columns.extend(["shard solve", "coord"]);
+    } else {
+        columns.extend(["model edit", "model rebuild", "solve"]);
+    }
+    let mut t = TextTable::new(&columns);
     for s in &replay {
-        let label = match &s.deltas[..] {
-            [single] => single.to_string(),
-            many => format!("burst of {}", many.len()),
-        };
-        t.add_row_owned(vec![
-            s.step.to_string(),
-            label,
-            s.report.touched.len().to_string(),
-            if s.report.localized {
-                s.report.frontier_hosts.to_string()
-            } else {
-                format!("{} (full)", s.report.frontier_hosts)
-            },
-            s.report.swept_vars.to_string(),
-            s.report.changed_hosts.len().to_string(),
-            format!("{:.3}", s.report.objective_before.unwrap_or(f64::NAN)),
-            format!("{:.3}", s.report.objective_after),
-            fmt_mttc(&s.mttc_before),
-            fmt_mttc(&s.mttc_after),
-            s.mttc_gain().to_string(),
-            if s.report.rebuild.edited {
-                format!("{:.2?}", s.report.rebuild_wall)
-            } else {
-                "-".to_owned()
-            },
-            if s.report.rebuild.edited {
-                "-".to_owned()
-            } else {
-                format!("{:.2?}", s.report.rebuild_wall)
-            },
-            format!("{:.2?}", s.report.solve_wall),
-        ]);
+        t.add_row_owned(step_row(s, adaptive));
     }
     println!("{t}");
 
+    let n = replay.len();
     let improved = replay
         .iter()
         .filter(|s| s.report.improvement().unwrap_or(0.0) > 1e-9)
@@ -551,181 +527,182 @@ fn run_single(
         .filter(|s| matches!(s.mttc_gain(), MttcGain::BothCensored))
         .count();
     let deltas_total: usize = replay.iter().map(|s| s.deltas.len()).sum();
-    let refiltered: usize = replay
-        .iter()
-        .map(|s| s.report.rebuild.hosts_refiltered)
-        .sum();
-    let computed: usize = replay
-        .iter()
-        .map(|s| s.report.rebuild.potentials_computed)
-        .sum();
-    let reused: usize = replay
-        .iter()
-        .map(|s| s.report.rebuild.potentials_reused)
-        .sum();
-    let localized = replay.iter().filter(|s| s.report.localized).count();
-    let edited = replay.iter().filter(|s| s.report.rebuild.edited).count();
-    let edit_wall: std::time::Duration = replay
-        .iter()
-        .filter(|s| s.report.rebuild.edited)
-        .map(|s| s.report.rebuild_wall)
-        .sum();
-    let rebuild_wall: std::time::Duration = replay
-        .iter()
-        .filter(|s| !s.report.rebuild.edited)
-        .map(|s| s.report.rebuild_wall)
-        .sum();
+    let largest = replay.iter().map(|s| s.deltas.len()).max().unwrap_or(0);
     println!(
-        "{deltas_total} deltas in {} steps; re-solve improved the carried objective on \
-         {improved}/{} steps, MTTC favored re-optimizing on {favor} (both censored on {censored}); \
-         {localized} localized re-solves; {refiltered} host domains refiltered total; \
-         potential matrices: {reused} reused, {computed} computed",
-        replay.len(),
-        replay.len()
+        "{deltas_total} deltas in {n} steps (largest burst {largest}); re-solve improved the \
+         carried objective on {improved}/{n} steps, MTTC favored re-optimizing on {favor} \
+         (both censored on {censored})"
     );
-    println!(
-        "model maintenance: {edited} in-place edits ({edit_wall:.2?} total), {} linear \
-         reassemblies ({rebuild_wall:.2?} total)",
-        replay.len() - edited
-    );
-    println!(
-        "expected shape: obj resolve ≤ obj carry per step, mttc resolve ≥ mttc carry on average"
-    );
-    if let Some(path) = journal {
-        engine
-            .journal_mark("churn-config", &config_fields(entry, target, config))
-            .expect("journal appends");
-        for s in &replay {
-            engine
-                .journal_mark(
-                    "churn-step",
-                    &step_fields(s.step, s.report.revision, &s.mttc_before, &s.mttc_after),
-                )
-                .expect("journal appends");
+    if sharded {
+        print_sharded_summary(&replay);
+    } else {
+        print_single_summary(&replay);
+    }
+    match &bursts {
+        Bursts::Adaptive => print_adaptive_summary(&replay, config),
+        Bursts::Cve { .. } => {
+            let quarantines: usize = replay.iter().map(|s| quarantines(&s.deltas)).sum();
+            println!(
+                "advisories: {quarantines} quarantine link cuts; expected shape: mostly-small \
+                 bursts with the occasional monster advisory batch; every burst applied \
+                 through one apply_batch without rejection"
+            );
         }
+        Bursts::Random { .. } => {}
+    }
+    if let (Some(path), Some((entry, target))) = (journal, worm) {
+        mark_window(&mut core, entry, target, config, &replay);
         println!(
-            "\nrecorded churn window to {path} ({} steps, final revision {}); replay with: \
+            "\nrecorded churn window to {path} ({n} steps, final revision {}); replay with: \
              churn --replay {path} [--solver NAME]",
-            replay.len(),
-            engine.revision()
+            core.revision()
         );
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    g: GeneratedNetwork,
-    topo_label: &str,
-    steps: usize,
-    runs: usize,
-    mode_label: &str,
-    entry: HostId,
-    target: HostId,
-    config: &ChurnConfig,
-    journal: Option<&str>,
-) {
-    let hosts = g.network.host_count();
-    let target = HostId((hosts as u32 - 1).min(target.0.max(1)));
-    let mut engine = ShardedEngine::new(g.network, g.catalog, g.similarity);
-    if let Some(path) = journal {
-        // Master-level recording: bursts journal globally, pre-routing, so
-        // the replay rebuilds one single-engine deployment.
-        engine = engine
-            .with_journal_cadence(path, None)
-            .expect("journal creates");
-    }
-    let zones = engine.partition().shards().len();
-    let cold = engine.solve().expect("instance solves");
-    println!(
-        "Dynamic churn — {hosts} hosts ({topo_label}) in {zones} zone shards ({} boundary \
-         hosts, {} cross links), {steps} steps ({mode_label}), worm {entry}→{target} \
-         ({runs} MTTC runs/estimate)\n",
-        engine.partition().boundary().len(),
-        engine.partition().cross_links().len(),
-    );
-    println!("cold solve: {cold}\n");
-
-    let replay = run_churn_sharded(&mut engine, entry, target, config).expect("churn replays");
-
-    let mut t = TextTable::new(&[
-        "step",
-        "deltas",
-        "shards",
-        "rounds",
-        "gap",
-        "flips",
-        "obj carry",
-        "obj resolve",
-        "mttc carry",
-        "mttc resolve",
-        "gain",
-        "shard solve",
-        "coord",
-    ]);
-    for s in &replay {
-        let label = match &s.deltas[..] {
+/// One row of the per-step table, in the column order [`run`] lays out.
+fn step_row(s: &ChurnStep, adaptive: bool) -> Vec<String> {
+    let mut row = vec![
+        s.step.to_string(),
+        match &s.deltas[..] {
             [single] => single.to_string(),
             many => format!("burst of {}", many.len()),
-        };
-        let slowest = s
-            .report
-            .per_shard_solve
-            .iter()
-            .max()
-            .copied()
-            .unwrap_or_default();
-        t.add_row_owned(vec![
-            s.step.to_string(),
-            label,
-            format!("{:?}", s.report.shards_touched),
-            s.report.rounds.to_string(),
-            s.report
-                .certified_gap()
+        },
+    ];
+    match &s.drawn {
+        Drawn::Recon {
+            cluster_size,
+            cluster_count,
+        } => row.extend([
+            s.entry.to_string(),
+            s.target.to_string(),
+            cluster_size.to_string(),
+            cluster_count.to_string(),
+        ]),
+        Drawn::Advisory {
+            service,
+            advisory,
+            family,
+        } => row.extend([
+            format!("{service}/{advisory}"),
+            family.len().to_string(),
+            quarantines(&s.deltas).to_string(),
+        ]),
+        Drawn::Random => {}
+    }
+    match &s.report {
+        EngineReport::Single(r) => row.extend([
+            r.touched.len().to_string(),
+            if r.localized {
+                r.frontier_hosts.to_string()
+            } else {
+                format!("{} (full)", r.frontier_hosts)
+            },
+            r.swept_vars.to_string(),
+            r.changed_hosts.len().to_string(),
+        ]),
+        EngineReport::Sharded(r) => row.extend([
+            format!("{:?}", r.shards_touched),
+            r.rounds.to_string(),
+            r.certified_gap()
                 .map_or_else(|| "-".to_owned(), |g| format!("{:.2}%", 100.0 * g)),
-            s.report.boundary_flips.to_string(),
-            format!("{:.3}", s.report.objective_before.unwrap_or(f64::NAN)),
-            format!("{:.3}", s.report.objective),
-            fmt_mttc(&s.mttc_before),
-            fmt_mttc(&s.mttc_after),
-            s.mttc_gain().to_string(),
-            format!("{slowest:.2?}"),
-            format!("{:.2?}", s.report.coordination_wall),
+            r.boundary_flips.to_string(),
+        ]),
+    }
+    row.extend([
+        format!("{:.3}", s.report.objective_before().unwrap_or(f64::NAN)),
+        format!("{:.3}", s.report.objective()),
+        fmt_mttc(&s.mttc_before),
+        fmt_mttc(&s.mttc_after),
+        s.mttc_gain().to_string(),
+    ]);
+    if adaptive {
+        row.extend([
+            format!("{:.1}", s.lag_ticks),
+            format!("{:.2}", s.defender_lag),
         ]);
     }
-    println!("{t}");
+    match &s.report {
+        EngineReport::Single(r) => {
+            let wall = format!("{:.2?}", r.rebuild_wall);
+            let (edit, rebuild) = if r.rebuild.edited {
+                (wall, "-".to_owned())
+            } else {
+                ("-".to_owned(), wall)
+            };
+            row.extend([edit, rebuild, format!("{:.2?}", r.solve_wall)]);
+        }
+        EngineReport::Sharded(r) => {
+            let slowest = r.per_shard_solve.iter().max().copied().unwrap_or_default();
+            row.extend([
+                format!("{slowest:.2?}"),
+                format!("{:.2?}", r.coordination_wall),
+            ]);
+        }
+    }
+    row
+}
 
-    let improved = replay
+/// `RemoveLink` deltas in a burst: the CVE feed's quarantine link cuts.
+fn quarantines(deltas: &[NetworkDelta]) -> usize {
+    deltas
         .iter()
-        .filter(|s| s.report.improvement().unwrap_or(0.0) > 1e-9)
-        .count();
-    let favor = replay
-        .iter()
-        .filter(|s| s.mttc_gain().favors_reopt())
-        .count();
-    let deltas_total: usize = replay.iter().map(|s| s.deltas.len()).sum();
-    let coordinated = replay.iter().filter(|s| s.report.rounds > 0).count();
-    let flips: usize = replay.iter().map(|s| s.report.boundary_flips).sum();
-    let single_shard = replay
-        .iter()
-        .filter(|s| s.report.shards_touched.len() <= 1)
-        .count();
-    let gaps: Vec<f64> = replay
-        .iter()
-        .filter_map(|s| s.report.certified_gap())
-        .collect();
+        .filter(|d| matches!(d, NetworkDelta::RemoveLink { .. }))
+        .count()
+}
+
+/// The single engine's model-maintenance and locality roll-up.
+fn print_single_summary(replay: &[ChurnStep]) {
+    let (mut localized, mut refiltered, mut computed, mut reused) = (0, 0, 0, 0);
+    let (mut edited, mut reassembled) = (0usize, 0usize);
+    let (mut edit_wall, mut rebuild_wall) = (Duration::ZERO, Duration::ZERO);
+    for s in replay {
+        let EngineReport::Single(r) = &s.report else {
+            continue;
+        };
+        localized += usize::from(r.localized);
+        refiltered += r.rebuild.hosts_refiltered;
+        computed += r.rebuild.potentials_computed;
+        reused += r.rebuild.potentials_reused;
+        if r.rebuild.edited {
+            edited += 1;
+            edit_wall += r.rebuild_wall;
+        } else {
+            reassembled += 1;
+            rebuild_wall += r.rebuild_wall;
+        }
+    }
     println!(
-        "{deltas_total} deltas in {} steps; {single_shard} bursts confined to one shard; \
-         coordination ran on {coordinated} steps ({flips} boundary flips total); re-solve \
-         improved the carried objective on {improved}/{} steps, MTTC favored re-optimizing \
-         on {favor}",
-        replay.len(),
-        replay.len()
+        "{localized} localized re-solves; {refiltered} host domains refiltered total; \
+         potential matrices: {reused} reused, {computed} computed"
     );
-    if let Some(worst) = gaps
-        .iter()
-        .copied()
-        .fold(None, |m: Option<f64>, g| Some(m.map_or(g, |m| m.max(g))))
-    {
+    println!(
+        "model maintenance: {edited} in-place edits ({edit_wall:.2?} total), {reassembled} \
+         linear reassemblies ({rebuild_wall:.2?} total)"
+    );
+    println!(
+        "expected shape: obj resolve ≤ obj carry per step, mttc resolve ≥ mttc carry on average"
+    );
+}
+
+/// The sharded engine's routing, coordination and certified-gap roll-up.
+fn print_sharded_summary(replay: &[ChurnStep]) {
+    let (mut single_shard, mut coordinated, mut flips) = (0, 0, 0);
+    let mut gaps = Vec::new();
+    for s in replay {
+        let EngineReport::Sharded(r) = &s.report else {
+            continue;
+        };
+        single_shard += usize::from(r.shards_touched.len() <= 1);
+        coordinated += usize::from(r.rounds > 0);
+        flips += r.boundary_flips;
+        gaps.extend(r.certified_gap());
+    }
+    println!(
+        "{single_shard} bursts confined to one shard; coordination ran on {coordinated} steps \
+         ({flips} boundary flips total)"
+    );
+    if let Some(worst) = gaps.iter().copied().reduce(f64::max) {
         println!(
             "certified gap: {} Strong steps certified a primal−dual bound, worst {:.2}%",
             gaps.len(),
@@ -736,113 +713,32 @@ fn run_sharded(
         "expected shape: obj resolve ≤ obj carry per step; rounds 0 on interior-confined \
          bursts; certified gap small and never negative on Strong steps"
     );
-    if let Some(path) = journal {
-        engine
-            .journal_mark("churn-config", &config_fields(entry, target, config))
-            .expect("journal appends");
-        for s in &replay {
-            engine
-                .journal_mark(
-                    "churn-step",
-                    &step_fields(s.step, s.report.revision, &s.mttc_before, &s.mttc_after),
-                )
-                .expect("journal appends");
-        }
-        println!(
-            "\nrecorded churn window to {path} ({} steps, final revision {}); replay with: \
-             churn --replay {path} [--solver NAME]",
-            replay.len(),
-            engine.revision()
-        );
-    }
 }
 
-/// Adversary-in-the-loop mode (`--scenario adaptive`): each step the
-/// attacker re-picks entry/target from the committed assignment's largest
-/// monoculture cluster, the engine re-optimizes, and the step reports the
-/// defender-lag column. Prints seed-stable `trajectory:` lines after the
-/// table (CI diffs them across two runs) and a `defender-lag:` summary.
-fn run_adaptive(hosts: usize, runs: usize, config: &ChurnConfig) {
-    let g = generate(
-        &RandomNetworkConfig {
-            hosts,
-            mean_degree: 6,
-            services: 3,
-            products_per_service: 4,
-            vendors_per_service: 2,
-            topology: TopologyKind::Random,
-        },
-        2026,
-    );
-    let mut engine = DiversityEngine::new(g.network, g.catalog, g.similarity);
-    let cold = engine.solve().expect("instance solves");
-    let adaptive = AdaptiveChurnConfig {
-        churn: config.clone(),
-        lag: LagModel::default(),
-    };
-    println!(
-        "Adaptive churn — {hosts} hosts (random topology), {} steps, adversary re-aims at \
-         the largest monoculture cluster every step ({runs} MTTC runs/estimate)\n",
-        config.steps
-    );
-    println!("cold solve: {cold}\n");
-
-    let replay = run_churn_adaptive(&mut engine, &adaptive).expect("churn replays");
-
-    let mut t = TextTable::new(&[
-        "step",
-        "entry",
-        "target",
-        "cluster",
-        "clusters",
-        "deltas",
-        "swept",
-        "obj carry",
-        "obj resolve",
-        "mttc carry",
-        "mttc resolve",
-        "gain",
-        "lag",
-        "defender-lag",
-        "solve",
-    ]);
-    for s in &replay {
-        let label = match &s.deltas[..] {
-            [single] => single.to_string(),
-            many => format!("burst of {}", many.len()),
-        };
-        t.add_row_owned(vec![
-            s.step.to_string(),
-            s.entry.to_string(),
-            s.target.to_string(),
-            s.cluster_size.to_string(),
-            s.cluster_count.to_string(),
-            label,
-            s.report.swept_vars.to_string(),
-            format!("{:.3}", s.report.objective_before.unwrap_or(f64::NAN)),
-            format!("{:.3}", s.report.objective_after),
-            fmt_mttc(&s.mttc_before),
-            fmt_mttc(&s.mttc_after),
-            s.mttc_gain().to_string(),
-            format!("{:.1}", s.lag_ticks),
-            format!("{:.2}", s.defender_lag),
-            format!("{:.2?}", s.report.solve_wall),
-        ]);
-    }
-    println!("{t}");
-
+/// The adversary-in-the-loop roll-up: seed-stable `trajectory:` lines (CI
+/// diffs them across two runs), the attacker's recon, and defender-lag
+/// under both lag models.
+fn print_adaptive_summary(replay: &[ChurnStep], config: &ChurnConfig) {
     // Machine-readable, seed-stable trajectory: everything here is
     // deterministic for a fixed seed (the SweptWork lag model and the
     // seeded MTTC estimator), so CI diffs these lines across two runs.
-    for s in &replay {
+    let mut biggest = 0;
+    for s in replay {
+        let Drawn::Recon {
+            cluster_size,
+            cluster_count,
+        } = s.drawn
+        else {
+            continue;
+        };
+        biggest = biggest.max(cluster_size);
         println!(
-            "trajectory: step={} entry={} target={} cluster={} clusters={} \
-             mttc_carry={} mttc_resolve={} lag={:.3} defender_lag={:.4}",
+            "trajectory: step={} entry={} target={} cluster={cluster_size} \
+             clusters={cluster_count} mttc_carry={} mttc_resolve={} lag={:.3} \
+             defender_lag={:.4}",
             s.step,
             s.entry,
             s.target,
-            s.cluster_size,
-            s.cluster_count,
             s.mttc_before
                 .mean_ticks()
                 .map_or_else(|| "censored".to_owned(), |m| format!("{m:.4}")),
@@ -853,12 +749,10 @@ fn run_adaptive(hosts: usize, runs: usize, config: &ChurnConfig) {
             s.defender_lag,
         );
     }
-
     let favor = replay
         .iter()
         .filter(|s| s.mttc_gain().favors_reopt())
         .count();
-    let biggest = replay.iter().map(|s| s.cluster_size).max().unwrap_or(0);
     let total_lag: f64 = replay.iter().map(|s| s.defender_lag).sum();
     let wall_model = LagModel::ResolveWall { ticks_per_ms: 1.0 };
     let wall_lag: f64 = replay
@@ -894,125 +788,38 @@ fn run_adaptive(hosts: usize, runs: usize, config: &ChurnConfig) {
     );
 }
 
-/// CVE-feed mode (`--scenario cve-feed`): the delta stream is replaced by
-/// heavy-tailed advisory bursts hitting correlated product families
-/// together. Composes with `--journal` like the plain modes.
-fn run_cve(hosts: usize, runs: usize, config: &ChurnConfig, journal: Option<&str>) {
-    let g = generate(
-        &RandomNetworkConfig {
-            hosts,
-            mean_degree: 6,
-            services: 3,
-            products_per_service: 4,
-            vendors_per_service: 2,
-            topology: TopologyKind::Random,
-        },
-        2026,
-    );
-    let entry = HostId(0);
-    let target = HostId(g.network.host_count() as u32 - 1);
-    let mut engine = DiversityEngine::new(g.network, g.catalog, g.similarity);
-    if let Some(path) = journal {
-        // Full history, no compaction: the whole window stays replayable.
-        engine = engine
-            .with_journal_cadence(path, None)
-            .expect("journal creates");
-    }
-    let cold = engine.solve().expect("instance solves");
-    let feed_config = CveFeedConfig::default();
-    let mut feed = CveFeed::new(feed_config.clone(), config.seed);
-    println!(
-        "CVE-feed churn — {hosts} hosts (random topology), {} advisory bursts \
-         (Pareto α={:.1}, sizes {}..={}), worm {entry}→{target} ({runs} MTTC runs/estimate)\n",
-        config.steps, feed_config.pareto_alpha, feed_config.min_burst, feed_config.max_burst
-    );
-    println!("cold solve: {cold}\n");
-
-    let replay =
-        run_churn_cve(&mut engine, entry, target, config, &mut feed).expect("churn replays");
-
-    let mut t = TextTable::new(&[
-        "step",
-        "deltas",
-        "advisory",
-        "family",
-        "quarantines",
-        "swept",
-        "obj carry",
-        "obj resolve",
-        "mttc carry",
-        "mttc resolve",
-        "gain",
-        "solve",
-    ]);
-    for s in &replay {
-        let quarantines = s
-            .burst
-            .deltas
-            .iter()
-            .filter(|d| matches!(d, NetworkDelta::RemoveLink { .. }))
-            .count();
-        t.add_row_owned(vec![
-            s.step.to_string(),
-            format!("burst of {}", s.burst.deltas.len()),
-            format!("{}/{}", s.burst.service, s.burst.advisory),
-            s.burst.family.len().to_string(),
-            quarantines.to_string(),
-            s.report.swept_vars.to_string(),
-            format!("{:.3}", s.report.objective_before.unwrap_or(f64::NAN)),
-            format!("{:.3}", s.report.objective_after),
-            fmt_mttc(&s.mttc_before),
-            fmt_mttc(&s.mttc_after),
-            s.mttc_gain().to_string(),
-            format!("{:.2?}", s.report.solve_wall),
-        ]);
-    }
-    println!("{t}");
-
-    let deltas_total: usize = replay.iter().map(|s| s.burst.deltas.len()).sum();
-    let quarantines_total: usize = replay
-        .iter()
-        .flat_map(|s| &s.burst.deltas)
-        .filter(|d| matches!(d, NetworkDelta::RemoveLink { .. }))
-        .count();
-    let biggest = replay
-        .iter()
-        .map(|s| s.burst.deltas.len())
-        .max()
-        .unwrap_or(0);
-    let favor = replay
-        .iter()
-        .filter(|s| s.mttc_gain().favors_reopt())
-        .count();
-    println!(
-        "{deltas_total} advisory deltas in {} bursts (largest {biggest}; heavy tail), \
-         {quarantines_total} quarantine link cuts; MTTC favored re-optimizing on {favor}/{} \
-         steps",
-        replay.len(),
-        replay.len()
-    );
-    println!(
-        "expected shape: mostly-small bursts with the occasional monster advisory batch; \
-         every burst applied through one apply_batch without rejection"
-    );
-    if let Some(path) = journal {
-        engine
-            .journal_mark("churn-config", &config_fields(entry, target, config))
+/// Embeds the window's scenario parameters and per-step MTTC in the
+/// journal as marks, so `--replay` rebuilds the exact MTTC scenario without
+/// the original command line and diffs the trajectory. Censored means are
+/// omitted: `MarkRecord` carries finite values only.
+fn mark_window(
+    core: &mut WriterCore,
+    entry: HostId,
+    target: HostId,
+    config: &ChurnConfig,
+    replay: &[ChurnStep],
+) {
+    let scenario = [
+        ("steps", config.steps as f64),
+        ("entry", f64::from(entry.0)),
+        ("target", f64::from(target.0)),
+        ("exploit_success", config.exploit_success),
+        ("baseline_rate", config.baseline_rate),
+        ("max_ticks", f64::from(config.max_ticks)),
+        ("mttc_runs", config.mttc.runs as f64),
+        ("seed", config.seed as f64),
+    ];
+    core.journal_mark("churn-config", &scenario)
+        .expect("journal appends");
+    for s in replay {
+        let mut fields = vec![
+            ("step", s.step as f64),
+            ("revision", s.report.revision() as f64),
+        ];
+        fields.extend(s.mttc_before.mean_ticks().map(|m| ("mttc_carry", m)));
+        fields.extend(s.mttc_after.mean_ticks().map(|m| ("mttc_resolve", m)));
+        core.journal_mark("churn-step", &fields)
             .expect("journal appends");
-        for s in &replay {
-            engine
-                .journal_mark(
-                    "churn-step",
-                    &step_fields(s.step, s.report.revision, &s.mttc_before, &s.mttc_after),
-                )
-                .expect("journal appends");
-        }
-        println!(
-            "\nrecorded churn window to {path} ({} steps, final revision {}); replay with: \
-             churn --replay {path} [--solver NAME]",
-            replay.len(),
-            engine.revision()
-        );
     }
 }
 
@@ -1431,36 +1238,15 @@ fn run_replay(path: &str, solver: Option<&str>) {
     // estimator). With --solver, replay is the what-if mode: every burst
     // re-solves under that configuration and the trajectory diff shows how
     // it diverges from the recording.
-    let Some(Record::Preamble(preamble)) = read.records.first() else {
-        panic!("journal has no valid preamble record");
-    };
-    let snap_idx = read
-        .records
-        .iter()
-        .rposition(|r| matches!(r, Record::Snapshot(_)))
-        .expect("journal has no valid snapshot record");
-    let Record::Snapshot(snapshot) = &read.records[snap_idx] else {
-        unreachable!("rposition matched a snapshot");
-    };
-    let mut network = snapshot.network.clone();
-    let mut assignment = snapshot.assignment.clone();
-    let mut engine = kind.clone().map(|k| {
-        engine_at_snapshot(&read.records, |e| {
-            let refiner = k.build();
-            e.with_solver(k).with_refiner(refiner)
-        })
-        .expect("journal holds a valid preamble + snapshot")
-    });
-    let batches = read.records[snap_idx + 1..]
-        .iter()
-        .filter(|r| matches!(r, Record::Batch(_)))
-        .count();
+    let checkpoint =
+        Checkpoint::find(&read.records).expect("journal holds a valid preamble + snapshot");
     println!(
-        "Replaying {path} — {} records, snapshot at revision {}, {batches} recorded bursts, \
+        "Replaying {path} — {} records, snapshot at revision {}, {} recorded bursts, \
          {} hosts; solver: {}\n",
         read.records.len(),
-        snapshot.revision,
-        network.host_count(),
+        checkpoint.snapshot.revision,
+        checkpoint.batches().count(),
+        checkpoint.snapshot.network.host_count(),
         solver.unwrap_or("none (exact verification from recorded states)"),
     );
 
@@ -1474,42 +1260,11 @@ fn run_replay(path: &str, solver: Option<&str>) {
     ]);
     let mut replayed = 0usize;
     let mut max_drift = 0.0f64;
-    let mut last_revision = snapshot.revision;
-    for record in &read.records[snap_idx + 1..] {
-        let Record::Batch(batch) = record else {
-            continue;
-        };
-        let (net, assign): (&_, &_) = match engine.as_mut() {
-            Some(engine) => {
-                engine
-                    .apply_batch(&batch.deltas)
-                    .expect("recorded batch replays");
-                last_revision = engine.revision();
-                (engine.network(), engine.assignment().expect("step solved"))
-            }
-            None => {
-                network
-                    .apply_all(&batch.deltas, &preamble.catalog)
-                    .expect("recorded batch applies");
-                last_revision = network.revision();
-                assignment.clone_from(&batch.assignment);
-                (
-                    &network,
-                    assignment
-                        .as_ref()
-                        .expect("recorded batch carries its committed assignment"),
-                )
-            }
-        };
-        if last_revision != batch.revision {
-            eprintln!(
-                "replay diverged: batch seq {} recorded revision {}, replay reached \
-                 {last_revision}",
-                batch.seq, batch.revision,
-            );
-            std::process::exit(1);
-        }
-        let est = estimate_mttc(net, assign, &preamble.similarity, &scenario, &options);
+    let mut last_revision = checkpoint.snapshot.revision;
+    let mut row = |batch: &BatchRecord, net: &Network, assign: Option<&Assignment>| {
+        let assign = assign.expect("a replayed step holds an assignment");
+        let similarity = &checkpoint.preamble.similarity;
+        let est = estimate_mttc(net, assign, similarity, &scenario, &options);
         let (step_label, rec_resolve) = match recorded.get(&batch.revision) {
             Some((step, resolve)) => (format!("{step:.0}"), *resolve),
             None => ("-".to_owned(), None),
@@ -1529,7 +1284,29 @@ fn run_replay(path: &str, solver: Option<&str>) {
             fmt_mttc(&est),
             drift,
         ]);
+        last_revision = batch.revision;
         replayed += 1;
+    };
+    let replay = match kind {
+        Some(kind) => {
+            let mut engine = checkpoint.engine_at_snapshot(|e| {
+                let refiner = kind.build();
+                e.with_solver(kind).with_refiner(refiner)
+            });
+            checkpoint.batches().try_for_each(|batch| {
+                engine
+                    .apply_batch(&batch.deltas)
+                    .expect("recorded batch replays");
+                check_revision(batch, engine.revision())?;
+                row(batch, engine.network(), engine.assignment());
+                Ok(())
+            })
+        }
+        None => checkpoint.replay(&mut row).map(drop),
+    };
+    if let Err(diverged) = replay {
+        eprintln!("{diverged}");
+        std::process::exit(1);
     }
     println!("{t}");
     println!(

@@ -4,23 +4,31 @@
 //! The paper evaluates *static* deployments. Real networks churn — and the
 //! operational question for a diversity service is whether re-optimizing
 //! after each change actually buys resilience over just carrying the old
-//! assignment forward. [`run_churn`] answers it empirically: it drives a
-//! [`DiversityEngine`] with a seeded stream of random
-//! [`NetworkDelta`]s and, at each step, estimates the mean time to
+//! assignment forward. [`run_churn`] answers it empirically: it drives
+//! either engine through its [`WriterCore`] with bursts drawn from a
+//! [`Bursts`] source and, at each step, estimates the mean time to
 //! compromise (MTTC, paper §VII-C2) of
 //!
 //! * the **carried** assignment — the old products projected onto the new
 //!   network, what a non-reoptimizing deployment would run, and
-//! * the **re-optimized** assignment the engine's warm re-solve produced.
+//! * the **re-optimized** assignment the engine's warm re-solve produced,
 //!
-//! Churn comes in two modes ([`ChurnMode`]): **sequential** — one delta,
-//! one re-optimization, the classic stream — and **batched** — each step
-//! absorbs a Poisson-sized *burst* of deltas through
-//! [`DiversityEngine::apply_batch`], paying one rebuild and one localized
-//! re-solve per burst, the shape of real CVE-feed updates.
+//! plus the **defender-lag**: the part of that MTTC gain forfeited while
+//! the stale assignment kept serving during the re-solve ([`LagModel`],
+//! [`defender_lag`]).
 //!
-//! The entry and target hosts are protected from removal so the scenario
-//! stays well-posed across the stream.
+//! The three sources:
+//!
+//! * [`Bursts::Random`] — seeded random deltas against a fixed worm whose
+//!   entry and target are protected from removal. Churn comes in two modes
+//!   ([`ChurnMode`]): **sequential** — one delta per step — and
+//!   **batched** — a Poisson-sized burst per step, absorbed by one
+//!   `apply_batch`: one rebuild and one localized re-solve per burst.
+//! * [`Bursts::Adaptive`] — the same stream, but before every step the
+//!   attacker re-aims at the committed assignment's largest monoculture
+//!   cluster.
+//! * [`Bursts::Cve`] — heavy-tailed advisory bursts hitting correlated
+//!   product families together ([`CveFeed`]).
 
 use std::fmt;
 
@@ -36,18 +44,17 @@ use sim::attacker::{adaptive_entry_target, monoculture_clusters, AttackerStrateg
 use sim::mttc::{estimate_mttc, MttcEstimate, MttcOptions};
 use sim::scenario::Scenario;
 
-use crate::engine::{DiversityEngine, ReassignmentReport};
-use crate::shard::{ShardReport, ShardedEngine};
+use crate::serve::{EngineReport, WriterCore};
 use crate::Result;
 
-/// How each churn step feeds deltas to the engine.
+/// How each churn step feeds random deltas to the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChurnMode {
-    /// One delta per step, absorbed via [`DiversityEngine::apply`].
+    /// One delta per step.
     Sequential,
     /// A burst of deltas per step — burst sizes drawn from a Poisson
     /// distribution with the given mean, clamped to at least 1 — absorbed
-    /// via one [`DiversityEngine::apply_batch`] call each.
+    /// via one `apply_batch` call each.
     Batched {
         /// Mean burst size (the Poisson λ).
         mean_burst: f64,
@@ -58,9 +65,10 @@ pub enum ChurnMode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnConfig {
     /// Number of steps to replay (one delta per step in sequential mode,
-    /// one burst per step in batched mode).
+    /// one burst per step otherwise).
     pub steps: usize,
-    /// Seed for the delta stream (and the burst sizes).
+    /// Seed for the random delta stream and its burst sizes (a [`CveFeed`]
+    /// carries its own).
     pub seed: u64,
     /// MTTC batch options per evaluation (two evaluations per step).
     pub mttc: MttcOptions,
@@ -153,14 +161,25 @@ impl fmt::Display for MttcGain {
 pub struct ChurnStep {
     /// Step index (0-based).
     pub step: usize,
+    /// The worm's entry host this step: fixed for the random and CVE
+    /// sources, re-picked every step by the adaptive attacker.
+    pub entry: HostId,
+    /// The worm's target host this step.
+    pub target: HostId,
+    /// What the source saw or picked when it drew the burst.
+    pub drawn: Drawn,
     /// The delta burst that was applied (length 1 in sequential mode).
     pub deltas: Vec<NetworkDelta>,
-    /// The engine's reassignment report (rebuild + warm re-solve telemetry).
-    pub report: ReassignmentReport,
+    /// The engine's report for the step.
+    pub report: EngineReport,
     /// MTTC of the carried (non-reoptimized) assignment on the new network.
     pub mttc_before: MttcEstimate,
     /// MTTC of the re-optimized assignment on the new network.
     pub mttc_after: MttcEstimate,
+    /// The defender-lag window this step (see [`LagModel`]).
+    pub lag_ticks: f64,
+    /// MTTC gain forfeited to re-solve latency (see [`defender_lag`]).
+    pub defender_lag: f64,
 }
 
 impl ChurnStep {
@@ -169,6 +188,65 @@ impl ChurnStep {
     pub fn mttc_gain(&self) -> MttcGain {
         classify_gain(&self.mttc_before, &self.mttc_after)
     }
+}
+
+/// What a [`Bursts`] source saw or picked when it drew one step's burst,
+/// beyond the deltas themselves.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Drawn {
+    /// A seeded random burst.
+    Random,
+    /// The adaptive attacker's survey of the committed assignment.
+    Recon {
+        /// Size of the largest monoculture cluster the attacker saw.
+        cluster_size: usize,
+        /// Total number of monoculture clusters (live hosts partition).
+        cluster_count: usize,
+    },
+    /// The advisory a CVE-feed burst reacts to (see [`CveBurst`]).
+    Advisory {
+        /// The service the advisory is against.
+        service: ServiceId,
+        /// The product named by the advisory.
+        advisory: ProductId,
+        /// The correlated product family (always contains `advisory`).
+        family: Vec<ProductId>,
+    },
+}
+
+/// Where a churn replay's bursts come from (module docs).
+#[derive(Debug, Clone)]
+pub enum Bursts {
+    /// Seeded random deltas ([`ChurnConfig::seed`], [`ChurnConfig::mode`])
+    /// against a fixed worm `entry → target`; both hosts are protected
+    /// from removal. On a sharded core an `AddHost` delta usually joins a
+    /// random existing zone, but roughly one in four opens a brand-new
+    /// `zone-dyn*` zone, so the router creates a shard for it on the spot.
+    Random {
+        /// The worm's entry host.
+        entry: HostId,
+        /// The worm's target host.
+        target: HostId,
+    },
+    /// The adversary in the loop: before every step the attacker surveys
+    /// the committed assignment and picks entry and target from its
+    /// largest monoculture cluster ([`adaptive_entry_target`]); the random
+    /// stream then churns the network with those two hosts protected, and
+    /// the step's MTTC is estimated under [`AttackerStrategy::Adaptive`].
+    /// Each re-optimization breaks the cluster the attacker just aimed at,
+    /// and the attacker re-aims at whatever monoculture the next commit
+    /// leaves standing.
+    Adaptive,
+    /// CVE-shaped bursts from a [`CveFeed`] against a fixed worm
+    /// `entry → target` (protected from quarantine link cuts).
+    Cve {
+        /// The worm's entry host.
+        entry: HostId,
+        /// The worm's target host.
+        target: HostId,
+        /// The seeded advisory stream.
+        feed: CveFeed,
+    },
 }
 
 /// Classifies the before/after MTTC pair into an [`MttcGain`] (total: every
@@ -196,198 +274,155 @@ fn poisson(rng: &mut StdRng, mean: f64) -> usize {
     k
 }
 
-/// Replays `config.steps` random delta steps through `engine`, estimating
-/// MTTC for the carried and re-optimized assignment after each (module
-/// docs).
+/// Replays `config.steps` bursts from `bursts` through `core`, estimating
+/// MTTC for the carried and re-optimized assignment after each, plus the
+/// step's defender-lag under the default [`LagModel::SweptWork`] (module
+/// docs). Deterministic for fixed seeds.
 ///
-/// Runs a cold solve first if the engine has none. `entry` and `target` are
-/// protected from removal by the generated stream.
+/// Runs a cold solve first if the core has none.
+///
+/// # Panics
+///
+/// With [`Bursts::Adaptive`], panics if the network has fewer than two
+/// live hosts.
 ///
 /// # Errors
 ///
-/// See [`DiversityEngine::apply`] / [`DiversityEngine::apply_batch`]; the
-/// replay stops at the first failing step (generated deltas validate by
-/// construction, so only constraint infeasibility can fail).
+/// See [`WriterCore::apply_batch`]; the replay stops at the first failing
+/// step (generated deltas validate by construction, so only constraint
+/// infeasibility can fail).
 pub fn run_churn(
-    engine: &mut DiversityEngine,
-    entry: HostId,
-    target: HostId,
+    core: &mut WriterCore,
+    bursts: &mut Bursts,
     config: &ChurnConfig,
 ) -> Result<Vec<ChurnStep>> {
-    if engine.assignment().is_none() {
-        engine.solve()?;
+    if core.assignment().is_none() {
+        core.solve()?;
     }
-    let scenario = Scenario::new(entry, target)
-        .with_exploit_success(config.exploit_success)
-        .with_baseline_rate(config.baseline_rate)
-        .with_max_ticks(config.max_ticks);
-    let protect = [entry, target];
     let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut fresh_zones = 0usize;
     let mut steps = Vec::with_capacity(config.steps);
     for step in 0..config.steps {
-        let (deltas, report) = match config.mode {
-            ChurnMode::Sequential => {
-                let delta = random_delta(engine.network(), engine.catalog(), &mut rng, &protect);
-                let report = engine.apply(&delta)?;
-                (vec![delta], report)
+        let mut attacker = AttackerStrategy::Sophisticated;
+        let (entry, target, drawn, deltas) = match bursts {
+            Bursts::Random { entry, target } => {
+                let protect = [*entry, *target];
+                let deltas = random_burst(core, &mut rng, config.mode, &protect, &mut fresh_zones);
+                (*entry, *target, Drawn::Random, deltas)
             }
-            ChurnMode::Batched { mean_burst } => {
-                let burst_size = poisson(&mut rng, mean_burst).max(1);
-                // Generate the burst against a scratch copy so each delta is
-                // valid after its predecessors — the same staging
-                // apply_batch validates against.
-                let mut scratch = engine.network().clone();
-                let mut deltas = Vec::with_capacity(burst_size);
-                for _ in 0..burst_size {
-                    let delta = random_delta(&scratch, engine.catalog(), &mut rng, &protect);
-                    scratch
-                        .apply_delta(&delta, engine.catalog())
-                        .expect("generated deltas are valid against their staging state");
-                    deltas.push(delta);
-                }
-                let report = engine.apply_batch(&deltas)?;
-                (deltas, report)
+            Bursts::Adaptive => {
+                // Attacker recon against the committed assignment.
+                let assignment = core.assignment().expect("core solved above");
+                let clusters = monoculture_clusters(core.network(), assignment);
+                let (entry, target) = adaptive_entry_target(core.network(), assignment)
+                    .expect("adaptive churn needs at least two live hosts");
+                let drawn = Drawn::Recon {
+                    cluster_size: clusters.first().map_or(0, Vec::len),
+                    cluster_count: clusters.len(),
+                };
+                attacker = AttackerStrategy::Adaptive;
+                // The attacker's picks survive the step: the scenario stays
+                // well-posed while the network churns under it.
+                let protect = [entry, target];
+                let deltas = random_burst(core, &mut rng, config.mode, &protect, &mut fresh_zones);
+                (entry, target, drawn, deltas)
+            }
+            Bursts::Cve {
+                entry,
+                target,
+                feed,
+            } => {
+                let protect = [*entry, *target];
+                let burst =
+                    feed.next_burst(core.network(), core.catalog(), core.similarity(), &protect);
+                let drawn = Drawn::Advisory {
+                    service: burst.service,
+                    advisory: burst.advisory,
+                    family: burst.family,
+                };
+                (*entry, *target, drawn, burst.deltas)
             }
         };
+        let report = core.apply_batch(&deltas)?;
+        let scenario = Scenario::new(entry, target)
+            .with_attacker(attacker)
+            .with_exploit_success(config.exploit_success)
+            .with_baseline_rate(config.baseline_rate)
+            .with_max_ticks(config.max_ticks);
         let carried = report
-            .carried
-            .as_ref()
+            .carried()
             .expect("warm step always carries the previous assignment");
         let mttc_before = estimate_mttc(
-            engine.network(),
+            core.network(),
             carried,
-            engine.similarity(),
+            core.similarity(),
             &scenario,
             &config.mttc,
         );
         let mttc_after = estimate_mttc(
-            engine.network(),
-            engine.assignment().expect("step solved"),
-            engine.similarity(),
+            core.network(),
+            core.assignment().expect("step solved"),
+            core.similarity(),
             &scenario,
             &config.mttc,
         );
+        let lag_ticks = LagModel::default().lag_ticks(&report);
+        let defender_lag = defender_lag(&mttc_before, &mttc_after, lag_ticks, config.max_ticks);
         steps.push(ChurnStep {
             step,
+            entry,
+            target,
+            drawn,
             deltas,
             report,
             mttc_before,
             mttc_after,
+            lag_ticks,
+            defender_lag,
         });
     }
     Ok(steps)
 }
 
-/// One step of a *sharded* churn replay: the burst, the sharded engine's
-/// report (routing, per-shard solves, coordination telemetry) and the MTTC
-/// of the carried vs. re-optimized global assignment.
-#[derive(Debug, Clone)]
-pub struct ShardedChurnStep {
-    /// Step index (0-based).
-    pub step: usize,
-    /// The delta burst that was applied (length 1 in sequential mode).
-    pub deltas: Vec<NetworkDelta>,
-    /// The sharded engine's step report.
-    pub report: ShardReport,
-    /// MTTC of the carried (non-reoptimized) assignment on the new network.
-    pub mttc_before: MttcEstimate,
-    /// MTTC of the re-optimized assignment on the new network.
-    pub mttc_after: MttcEstimate,
-}
-
-impl ShardedChurnStep {
-    /// MTTC effect of re-optimizing after this step (see [`MttcGain`]).
-    pub fn mttc_gain(&self) -> MttcGain {
-        classify_gain(&self.mttc_before, &self.mttc_after)
-    }
-}
-
-/// [`run_churn`] over a [`ShardedEngine`]: the same seeded delta stream and
-/// MTTC instrumentation, but bursts are routed to their owning shards and
-/// the boundary-coordination loop reconciles cross-shard effects. `AddHost`
-/// deltas drawn by the generator usually join a random existing zone —
-/// but roughly one in four names a brand-new `zone-dyn*` label, exercising
-/// the engine's zone lifecycle end to end: the router creates a shard for
-/// it on the spot, and a later `RemoveHost` stream can drain and retire
-/// it. No pinning workaround remains; the stream relies on
-/// [`ShardedEngine::apply_batch`]'s dynamic shard creation.
-///
-/// # Errors
-///
-/// See [`ShardedEngine::apply_batch`]; the replay stops at the first
-/// failing step.
-pub fn run_churn_sharded(
-    engine: &mut ShardedEngine,
-    entry: HostId,
-    target: HostId,
-    config: &ChurnConfig,
-) -> Result<Vec<ShardedChurnStep>> {
-    if engine.assignment().is_none() {
-        engine.solve()?;
-    }
-    let scenario = Scenario::new(entry, target)
-        .with_exploit_success(config.exploit_success)
-        .with_baseline_rate(config.baseline_rate)
-        .with_max_ticks(config.max_ticks);
-    let protect = [entry, target];
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut steps = Vec::with_capacity(config.steps);
-    let mut fresh_zones = 0usize;
-    for step in 0..config.steps {
-        let burst_size = match config.mode {
-            ChurnMode::Sequential => 1,
-            ChurnMode::Batched { mean_burst } => poisson(&mut rng, mean_burst).max(1),
-        };
-        // Generate the burst against a scratch copy so each delta is valid
-        // after its predecessors — the same staging apply_batch validates
-        // against. AddHost deltas mostly join a random existing zone, but
-        // ~1 in 4 opens a brand-new one (dynamic shard creation).
-        let mut scratch = engine.network().clone();
-        let mut deltas = Vec::with_capacity(burst_size);
-        for _ in 0..burst_size {
-            let mut delta = random_delta(&scratch, engine.catalog(), &mut rng, &protect);
-            if let NetworkDelta::AddHost { zone, .. } = &mut delta {
-                if rng.gen_range(0..4) == 0 {
-                    fresh_zones += 1;
-                    *zone = Some(format!("zone-dyn{fresh_zones}"));
-                } else {
-                    let shards = engine.partition().shards();
-                    *zone = shards[rng.gen_range(0..shards.len())].zone.clone();
-                }
+/// Draws one random burst against `core`'s network: one delta in
+/// sequential mode, a Poisson-sized burst in batched mode. Each delta is
+/// generated against a scratch copy holding its predecessors — the same
+/// staging `apply_batch` validates against — so the burst cannot be
+/// rejected. Hosts in `protect` are never removed. On a sharded core an
+/// `AddHost` joins a random existing zone or, one in four, a fresh
+/// `zone-dyn*` one ([`Bursts::Random`]).
+fn random_burst(
+    core: &WriterCore,
+    rng: &mut StdRng,
+    mode: ChurnMode,
+    protect: &[HostId],
+    fresh_zones: &mut usize,
+) -> Vec<NetworkDelta> {
+    let size = match mode {
+        ChurnMode::Sequential => 1,
+        ChurnMode::Batched { mean_burst } => poisson(rng, mean_burst).max(1),
+    };
+    let mut scratch = core.network().clone();
+    let mut deltas = Vec::with_capacity(size);
+    for _ in 0..size {
+        let mut delta = random_delta(&scratch, core.catalog(), rng, protect);
+        if let (NetworkDelta::AddHost { zone, .. }, WriterCore::Sharded(engine)) =
+            (&mut delta, core)
+        {
+            if rng.gen_range(0..4) == 0 {
+                *fresh_zones += 1;
+                *zone = Some(format!("zone-dyn{fresh_zones}"));
+            } else {
+                let shards = engine.partition().shards();
+                *zone = shards[rng.gen_range(0..shards.len())].zone.clone();
             }
-            scratch
-                .apply_delta(&delta, engine.catalog())
-                .expect("generated deltas are valid against their staging state");
-            deltas.push(delta);
         }
-        let report = engine.apply_batch(&deltas)?;
-        let carried = report
-            .carried
-            .as_ref()
-            .expect("warm step always carries the previous assignment");
-        let mttc_before = estimate_mttc(
-            engine.network(),
-            carried,
-            engine.similarity(),
-            &scenario,
-            &config.mttc,
-        );
-        let mttc_after = estimate_mttc(
-            engine.network(),
-            engine.assignment().expect("step solved"),
-            engine.similarity(),
-            &scenario,
-            &config.mttc,
-        );
-        steps.push(ShardedChurnStep {
-            step,
-            deltas,
-            report,
-            mttc_before,
-            mttc_after,
-        });
+        scratch
+            .apply_delta(&delta, core.catalog())
+            .expect("generated deltas are valid against their staging state");
+        deltas.push(delta);
     }
-    Ok(steps)
+    deltas
 }
 
 /// How the **defender-lag window** — the stretch of ticks during which the
@@ -425,19 +460,19 @@ impl Default for LagModel {
 
 impl LagModel {
     /// The defender-lag window in ticks for one re-solve, per this model.
-    pub fn lag_ticks(&self, report: &ReassignmentReport) -> f64 {
+    pub fn lag_ticks(&self, report: &EngineReport) -> f64 {
         match *self {
             LagModel::SweptWork { ticks_per_kvar } => {
-                ticks_per_kvar * report.swept_vars as f64 / 1000.0
+                ticks_per_kvar * report.swept_vars() as f64 / 1000.0
             }
             LagModel::ResolveWall { ticks_per_ms } => {
-                ticks_per_ms * (report.rebuild_wall + report.solve_wall).as_secs_f64() * 1e3
+                ticks_per_ms * report.resolve_wall().as_secs_f64() * 1e3
             }
         }
     }
 }
 
-/// The **defender-lag** of one adaptive step: the portion of the
+/// The **defender-lag** of one churn step: the portion of the
 /// re-optimization's MTTC gain forfeited because the stale assignment kept
 /// serving for `lag_ticks` while the engine re-solved.
 ///
@@ -464,157 +499,6 @@ pub fn defender_lag(
     let gain = (after_mean - before_mean).max(0.0);
     let exposure = (lag_ticks.max(0.0) / before_mean.max(1.0)).min(1.0);
     gain * exposure
-}
-
-/// Parameters of an adversary-in-the-loop churn replay
-/// (see [`run_churn_adaptive`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AdaptiveChurnConfig {
-    /// The underlying churn stream (steps, seed, MTTC batch, burst mode).
-    pub churn: ChurnConfig,
-    /// How the defender-lag window is derived from re-solve telemetry.
-    pub lag: LagModel,
-}
-
-/// One step of an adversary-in-the-loop churn replay.
-#[derive(Debug, Clone)]
-pub struct AdaptiveChurnStep {
-    /// Step index (0-based).
-    pub step: usize,
-    /// The entry host the attacker picked from the committed assignment's
-    /// largest monoculture cluster.
-    pub entry: HostId,
-    /// The target host (deepest point of the monoculture chain).
-    pub target: HostId,
-    /// Size of the largest monoculture cluster the attacker saw.
-    pub cluster_size: usize,
-    /// Total number of monoculture clusters (live hosts partition).
-    pub cluster_count: usize,
-    /// The delta burst that was applied.
-    pub deltas: Vec<NetworkDelta>,
-    /// The engine's reassignment report.
-    pub report: ReassignmentReport,
-    /// MTTC of the carried assignment under the adaptive attack.
-    pub mttc_before: MttcEstimate,
-    /// MTTC of the re-optimized assignment under the adaptive attack.
-    pub mttc_after: MttcEstimate,
-    /// The defender-lag window this step (see [`LagModel`]).
-    pub lag_ticks: f64,
-    /// MTTC gain forfeited to re-solve latency (see [`defender_lag`]).
-    pub defender_lag: f64,
-}
-
-impl AdaptiveChurnStep {
-    /// MTTC effect of re-optimizing after this step (see [`MttcGain`]).
-    pub fn mttc_gain(&self) -> MttcGain {
-        classify_gain(&self.mttc_before, &self.mttc_after)
-    }
-}
-
-/// The adversary-in-the-loop churn scenario: before every step the attacker
-/// surveys the *committed* assignment, picks entry and target from its
-/// largest monoculture cluster ([`adaptive_entry_target`]), the network
-/// churns, the engine re-optimizes, and the step reports MTTC under that
-/// attack plus the **defender-lag** — the gain forfeited to re-solve
-/// latency. Attack and defense co-evolve: each re-optimization breaks the
-/// cluster the attacker just aimed at, and the attacker re-aims at whatever
-/// monoculture the next commit leaves standing.
-///
-/// Entry and target are re-derived per step, so (unlike [`run_churn`]) no
-/// host is protected from removal — the attacker always has live hosts to
-/// aim at. Fully deterministic for a fixed seed under the default
-/// [`LagModel::SweptWork`].
-///
-/// # Panics
-///
-/// Panics if the network has fewer than two live hosts.
-///
-/// # Errors
-///
-/// See [`DiversityEngine::apply`] / [`DiversityEngine::apply_batch`]; the
-/// replay stops at the first failing step.
-pub fn run_churn_adaptive(
-    engine: &mut DiversityEngine,
-    config: &AdaptiveChurnConfig,
-) -> Result<Vec<AdaptiveChurnStep>> {
-    if engine.assignment().is_none() {
-        engine.solve()?;
-    }
-    let churn = &config.churn;
-    let mut rng = StdRng::seed_from_u64(churn.seed);
-    let mut steps = Vec::with_capacity(churn.steps);
-    for step in 0..churn.steps {
-        // Attacker recon against the committed assignment.
-        let assignment = engine.assignment().expect("engine solved above");
-        let clusters = monoculture_clusters(engine.network(), assignment);
-        let (entry, target) = adaptive_entry_target(engine.network(), assignment)
-            .expect("adaptive churn needs at least two live hosts");
-        let cluster_size = clusters.first().map(Vec::len).unwrap_or(0);
-        let cluster_count = clusters.len();
-        let scenario = Scenario::new(entry, target)
-            .with_attacker(AttackerStrategy::Adaptive)
-            .with_exploit_success(churn.exploit_success)
-            .with_baseline_rate(churn.baseline_rate)
-            .with_max_ticks(churn.max_ticks);
-        // The attacker's picks survive the step: the scenario stays
-        // well-posed while the network churns under it.
-        let protect = [entry, target];
-        let (deltas, report) = match churn.mode {
-            ChurnMode::Sequential => {
-                let delta = random_delta(engine.network(), engine.catalog(), &mut rng, &protect);
-                let report = engine.apply(&delta)?;
-                (vec![delta], report)
-            }
-            ChurnMode::Batched { mean_burst } => {
-                let burst_size = poisson(&mut rng, mean_burst).max(1);
-                let mut scratch = engine.network().clone();
-                let mut deltas = Vec::with_capacity(burst_size);
-                for _ in 0..burst_size {
-                    let delta = random_delta(&scratch, engine.catalog(), &mut rng, &protect);
-                    scratch
-                        .apply_delta(&delta, engine.catalog())
-                        .expect("generated deltas are valid against their staging state");
-                    deltas.push(delta);
-                }
-                let report = engine.apply_batch(&deltas)?;
-                (deltas, report)
-            }
-        };
-        let carried = report
-            .carried
-            .as_ref()
-            .expect("warm step always carries the previous assignment");
-        let mttc_before = estimate_mttc(
-            engine.network(),
-            carried,
-            engine.similarity(),
-            &scenario,
-            &churn.mttc,
-        );
-        let mttc_after = estimate_mttc(
-            engine.network(),
-            engine.assignment().expect("step solved"),
-            engine.similarity(),
-            &scenario,
-            &churn.mttc,
-        );
-        let lag_ticks = config.lag.lag_ticks(&report);
-        let forfeited = defender_lag(&mttc_before, &mttc_after, lag_ticks, churn.max_ticks);
-        steps.push(AdaptiveChurnStep {
-            step,
-            entry,
-            target,
-            cluster_size,
-            cluster_count,
-            deltas,
-            report,
-            mttc_before,
-            mttc_after,
-            lag_ticks,
-            defender_lag: forfeited,
-        });
-    }
-    Ok(steps)
 }
 
 /// Parameters of the CVE-feed burst generator (see [`CveFeed`]).
@@ -833,204 +717,32 @@ impl CveFeed {
     }
 }
 
-/// One step of a CVE-feed churn replay.
-#[derive(Debug, Clone)]
-pub struct CveChurnStep {
-    /// Step index (0-based).
-    pub step: usize,
-    /// The burst (advisory, family and deltas) this step absorbed.
-    pub burst: CveBurst,
-    /// The engine's reassignment report.
-    pub report: ReassignmentReport,
-    /// MTTC of the carried assignment on the new network.
-    pub mttc_before: MttcEstimate,
-    /// MTTC of the re-optimized assignment on the new network.
-    pub mttc_after: MttcEstimate,
-}
-
-impl CveChurnStep {
-    /// MTTC effect of re-optimizing after this step (see [`MttcGain`]).
-    pub fn mttc_gain(&self) -> MttcGain {
-        classify_gain(&self.mttc_before, &self.mttc_after)
-    }
-}
-
-/// [`run_churn`] with the delta stream replaced by a [`CveFeed`]: each step
-/// absorbs one CVE-shaped burst through [`DiversityEngine::apply_batch`]
-/// and reports MTTC for the carried vs. re-optimized assignment.
-///
-/// # Errors
-///
-/// See [`DiversityEngine::apply_batch`]; the replay stops at the first
-/// failing step.
-pub fn run_churn_cve(
-    engine: &mut DiversityEngine,
-    entry: HostId,
-    target: HostId,
-    config: &ChurnConfig,
-    feed: &mut CveFeed,
-) -> Result<Vec<CveChurnStep>> {
-    if engine.assignment().is_none() {
-        engine.solve()?;
-    }
-    let scenario = Scenario::new(entry, target)
-        .with_exploit_success(config.exploit_success)
-        .with_baseline_rate(config.baseline_rate)
-        .with_max_ticks(config.max_ticks);
-    let protect = [entry, target];
-    let mut steps = Vec::with_capacity(config.steps);
-    for step in 0..config.steps {
-        let burst = feed.next_burst(
-            engine.network(),
-            engine.catalog(),
-            engine.similarity(),
-            &protect,
-        );
-        let report = engine.apply_batch(&burst.deltas)?;
-        let carried = report
-            .carried
-            .as_ref()
-            .expect("warm step always carries the previous assignment");
-        let mttc_before = estimate_mttc(
-            engine.network(),
-            carried,
-            engine.similarity(),
-            &scenario,
-            &config.mttc,
-        );
-        let mttc_after = estimate_mttc(
-            engine.network(),
-            engine.assignment().expect("step solved"),
-            engine.similarity(),
-            &scenario,
-            &config.mttc,
-        );
-        steps.push(CveChurnStep {
-            step,
-            burst,
-            report,
-            mttc_before,
-            mttc_after,
-        });
-    }
-    Ok(steps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::DiversityEngine;
     use netmodel::topology::{generate, RandomNetworkConfig, TopologyKind};
 
-    fn make_engine(hosts: usize) -> DiversityEngine {
-        let g = generate(
-            &RandomNetworkConfig {
-                hosts,
-                mean_degree: 3,
-                services: 2,
-                products_per_service: 3,
-                vendors_per_service: 2,
-                topology: TopologyKind::Random,
-            },
-            4,
-        );
-        DiversityEngine::new(g.network, g.catalog, g.similarity)
+    /// Which engine a driver-table row replays on.
+    #[derive(Debug, Clone, Copy)]
+    enum Engine {
+        Single,
+        Sharded,
     }
 
-    #[test]
-    fn churn_replay_is_deterministic_and_sound() {
-        let config = ChurnConfig {
-            steps: 6,
-            mttc: MttcOptions {
-                runs: 40,
-                ..MttcOptions::default()
-            },
-            max_ticks: 500,
-            ..ChurnConfig::default()
-        };
-        let entry = HostId(0);
-        let target = HostId(14);
-        let mut e1 = make_engine(15);
-        let steps = run_churn(&mut e1, entry, target, &config).unwrap();
-        assert_eq!(steps.len(), 6);
-        for s in &steps {
-            assert_eq!(s.deltas.len(), 1, "sequential mode: one delta per step");
-            // Re-optimizing never loses objective vs. carrying forward.
-            assert!(s.report.improvement().unwrap() >= -1e-9, "step {}", s.step);
-            assert!(!e1.network().host(entry).unwrap().is_removed());
-            assert!(!e1.network().host(target).unwrap().is_removed());
-        }
-        // Same seeds, same stream, same estimates.
-        let mut e2 = make_engine(15);
-        let again = run_churn(&mut e2, entry, target, &config).unwrap();
-        for (a, b) in steps.iter().zip(&again) {
-            assert_eq!(a.deltas, b.deltas);
-            assert_eq!(a.mttc_before, b.mttc_before);
-            assert_eq!(a.mttc_after, b.mttc_after);
-        }
-    }
-
-    #[test]
-    fn batched_churn_absorbs_bursts() {
-        let config = ChurnConfig {
-            steps: 4,
-            mttc: MttcOptions {
-                runs: 30,
-                ..MttcOptions::default()
-            },
-            max_ticks: 400,
-            mode: ChurnMode::Batched { mean_burst: 3.0 },
-            ..ChurnConfig::default()
-        };
-        let entry = HostId(0);
-        let target = HostId(19);
-        let mut engine = make_engine(20);
-        let steps = run_churn(&mut engine, entry, target, &config).unwrap();
-        assert_eq!(steps.len(), 4);
-        let total_deltas: usize = steps.iter().map(|s| s.deltas.len()).sum();
-        assert!(
-            steps.iter().any(|s| s.deltas.len() > 1),
-            "Poisson(3) bursts should exceed 1 delta at least once"
-        );
-        assert_eq!(
-            engine.revision() as usize,
-            total_deltas,
-            "every burst delta must have been committed"
-        );
-        for s in &steps {
-            assert_eq!(s.report.deltas_applied, s.deltas.len());
-            assert!(s.report.warm_started);
-            assert!(s.report.improvement().unwrap() >= -1e-9);
-            // The gain classification is total: every step maps somewhere.
-            match s.mttc_gain() {
-                MttcGain::Gain(g) => assert!(g.is_finite()),
-                MttcGain::CarriedCensored | MttcGain::ReoptCensored | MttcGain::BothCensored => {}
-            }
-        }
-        engine
-            .assignment()
-            .unwrap()
-            .validate(engine.network())
-            .unwrap();
-    }
-
-    #[test]
-    fn sharded_churn_replays_bursts_across_zones() {
+    /// The driver table's one checker: replays `steps` bursts from `source`
+    /// in `mode` on `engine` and holds the replay to the contract every row
+    /// shares — every drawn delta is committed, a re-solve never loses to
+    /// carrying forward, protected hosts survive, `AddHost` zones land in a
+    /// shard without a from-scratch re-partition, defender-lag stays
+    /// finite, and a second run from the same seeds reproduces the stream,
+    /// the MTTC estimates and the lag.
+    fn check_replay(source: &str, mode: ChurnMode, engine: Engine) {
+        use crate::engine::DiversityEngine;
+        use crate::shard::ShardedEngine;
         use netmodel::topology::{generate_zoned, ZonedNetworkConfig};
-        let g = generate_zoned(
-            &ZonedNetworkConfig {
-                zones: 2,
-                hosts_per_zone: 10,
-                gateway_links: 2,
-                mean_degree: 3,
-                services: 2,
-                products_per_service: 3,
-                vendors_per_service: 2,
-                topology: TopologyKind::Random,
-            },
-            6,
-        );
-        let mut engine = ShardedEngine::new(g.network, g.catalog, g.similarity);
+
+        let (entry, target) = (HostId(0), HostId(19));
+        let row = format!("{source} {mode:?} on {engine:?}");
         let config = ChurnConfig {
             steps: 4,
             mttc: MttcOptions {
@@ -1038,55 +750,171 @@ mod tests {
                 ..MttcOptions::default()
             },
             max_ticks: 300,
-            mode: ChurnMode::Batched { mean_burst: 3.0 },
+            mode,
             ..ChurnConfig::default()
         };
-        let entry = HostId(0);
-        let target = HostId(19);
-        let steps = run_churn_sharded(&mut engine, entry, target, &config).unwrap();
-        assert_eq!(steps.len(), 4);
-        let total_deltas: usize = steps.iter().map(|s| s.deltas.len()).sum();
-        assert_eq!(engine.revision() as usize, total_deltas);
-        for s in &steps {
-            assert_eq!(s.report.deltas_applied, s.deltas.len());
-            assert!(s.report.improvement().unwrap() >= -1e-9, "step {}", s.step);
-            // Every AddHost zone — existing or freshly opened — ends up
-            // owned by a shard (dynamic creation, no pinning workaround).
-            for d in &s.deltas {
-                if let NetworkDelta::AddHost { zone, .. } = d {
-                    assert!(engine.partition().shard_of_zone(zone.as_deref()).is_some());
+        let replay = || {
+            let g = generate_zoned(
+                &ZonedNetworkConfig {
+                    zones: 2,
+                    hosts_per_zone: 10,
+                    gateway_links: 2,
+                    mean_degree: 3,
+                    services: 2,
+                    products_per_service: 3,
+                    vendors_per_service: 2,
+                    topology: TopologyKind::Random,
+                },
+                6,
+            );
+            let mut core = match engine {
+                Engine::Single => {
+                    WriterCore::Single(DiversityEngine::new(g.network, g.catalog, g.similarity))
                 }
-            }
-            let _ = s.mttc_gain();
-        }
-        // The stream itself never triggered a from-scratch re-partition.
-        assert_eq!(engine.partition_recomputes(), 0);
-        assert!(!engine.network().host(entry).unwrap().is_removed());
-        assert!(!engine.network().host(target).unwrap().is_removed());
-        engine
-            .assignment()
-            .unwrap()
-            .validate(engine.network())
-            .unwrap();
-        // Determinism: same seeds, same stream.
-        let g2 = generate_zoned(
-            &ZonedNetworkConfig {
-                zones: 2,
-                hosts_per_zone: 10,
-                gateway_links: 2,
-                mean_degree: 3,
-                services: 2,
-                products_per_service: 3,
-                vendors_per_service: 2,
-                topology: TopologyKind::Random,
-            },
-            6,
+                Engine::Sharded => {
+                    WriterCore::Sharded(ShardedEngine::new(g.network, g.catalog, g.similarity))
+                }
+            };
+            let mut bursts = match source {
+                "adaptive" => Bursts::Adaptive,
+                "cve" => Bursts::Cve {
+                    entry,
+                    target,
+                    feed: CveFeed::new(CveFeedConfig::default(), 9),
+                },
+                _ => Bursts::Random { entry, target },
+            };
+            let steps = run_churn(&mut core, &mut bursts, &config).unwrap();
+            (core, steps)
+        };
+        let (core, steps) = replay();
+        assert_eq!(steps.len(), config.steps, "{row}");
+        let total_deltas: usize = steps.iter().map(|s| s.deltas.len()).sum();
+        assert_eq!(
+            core.revision() as usize,
+            total_deltas,
+            "{row}: every burst delta must have been committed"
         );
-        let mut engine2 = ShardedEngine::new(g2.network, g2.catalog, g2.similarity);
-        let again = run_churn_sharded(&mut engine2, entry, target, &config).unwrap();
+        if source == "random" {
+            match mode {
+                ChurnMode::Sequential => {
+                    assert!(steps.iter().all(|s| s.deltas.len() == 1), "{row}")
+                }
+                ChurnMode::Batched { .. } => assert!(
+                    steps.iter().any(|s| s.deltas.len() > 1),
+                    "{row}: Poisson(3) bursts should exceed 1 delta at least once"
+                ),
+            }
+        }
+        for s in &steps {
+            // Re-optimizing never loses objective vs. carrying forward.
+            assert!(
+                s.report.improvement().unwrap() >= -1e-9,
+                "{row} step {}",
+                s.step
+            );
+            assert!(s.lag_ticks.is_finite() && s.lag_ticks >= 0.0, "{row}");
+            assert!(
+                s.defender_lag.is_finite() && s.defender_lag >= 0.0,
+                "{row}: defender-lag must be finite and non-negative"
+            );
+            // The gain classification is total: every step maps somewhere.
+            if let MttcGain::Gain(g) = s.mttc_gain() {
+                assert!(g.is_finite(), "{row}");
+            }
+            match &s.drawn {
+                Drawn::Random => {}
+                Drawn::Recon {
+                    cluster_size,
+                    cluster_count,
+                } => {
+                    assert_ne!(s.entry, s.target, "{row} step {}", s.step);
+                    assert!(*cluster_size >= 1 && *cluster_count >= 1, "{row}");
+                }
+                Drawn::Advisory {
+                    advisory, family, ..
+                } => assert!(family.contains(advisory), "{row}"),
+            }
+            match (&s.report, &core) {
+                (EngineReport::Single(r), WriterCore::Single(_)) => {
+                    assert_eq!(r.deltas_applied, s.deltas.len(), "{row}");
+                    assert!(r.warm_started, "{row}");
+                }
+                (EngineReport::Sharded(r), WriterCore::Sharded(engine)) => {
+                    assert_eq!(r.deltas_applied, s.deltas.len(), "{row}");
+                    // Every AddHost zone — existing or freshly
+                    // opened — ends up owned by a shard.
+                    for d in &s.deltas {
+                        if let NetworkDelta::AddHost { zone, .. } = d {
+                            let owner = engine.partition().shard_of_zone(zone.as_deref());
+                            assert!(owner.is_some(), "{row}");
+                        }
+                    }
+                }
+                _ => panic!("{row}: the report came from the other engine"),
+            }
+        }
+        if let WriterCore::Sharded(engine) = &core {
+            // The stream never triggered a from-scratch re-partition.
+            assert_eq!(engine.partition_recomputes(), 0, "{row}");
+        }
+        let last = steps.last().unwrap();
+        for host in [last.entry, last.target] {
+            let live = !core.network().host(host).unwrap().is_removed();
+            assert!(live, "{row}: protected host {host} was removed");
+        }
+        core.assignment().unwrap().validate(core.network()).unwrap();
+        // Same seeds, same stream, same estimates, same lag.
+        let (_, again) = replay();
         for (a, b) in steps.iter().zip(&again) {
-            assert_eq!(a.deltas, b.deltas);
-            assert_eq!(a.mttc_before, b.mttc_before);
+            assert_eq!((a.entry, a.target), (b.entry, b.target), "{row}");
+            assert_eq!(a.drawn, b.drawn, "{row}");
+            assert_eq!(a.deltas, b.deltas, "{row}");
+            assert_eq!(a.mttc_before, b.mttc_before, "{row}");
+            assert_eq!(a.mttc_after, b.mttc_after, "{row}");
+            assert_eq!(a.lag_ticks, b.lag_ticks, "{row}");
+            assert_eq!(a.defender_lag, b.defender_lag, "{row}");
+        }
+    }
+
+    // The driver table: every burst source on both engines, one row each,
+    // grouped into one test per source (and per engine for random bursts).
+
+    #[test]
+    fn churn_replay_is_deterministic_and_sound() {
+        check_replay("random", ChurnMode::Sequential, Engine::Single);
+    }
+
+    #[test]
+    fn batched_churn_absorbs_bursts() {
+        check_replay(
+            "random",
+            ChurnMode::Batched { mean_burst: 3.0 },
+            Engine::Single,
+        );
+    }
+
+    #[test]
+    fn sharded_churn_replays_bursts_across_zones() {
+        check_replay("random", ChurnMode::Sequential, Engine::Sharded);
+        check_replay(
+            "random",
+            ChurnMode::Batched { mean_burst: 3.0 },
+            Engine::Sharded,
+        );
+    }
+
+    #[test]
+    fn adaptive_churn_co_evolves_and_is_deterministic() {
+        for engine in [Engine::Single, Engine::Sharded] {
+            check_replay("adaptive", ChurnMode::Batched { mean_burst: 2.0 }, engine);
+        }
+    }
+
+    #[test]
+    fn cve_churn_replay_reports_gains() {
+        for engine in [Engine::Single, Engine::Sharded] {
+            check_replay("cve", ChurnMode::Sequential, engine);
         }
     }
 
@@ -1095,60 +923,23 @@ mod tests {
         use sim::mttc::MttcEstimate;
         let compromised = |mean: f64| MttcEstimate::from_parts(10, 10, mean * 10.0);
         let censored = MttcEstimate::from_parts(10, 0, 0.0);
-        let mk = |before: MttcEstimate, after: MttcEstimate| {
-            // Only the estimates matter for the gain classification.
-            ChurnStep {
-                step: 0,
-                deltas: Vec::new(),
-                report: dummy_report(),
-                mttc_before: before,
-                mttc_after: after,
-            }
-        };
         assert_eq!(
-            mk(compromised(5.0), compromised(8.0)).mttc_gain(),
+            classify_gain(&compromised(5.0), &compromised(8.0)),
             MttcGain::Gain(30.0)
         );
         assert_eq!(
-            mk(censored.clone(), compromised(8.0)).mttc_gain(),
+            classify_gain(&censored, &compromised(8.0)),
             MttcGain::CarriedCensored
         );
         assert_eq!(
-            mk(compromised(5.0), censored.clone()).mttc_gain(),
+            classify_gain(&compromised(5.0), &censored),
             MttcGain::ReoptCensored
         );
-        assert_eq!(
-            mk(censored.clone(), censored.clone()).mttc_gain(),
-            MttcGain::BothCensored
-        );
+        assert_eq!(classify_gain(&censored, &censored), MttcGain::BothCensored);
         assert!(MttcGain::ReoptCensored.favors_reopt());
         assert!(!MttcGain::CarriedCensored.favors_reopt());
         assert_eq!(MttcGain::Gain(30.0).gain(), Some(30.0));
         assert_eq!(MttcGain::BothCensored.gain(), None);
-    }
-
-    fn dummy_report() -> ReassignmentReport {
-        ReassignmentReport {
-            revision: 0,
-            delta_kind: None,
-            deltas_applied: 0,
-            touched: Vec::new(),
-            changed_hosts: Vec::new(),
-            objective_before: None,
-            objective_after: 0.0,
-            carried: None,
-            warm_started: false,
-            solver: String::new(),
-            rebuild: Default::default(),
-            rebuild_wall: std::time::Duration::ZERO,
-            solve_wall: std::time::Duration::ZERO,
-            iterations: 0,
-            converged: true,
-            lower_bound: None,
-            frontier_hosts: 0,
-            swept_vars: 0,
-            localized: false,
-        }
     }
 
     #[test]
@@ -1175,49 +966,6 @@ mod tests {
             defender_lag(&compromised(300.0), &compromised(200.0), 100.0, 2000),
             0.0
         );
-    }
-
-    #[test]
-    fn adaptive_churn_co_evolves_and_is_deterministic() {
-        let config = AdaptiveChurnConfig {
-            churn: ChurnConfig {
-                steps: 4,
-                mttc: MttcOptions {
-                    runs: 30,
-                    ..MttcOptions::default()
-                },
-                max_ticks: 400,
-                mode: ChurnMode::Batched { mean_burst: 2.0 },
-                ..ChurnConfig::default()
-            },
-            lag: LagModel::default(),
-        };
-        let mut e1 = make_engine(18);
-        let steps = run_churn_adaptive(&mut e1, &config).unwrap();
-        assert_eq!(steps.len(), 4);
-        for s in &steps {
-            assert_ne!(s.entry, s.target, "step {}", s.step);
-            assert!(s.cluster_size >= 1);
-            assert!(s.cluster_count >= 1);
-            assert!(s.lag_ticks.is_finite() && s.lag_ticks >= 0.0);
-            assert!(
-                s.defender_lag.is_finite() && !s.defender_lag.is_nan() && s.defender_lag >= 0.0,
-                "defender-lag must be finite and non-negative"
-            );
-            assert!(s.report.improvement().unwrap() >= -1e-9);
-        }
-        // Identical trajectory (entry/target picks, MTTC, defender-lag) on
-        // a second run from the same seed.
-        let mut e2 = make_engine(18);
-        let again = run_churn_adaptive(&mut e2, &config).unwrap();
-        for (a, b) in steps.iter().zip(&again) {
-            assert_eq!((a.entry, a.target), (b.entry, b.target));
-            assert_eq!(a.deltas, b.deltas);
-            assert_eq!(a.mttc_before, b.mttc_before);
-            assert_eq!(a.mttc_after, b.mttc_after);
-            assert_eq!(a.lag_ticks, b.lag_ticks);
-            assert_eq!(a.defender_lag, b.defender_lag);
-        }
     }
 
     #[test]
@@ -1250,34 +998,6 @@ mod tests {
         // Pareto(α=1.3) over 40 draws: mostly minimal, at least one spike.
         assert!(sizes.iter().filter(|&&s| s <= 2).count() >= sizes.len() / 3);
         assert!(*sizes.iter().max().unwrap() >= 3, "no heavy tail seen");
-    }
-
-    #[test]
-    fn cve_churn_replay_reports_gains() {
-        let config = ChurnConfig {
-            steps: 3,
-            mttc: MttcOptions {
-                runs: 25,
-                ..MttcOptions::default()
-            },
-            max_ticks: 300,
-            ..ChurnConfig::default()
-        };
-        let mut engine = make_engine(16);
-        let mut feed = CveFeed::new(CveFeedConfig::default(), 9);
-        let steps = run_churn_cve(&mut engine, HostId(0), HostId(15), &config, &mut feed).unwrap();
-        assert_eq!(steps.len(), 3);
-        for s in &steps {
-            assert_eq!(s.report.deltas_applied, s.burst.deltas.len());
-            assert!(s.report.improvement().unwrap() >= -1e-9);
-            let _ = s.mttc_gain();
-        }
-        assert!(!engine.network().host(HostId(0)).unwrap().is_removed());
-        engine
-            .assignment()
-            .unwrap()
-            .validate(engine.network())
-            .unwrap();
     }
 
     #[test]

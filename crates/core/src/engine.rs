@@ -44,7 +44,6 @@ use netmodel::assignment::Assignment;
 use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::ConstraintSet;
 use netmodel::delta::{BatchEffect, NetworkDelta};
-use netmodel::journal::{MarkRecord, Preamble, SnapshotRecord, FORMAT_VERSION};
 use netmodel::network::Network;
 use netmodel::{HostId, ProductId, ServiceId};
 
@@ -314,15 +313,15 @@ impl DiversityEngine {
         path: impl AsRef<Path>,
         snapshot_every: Option<usize>,
     ) -> Result<DiversityEngine> {
-        let preamble = Preamble {
-            format: FORMAT_VERSION,
-            catalog: self.catalog.clone(),
-            similarity: self.similarity.clone(),
-            constraints: self.cache.constraints().clone(),
-        };
-        let snapshot = self.snapshot_record();
-        self.journal =
-            Some(Journal::create(path, &preamble, snapshot, snapshot_every).map_err(Error::Model)?);
+        self.journal = Some(Journal::attach(
+            path,
+            &self.catalog,
+            &self.similarity,
+            self.cache.constraints(),
+            &self.network,
+            self.last.as_ref(),
+            snapshot_every,
+        )?);
         Ok(self)
     }
 
@@ -336,62 +335,9 @@ impl DiversityEngine {
     /// [`Error::Model`] wrapping [`netmodel::Error::Journal`] on I/O
     /// failure.
     pub fn journal_mark(&mut self, label: &str, fields: &[(&str, f64)]) -> Result<()> {
-        match self.journal.as_mut() {
-            Some(journal) => journal
-                .append_mark(MarkRecord::new(label, fields))
-                .map_err(Error::Model),
-            None => Ok(()),
-        }
-    }
-
-    /// A full snapshot of the current committed state.
-    fn snapshot_record(&self) -> SnapshotRecord {
-        SnapshotRecord {
-            revision: self.network.revision(),
-            network: self.network.clone(),
-            assignment: self.last.clone(),
-        }
-    }
-
-    /// Journals one committed batch, plus a periodic snapshot when the
-    /// cadence says one is due. Called post-commit: an I/O failure here
-    /// surfaces as an error, but the in-memory commit stands — the engine
-    /// is ahead of its journal, not corrupted.
-    fn journal_batch(&mut self, deltas: &[NetworkDelta]) -> Result<()> {
-        if self.journal.is_none() {
-            return Ok(());
-        }
-        let revision = self.network.revision();
-        let assignment = self.last.clone();
-        let due = match self.journal.as_mut() {
-            None => return Ok(()),
-            Some(journal) => {
-                journal
-                    .append_batch(deltas, revision, assignment.as_ref())
-                    .map_err(Error::Model)?;
-                journal.snapshot_due()
-            }
-        };
-        if due {
-            self.journal_snapshot()?;
-        }
-        Ok(())
-    }
-
-    /// Journals a full snapshot of the current state, if a journal is
-    /// attached. Called after every explicit solve: replay applies batches
-    /// through `apply_batch`, whose warm path starts from the last
-    /// assignment — so the post-solve assignment must be on disk for a
-    /// recovered engine to re-solve identically.
-    fn journal_snapshot(&mut self) -> Result<()> {
-        if self.journal.is_none() {
-            return Ok(());
-        }
-        let snapshot = self.snapshot_record();
-        if let Some(journal) = self.journal.as_mut() {
-            journal.append_snapshot(snapshot).map_err(Error::Model)?;
-        }
-        Ok(())
+        self.journal
+            .as_mut()
+            .map_or(Ok(()), |j| j.mark(label, fields))
     }
 
     /// Enables or disables in-place model edits on delta absorption
@@ -620,7 +566,9 @@ impl DiversityEngine {
             kind,
             effect,
         }))?;
-        self.journal_batch(deltas)?;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.commit_batch(deltas, &self.network, self.last.as_ref())?;
+        }
         Ok(report)
     }
 
@@ -632,7 +580,9 @@ impl DiversityEngine {
     /// See [`DiversityEngine::apply`].
     pub fn solve(&mut self) -> Result<ReassignmentReport> {
         let report = self.step(None)?;
-        self.journal_snapshot()?;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.commit_snapshot(&self.network, self.last.as_ref())?;
+        }
         Ok(report)
     }
 

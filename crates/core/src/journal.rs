@@ -10,7 +10,10 @@
 //!   genesis snapshot; every committed `apply_batch` then appends one batch
 //!   record *post-commit* (on the serving writer thread, off the read
 //!   path), and every successful `solve` appends a snapshot so the
-//!   post-solve assignment is recoverable.
+//!   post-solve assignment is recoverable. Both engines drive the same
+//!   hook — `Journal::commit_batch` and `Journal::commit_snapshot`, which
+//!   borrow the committed network and assignment — so the journal sees a
+//!   sharded deployment exactly as it sees a single engine.
 //! * **Snapshot cadence and compaction** — every
 //!   [`DEFAULT_SNAPSHOT_EVERY`] batches (configurable) the engine writes a
 //!   full snapshot and the journal *compacts*: the file is atomically
@@ -28,10 +31,11 @@
 //!   record; recovery only fails when no valid preamble + snapshot prefix
 //!   survives.
 //! * [`recover_with`] — [`recover`] plus a reconfiguration hook for the
-//!   returned engine; [`engine_at_snapshot`] — the time-travel primitive
-//!   behind `churn --replay`, which *does* re-solve a recorded window
-//!   (under any solver) and diffs its MTTC trajectory against the
-//!   recorded one.
+//!   returned engine; [`Checkpoint`] — the one lookup of a journal's
+//!   preamble and last snapshot behind both recovery and `churn --replay`,
+//!   whose exact mode replays the tail like recovery does and whose
+//!   what-if mode re-solves it from [`Checkpoint::engine_at_snapshot`]
+//!   under any solver.
 //!
 //! Durability contract: each record is flushed to the OS after the append,
 //! so state survives a process crash or kill; fsync-per-record is
@@ -44,10 +48,14 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use netmodel::assignment::Assignment;
+use netmodel::catalog::{Catalog, ProductSimilarity};
+use netmodel::constraints::ConstraintSet;
 use netmodel::delta::NetworkDelta;
 use netmodel::journal::{
     read_tolerant, BatchRecord, JournalRead, MarkRecord, Preamble, Record, SnapshotRecord,
+    FORMAT_VERSION,
 };
+use netmodel::network::Network;
 
 use crate::engine::DiversityEngine;
 #[cfg(doc)]
@@ -62,12 +70,24 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> netmodel::Error {
     netmodel::Error::Journal(format!("{what} {}: {e}", path.display()))
 }
 
+fn journal_err(message: String) -> Error {
+    Error::Model(netmodel::Error::Journal(message))
+}
+
+fn snapshot_record(network: &Network, assignment: Option<&Assignment>) -> SnapshotRecord {
+    SnapshotRecord {
+        revision: network.revision(),
+        network: network.clone(),
+        assignment: assignment.cloned(),
+    }
+}
+
 /// The append-only journal writer attached to an engine.
 ///
 /// Created by the engine builders ([`DiversityEngine::with_journal`]),
 /// which write the preamble and genesis snapshot; the engine then drives
 /// [`Journal::append_batch`] / [`Journal::append_snapshot`] from its commit
-/// points.
+/// points through one crate-internal hook shared by both engines.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -110,6 +130,66 @@ impl Journal {
             snapshot_every,
             batches_since_snapshot: 0,
         })
+    }
+
+    /// Attaches a journal at `path` to an engine's committed state: the
+    /// preamble records the problem, the genesis snapshot `network` and
+    /// `assignment`.
+    pub(crate) fn attach(
+        path: impl AsRef<Path>,
+        catalog: &Catalog,
+        similarity: &ProductSimilarity,
+        constraints: &ConstraintSet,
+        network: &Network,
+        assignment: Option<&Assignment>,
+        snapshot_every: Option<usize>,
+    ) -> Result<Journal> {
+        let preamble = Preamble {
+            format: FORMAT_VERSION,
+            catalog: catalog.clone(),
+            similarity: similarity.clone(),
+            constraints: constraints.clone(),
+        };
+        let snapshot = snapshot_record(network, assignment);
+        Journal::create(path, &preamble, snapshot, snapshot_every).map_err(Error::Model)
+    }
+
+    /// Journals one committed batch, plus a compacting snapshot when the
+    /// cadence says one is due. Called post-commit: an I/O failure
+    /// surfaces as an error, but the in-memory commit stands — the engine
+    /// is ahead of its journal, not corrupted.
+    pub(crate) fn commit_batch(
+        &mut self,
+        deltas: &[NetworkDelta],
+        network: &Network,
+        assignment: Option<&Assignment>,
+    ) -> Result<()> {
+        self.append_batch(deltas, network.revision(), assignment)
+            .map_err(Error::Model)?;
+        if self.snapshot_due() {
+            self.commit_snapshot(network, assignment)?;
+        }
+        Ok(())
+    }
+
+    /// Journals a full snapshot of the committed state. Engines call this
+    /// after every explicit solve: replay applies batches through
+    /// `apply_batch`, whose warm path starts from the last assignment — so
+    /// the post-solve assignment must be on disk for a recovered engine to
+    /// re-solve identically.
+    pub(crate) fn commit_snapshot(
+        &mut self,
+        network: &Network,
+        assignment: Option<&Assignment>,
+    ) -> Result<()> {
+        self.append_snapshot(snapshot_record(network, assignment))
+            .map_err(Error::Model)
+    }
+
+    /// Journals an application mark (see [`DiversityEngine::journal_mark`]).
+    pub(crate) fn mark(&mut self, label: &str, fields: &[(&str, f64)]) -> Result<()> {
+        self.append_mark(MarkRecord::new(label, fields))
+            .map_err(Error::Model)
     }
 
     /// The journal file path.
@@ -174,16 +254,19 @@ impl Journal {
     /// *compacts*: the file is atomically rewritten as preamble + this
     /// snapshot (temp file, sync, rename), dropping the journal prefix the
     /// snapshot supersedes. Without a cadence the snapshot is appended in
-    /// place and history is kept.
+    /// place and history is kept. The cadence restarts only once the
+    /// snapshot is on disk, so a failed compaction is retried at the next
+    /// batch.
     ///
     /// # Errors
     ///
     /// [`netmodel::Error::Journal`] on I/O failure.
     pub fn append_snapshot(&mut self, snapshot: SnapshotRecord) -> netmodel::Result<()> {
         let line = Record::Snapshot(snapshot).to_line();
-        self.batches_since_snapshot = 0;
         if self.snapshot_every.is_none() {
-            return self.append_line(&line);
+            self.append_line(&line)?;
+            self.batches_since_snapshot = 0;
+            return Ok(());
         }
         // Compact: rewrite head as preamble + snapshot, atomically.
         let tmp = self.path.with_extension("compact-tmp");
@@ -198,6 +281,7 @@ impl Journal {
             .append(true)
             .open(&self.path)
             .map_err(|e| io_err("reopen", &self.path, &e))?;
+        self.batches_since_snapshot = 0;
         Ok(())
     }
 }
@@ -257,12 +341,13 @@ pub fn recover(path: impl AsRef<Path>) -> Result<DiversityEngine> {
 ///
 /// Replay is *exact*, not a re-solve: each batch record carries both its
 /// deltas and the assignment the re-solve committed, so recovery applies
-/// the deltas at the network level and restores the recorded assignment.
-/// (A re-solve could legitimately land in a different local optimum — the
-/// warm refiner's sweep order depends on incremental cache layout the
-/// journal does not capture.) Re-solving replay — running a recorded
-/// window under a different solver and diffing the result — is the churn
-/// harness's `--replay` mode, built on [`engine_at_snapshot`].
+/// the deltas at the network level and restores the recorded assignment
+/// ([`Checkpoint::replay`]). (A re-solve could legitimately land in a
+/// different local optimum — the warm refiner's sweep order depends on
+/// incremental cache layout the journal does not capture.) Re-solving
+/// replay — running a recorded window under a different solver and diffing
+/// the result — is the churn harness's `--replay` mode, built on
+/// [`Checkpoint::engine_at_snapshot`].
 ///
 /// # Errors
 ///
@@ -275,52 +360,11 @@ pub fn recover_with(
     configure: impl FnOnce(DiversityEngine) -> DiversityEngine,
 ) -> Result<Recovered> {
     let read = read_records(path)?;
-    let records = &read.records;
-    let Some(Record::Preamble(preamble)) = records.first() else {
-        return Err(Error::Model(netmodel::Error::Journal(
-            "journal has no valid preamble record".into(),
-        )));
-    };
-    let Some(snap_idx) = last_snapshot_index(records) else {
-        return Err(Error::Model(netmodel::Error::Journal(
-            "journal has no valid snapshot record".into(),
-        )));
-    };
-    let Record::Snapshot(snapshot) = &records[snap_idx] else {
-        unreachable!("rposition matched a snapshot");
-    };
-    let mut network = snapshot.network.clone();
-    let mut assignment = snapshot.assignment.clone();
-    let snapshot_revision = snapshot.revision;
+    let checkpoint = Checkpoint::find(&read.records)?;
     let mut batches_replayed = 0;
-    for record in &records[snap_idx + 1..] {
-        let Record::Batch(batch) = record else {
-            continue;
-        };
-        network
-            .apply_all(&batch.deltas, &preamble.catalog)
-            .map_err(Error::Model)?;
-        if network.revision() != batch.revision {
-            return Err(Error::Model(netmodel::Error::Journal(format!(
-                "replay diverged: batch seq {} recorded revision {}, replay reached {}",
-                batch.seq,
-                batch.revision,
-                network.revision()
-            ))));
-        }
-        assignment = batch.assignment.clone();
-        batches_replayed += 1;
-    }
-    let engine = DiversityEngine::new(
-        network,
-        preamble.catalog.clone(),
-        preamble.similarity.clone(),
-    )
-    .with_constraints(preamble.constraints.clone());
-    let mut engine = configure(engine);
-    if let Some(assignment) = assignment {
-        engine.set_assignment(assignment);
-    }
+    let (network, assignment) = checkpoint.replay(|_, _, _| batches_replayed += 1)?;
+    let snapshot_revision = checkpoint.snapshot.revision;
+    let engine = checkpoint.engine(network, assignment, configure);
     Ok(Recovered {
         engine,
         report: RecoveryReport {
@@ -333,48 +377,127 @@ pub fn recover_with(
     })
 }
 
-fn last_snapshot_index(records: &[Record]) -> Option<usize> {
-    records
-        .iter()
-        .rposition(|r| matches!(r, Record::Snapshot(_)))
+/// A journal's recovery point: its preamble, its last snapshot, and the
+/// records committed after that snapshot. The one lookup behind
+/// [`recover_with`] and the churn harness's replay.
+#[derive(Debug, Clone, Copy)]
+pub struct Checkpoint<'a> {
+    /// The recorded problem: catalog, similarity, constraints.
+    pub preamble: &'a Preamble,
+    /// The last snapshot of the valid prefix.
+    pub snapshot: &'a SnapshotRecord,
+    /// Every record after that snapshot: batches, and marks replay skips.
+    pub tail: &'a [Record],
 }
 
-/// Builds a configured engine positioned at the last snapshot of `records`
-/// (no tail replay). Shared by [`recover_with`] and the churn replay
-/// tooling, which drives the batch tail itself to interleave measurements.
+impl<'a> Checkpoint<'a> {
+    /// Finds the preamble and the last snapshot of `records` (a valid
+    /// prefix, as [`read_records`] returns it).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Model`] wrapping [`netmodel::Error::Journal`] when the
+    /// records hold no preamble-first prefix or no snapshot.
+    pub fn find(records: &'a [Record]) -> Result<Checkpoint<'a>> {
+        let Some(Record::Preamble(preamble)) = records.first() else {
+            return Err(journal_err("journal has no valid preamble record".into()));
+        };
+        let last = records
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(at, r)| match r {
+                Record::Snapshot(snapshot) => Some((at, snapshot)),
+                _ => None,
+            });
+        let Some((at, snapshot)) = last else {
+            return Err(journal_err("journal has no valid snapshot record".into()));
+        };
+        Ok(Checkpoint {
+            preamble,
+            snapshot,
+            tail: &records[at + 1..],
+        })
+    }
+
+    /// The batch records after the snapshot, in commit order.
+    pub fn batches(&self) -> impl Iterator<Item = &'a BatchRecord> {
+        self.tail.iter().filter_map(|r| match r {
+            Record::Batch(batch) => Some(batch),
+            _ => None,
+        })
+    }
+
+    /// Replays the batches exactly: each one's deltas at the network level,
+    /// checked against the revision it recorded ([`check_revision`]), then
+    /// its committed assignment. `visit` sees every batch with the state it
+    /// reached; the final state is returned.
+    ///
+    /// # Errors
+    ///
+    /// See [`recover_with`].
+    pub fn replay(
+        &self,
+        mut visit: impl FnMut(&BatchRecord, &Network, Option<&Assignment>),
+    ) -> Result<(Network, Option<Assignment>)> {
+        let mut network = self.snapshot.network.clone();
+        let mut assignment = self.snapshot.assignment.clone();
+        for batch in self.batches() {
+            network
+                .apply_all(&batch.deltas, &self.preamble.catalog)
+                .map_err(Error::Model)?;
+            check_revision(batch, network.revision())?;
+            assignment.clone_from(&batch.assignment);
+            visit(batch, &network, assignment.as_ref());
+        }
+        Ok((network, assignment))
+    }
+
+    /// A configured engine positioned at the snapshot, its tail not
+    /// replayed — the churn replay's what-if mode re-solves the tail
+    /// itself.
+    pub fn engine_at_snapshot(
+        &self,
+        configure: impl FnOnce(DiversityEngine) -> DiversityEngine,
+    ) -> DiversityEngine {
+        let (network, assignment) = (&self.snapshot.network, &self.snapshot.assignment);
+        self.engine(network.clone(), assignment.clone(), configure)
+    }
+
+    fn engine(
+        &self,
+        network: Network,
+        assignment: Option<Assignment>,
+        configure: impl FnOnce(DiversityEngine) -> DiversityEngine,
+    ) -> DiversityEngine {
+        let engine = DiversityEngine::new(
+            network,
+            self.preamble.catalog.clone(),
+            self.preamble.similarity.clone(),
+        )
+        .with_constraints(self.preamble.constraints.clone());
+        let mut engine = configure(engine);
+        if let Some(assignment) = assignment {
+            engine.set_assignment(assignment);
+        }
+        engine
+    }
+}
+
+/// Errors unless replaying `batch` reached the revision it recorded.
 ///
 /// # Errors
 ///
-/// [`Error::Model`] wrapping [`netmodel::Error::Journal`] when the records
-/// hold no valid preamble-first prefix or no snapshot.
-pub fn engine_at_snapshot(
-    records: &[Record],
-    configure: impl FnOnce(DiversityEngine) -> DiversityEngine,
-) -> Result<DiversityEngine> {
-    let Some(Record::Preamble(preamble)) = records.first() else {
-        return Err(Error::Model(netmodel::Error::Journal(
-            "journal has no valid preamble record".into(),
-        )));
-    };
-    let Some(idx) = last_snapshot_index(records) else {
-        return Err(Error::Model(netmodel::Error::Journal(
-            "journal has no valid snapshot record".into(),
-        )));
-    };
-    let Record::Snapshot(snapshot) = &records[idx] else {
-        unreachable!("rposition matched a snapshot");
-    };
-    let engine = DiversityEngine::new(
-        snapshot.network.clone(),
-        preamble.catalog.clone(),
-        preamble.similarity.clone(),
-    )
-    .with_constraints(preamble.constraints.clone());
-    let mut engine = configure(engine);
-    if let Some(assignment) = &snapshot.assignment {
-        engine.set_assignment(assignment.clone());
+/// [`Error::Model`] wrapping [`netmodel::Error::Journal`] naming the batch
+/// and both revisions.
+pub fn check_revision(batch: &BatchRecord, reached: u64) -> Result<()> {
+    if reached == batch.revision {
+        return Ok(());
     }
-    Ok(engine)
+    Err(journal_err(format!(
+        "replay diverged: batch seq {} recorded revision {}, replay reached {reached}",
+        batch.seq, batch.revision
+    )))
 }
 
 #[cfg(test)]

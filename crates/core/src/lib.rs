@@ -31,18 +31,25 @@
 //!   boundary-coordination loop (freeze neighbors' boundary labels, fold
 //!   them into unaries, solve locally in parallel, splice back only on
 //!   improvement).
-//! * [`serve`] — the concurrent serving front-end: [`ServingEngine`] puts
-//!   either engine behind a single writer thread and epoch-versioned
-//!   immutable [`snapshot::Snapshot`]s. Write bursts enter a bounded queue
-//!   with explicit backpressure ([`serve::Enqueue`]) and coalesce into one
-//!   `apply_batch`; readers clone the current snapshot lock-free and
-//!   detect staleness by revision instead of blocking on absorption.
-//! * [`churn`] — the dynamic-churn scenario: replay a random delta stream
-//!   and measure MTTC before/after each re-optimization.
+//! * [`serve`] — the one engine surface and the concurrent serving
+//!   front-end. [`WriterCore`] holds either engine behind one
+//!   solve/absorb/journal interface whose steps return the engine's own
+//!   report as an [`EngineReport`]; every layer above the engines drives
+//!   it. [`ServingEngine`] puts a `WriterCore` behind a single writer
+//!   thread and epoch-versioned immutable [`snapshot::Snapshot`]s. Write
+//!   bursts enter a bounded queue with explicit backpressure
+//!   ([`serve::Enqueue`]) and coalesce into one `apply_batch`; readers
+//!   clone the current snapshot lock-free and detect staleness by revision
+//!   instead of blocking on absorption.
+//! * [`churn`] — the dynamic-churn scenario: one function,
+//!   [`churn::run_churn`], replays bursts from a random, adaptive-attacker
+//!   or CVE-feed source ([`churn::Bursts`]) through either engine and
+//!   measures MTTC before/after each re-optimization, plus defender-lag.
 //! * [`journal`] — durability: a write-ahead delta journal with periodic
-//!   snapshots and log compaction ([`DiversityEngine::with_journal`]), and
-//!   [`recover`] — last snapshot + checksummed journal-tail replay, with
-//!   corrupt or torn trailing records truncated at the last valid one.
+//!   snapshots and log compaction ([`DiversityEngine::with_journal`]),
+//!   written through one hook both engines share, and [`recover`] — last
+//!   snapshot + checksummed journal-tail replay, with corrupt or torn
+//!   trailing records truncated at the last valid one.
 //! * [`optimizer`] — the solver facade, built on the open
 //!   [`mrf::MapSolver`] trait: TRW-S (default), loopy BP, ICM, ILS, exact
 //!   elimination with a *recorded* fallback, brute force, parallel solver
@@ -229,7 +236,9 @@ pub use engine::{DiversityEngine, ReassignmentReport};
 pub use error::Error;
 pub use journal::{recover, recover_with, Journal, Recovered, RecoveryReport};
 pub use optimizer::{DiversityOptimizer, OptimizedAssignment, SolverKind};
-pub use serve::{DrainReport, Enqueue, ServingConfig, ServingEngine, ServingStats, WriterCore};
+pub use serve::{
+    DrainReport, EngineReport, Enqueue, ServingConfig, ServingEngine, ServingStats, WriterCore,
+};
 pub use shard::{ShardReport, ShardedEngine};
 pub use snapshot::{Snapshot, SnapshotReader};
 

@@ -89,6 +89,8 @@
 //! assert_eq!(report.last_revision, 1);
 //! ```
 
+use std::fmt;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -102,8 +104,8 @@ use netmodel::network::Network;
 use sim::mttc::{estimate_mttc, MttcEstimate, MttcOptions};
 use sim::scenario::Scenario;
 
-use crate::engine::DiversityEngine;
-use crate::shard::ShardedEngine;
+use crate::engine::{DiversityEngine, ReassignmentReport};
+use crate::shard::{ShardReport, ShardedEngine};
 use crate::snapshot::{Snapshot, SnapshotCell, SnapshotReader};
 use crate::{Error, Result};
 
@@ -112,9 +114,10 @@ use crate::{Error, Result};
 /// writer surfaces as [`Enqueue::Rejected`] rather than unbounded memory.
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
 
-/// The engine a [`ServingEngine`]'s writer thread drives: either a single
-/// [`DiversityEngine`] or a [`ShardedEngine`], behind one absorb/publish
-/// interface.
+/// The one engine surface: either a single [`DiversityEngine`] or a
+/// [`ShardedEngine`], behind one solve/absorb/journal interface. A
+/// [`ServingEngine`]'s writer thread drives it, and so do the churn replay
+/// ([`crate::churn::run_churn`]) and the `churn` binary.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)] // moved twice per serving lifetime (into and out of the writer thread); boxing would tax every absorb's accessor instead
 pub enum WriterCore {
@@ -124,44 +127,156 @@ pub enum WriterCore {
     Sharded(ShardedEngine),
 }
 
-/// The unified outcome of a core solve or batch absorb.
-struct Absorbed {
-    revision: u64,
-    objective: f64,
-    /// The carried-forward (pre-re-solve) assignment, when the step had
-    /// one — what the MTTC probe compares the re-optimized assignment
-    /// against.
-    carried: Option<Assignment>,
+/// What one [`WriterCore`] step did: the driven engine's own report.
+#[derive(Debug, Clone)]
+pub enum EngineReport {
+    /// A [`DiversityEngine`] step.
+    Single(ReassignmentReport),
+    /// A [`ShardedEngine`] step.
+    Sharded(ShardReport),
 }
 
-impl WriterCore {
-    fn solve(&mut self) -> Result<Absorbed> {
+impl EngineReport {
+    /// The network revision the step reached.
+    pub fn revision(&self) -> u64 {
         match self {
-            WriterCore::Single(engine) => engine.solve().map(|r| Absorbed {
-                revision: r.revision,
-                objective: r.objective_after,
-                carried: r.carried,
-            }),
-            WriterCore::Sharded(engine) => engine.solve().map(|r| Absorbed {
-                revision: r.revision,
-                objective: r.objective,
-                carried: r.carried,
-            }),
+            EngineReport::Single(r) => r.revision,
+            EngineReport::Sharded(r) => r.revision,
         }
     }
 
-    fn apply_batch(&mut self, deltas: &[NetworkDelta]) -> Result<Absorbed> {
+    /// The objective after the step.
+    pub fn objective(&self) -> f64 {
         match self {
-            WriterCore::Single(engine) => engine.apply_batch(deltas).map(|r| Absorbed {
-                revision: r.revision,
-                objective: r.objective_after,
-                carried: r.carried,
-            }),
-            WriterCore::Sharded(engine) => engine.apply_batch(deltas).map(|r| Absorbed {
-                revision: r.revision,
-                objective: r.objective,
-                carried: r.carried,
-            }),
+            EngineReport::Single(r) => r.objective_after,
+            EngineReport::Sharded(r) => r.objective,
+        }
+    }
+
+    /// The objective of the carried-forward assignment (`None` on a cold
+    /// solve).
+    pub fn objective_before(&self) -> Option<f64> {
+        match self {
+            EngineReport::Single(r) => r.objective_before,
+            EngineReport::Sharded(r) => r.objective_before,
+        }
+    }
+
+    /// How much the step improved on carrying the old assignment forward
+    /// (`None` on a cold solve).
+    pub fn improvement(&self) -> Option<f64> {
+        self.objective_before().map(|b| b - self.objective())
+    }
+
+    /// The carried-forward (pre-re-solve) assignment, when the step had
+    /// one.
+    pub fn carried(&self) -> Option<&Assignment> {
+        match self {
+            EngineReport::Single(r) => r.carried.as_ref(),
+            EngineReport::Sharded(r) => r.carried.as_ref(),
+        }
+    }
+
+    /// The carried-forward assignment, moved out of the report.
+    fn into_carried(self) -> Option<Assignment> {
+        match self {
+            EngineReport::Single(r) => r.carried,
+            EngineReport::Sharded(r) => r.carried,
+        }
+    }
+
+    /// Solver variables the step's re-solves swept: the single engine's
+    /// swept region, or the sum over the shards' local re-solves
+    /// (coordination rounds are not counted).
+    pub fn swept_vars(&self) -> usize {
+        match self {
+            EngineReport::Single(r) => r.swept_vars,
+            EngineReport::Sharded(r) => {
+                r.shard_reports.iter().flatten().map(|s| s.swept_vars).sum()
+            }
+        }
+    }
+
+    /// Wall-clock time of the step's re-solve: rebuild plus solve for the
+    /// single engine, the whole step (parallel shard solves plus
+    /// coordination) for the sharded one.
+    pub fn resolve_wall(&self) -> Duration {
+        match self {
+            EngineReport::Single(r) => r.rebuild_wall + r.solve_wall,
+            EngineReport::Sharded(r) => r.total_wall,
+        }
+    }
+}
+
+impl fmt::Display for EngineReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineReport::Single(r) => r.fmt(f),
+            EngineReport::Sharded(r) => r.fmt(f),
+        }
+    }
+}
+
+impl WriterCore {
+    /// Solves (or re-solves) the current revision — see
+    /// [`DiversityEngine::solve`] and [`ShardedEngine::solve`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever the engine's solve returns.
+    pub fn solve(&mut self) -> Result<EngineReport> {
+        match self {
+            WriterCore::Single(engine) => engine.solve().map(EngineReport::Single),
+            WriterCore::Sharded(engine) => engine.solve().map(EngineReport::Sharded),
+        }
+    }
+
+    /// Absorbs a delta burst as one transactional batch — see
+    /// [`DiversityEngine::apply_batch`] and [`ShardedEngine::apply_batch`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever the engine's `apply_batch` returns.
+    pub fn apply_batch(&mut self, deltas: &[NetworkDelta]) -> Result<EngineReport> {
+        match self {
+            WriterCore::Single(engine) => engine.apply_batch(deltas).map(EngineReport::Single),
+            WriterCore::Sharded(engine) => engine.apply_batch(deltas).map(EngineReport::Sharded),
+        }
+    }
+
+    /// Attaches a write-ahead journal — see
+    /// [`DiversityEngine::with_journal_cadence`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Model`] wrapping [`netmodel::Error::Journal`] on I/O
+    /// failure.
+    pub fn with_journal_cadence(
+        self,
+        path: impl AsRef<Path>,
+        snapshot_every: Option<usize>,
+    ) -> Result<WriterCore> {
+        Ok(match self {
+            WriterCore::Single(e) => {
+                WriterCore::Single(e.with_journal_cadence(path, snapshot_every)?)
+            }
+            WriterCore::Sharded(e) => {
+                WriterCore::Sharded(e.with_journal_cadence(path, snapshot_every)?)
+            }
+        })
+    }
+
+    /// Appends a mark record to the attached journal, if any — see
+    /// [`DiversityEngine::journal_mark`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Model`] wrapping [`netmodel::Error::Journal`] on I/O
+    /// failure.
+    pub fn journal_mark(&mut self, label: &str, fields: &[(&str, f64)]) -> Result<()> {
+        match self {
+            WriterCore::Single(engine) => engine.journal_mark(label, fields),
+            WriterCore::Sharded(engine) => engine.journal_mark(label, fields),
         }
     }
 
@@ -421,13 +536,13 @@ impl ServingEngine {
         let mttc = initial_mttc(&core, config.mttc.as_ref());
         let snapshot = Snapshot {
             epoch: 1,
-            revision: initial.revision,
+            revision: initial.revision(),
             topology_revision: core.network().topology_revision(),
             assignment: core
                 .assignment()
                 .cloned()
                 .expect("a successful solve leaves an assignment"),
-            objective: initial.objective,
+            objective: initial.objective(),
             deltas_in_batch: 0,
             deltas_absorbed: 0,
             absorb_wall: solve_start.elapsed(),
@@ -749,8 +864,9 @@ fn writer_loop(mut core: WriterCore, rx: &Receiver<Msg>, ctx: &WriterCtx) -> Wri
         ctx.depth.fetch_sub(burst.len(), Ordering::AcqRel);
         let absorb_start = Instant::now();
         match core.apply_batch(&burst) {
-            Ok(outcome) => {
+            Ok(report) => {
                 epoch += 1;
+                let (revision, objective) = (report.revision(), report.objective());
                 absorbed_total += burst.len() as u64;
                 let assignment = core
                     .assignment()
@@ -768,7 +884,7 @@ fn writer_loop(mut core: WriterCore, rx: &Receiver<Msg>, ctx: &WriterCtx) -> Wri
                             network: core.network().clone(),
                             similarity: core.similarity().clone(),
                             assignment: assignment.clone(),
-                            carried: outcome.carried,
+                            carried: report.into_carried(),
                         };
                         match ptx.try_send(job) {
                             Ok(()) => scheduled = true,
@@ -783,10 +899,10 @@ fn writer_loop(mut core: WriterCore, rx: &Receiver<Msg>, ctx: &WriterCtx) -> Wri
                     };
                 ctx.cell.publish(Snapshot {
                     epoch,
-                    revision: outcome.revision,
+                    revision,
                     topology_revision: core.network().topology_revision(),
                     assignment,
-                    objective: outcome.objective,
+                    objective,
                     deltas_in_batch: burst.len(),
                     deltas_absorbed: absorbed_total,
                     absorb_wall: absorb_start.elapsed(),

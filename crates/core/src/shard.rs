@@ -124,7 +124,6 @@ use netmodel::assignment::Assignment;
 use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
 use netmodel::delta::NetworkDelta;
-use netmodel::journal::{Preamble, SnapshotRecord, FORMAT_VERSION};
 use netmodel::network::Network;
 use netmodel::partition::{extract_shard, partition_by_zone, ZonePartition};
 use netmodel::HostId;
@@ -614,15 +613,15 @@ impl ShardedEngine {
         path: impl AsRef<Path>,
         snapshot_every: Option<usize>,
     ) -> Result<ShardedEngine> {
-        let preamble = Preamble {
-            format: FORMAT_VERSION,
-            catalog: self.catalog.clone(),
-            similarity: self.similarity.clone(),
-            constraints: self.constraints.clone(),
-        };
-        let snapshot = self.snapshot_record();
-        self.journal =
-            Some(Journal::create(path, &preamble, snapshot, snapshot_every).map_err(Error::Model)?);
+        self.journal = Some(Journal::attach(
+            path,
+            &self.catalog,
+            &self.similarity,
+            &self.constraints,
+            &self.master,
+            self.last.as_ref(),
+            snapshot_every,
+        )?);
         Ok(self)
     }
 
@@ -635,59 +634,9 @@ impl ShardedEngine {
     /// [`Error::Model`] wrapping [`netmodel::Error::Journal`] on I/O
     /// failure.
     pub fn journal_mark(&mut self, label: &str, fields: &[(&str, f64)]) -> Result<()> {
-        match self.journal.as_mut() {
-            Some(journal) => journal
-                .append_mark(netmodel::journal::MarkRecord::new(label, fields))
-                .map_err(Error::Model),
-            None => Ok(()),
-        }
-    }
-
-    /// A full snapshot of the committed master state.
-    fn snapshot_record(&self) -> SnapshotRecord {
-        SnapshotRecord {
-            revision: self.master.revision(),
-            network: self.master.clone(),
-            assignment: self.last.clone(),
-        }
-    }
-
-    /// Journals one committed burst (globally, pre-routing), plus a
-    /// periodic snapshot when due. Post-commit: an I/O failure surfaces as
-    /// an error while the in-memory commit stands.
-    fn journal_batch(&mut self, deltas: &[NetworkDelta]) -> Result<()> {
-        if self.journal.is_none() {
-            return Ok(());
-        }
-        let revision = self.master.revision();
-        let assignment = self.last.clone();
-        let due = match self.journal.as_mut() {
-            None => return Ok(()),
-            Some(journal) => {
-                journal
-                    .append_batch(deltas, revision, assignment.as_ref())
-                    .map_err(Error::Model)?;
-                journal.snapshot_due()
-            }
-        };
-        if due {
-            self.journal_snapshot()?;
-        }
-        Ok(())
-    }
-
-    /// Journals a full snapshot of the committed state, if a journal is
-    /// attached (after every explicit solve — see
-    /// `DiversityEngine::journal_snapshot`).
-    fn journal_snapshot(&mut self) -> Result<()> {
-        if self.journal.is_none() {
-            return Ok(());
-        }
-        let snapshot = self.snapshot_record();
-        if let Some(journal) = self.journal.as_mut() {
-            journal.append_snapshot(snapshot).map_err(Error::Model)?;
-        }
-        Ok(())
+        self.journal
+            .as_mut()
+            .map_or(Ok(()), |j| j.mark(label, fields))
     }
 
     /// The `ALL`-scoped subset of the stored constraint set — what a shard
@@ -822,7 +771,9 @@ impl ShardedEngine {
             carried,
             start,
         );
-        self.journal_snapshot()?;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.commit_snapshot(&self.master, self.last.as_ref())?;
+        }
         Ok(report)
     }
 
@@ -1057,7 +1008,9 @@ impl ShardedEngine {
             carried,
             start,
         );
-        self.journal_batch(deltas)?;
+        if let Some(journal) = self.journal.as_mut() {
+            journal.commit_batch(deltas, &self.master, self.last.as_ref())?;
+        }
         Ok(report)
     }
 

@@ -20,7 +20,7 @@
 //! Unlike TRW-S it provides no lower bound.
 
 use crate::model::{MrfModel, VarId};
-use crate::order::{ensure_thread_bufs, MsgCell, SendPtr, SolveScratch, Tables};
+use crate::order::{ensure_thread_bufs, SendPtr, SolveScratch, Tables};
 use crate::solution::Solution;
 use crate::solver::{MapSolver, SolveControl};
 
@@ -42,10 +42,6 @@ pub struct BpOptions {
     /// Minimum live-variable count before `threads >= 2` actually spawns;
     /// below it the same schedule runs sequentially (identical results).
     pub parallel_threshold: usize,
-    /// Store messages (and the message kernels' potential tables) as
-    /// `f32`, halving memory traffic; beliefs, the decode, and the energy
-    /// stay `f64`.
-    pub f32_messages: bool,
 }
 
 impl Default for BpOptions {
@@ -56,7 +52,6 @@ impl Default for BpOptions {
             damping: 0.3,
             threads: 1,
             parallel_threshold: 512,
-            f32_messages: false,
         }
     }
 }
@@ -100,47 +95,30 @@ impl MapSolver for Bp {
             return Solution::new(Vec::new(), 0.0, None, 0, true);
         }
         scratch.prepare(model);
-        if self.options.f32_messages {
-            scratch.ensure_f32();
-            let p = scratch.parts();
-            run(
-                &self.options,
-                model,
-                &p.t,
-                p.arena32,
-                p.pot32,
-                p.theta,
-                p.mins,
-                p.labels_buf,
-                p.thread_bufs,
-                ctl,
-            )
-        } else {
-            let p = scratch.parts();
-            run(
-                &self.options,
-                model,
-                &p.t,
-                p.arena,
-                p.pot,
-                p.theta,
-                p.mins,
-                p.labels_buf,
-                p.thread_bufs,
-                ctl,
-            )
-        }
+        let p = scratch.parts();
+        run(
+            &self.options,
+            model,
+            &p.t,
+            p.arena,
+            p.pot,
+            p.theta,
+            p.mins,
+            p.labels_buf,
+            p.thread_bufs,
+            ctl,
+        )
     }
 }
 
-/// The sweep loop, generic in the message storage type.
+/// The sweep loop over a prepared scratch.
 #[allow(clippy::too_many_arguments)]
-fn run<T: MsgCell>(
+fn run(
     options: &BpOptions,
     model: &MrfModel,
     t: &Tables<'_>,
-    arena: &mut [T],
-    pot: &[T],
+    arena: &mut [f64],
+    pot: &[f64],
     theta: &mut [f64],
     mins: &mut [f64],
     labels_buf: &mut Vec<usize>,
@@ -252,11 +230,11 @@ fn run<T: MsgCell>(
 /// The caller must guarantee no concurrent visit touches a variable
 /// adjacent to `i` — the colored schedule's structural invariant.
 #[allow(clippy::too_many_arguments)]
-unsafe fn update_var<T: MsgCell>(
+unsafe fn update_var(
     model: &MrfModel,
     t: &Tables<'_>,
-    pot: &[T],
-    arena: SendPtr<T>,
+    pot: &[f64],
+    arena: SendPtr<f64>,
     i: usize,
     theta: &mut [f64],
     mins: &mut [f64],
@@ -268,13 +246,13 @@ unsafe fn update_var<T: MsgCell>(
     for &e in t.fwd(i) {
         let inc = t.split + t.off_to_a[e as usize] as usize;
         for (x, s) in theta[..l].iter_mut().enumerate() {
-            *s += (*arena.0.add(inc + x)).to_f64();
+            *s += *arena.0.add(inc + x);
         }
     }
     for &e in t.bwd(i) {
         let inc = t.off_to_b[e as usize] as usize;
         for (x, s) in theta[..l].iter_mut().enumerate() {
-            *s += (*arena.0.add(inc + x)).to_f64();
+            *s += *arena.0.add(inc + x);
         }
     }
     let mut delta = 0.0f64;
@@ -286,10 +264,10 @@ unsafe fn update_var<T: MsgCell>(
         let row0 = t.pot_ab[e] as usize;
         mins[..lb].fill(f64::INFINITY);
         for xa in 0..l {
-            let base = theta[xa] - (*arena.0.add(inc + xa)).to_f64();
+            let base = theta[xa] - *arena.0.add(inc + xa);
             let row = &pot[row0 + xa * lb..row0 + (xa + 1) * lb];
             for (m, &c) in mins[..lb].iter_mut().zip(row) {
-                let v = base + c.to_f64();
+                let v = base + c;
                 if v < *m {
                     *m = v;
                 }
@@ -309,10 +287,10 @@ unsafe fn update_var<T: MsgCell>(
         let row0 = t.pot_ba[e] as usize;
         mins[..la].fill(f64::INFINITY);
         for xb in 0..l {
-            let base = theta[xb] - (*arena.0.add(inc + xb)).to_f64();
+            let base = theta[xb] - *arena.0.add(inc + xb);
             let row = &pot[row0 + xb * la..row0 + (xb + 1) * la];
             for (m, &c) in mins[..la].iter_mut().zip(row) {
-                let v = base + c.to_f64();
+                let v = base + c;
                 if v < *m {
                     *m = v;
                 }
@@ -336,12 +314,7 @@ unsafe fn update_var<T: MsgCell>(
 ///
 /// As [`update_var`]: `arena[off..off + mins.len()]` must not be touched
 /// concurrently.
-unsafe fn write_damped<T: MsgCell>(
-    arena: SendPtr<T>,
-    off: usize,
-    mins: &[f64],
-    damping: f64,
-) -> f64 {
+unsafe fn write_damped(arena: SendPtr<f64>, off: usize, mins: &[f64], damping: f64) -> f64 {
     let mut low = f64::INFINITY;
     for &m in mins {
         if m < low {
@@ -354,19 +327,19 @@ unsafe fn write_damped<T: MsgCell>(
     let mut delta = 0.0f64;
     for (x, &m) in mins.iter().enumerate() {
         let cell = arena.0.add(off + x);
-        let old = (*cell).to_f64();
+        let old = *cell;
         let new = (1.0 - damping) * (m - low) + damping * old;
         delta = delta.max((new - old).abs());
-        *cell = T::from_f64(new);
+        *cell = new;
     }
     delta
 }
 
 /// Decode: `x_i = argmin (unary + Σ incoming)`, first minimum on ties.
-fn decode<T: MsgCell>(
+fn decode(
     model: &MrfModel,
     t: &Tables<'_>,
-    arena: &[T],
+    arena: &[f64],
     labels: &mut Vec<usize>,
     theta: &mut [f64],
 ) {
@@ -380,13 +353,13 @@ fn decode<T: MsgCell>(
         for &e in t.fwd(i) {
             let inc = t.off_to_a[e as usize] as usize;
             for (s, m) in theta[..l].iter_mut().zip(&to_a[inc..inc + l]) {
-                *s += m.to_f64();
+                *s += m;
             }
         }
         for &e in t.bwd(i) {
             let inc = t.off_to_b[e as usize] as usize;
             for (s, m) in theta[..l].iter_mut().zip(&to_b[inc..inc + l]) {
-                *s += m.to_f64();
+                *s += m;
             }
         }
         let mut best = 0usize;
@@ -525,41 +498,6 @@ mod tests {
         .solve(&m, &ctl());
         assert_eq!(seq.labels(), par.labels());
         assert_eq!(seq.energy(), par.energy());
-    }
-
-    #[test]
-    fn f32_messages_decode_close_to_f64() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let mut b = MrfBuilder::new();
-        let n = 30;
-        let vars: Vec<_> = (0..n).map(|_| b.add_variable(3)).collect();
-        for &v in &vars {
-            b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..3.0)).collect())
-                .unwrap();
-        }
-        for i in 0..n {
-            b.add_edge_dense(
-                vars[i],
-                vars[(i + 1) % n],
-                (0..9).map(|_| rng.gen_range(0.0..2.0)).collect(),
-            )
-            .unwrap();
-        }
-        let m = b.build();
-        let full = solve(&m);
-        let narrow = Bp::new(BpOptions {
-            f32_messages: true,
-            ..BpOptions::default()
-        })
-        .solve(&m, &ctl());
-        // The energies are both computed in f64 from the decoded labels;
-        // f32 message rounding may steer the decode slightly.
-        assert!(
-            (full.energy() - narrow.energy()).abs() <= 1e-3 * full.energy().abs().max(1.0),
-            "f64 {} vs f32 {}",
-            full.energy(),
-            narrow.energy()
-        );
     }
 
     #[test]

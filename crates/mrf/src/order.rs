@@ -19,8 +19,7 @@
 //! * **Message arena**: a single flat `f64` buffer; all forward (`a → b`)
 //!   messages first, laid out in forward sweep order, then all backward
 //!   messages in backward sweep order — so a TRW-S pass is one
-//!   `split_at_mut` and two linear walks. An optional `f32` mirror backs
-//!   the reduced-precision kernels.
+//!   `split_at_mut` and two linear walks.
 //! * **Coloring** ([`crate::color::ColorClasses`]) for the parallel ICM/BP
 //!   sweeps.
 //!
@@ -33,38 +32,6 @@ use std::collections::VecDeque;
 
 use crate::color::ColorClasses;
 use crate::model::{MrfModel, VarId};
-
-/// Message cell: the storage type of a message arena. Arithmetic stays in
-/// `f64` everywhere; only what is *stored* narrows under the optional f32
-/// kernels.
-pub(crate) trait MsgCell: Copy + Send + Sync + 'static {
-    /// Narrowing (or identity) conversion on store.
-    fn from_f64(x: f64) -> Self;
-    /// Widening (or identity) conversion on load.
-    fn to_f64(self) -> f64;
-}
-
-impl MsgCell for f64 {
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self
-    }
-}
-
-impl MsgCell for f32 {
-    #[inline]
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    #[inline]
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-}
 
 /// Read-only view of the prepared structure, passed into solver kernels
 /// alongside the mutable workspace (see [`SolveScratch::parts`]).
@@ -139,12 +106,8 @@ pub(crate) struct Parts<'a> {
     pub t: Tables<'a>,
     /// The f64 message arena (`[..split]` forward, `[split..]` backward).
     pub arena: &'a mut Vec<f64>,
-    /// The f32 mirror arena (empty until [`SolveScratch::ensure_f32`]).
-    pub arena32: &'a mut Vec<f32>,
-    /// Resolved potential tables, f64.
+    /// Resolved potential tables.
     pub pot: &'a [f64],
-    /// Resolved potential tables, f32 (empty until `ensure_f32`).
-    pub pot32: &'a [f32],
     /// θ̂ / belief buffer, `max_labels` long.
     pub theta: &'a mut Vec<f64>,
     /// Min-accumulator / conditional-cost buffer, `max_labels` long.
@@ -181,14 +144,12 @@ pub struct SolveScratch {
     split: usize,
     pot_resolved: Vec<(u32, u32)>,
     pot_data: Vec<f64>,
-    pot_data32: Vec<f32>,
     gamma: Vec<f64>,
     n_backward: Vec<u32>,
     colors: ColorClasses,
     max_labels: usize,
     cursor: Vec<u32>,
     arena: Vec<f64>,
-    arena32: Vec<f32>,
     theta: Vec<f64>,
     mins: Vec<f64>,
     labels_buf: Vec<usize>,
@@ -340,9 +301,6 @@ impl SolveScratch {
         let arena_len = self.split + cum as usize;
         self.arena.clear();
         self.arena.resize(arena_len, 0.0);
-        // The f32 mirror is refreshed lazily by `ensure_f32`.
-        self.arena32.clear();
-        self.pot_data32.clear();
 
         // TRW-S node weights and the coloring for parallel sweeps.
         self.gamma.clear();
@@ -361,19 +319,6 @@ impl SolveScratch {
         self.theta.resize(self.max_labels, 0.0);
         self.mins.clear();
         self.mins.resize(self.max_labels, 0.0);
-    }
-
-    /// Materializes the f32 mirrors of the potential tables and message
-    /// arena. Must follow [`SolveScratch::prepare`]; idempotent per
-    /// prepare.
-    pub fn ensure_f32(&mut self) {
-        if self.pot_data32.len() != self.pot_data.len() {
-            self.pot_data32.clear();
-            self.pot_data32
-                .extend(self.pot_data.iter().map(|&x| x as f32));
-        }
-        self.arena32.clear();
-        self.arena32.resize(self.arena.len(), 0.0);
     }
 
     /// Splits the scratch into the read-only tables and the mutable
@@ -403,9 +348,7 @@ impl SolveScratch {
                 max_labels: self.max_labels,
             },
             arena: &mut self.arena,
-            arena32: &mut self.arena32,
             pot: &self.pot_data,
-            pot32: &self.pot_data32,
             theta: &mut self.theta,
             mins: &mut self.mins,
             labels_buf: &mut self.labels_buf,

@@ -24,19 +24,14 @@
 //! arena (forward messages first, in sweep order), CSR forward/backward
 //! edge lists, and per-orientation resolved potential tables, so the hot
 //! loops are branch-free linear walks and a warm re-solve allocates
-//! nothing. With [`TrwsOptions::f32_messages`] the arena (and the
-//! potential tables the *message* kernels read) narrows to `f32`;
-//! arithmetic, the decode's pairwise terms, the polish, and all objective
-//! accounting stay `f64`, so the reported energy is exact — though the
-//! lower bound then carries f32 rounding (~1e-5 relative) and tight
-//! certification tolerances should stay on the f64 path.
+//! nothing.
 
 use std::collections::VecDeque;
 
 use crate::icm::fast_sweeps;
 use crate::local::{condition_submodel, ActiveRegion, LocalRefine};
 use crate::model::{MrfModel, VarId};
-use crate::order::{energy_fast, MsgCell, SolveScratch, Tables};
+use crate::order::{energy_fast, SolveScratch, Tables};
 use crate::solution::Solution;
 use crate::solver::{MapSolver, SolveControl};
 
@@ -57,11 +52,6 @@ pub struct TrwsOptions {
     /// even at a tight bound, and a short local descent closes that gap.
     /// 0 disables polishing.
     pub polish_sweeps: usize,
-    /// Store messages (and the message kernels' potential tables) as `f32`.
-    /// Halves the hot loops' memory traffic; energies and the decode stay
-    /// exact `f64`, but the lower bound inherits f32 rounding (module
-    /// docs).
-    pub f32_messages: bool,
 }
 
 impl Default for TrwsOptions {
@@ -71,7 +61,6 @@ impl Default for TrwsOptions {
             tolerance: 1e-9,
             patience: 3,
             polish_sweeps: 8,
-            f32_messages: false,
         }
     }
 }
@@ -116,40 +105,20 @@ impl MapSolver for Trws {
             return Solution::new(Vec::new(), 0.0, Some(0.0), 0, true);
         }
         scratch.prepare(model);
-        if self.options.f32_messages {
-            scratch.ensure_f32();
-            let p = scratch.parts();
-            run(
-                &self.options,
-                model,
-                &p.t,
-                p.arena32,
-                p.pot32,
-                p.pot,
-                p.theta,
-                p.mins,
-                p.labels_buf,
-                p.decoded,
-                p.queue,
-                ctl,
-            )
-        } else {
-            let p = scratch.parts();
-            run(
-                &self.options,
-                model,
-                &p.t,
-                p.arena,
-                p.pot,
-                p.pot,
-                p.theta,
-                p.mins,
-                p.labels_buf,
-                p.decoded,
-                p.queue,
-                ctl,
-            )
-        }
+        let p = scratch.parts();
+        run(
+            &self.options,
+            model,
+            &p.t,
+            p.arena,
+            p.pot,
+            p.theta,
+            p.mins,
+            p.labels_buf,
+            p.decoded,
+            p.queue,
+            ctl,
+        )
     }
 
     /// Message passing on a *conditioned submodel*: active variables keep
@@ -249,17 +218,14 @@ impl MapSolver for Trws {
     }
 }
 
-/// The solve loop over a prepared scratch, generic in the message storage
-/// type. `pot_msg` backs the message kernels (narrowed under f32), `pot64`
-/// the decode's pairwise terms and the polish (always f64).
+/// The solve loop over a prepared scratch.
 #[allow(clippy::too_many_arguments)]
-fn run<T: MsgCell>(
+fn run(
     options: &TrwsOptions,
     model: &MrfModel,
     t: &Tables<'_>,
-    arena: &mut [T],
-    pot_msg: &[T],
-    pot64: &[f64],
+    arena: &mut [f64],
+    pot: &[f64],
     theta: &mut [f64],
     mins: &mut [f64],
     labels_buf: &mut Vec<usize>,
@@ -278,23 +244,15 @@ fn run<T: MsgCell>(
             break;
         }
         iterations = iter + 1;
-        forward_pass(model, t, arena, pot_msg, theta, mins);
-        let bound = backward_pass(model, t, arena, pot_msg, theta, mins);
+        forward_pass(model, t, arena, pot, theta, mins);
+        let bound = backward_pass(model, t, arena, pot, theta, mins);
         // `theta` doubles as the decode's cost buffer, `mins` as the
         // polish's — both are free between passes.
-        decode(model, t, arena, pot64, labels_buf, decoded, queue, theta);
+        decode(model, t, arena, pot, labels_buf, decoded, queue, theta);
         if options.polish_sweeps > 0 {
-            fast_sweeps(
-                model,
-                t,
-                pot64,
-                labels_buf,
-                mins,
-                options.polish_sweeps,
-                ctl,
-            );
+            fast_sweeps(model, t, pot, labels_buf, mins, options.polish_sweeps, ctl);
         }
-        let energy = energy_fast(model, t, pot64, labels_buf);
+        let energy = energy_fast(model, t, pot, labels_buf);
         if energy < best_energy {
             best_energy = energy;
             best_labels.clear();
@@ -335,11 +293,11 @@ fn run<T: MsgCell>(
 /// messages of its forward edges and the forward (`a → b`) messages of its
 /// backward edges — both defined over `i`'s labels.
 #[inline]
-fn theta_hat<T: MsgCell>(
+fn theta_hat(
     model: &MrfModel,
     t: &Tables<'_>,
-    to_b: &[T],
-    to_a: &[T],
+    to_b: &[f64],
+    to_a: &[f64],
     i: usize,
     theta: &mut [f64],
 ) -> usize {
@@ -348,13 +306,13 @@ fn theta_hat<T: MsgCell>(
     for &e in t.fwd(i) {
         let inc = t.off_to_a[e as usize] as usize;
         for (s, m) in theta[..l].iter_mut().zip(&to_a[inc..inc + l]) {
-            *s += m.to_f64();
+            *s += m;
         }
     }
     for &e in t.bwd(i) {
         let inc = t.off_to_b[e as usize] as usize;
         for (s, m) in theta[..l].iter_mut().zip(&to_b[inc..inc + l]) {
-            *s += m.to_f64();
+            *s += m;
         }
     }
     l
@@ -362,11 +320,11 @@ fn theta_hat<T: MsgCell>(
 
 /// Forward sweep: every variable in order updates the `a → b` messages of
 /// its forward edges.
-fn forward_pass<T: MsgCell>(
+fn forward_pass(
     model: &MrfModel,
     t: &Tables<'_>,
-    arena: &mut [T],
-    pot: &[T],
+    arena: &mut [f64],
+    pot: &[f64],
     theta: &mut [f64],
     mins: &mut [f64],
 ) {
@@ -384,10 +342,10 @@ fn forward_pass<T: MsgCell>(
             // m_{a→b}(xb) = min_xa base(xa) + cost(xa, xb), then normalize.
             mins[..lb].fill(f64::INFINITY);
             for xa in 0..l {
-                let base = gamma * theta[xa] - to_a[inc + xa].to_f64();
+                let base = gamma * theta[xa] - to_a[inc + xa];
                 let row = &pot[row0 + xa * lb..row0 + (xa + 1) * lb];
                 for (m, &c) in mins[..lb].iter_mut().zip(row) {
-                    let v = base + c.to_f64();
+                    let v = base + c;
                     if v < *m {
                         *m = v;
                     }
@@ -401,7 +359,7 @@ fn forward_pass<T: MsgCell>(
             }
             let out = &mut to_b[t.off_to_b[e] as usize..][..lb];
             for (o, &m) in out.iter_mut().zip(&mins[..lb]) {
-                *o = T::from_f64(m - low);
+                *o = m - low;
             }
         }
     }
@@ -410,11 +368,11 @@ fn forward_pass<T: MsgCell>(
 /// Backward sweep over backward edges; returns the TRW lower bound (module
 /// docs): the sum of backward-message normalization constants plus, per
 /// node, the leftover chain mass `(1 − n⁻·γ)·min θ̂`.
-fn backward_pass<T: MsgCell>(
+fn backward_pass(
     model: &MrfModel,
     t: &Tables<'_>,
-    arena: &mut [T],
-    pot: &[T],
+    arena: &mut [f64],
+    pot: &[f64],
     theta: &mut [f64],
     mins: &mut [f64],
 ) -> f64 {
@@ -442,10 +400,10 @@ fn backward_pass<T: MsgCell>(
             let row0 = t.pot_ba[e] as usize;
             mins[..la].fill(f64::INFINITY);
             for xb in 0..l {
-                let base = gamma * theta[xb] - to_b[inc + xb].to_f64();
+                let base = gamma * theta[xb] - to_b[inc + xb];
                 let row = &pot[row0 + xb * la..row0 + (xb + 1) * la];
                 for (m, &c) in mins[..la].iter_mut().zip(row) {
-                    let v = base + c.to_f64();
+                    let v = base + c;
                     if v < *m {
                         *m = v;
                     }
@@ -460,7 +418,7 @@ fn backward_pass<T: MsgCell>(
             bound += low;
             let out = &mut to_a[t.off_to_a[e] as usize..][..la];
             for (o, &m) in out.iter_mut().zip(&mins[..la]) {
-                *o = T::from_f64(m - low);
+                *o = m - low;
             }
         }
     }
@@ -472,14 +430,13 @@ fn backward_pass<T: MsgCell>(
 /// plus incoming messages from the undecoded ones. BFS order (instead of
 /// raw index order) matters on tie-heavy energies: with flat unaries the
 /// decode is a greedy coloring, and greedy coloring along a traversal tree
-/// resolves cycles that index order miscolors. Pairwise terms read the f64
-/// tables even under f32 messages.
+/// resolves cycles that index order miscolors.
 #[allow(clippy::too_many_arguments)]
-fn decode<T: MsgCell>(
+fn decode(
     model: &MrfModel,
     t: &Tables<'_>,
-    arena: &[T],
-    pot64: &[f64],
+    arena: &[f64],
+    pot: &[f64],
     labels: &mut Vec<usize>,
     decoded: &mut Vec<bool>,
     queue: &mut VecDeque<u32>,
@@ -509,14 +466,14 @@ fn decode<T: MsgCell>(
                 // queued-but-unlabelled entries hold `usize::MAX`.
                 if decoded[other] && labels[other] != usize::MAX {
                     let xo = labels[other];
-                    let row = &pot64[t.pot_ba[e] as usize + xo * l..][..l];
+                    let row = &pot[t.pot_ba[e] as usize + xo * l..][..l];
                     for (c, &p) in cost[..l].iter_mut().zip(row) {
                         *c += p;
                     }
                 } else {
                     let m = &to_a[t.off_to_a[e] as usize..][..l];
                     for (c, m) in cost[..l].iter_mut().zip(m) {
-                        *c += m.to_f64();
+                        *c += m;
                     }
                 }
                 if !decoded[other] {
@@ -530,14 +487,14 @@ fn decode<T: MsgCell>(
                 let other = t.edge_a[e] as usize;
                 if decoded[other] && labels[other] != usize::MAX {
                     let xo = labels[other];
-                    let row = &pot64[t.pot_ab[e] as usize + xo * l..][..l];
+                    let row = &pot[t.pot_ab[e] as usize + xo * l..][..l];
                     for (c, &p) in cost[..l].iter_mut().zip(row) {
                         *c += p;
                     }
                 } else {
                     let m = &to_b[t.off_to_b[e] as usize..][..l];
                     for (c, m) in cost[..l].iter_mut().zip(m) {
-                        *c += m.to_f64();
+                        *c += m;
                     }
                 }
                 if !decoded[other] {

@@ -181,31 +181,6 @@ proptest! {
         prop_assert!(s.lower_bound().unwrap() <= exact.energy() + 1e-7);
     }
 
-    /// f32 message kernels stay within loose tolerance of the f64 decode.
-    /// Tree models pin both precisions to the same (exact) fixed point, so
-    /// the gap reduces to rounding at near-ties; on loopy graphs a single
-    /// flipped argmin can legitimately change the whole trajectory, which
-    /// is why this property is stated on trees.
-    #[test]
-    fn f32_messages_track_f64(model in arb_tree_model()) {
-        let ctl = SolveControl::new();
-        for (wide, narrow) in [
-            (
-                Trws::new(TrwsOptions::default()).solve(&model, &ctl).energy(),
-                Trws::new(TrwsOptions { f32_messages: true, ..TrwsOptions::default() })
-                    .solve(&model, &ctl).energy(),
-            ),
-            (
-                Bp::new(BpOptions::default()).solve(&model, &ctl).energy(),
-                Bp::new(BpOptions { f32_messages: true, ..BpOptions::default() })
-                    .solve(&model, &ctl).energy(),
-            ),
-        ] {
-            prop_assert!((wide - narrow).abs() <= 1e-3 * wide.abs().max(1.0),
-                "f64 {wide} vs f32 {narrow}");
-        }
-    }
-
     /// All solvers respect label domains.
     #[test]
     fn solvers_respect_domains(model in arb_model()) {

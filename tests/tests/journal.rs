@@ -12,6 +12,8 @@ use rand::SeedableRng;
 
 use ics_diversity::engine::DiversityEngine;
 use ics_diversity::journal::{read_records, recover, recover_with};
+use ics_diversity::shard::ShardedEngine;
+use ics_diversity::WriterCore;
 use netmodel::assignment::Assignment;
 use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
@@ -21,7 +23,9 @@ use netmodel::journal::{
     SnapshotRecord, FORMAT_VERSION,
 };
 use netmodel::network::NetworkBuilder;
-use netmodel::topology::{generate, RandomNetworkConfig, TopologyKind};
+use netmodel::topology::{
+    generate, generate_zoned, RandomNetworkConfig, TopologyKind, ZonedNetworkConfig,
+};
 use netmodel::{HostId, ProductId, ServiceId};
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -126,7 +130,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection: torn writes and bit flips.
+// Fault injection: torn writes, bit flips and a failed compaction.
 // ---------------------------------------------------------------------------
 
 /// A deterministic full-history journal (cadence `None`): preamble, genesis
@@ -251,6 +255,72 @@ fn single_byte_flips_are_always_detected_never_absorbed() {
     }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&flip_path).ok();
+}
+
+/// A compaction that fails is retried at the next commit, not a whole
+/// cadence later. With cadence 2 the second commit is due to compact, but
+/// its directory is gone: the commit lands in memory and then reports the
+/// journal error (today's "committed, then `Err`" contract). Once the
+/// directory is back, the third commit compacts and the journal recovers
+/// revision 3. Both engines run the sequence: they share one journal hook.
+#[test]
+fn failed_compaction_is_retried_at_the_next_commit() {
+    for sharded in [false, true] {
+        let dir = tmp_path("compaction-retry").with_extension("d");
+        std::fs::create_dir_all(&dir).expect("journal directory");
+        let path = dir.join("journal.log");
+        let g = generate_zoned(
+            &ZonedNetworkConfig {
+                zones: 2,
+                hosts_per_zone: 4,
+                gateway_links: 1,
+                mean_degree: 2,
+                services: 1,
+                products_per_service: 3,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            3,
+        );
+        let core = if sharded {
+            WriterCore::Sharded(ShardedEngine::new(g.network, g.catalog, g.similarity))
+        } else {
+            WriterCore::Single(DiversityEngine::new(g.network, g.catalog, g.similarity))
+        };
+        let mut core = core
+            .with_journal_cadence(&path, Some(2))
+            .expect("journal attaches");
+        core.solve().expect("cold solve");
+        let os = core.catalog().service_by_name("service0").unwrap();
+        let mandate = |core: &mut WriterCore, host: u32| {
+            let host = HostId(host);
+            let product = core
+                .network()
+                .host(host)
+                .unwrap()
+                .candidates_for(os)
+                .unwrap()[0];
+            core.apply_batch(&[NetworkDelta::fix_slot(host, os, product)])
+        };
+        mandate(&mut core, 0).expect("first commit journals");
+        std::fs::remove_dir_all(&dir).expect("directory removed");
+        assert!(
+            mandate(&mut core, 1).is_err(),
+            "sharded {sharded}: the compaction cannot create its file"
+        );
+        assert_eq!(core.revision(), 2, "sharded {sharded}: the commit stands");
+        std::fs::create_dir_all(&dir).expect("directory restored");
+        mandate(&mut core, 2).expect("third commit journals");
+        let recovered = recover(&path).expect("the retried compaction wrote the journal");
+        assert_eq!(recovered.revision(), 3, "sharded {sharded}");
+        assert_eq!(recovered.network(), core.network(), "sharded {sharded}");
+        assert_eq!(
+            recovered.assignment(),
+            core.assignment(),
+            "sharded {sharded}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 // ---------------------------------------------------------------------------

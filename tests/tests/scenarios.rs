@@ -8,10 +8,11 @@
 use proptest::prelude::*;
 
 use ics_diversity::churn::{
-    run_churn_adaptive, AdaptiveChurnConfig, ChurnConfig, ChurnMode, CveFeed, CveFeedConfig,
+    run_churn, Bursts, ChurnConfig, ChurnMode, CveFeed, CveFeedConfig, Drawn,
 };
 use ics_diversity::engine::DiversityEngine;
 use ics_diversity::shard::ShardedEngine;
+use ics_diversity::WriterCore;
 use netmodel::topology::{
     generate, generate_fat_tree, generate_scale_free, generate_tiered_enterprise, FatTreeConfig,
     GeneratedNetwork, RandomNetworkConfig, ScaleFreeConfig, TieredEnterpriseConfig, TopologyKind,
@@ -100,27 +101,24 @@ proptest! {
                 },
                 seed,
             );
-            DiversityEngine::new(g.network, g.catalog, g.similarity)
+            WriterCore::Single(DiversityEngine::new(g.network, g.catalog, g.similarity))
         };
-        let config = AdaptiveChurnConfig {
-            churn: ChurnConfig {
-                steps,
-                seed,
-                mode: ChurnMode::Batched { mean_burst: 2.0 },
-                mttc: MttcOptions { runs: 20, ..MttcOptions::default() },
-                ..ChurnConfig::default()
-            },
-            ..AdaptiveChurnConfig::default()
+        let config = ChurnConfig {
+            steps,
+            seed,
+            mode: ChurnMode::Batched { mean_burst: 2.0 },
+            mttc: MttcOptions { runs: 20, ..MttcOptions::default() },
+            ..ChurnConfig::default()
         };
-        let first = run_churn_adaptive(&mut make(), &config).expect("replay runs");
-        let second = run_churn_adaptive(&mut make(), &config).expect("replay runs");
+        let first = run_churn(&mut make(), &mut Bursts::Adaptive, &config).expect("replay runs");
+        let second = run_churn(&mut make(), &mut Bursts::Adaptive, &config).expect("replay runs");
         prop_assert_eq!(first.len(), steps);
         prop_assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             prop_assert_eq!(a.entry, b.entry, "step {} entry", a.step);
             prop_assert_eq!(a.target, b.target, "step {} target", a.step);
-            prop_assert_eq!(a.cluster_size, b.cluster_size);
-            prop_assert_eq!(a.cluster_count, b.cluster_count);
+            prop_assert!(matches!(a.drawn, Drawn::Recon { .. }), "step {} census", a.step);
+            prop_assert_eq!(&a.drawn, &b.drawn, "step {} census", a.step);
             prop_assert_eq!(&a.deltas, &b.deltas, "step {} burst", a.step);
             prop_assert_eq!(a.mttc_before.mean_ticks(), b.mttc_before.mean_ticks());
             prop_assert_eq!(a.mttc_after.mean_ticks(), b.mttc_after.mean_ticks());
