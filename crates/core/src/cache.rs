@@ -31,7 +31,10 @@
 //!   reassembly, which ROADMAP had flagged as the dominant cost of
 //!   `apply_batch` on large networks. Untouched hosts' variables keep
 //!   their [`mrf::VarId`]s, which is also what keeps warm-start seeds
-//!   valid across revisions.
+//!   valid across revisions. Handed the labeling its caller carries, an
+//!   edit also prices the factors it rewrites at those labels before
+//!   anything moves (an `Edit` record), so the engine can carry the
+//!   labeling's energy across the edit without evaluating the model.
 //!
 //! Un-hinted refreshes of a *synced* cache derive the touched set
 //! themselves by diffing the per-host domain and link revision counters
@@ -49,7 +52,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mrf::model::{MrfBuilder, PotentialId};
+use mrf::model::{MrfBuilder, PotentialId, VarId};
 
 use netmodel::catalog::ProductSimilarity;
 use netmodel::constraints::{ConstraintSet, Scope};
@@ -68,6 +71,11 @@ pub struct DomainId(u32);
 struct DomainInterner {
     by_key: HashMap<Vec<ProductId>, DomainId>,
     domains: Vec<Arc<Vec<ProductId>>>,
+    /// Slots referencing each domain. An entry at 0 is dead: compaction
+    /// evicts it once dead entries outnumber live ones.
+    refs: Vec<u32>,
+    /// Domains with a nonzero reference count.
+    live: usize,
 }
 
 impl DomainInterner {
@@ -77,12 +85,96 @@ impl DomainInterner {
         }
         let id = DomainId(self.domains.len() as u32);
         self.domains.push(Arc::new(domain.clone()));
+        self.refs.push(0);
         self.by_key.insert(domain, id);
         id
     }
 
     fn resolve(&self, id: DomainId) -> &Arc<Vec<ProductId>> {
         &self.domains[id.0 as usize]
+    }
+
+    /// Counts one more slot referencing `id`.
+    fn retain(&mut self, id: DomainId) {
+        let refs = &mut self.refs[id.0 as usize];
+        if *refs == 0 {
+            self.live += 1;
+        }
+        *refs += 1;
+    }
+
+    /// Counts one slot fewer referencing `id`.
+    fn release(&mut self, id: DomainId) {
+        let refs = &mut self.refs[id.0 as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            self.live -= 1;
+        }
+    }
+}
+
+/// What an in-place edit rewrote, recorded when the refresh is handed the
+/// labeling it must carry ([`EnergyCache::refresh_carrying`]): the
+/// re-bound hosts, the variables they gave up, and the energy the rewritten
+/// factors held at the carried labels. The engine re-seeds the re-bound
+/// variables and prices the same factors again ([`Edit::scope_energy`]) to
+/// carry its objective across the edit without evaluating the whole model.
+#[derive(Debug)]
+pub(crate) struct Edit {
+    /// The re-bound hosts, ascending: their variables were removed and
+    /// re-created (a new host's for the first time; a removed host keeps
+    /// none).
+    pub(crate) hosts: Vec<HostId>,
+    /// The re-bound hosts and their direct neighbors: every host whose free
+    /// slots' unaries the edit recomputed.
+    unary_hosts: Vec<HostId>,
+    /// The variables the edit removed: the re-bound hosts' previous ones.
+    pub(crate) removed: Vec<VarId>,
+    /// [`Edit::scope_energy`] before the edit, at the carried labels.
+    pub(crate) retracted: f64,
+}
+
+impl Edit {
+    /// The MRF energy of the factors this edit rewrites, under `labels`:
+    /// the unaries of every free slot on [`Edit::unary_hosts`] and every
+    /// edge incident to a re-bound host's variables (once each). Every other
+    /// factor is the same object at the same labels before and after the
+    /// edit, so the MRF energy moves by exactly this scope's energy after
+    /// the edit minus [`Edit::retracted`] (the base energy is the model's
+    /// own, re-derived by the edit). The one statement of what an in-place
+    /// edit changes; the edit's steps 2–6 are its implementation.
+    pub(crate) fn scope_energy(&self, energy: &EnergyModel, labels: &[usize]) -> f64 {
+        let model = energy.model();
+        let vars = |h: HostId| {
+            energy
+                .slots()
+                .get(h.index())
+                .map_or(&[][..], Vec::as_slice)
+                .iter()
+                .filter_map(|binding| match binding {
+                    SlotBinding::Variable { var, .. } => Some(*var),
+                    SlotBinding::Fixed(_) => None,
+                })
+        };
+        let mut total = 0.0;
+        for &h in &self.unary_hosts {
+            for v in vars(h) {
+                total += model.unary(v)[labels[v.0]];
+            }
+        }
+        for &h in &self.hosts {
+            for v in vars(h) {
+                for &eidx in model.incident_edges(v) {
+                    let e = &model.edges()[eidx as usize];
+                    let other = if e.a() == v { e.b() } else { e.a() };
+                    if other.0 < v.0 && self.hosts.binary_search(&energy.owner(other)).is_ok() {
+                        continue; // counted from `other`, a re-bound variable too
+                    }
+                    total += model.edge_cost(e, labels[e.a().0], labels[e.b().0]);
+                }
+            }
+        }
+        total
     }
 }
 
@@ -323,6 +415,7 @@ impl EnergyCache {
                         n
                     }
                 };
+                interner.retain(new_id);
                 *id = new_id;
             }
         }
@@ -345,6 +438,8 @@ impl EnergyCache {
         self.host_revisions.clear();
         self.link_revisions.clear();
         self.domains.clear();
+        self.interner.refs.fill(0);
+        self.interner.live = 0;
         self.synced = None;
     }
 
@@ -441,13 +536,36 @@ impl EnergyCache {
         similarity: &ProductSimilarity,
         changed: Option<&[HostId]>,
     ) -> Result<RebuildStats> {
+        self.refresh_carrying(network, similarity, changed, None)
+            .map(|(stats, _)| stats)
+    }
+
+    /// [`EnergyCache::refresh_hinted`] for a caller carrying a labeling of
+    /// the current model (`labels`, one entry per variable slot): an
+    /// in-place edit also returns its [`Edit`] record, priced at those
+    /// labels before anything moves. `None` for the record means the
+    /// refresh was a no-op, reassembled (renumbering every variable), or
+    /// had no labels to price.
+    ///
+    /// # Errors
+    ///
+    /// See [`EnergyCache::new`]; an [`Error::Infeasible`] leaves the cache
+    /// as it was.
+    pub(crate) fn refresh_carrying(
+        &mut self,
+        network: &Network,
+        similarity: &ProductSimilarity,
+        changed: Option<&[HostId]>,
+        labels: Option<&[usize]>,
+    ) -> Result<(RebuildStats, Option<Edit>)> {
         if self.synced == Some(network.revision()) {
-            return Ok(RebuildStats {
+            let stats = RebuildStats {
                 rebuilt: false,
                 variables: self.model.model().live_var_count(),
                 edges: self.model.model().edge_count(),
                 ..RebuildStats::default()
-            });
+            };
+            return Ok((stats, None));
         }
         // With a synced model the refresh is incremental even without a
         // caller hint: diffing the per-host domain *and* link revision
@@ -486,18 +604,28 @@ impl EnergyCache {
             self.link_revisions.resize(network.host_count(), u64::MAX);
         }
         for (i, interned) in refiltered {
+            for &id in &self.domains[i] {
+                self.interner.release(id);
+            }
+            for &id in &interned {
+                self.interner.retain(id);
+            }
             self.domains[i] = interned;
             self.host_revisions[i] = network.host_revision(HostId(i as u32));
         }
         // Evict dead interner entries (domains no slot references anymore)
         // once they outnumber the live set. Compaction remaps domain ids,
         // so the refresh that runs it must reassemble.
-        let live = self
-            .domains
-            .iter()
-            .flatten()
-            .collect::<std::collections::HashSet<_>>()
-            .len();
+        let live = self.interner.live;
+        debug_assert_eq!(
+            live,
+            self.domains
+                .iter()
+                .flatten()
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
+            "domain reference counts drifted from the slots"
+        );
         let mut reassemble = !hinted || !self.edit_enabled;
         if self.interner.domains.len() >= 64 && self.interner.domains.len() > 2 * live {
             self.compact();
@@ -508,21 +636,22 @@ impl EnergyCache {
         if self.model.model().should_compact() {
             reassemble = true;
         }
-        let (potentials_computed, potentials_reused, edited) = if reassemble {
+        let (potentials_computed, potentials_reused, edit) = if reassemble {
             let (c, r) = self.rebuild(network, similarity)?;
-            (c, r, false)
+            (c, r, None)
         } else {
             let mut dirty: Vec<HostId> = scan.clone();
             dirty.sort_unstable();
             dirty.dedup();
-            let (c, r) = self.edit(network, similarity, &dirty)?;
-            (c, r, true)
+            let (c, r, edit) = self.edit(network, similarity, dirty, labels)?;
+            (c, r, Some(edit))
         };
+        let edited = edit.is_some();
         for &h in &scan {
             self.link_revisions[h.index()] = network.link_revision(h);
         }
         self.synced = Some(network.revision());
-        Ok(RebuildStats {
+        let stats = RebuildStats {
             rebuilt: true,
             edited,
             hosts_refiltered,
@@ -530,7 +659,8 @@ impl EnergyCache {
             potentials_reused,
             variables: self.model.model().live_var_count(),
             edges: self.model.model().edge_count(),
-        })
+        };
+        Ok((stats, edit.filter(|_| labels.is_some())))
     }
 
     /// The hosts whose cached state is behind `network`: the domain
@@ -756,21 +886,48 @@ impl EnergyCache {
     /// neighbors, re-adds the similarity edges and fixed–fixed base terms
     /// of every link incident to the dirty set, and re-adds the dirty
     /// hosts' combination-constraint edges. `O(touched · degree)` model
-    /// work; everything else keeps its variable ids.
+    /// work; everything else keeps its variable ids. With `labels` the
+    /// returned [`Edit`] is priced at them before anything moves.
     fn edit(
         &mut self,
         network: &Network,
         similarity: &ProductSimilarity,
-        dirty: &[HostId],
-    ) -> Result<(usize, usize)> {
+        dirty: Vec<HostId>,
+        labels: Option<&[usize]>,
+    ) -> Result<(usize, usize, Edit)> {
         let params = self.params;
-        let (model, slots, base_energy) = self.model.parts_mut();
+        let mut dirty_mask = vec![false; network.host_count()];
+        for &h in &dirty {
+            dirty_mask[h.index()] = true;
+        }
+        // The hosts whose unaries step 4 recomputes: every dirty host and
+        // each direct neighbor of one. The folded contributions from fixed
+        // neighbors are the only unary terms that can have changed, and
+        // they never reach further than one hop.
+        let mut unary_mask = dirty_mask.clone();
+        let mut unary_hosts = dirty.clone();
+        for &h in &dirty {
+            for &g in network.neighbors(h) {
+                if !unary_mask[g.index()] {
+                    unary_mask[g.index()] = true;
+                    unary_hosts.push(g);
+                }
+            }
+        }
+        let mut edit = Edit {
+            hosts: dirty,
+            unary_hosts,
+            removed: Vec::new(),
+            retracted: 0.0,
+        };
+        if let Some(labels) = labels {
+            debug_assert_eq!(labels.len(), self.model.model().var_count());
+            edit.retracted = edit.scope_energy(&self.model, labels);
+        }
+        let dirty = &edit.hosts;
+        let (model, slots, owners, base_energy) = self.model.parts_mut();
         if slots.len() < network.host_count() {
             slots.resize(network.host_count(), Vec::new());
-        }
-        let mut dirty_mask = vec![false; network.host_count()];
-        for &h in dirty {
-            dirty_mask[h.index()] = true;
         }
 
         // 1. Retract the fixed–fixed base terms of every link that touched
@@ -795,6 +952,7 @@ impl EnergyCache {
             for binding in &slots[h.index()] {
                 if let SlotBinding::Variable { var, .. } = binding {
                     model.remove_var(*var).map_err(Error::Mrf)?;
+                    edit.removed.push(*var);
                 }
             }
             slots[h.index()].clear();
@@ -811,6 +969,10 @@ impl EnergyCache {
                     host_slots.push(SlotBinding::Fixed(domain[0]));
                 } else {
                     let var = model.add_var(domain.len()).map_err(Error::Mrf)?;
+                    if owners.len() <= var.0 {
+                        owners.resize(var.0 + 1, HostId(u32::MAX));
+                    }
+                    owners[var.0] = h;
                     host_slots.push(SlotBinding::Variable {
                         var,
                         candidates: Arc::clone(domain),
@@ -821,20 +983,8 @@ impl EnergyCache {
         }
 
         // 4. Recompute the unaries of every free slot on a dirty host or a
-        //    direct neighbor of one: the folded contributions from fixed
-        //    neighbors are the only unary terms that can have changed, and
-        //    they never reach further than one hop.
-        let mut unary_mask = dirty_mask.clone();
-        let mut unary_hosts = dirty.to_vec();
-        for &h in dirty {
-            for &g in network.neighbors(h) {
-                if !unary_mask[g.index()] {
-                    unary_mask[g.index()] = true;
-                    unary_hosts.push(g);
-                }
-            }
-        }
-        for &h in &unary_hosts {
+        //    direct neighbor of one.
+        for &h in &edit.unary_hosts {
             let host = network.host(h).map_err(Error::Model)?;
             // One accumulator per free slot, so each neighbor's record is
             // read once for all of them (in the same neighbor order).
@@ -952,7 +1102,7 @@ impl EnergyCache {
                     vec![h]
                 }
                 Scope::Host(_) => Vec::new(),
-                Scope::All => dirty.to_vec(),
+                Scope::All => dirty.clone(),
             };
             for h in hosts {
                 let Ok(host) = network.host(h) else { continue };
@@ -984,7 +1134,7 @@ impl EnergyCache {
             }
         }
 
-        Ok((computed, reused))
+        Ok((computed, reused, edit))
     }
 }
 

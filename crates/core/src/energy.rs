@@ -27,7 +27,7 @@ use netmodel::assignment::Assignment;
 use netmodel::catalog::ProductSimilarity;
 use netmodel::constraints::ConstraintSet;
 use netmodel::network::Network;
-use netmodel::ProductId;
+use netmodel::{HostId, ProductId};
 
 use crate::cache::EnergyCache;
 use crate::Result;
@@ -74,6 +74,10 @@ pub enum SlotBinding {
 pub struct EnergyModel {
     model: MrfModel,
     slots: Vec<Vec<SlotBinding>>,
+    /// The host owning each variable slot (stale at tombstoned slots): the
+    /// inverse of `slots`, so a flipped variable names the one product row
+    /// it changes.
+    owners: Vec<HostId>,
     base_energy: f64,
 }
 
@@ -84,9 +88,18 @@ impl EnergyModel {
         slots: Vec<Vec<SlotBinding>>,
         base_energy: f64,
     ) -> EnergyModel {
+        let mut owners = vec![HostId(u32::MAX); model.var_count()];
+        for (host, row) in slots.iter().enumerate() {
+            for binding in row {
+                if let SlotBinding::Variable { var, .. } = binding {
+                    owners[var.0] = HostId(host as u32);
+                }
+            }
+        }
         EnergyModel {
             model,
             slots,
+            owners,
             base_energy,
         }
     }
@@ -105,15 +118,33 @@ impl EnergyModel {
     }
 
     /// Mutable access for [`EnergyCache`]'s in-place edits: the model, the
-    /// slot bindings, and the fixed–fixed base energy, borrowed together so
-    /// an edit can keep all three consistent.
-    pub(crate) fn parts_mut(&mut self) -> (&mut MrfModel, &mut Vec<Vec<SlotBinding>>, &mut f64) {
-        (&mut self.model, &mut self.slots, &mut self.base_energy)
+    /// slot bindings, the variable owners and the fixed–fixed base energy,
+    /// borrowed together so an edit can keep all four consistent.
+    pub(crate) fn parts_mut(
+        &mut self,
+    ) -> (
+        &mut MrfModel,
+        &mut Vec<Vec<SlotBinding>>,
+        &mut Vec<HostId>,
+        &mut f64,
+    ) {
+        (
+            &mut self.model,
+            &mut self.slots,
+            &mut self.owners,
+            &mut self.base_energy,
+        )
     }
 
     /// The binding of each (host, slot index).
     pub fn slots(&self) -> &[Vec<SlotBinding>] {
         &self.slots
+    }
+
+    /// The host whose slot variable `v` binds (meaningless for a tombstoned
+    /// slot).
+    pub(crate) fn owner(&self, v: VarId) -> HostId {
+        self.owners[v.0]
     }
 
     /// Pairwise energy between slots that are both fixed — constant across
@@ -134,20 +165,23 @@ impl EnergyModel {
     /// Panics if `labels` does not match the model's arity (solver output
     /// always does).
     pub fn decode(&self, labels: &[usize]) -> Assignment {
-        let slots = self
-            .slots
-            .iter()
-            .map(|host_slots| {
-                host_slots
-                    .iter()
-                    .map(|binding| match binding {
-                        SlotBinding::Fixed(p) => *p,
-                        SlotBinding::Variable { var, candidates } => candidates[labels[var.0]],
-                    })
-                    .collect()
-            })
-            .collect();
-        Assignment::from_slots(slots)
+        Assignment::from_slots(
+            (0..self.slots.len())
+                .map(|host| self.decode_host(labels, HostId(host as u32)))
+                .collect(),
+        )
+    }
+
+    /// Decodes one host's product row (empty for a host past the model).
+    pub(crate) fn decode_host(&self, labels: &[usize], host: HostId) -> Vec<ProductId> {
+        self.slots.get(host.index()).map_or_else(Vec::new, |row| {
+            row.iter()
+                .map(|binding| match binding {
+                    SlotBinding::Fixed(p) => *p,
+                    SlotBinding::Variable { var, candidates } => candidates[labels[var.0]],
+                })
+                .collect()
+        })
     }
 }
 

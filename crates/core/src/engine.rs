@@ -13,9 +13,9 @@
 //!    network (all-or-nothing: a failing delta leaves the engine exactly
 //!    as it was),
 //! 2. the energy cache refilters only the touched hosts' domains (the
-//!    merged `touched` set steers the revision scan) and reassembles the
-//!    MRF from cached pieces — **once per batch**, not per delta; only
-//!    then is the staged network committed,
+//!    merged `touched` set steers the revision scan) and edits the MRF in
+//!    place — **once per batch**, not per delta; only then is the staged
+//!    network committed,
 //! 3. the previous MAP assignment is *projected* onto the new model
 //!    (product identity per slot; vanished products fall back
 //!    per-variable) and the re-solve warm-starts from it — restricted to a
@@ -25,6 +25,21 @@
 //!    as a [`ReassignmentReport`]: which hosts changed products, the
 //!    objective before/after the re-solve, locality telemetry
 //!    (`frontier_hosts`, `swept_vars`), and solver/rebuild telemetry.
+//!
+//! **Carried state.** Steps 3 and 4 cost `O(touched)` rather than `O(V)`
+//! because the engine also carries the labeling its last assignment
+//! decodes from, with that labeling's energy. After an in-place edit the
+//! projection only has to re-seed the variables the edit re-bound, the
+//! carried energy moves by the edit's delta ([`crate::cache`] prices the
+//! factors it rewrites), and only the touched hosts' rows — then the rows
+//! of hosts owning a flipped variable — are decoded. The same step derives
+//! everything from the last assignment instead wherever the carried state
+//! is not known to match the model: after a reassembling refresh (which
+//! renumbers every variable), after the shard coordinator writes an
+//! assignment back or overlays multipliers on the model, after a
+//! constraint, parameter or similarity change, and after
+//! [`Error::UnsatisfiableConstraints`]. Debug builds check every step
+//! against that full derivation.
 //!
 //! [`NetworkDelta`]: netmodel::delta::NetworkDelta
 
@@ -36,7 +51,8 @@ use std::time::{Duration, Instant};
 use mrf::icm::Icm;
 use mrf::model::VarId;
 use mrf::order::SolveScratch;
-use mrf::projection::project_labels;
+use mrf::projection::{project_label, project_labels};
+use mrf::solution::Solution;
 use mrf::solver::{MapSolver, SolveControl};
 use mrf::trws::Trws;
 
@@ -47,7 +63,7 @@ use netmodel::delta::{BatchEffect, NetworkDelta};
 use netmodel::network::Network;
 use netmodel::{HostId, ProductId, ServiceId};
 
-use crate::cache::{EnergyCache, RebuildStats};
+use crate::cache::{Edit, EnergyCache, RebuildStats};
 use crate::energy::{EnergyModel, EnergyParams, SlotBinding};
 use crate::journal::{Journal, DEFAULT_SNAPSHOT_EVERY};
 use crate::optimizer::SolverKind;
@@ -170,6 +186,10 @@ pub struct DiversityEngine {
     /// [`DiversityEngine::set_pinned_hosts`]).
     pinned: Vec<HostId>,
     last: Option<Assignment>,
+    /// The labeling `last` decodes from, with its energy, carried across
+    /// warm steps; `None` wherever it is not known to match the model
+    /// (module docs), and the next warm step derives its start instead.
+    carried: Option<Carried>,
     /// Reusable solver structure/workspace (see [`mrf::order`]): prepared
     /// anew on each solve, but its allocations persist across steps, so a
     /// warm re-solve on a stable topology allocates nothing.
@@ -226,6 +246,7 @@ impl DiversityEngine {
             locality: Some(DEFAULT_LOCALITY_HOPS),
             pinned: Vec::new(),
             last: None,
+            carried: None,
             scratch: SolveScratch::new(),
             journal: None,
         }
@@ -237,6 +258,7 @@ impl DiversityEngine {
     pub fn with_constraints(mut self, constraints: ConstraintSet) -> DiversityEngine {
         self.cache.set_constraints(&constraints);
         self.last = None;
+        self.carried = None;
         self
     }
 
@@ -245,6 +267,7 @@ impl DiversityEngine {
     pub fn with_params(mut self, params: EnergyParams) -> DiversityEngine {
         self.cache.set_params(params);
         self.last = None;
+        self.carried = None;
         self
     }
 
@@ -388,6 +411,7 @@ impl DiversityEngine {
     /// multiplier overlays on boundary unaries in place instead of
     /// cloning the shard model per subgradient iteration.
     pub(crate) fn energy_mut(&mut self) -> &mut EnergyModel {
+        self.carried = None;
         self.cache.model_mut()
     }
 
@@ -409,6 +433,7 @@ impl DiversityEngine {
         let constraints = self.cache.constraints().clone();
         self.cache = EnergyCache::deferred(&constraints, params);
         self.last = None;
+        self.carried = None;
         self.scratch = SolveScratch::new();
     }
 
@@ -433,6 +458,7 @@ impl DiversityEngine {
             locality: self.locality,
             pinned: Vec::new(),
             last: None,
+            carried: None,
             scratch: SolveScratch::new(),
             journal: None,
         }
@@ -446,6 +472,7 @@ impl DiversityEngine {
     /// engine's own model).
     pub(crate) fn set_assignment(&mut self, assignment: Assignment) {
         self.last = Some(assignment);
+        self.carried = None;
     }
 
     /// Pins hosts against warm re-solves: their variables are conditioned
@@ -496,6 +523,7 @@ impl DiversityEngine {
     pub fn update_similarity(&mut self, a: ProductId, b: ProductId, similarity: f64) {
         self.similarity.set(a, b, similarity);
         self.cache.invalidate_similarity_pair(a, b);
+        self.carried = None;
     }
 
     /// Applies one delta end to end: staged network mutation, incremental
@@ -600,12 +628,21 @@ impl DiversityEngine {
     /// refreshes against the *staged* network first, and only a successful
     /// refresh commits the staged network — so validation errors and
     /// [`Error::Infeasible`] leave every piece of engine state (network
-    /// revision, cached model, last assignment) at the previous revision.
+    /// revision, cached model, last assignment, carried labeling) at the
+    /// previous revision.
+    ///
+    /// A warm step starts from the carried labeling when one is valid for
+    /// the refreshed model, and otherwise derives its start from the last
+    /// assignment (module docs); the two differ only in how they obtain the
+    /// start labels, the carried objective and the committed rows.
     fn step(&mut self, staged: Option<StagedDeltas>) -> Result<ReassignmentReport> {
         let rebuild_start = Instant::now();
         let target = staged.as_ref().map_or(&self.network, |s| &s.network);
         let hint = staged.as_ref().map(|s| s.effect.touched.as_slice());
-        let rebuild = self.cache.refresh_hinted(target, &self.similarity, hint)?;
+        let carried_labels = self.carried.as_ref().map(|c| c.labels.as_slice());
+        let (rebuild, edit) =
+            self.cache
+                .refresh_carrying(target, &self.similarity, hint, carried_labels)?;
         let rebuild_wall = rebuild_start.elapsed();
         // The model matches the staged revision: commit the network.
         let (delta_kind, touched, deltas_applied) = match staged {
@@ -615,21 +652,25 @@ impl DiversityEngine {
             }
             None => (None, Vec::new(), 0),
         };
+        // The carried labeling survives a refresh that left the variables
+        // alone or edited them in place; a reassembly renumbers them all.
+        let carried = self
+            .carried
+            .take()
+            .filter(|_| !rebuild.rebuilt || edit.is_some());
         let energy = self.cache.model();
         let ctl = self.control();
+        let previous = cfg!(debug_assertions).then(|| self.last.clone()).flatten();
 
         let solve_start = Instant::now();
-        let full_model_sweep = (
-            self.network.active_host_count(),
-            energy.model().live_var_count(),
-        );
-        let (solution, warm_started, carried, objective_before, locality) = match &self.last {
-            Some(prev) => {
-                let seeds = seed_labels(energy.slots(), energy.model().var_count(), prev);
-                let start = project_labels(energy.model(), &seeds);
-                let carried_objective = energy.model().energy(&start) + energy.base_energy();
-                let carried = energy.decode(&start);
-                let (solution, locality) = if self.pinned.is_empty() {
+        let warm = self.last.as_ref().map(|prev| match carried {
+            Some(carried) => WarmStart::carried(energy, prev, carried, edit.as_ref()),
+            None => WarmStart::derived(energy, prev),
+        });
+        let (solution, locality) = match &warm {
+            Some(warm) => {
+                let start = warm.labels.clone();
+                if self.pinned.is_empty() {
                     match self.locality {
                         Some(k) if !touched.is_empty() => {
                             let ball = frontier_ball(&self.network, &touched, k);
@@ -637,14 +678,15 @@ impl DiversityEngine {
                             let local = self.refiner.refine_local_with(
                                 energy.model(),
                                 start,
+                                warm.energy,
                                 &frontier,
                                 &ctl,
                                 &mut self.scratch,
                             );
                             let locality = if local.full_sweep {
-                                (full_model_sweep.0, full_model_sweep.1, false)
+                                Locality::Full(energy.model().live_var_count())
                             } else {
-                                (ball.len(), local.swept_vars, true)
+                                Locality::Local(ball.len(), local.swept_vars)
                             };
                             (local.solution, locality)
                         }
@@ -655,7 +697,7 @@ impl DiversityEngine {
                                 &ctl,
                                 &mut self.scratch,
                             ),
-                            (full_model_sweep.0, full_model_sweep.1, false),
+                            Locality::Full(energy.model().live_var_count()),
                         ),
                     }
                 } else {
@@ -673,14 +715,15 @@ impl DiversityEngine {
                             let local = self.refiner.refine_local_sealed(
                                 energy.model(),
                                 start,
+                                warm.energy,
                                 &frontier,
                                 &sealed,
                                 &ctl,
                             );
                             let locality = if local.full_sweep {
-                                (full_model_sweep.0, local.swept_vars, false)
+                                Locality::Full(local.swept_vars)
                             } else {
-                                (ball.len(), local.swept_vars, true)
+                                Locality::Local(ball.len(), local.swept_vars)
                             };
                             (local.solution, locality)
                         }
@@ -691,38 +734,57 @@ impl DiversityEngine {
                             let local = self.refiner.refine_local_sealed(
                                 energy.model(),
                                 start,
+                                warm.energy,
                                 &all,
                                 &sealed,
                                 &ctl,
                             );
-                            (
-                                local.solution,
-                                (full_model_sweep.0, local.swept_vars, false),
-                            )
+                            (local.solution, Locality::Full(local.swept_vars))
                         }
                     }
-                };
-                (
-                    solution,
-                    true,
-                    Some(carried),
-                    Some(carried_objective),
-                    locality,
-                )
+                }
             }
             None => (
                 self.solver
                     .solve_with(energy.model(), &ctl, &mut self.scratch),
-                false,
-                None,
-                None,
-                (full_model_sweep.0, full_model_sweep.1, false),
+                Locality::Full(energy.model().live_var_count()),
             ),
         };
         let solve_wall = solve_start.elapsed();
-        let (frontier_hosts, swept_vars, localized) = locality;
+        let (frontier_hosts, swept_vars, localized) = match locality {
+            Locality::Local(hosts, vars) => (hosts, vars, true),
+            Locality::Full(vars) => (self.network.active_host_count(), vars, false),
+        };
 
-        let assignment = energy.decode(solution.labels());
+        let (assignment, changed_hosts) = match (self.last.take(), &warm) {
+            (Some(prev), Some(warm)) if warm.carried => {
+                let rebound = edit.as_ref().map_or(&[][..], |e| e.hosts.as_slice());
+                commit_rows(
+                    energy,
+                    &self.network,
+                    prev,
+                    rebound,
+                    &warm.labels,
+                    solution.labels(),
+                )
+            }
+            (prev, _) => {
+                let assignment = energy.decode(solution.labels());
+                let changed = changed_hosts(&self.network, prev.as_ref(), &assignment);
+                (assignment, changed)
+            }
+        };
+        if cfg!(debug_assertions) {
+            check_step(
+                energy,
+                &self.network,
+                previous.as_ref(),
+                warm.as_ref(),
+                &solution,
+                &assignment,
+                &changed_hosts,
+            );
+        }
         debug_assert!(assignment.validate(&self.network).is_ok());
         let violations = self
             .cache
@@ -730,43 +792,210 @@ impl DiversityEngine {
             .violations(&self.network, &assignment);
         if !violations.is_empty() {
             // The model and network moved on; the stale assignment must not
-            // seed future warm starts.
-            self.last = None;
+            // seed future warm starts (`last` and the carried labeling were
+            // both taken above).
             return Err(Error::UnsatisfiableConstraints {
                 violations: violations.len(),
             });
         }
 
-        let changed_hosts = changed_hosts(&self.network, self.last.as_ref(), &assignment);
-        let solver_name = if warm_started {
+        let solver_name = if warm.is_some() {
             self.refiner.name()
         } else {
             self.solver.name()
         };
+        let base = energy.base_energy();
         let report = ReassignmentReport {
             revision: self.network.revision(),
             delta_kind,
             deltas_applied,
             touched,
             changed_hosts,
-            objective_before,
-            objective_after: solution.energy() + energy.base_energy(),
-            carried,
-            warm_started,
+            objective_before: warm.as_ref().map(|w| w.energy + base),
+            objective_after: solution.energy() + base,
+            warm_started: warm.is_some(),
+            carried: warm.map(|w| w.assignment),
             solver: solver_name,
             rebuild,
             rebuild_wall,
             solve_wall,
             iterations: solution.iterations(),
             converged: solution.converged(),
-            lower_bound: solution.lower_bound().map(|lb| lb + energy.base_energy()),
+            lower_bound: solution.lower_bound().map(|lb| lb + base),
             frontier_hosts,
             swept_vars,
             localized,
         };
         self.last = Some(assignment);
+        self.carried = Some(Carried {
+            energy: solution.energy(),
+            labels: solution.into_labels(),
+        });
         Ok(report)
     }
+}
+
+/// The committed MRF labeling of the current model — one entry per
+/// variable slot, 0 at tombstoned slots as
+/// [`mrf::projection::project_labels`] leaves them — and its MRF energy
+/// (the objective minus the model's base energy). The engine's last
+/// assignment is its decoding.
+struct Carried {
+    labels: Vec<usize>,
+    energy: f64,
+}
+
+/// Where a warm step starts: the start labels, their MRF energy, and their
+/// decoding (the carried-forward assignment the report shows).
+struct WarmStart {
+    labels: Vec<usize>,
+    energy: f64,
+    assignment: Assignment,
+    /// Whether the start was carried across the refresh rather than
+    /// derived: only then do the committed rows re-decode just what moved.
+    carried: bool,
+}
+
+impl WarmStart {
+    /// The carried labeling moved across the refresh: after an in-place
+    /// edit, the removed variables' slots are zeroed, the re-bound hosts'
+    /// variables re-seeded from their previous rows, the energy moved by
+    /// the edit's delta, and only the re-bound hosts' rows re-decoded.
+    /// `O(touched)` apart from copying `prev`'s rows.
+    fn carried(
+        energy: &EnergyModel,
+        prev: &Assignment,
+        carried: Carried,
+        edit: Option<&Edit>,
+    ) -> WarmStart {
+        let Carried {
+            mut labels,
+            energy: mut start_energy,
+        } = carried;
+        let mut rows = prev.clone().into_slots();
+        if let Some(edit) = edit {
+            let model = energy.model();
+            for v in &edit.removed {
+                labels[v.0] = 0;
+            }
+            labels.resize(model.var_count(), 0);
+            rows.resize(energy.slots().len(), Vec::new());
+            for &host in &edit.hosts {
+                let old_row = prev.products_at(host);
+                for (slot, binding) in energy.slots()[host.index()].iter().enumerate() {
+                    if let SlotBinding::Variable { var, candidates } = binding {
+                        labels[var.0] =
+                            project_label(model, *var, seed(candidates, old_row.get(slot)));
+                    }
+                }
+                rows[host.index()] = energy.decode_host(&labels, host);
+            }
+            start_energy += edit.scope_energy(energy, &labels) - edit.retracted;
+        }
+        WarmStart {
+            labels,
+            energy: start_energy,
+            assignment: Assignment::from_slots(rows),
+            carried: true,
+        }
+    }
+
+    /// The full derivation from the previous assignment alone: seed every
+    /// variable from its host's previous row, project, evaluate and decode
+    /// the whole model.
+    fn derived(energy: &EnergyModel, prev: &Assignment) -> WarmStart {
+        let seeds = seed_labels(energy.slots(), energy.model().var_count(), prev);
+        let labels = project_labels(energy.model(), &seeds);
+        WarmStart {
+            energy: energy.model().energy(&labels),
+            assignment: energy.decode(&labels),
+            labels,
+            carried: false,
+        }
+    }
+}
+
+/// How far a (re-)solve reached: a frontier ball of `.0` hosts with `.1`
+/// variables swept, or the whole model with `.0` variables swept.
+enum Locality {
+    Local(usize, usize),
+    Full(usize),
+}
+
+/// The committed rows after a carried step: `prev`'s rows with the
+/// re-bound hosts' rows and the rows of every host owning a flipped
+/// variable re-decoded from `labels`, plus the live hosts among them whose
+/// row changed — `O(touched + flips)` rows instead of the whole table.
+fn commit_rows(
+    energy: &EnergyModel,
+    network: &Network,
+    prev: Assignment,
+    rebound: &[HostId],
+    start: &[usize],
+    labels: &[usize],
+) -> (Assignment, Vec<HostId>) {
+    let mut hosts = rebound.to_vec();
+    hosts.extend(
+        start
+            .iter()
+            .zip(labels)
+            .enumerate()
+            .filter(|(_, (before, after))| before != after)
+            .map(|(v, _)| energy.owner(VarId(v))),
+    );
+    hosts.sort_unstable();
+    hosts.dedup();
+    let mut rows = prev.into_slots();
+    rows.resize(energy.slots().len(), Vec::new());
+    let mut changed = Vec::new();
+    for host in hosts {
+        let row = energy.decode_host(labels, host);
+        if row != rows[host.index()] && network.host(host).is_ok_and(|h| !h.is_removed()) {
+            changed.push(host);
+        }
+        rows[host.index()] = row;
+    }
+    (Assignment::from_slots(rows), changed)
+}
+
+/// Debug-build audit of one step against the full derivation: the start
+/// labels are the projected seeds of the previous assignment, both
+/// objectives match a whole-model evaluation, both assignments match a
+/// whole-model decode, and `changed` is the full row diff.
+fn check_step(
+    energy: &EnergyModel,
+    network: &Network,
+    previous: Option<&Assignment>,
+    warm: Option<&WarmStart>,
+    solution: &Solution,
+    assignment: &Assignment,
+    changed: &[HostId],
+) {
+    let model = energy.model();
+    let close = |carried: f64, labels: &[usize]| {
+        let exact = model.energy(labels);
+        assert!(
+            (carried - exact).abs() <= 1e-9 * exact.abs().max(1.0),
+            "carried energy {carried} drifted from the model's {exact}"
+        );
+    };
+    if let (Some(warm), Some(prev)) = (warm, previous) {
+        let seeds = seed_labels(energy.slots(), model.var_count(), prev);
+        assert_eq!(warm.labels, project_labels(model, &seeds), "start labels");
+        close(warm.energy, &warm.labels);
+        assert_eq!(warm.assignment, energy.decode(&warm.labels), "carried rows");
+    }
+    close(solution.energy(), solution.labels());
+    assert_eq!(
+        *assignment,
+        energy.decode(solution.labels()),
+        "committed rows"
+    );
+    assert_eq!(
+        changed,
+        changed_hosts(network, previous, assignment),
+        "changed hosts"
+    );
 }
 
 /// The live hosts within `k` hops of any host in `touched` (including the
@@ -834,13 +1063,17 @@ fn seed_labels(
         let old_row = previous.products_at(HostId(host as u32));
         for (slot, binding) in host_slots.iter().enumerate() {
             if let SlotBinding::Variable { var, candidates } = binding {
-                seeds[var.0] = old_row
-                    .get(slot)
-                    .and_then(|old| candidates.iter().position(|p| p == old));
+                seeds[var.0] = seed(candidates, old_row.get(slot));
             }
         }
     }
     seeds
+}
+
+/// One slot's seed: the label of the product it ran before, if that is
+/// still a candidate.
+fn seed(candidates: &[ProductId], old: Option<&ProductId>) -> Option<usize> {
+    old.and_then(|old| candidates.iter().position(|p| p == old))
 }
 
 /// Hosts whose product row differs between `previous` and `current`

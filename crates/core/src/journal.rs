@@ -52,8 +52,8 @@ use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::ConstraintSet;
 use netmodel::delta::NetworkDelta;
 use netmodel::journal::{
-    read_tolerant, BatchRecord, JournalRead, MarkRecord, Preamble, Record, SnapshotRecord,
-    FORMAT_VERSION,
+    batch_line, read_tolerant, snapshot_line, BatchRecord, JournalRead, MarkRecord, Preamble,
+    Record, SnapshotRecord, FORMAT_VERSION,
 };
 use netmodel::network::Network;
 
@@ -72,14 +72,6 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> netmodel::Error {
 
 fn journal_err(message: String) -> Error {
     Error::Model(netmodel::Error::Journal(message))
-}
-
-fn snapshot_record(network: &Network, assignment: Option<&Assignment>) -> SnapshotRecord {
-    SnapshotRecord {
-        revision: network.revision(),
-        network: network.clone(),
-        assignment: assignment.cloned(),
-    }
 }
 
 /// The append-only journal writer attached to an engine.
@@ -115,11 +107,22 @@ impl Journal {
         snapshot: SnapshotRecord,
         snapshot_every: Option<usize>,
     ) -> netmodel::Result<Journal> {
-        let path = path.as_ref().to_path_buf();
         let preamble_line = Record::Preamble(preamble.clone()).to_line();
+        let snapshot_line = Record::Snapshot(snapshot).to_line();
+        Journal::create_lines(path, preamble_line, &snapshot_line, snapshot_every)
+    }
+
+    /// [`Journal::create`] from encoded preamble and snapshot lines.
+    fn create_lines(
+        path: impl AsRef<Path>,
+        preamble_line: String,
+        snapshot_line: &str,
+        snapshot_every: Option<usize>,
+    ) -> netmodel::Result<Journal> {
+        let path = path.as_ref().to_path_buf();
         let mut file = File::create(&path).map_err(|e| io_err("create", &path, &e))?;
         file.write_all(preamble_line.as_bytes())
-            .and_then(|()| file.write_all(Record::Snapshot(snapshot).to_line().as_bytes()))
+            .and_then(|()| file.write_all(snapshot_line.as_bytes()))
             .and_then(|()| file.flush())
             .map_err(|e| io_err("write", &path, &e))?;
         Ok(Journal {
@@ -144,14 +147,15 @@ impl Journal {
         assignment: Option<&Assignment>,
         snapshot_every: Option<usize>,
     ) -> Result<Journal> {
-        let preamble = Preamble {
+        let preamble = Record::Preamble(Preamble {
             format: FORMAT_VERSION,
             catalog: catalog.clone(),
             similarity: similarity.clone(),
             constraints: constraints.clone(),
-        };
-        let snapshot = snapshot_record(network, assignment);
-        Journal::create(path, &preamble, snapshot, snapshot_every).map_err(Error::Model)
+        });
+        let snapshot = snapshot_line(network, assignment);
+        Journal::create_lines(path, preamble.to_line(), &snapshot, snapshot_every)
+            .map_err(Error::Model)
     }
 
     /// Journals one committed batch, plus a compacting snapshot when the
@@ -182,7 +186,7 @@ impl Journal {
         network: &Network,
         assignment: Option<&Assignment>,
     ) -> Result<()> {
-        self.append_snapshot(snapshot_record(network, assignment))
+        self.write_snapshot(&snapshot_line(network, assignment))
             .map_err(Error::Model)
     }
 
@@ -221,14 +225,7 @@ impl Journal {
         assignment: Option<&Assignment>,
     ) -> netmodel::Result<u64> {
         let seq = self.seq;
-        let line = Record::Batch(BatchRecord {
-            seq,
-            revision,
-            deltas: deltas.to_vec(),
-            assignment: assignment.cloned(),
-        })
-        .to_line();
-        self.append_line(&line)?;
+        self.append_line(&batch_line(seq, revision, deltas, assignment))?;
         self.seq += 1;
         self.batches_since_snapshot += 1;
         Ok(seq)
@@ -262,9 +259,13 @@ impl Journal {
     ///
     /// [`netmodel::Error::Journal`] on I/O failure.
     pub fn append_snapshot(&mut self, snapshot: SnapshotRecord) -> netmodel::Result<()> {
-        let line = Record::Snapshot(snapshot).to_line();
+        self.write_snapshot(&Record::Snapshot(snapshot).to_line())
+    }
+
+    /// [`Journal::append_snapshot`] of an encoded snapshot line.
+    fn write_snapshot(&mut self, line: &str) -> netmodel::Result<()> {
         if self.snapshot_every.is_none() {
-            self.append_line(&line)?;
+            self.append_line(line)?;
             self.batches_since_snapshot = 0;
             return Ok(());
         }

@@ -1339,11 +1339,13 @@ impl ShardedEngine {
     /// Replays a committed burst's topology deltas onto the maintained
     /// partition, in burst order — incremental boundary promotion and
     /// demotion, O(touched · degree), never a from-scratch recompute. A
-    /// `RemoveHost` draining a zone's last live host retires its shard on
-    /// the spot. `next_global` is the master host count *before* the burst:
+    /// shard whose zone the burst leaves drained (a `RemoveHost` took its
+    /// last live host and no later `AddHost` of the burst joined it)
+    /// retires. `next_global` is the master host count *before* the burst:
     /// the k-th `AddHost` owns global id `next_global + k`, matching the
     /// locator commit.
     fn replay_partition(&mut self, deltas: &[NetworkDelta], mut next_global: usize) {
+        let mut drained = Vec::new();
         for delta in deltas {
             match delta {
                 NetworkDelta::AddHost { zone, links, .. } => {
@@ -1354,6 +1356,7 @@ impl ShardedEngine {
                         shard < self.shards.len(),
                         "partition zone creation tracks the routed shard creation"
                     );
+                    drained.retain(|&s| s != shard);
                     for &peer in links {
                         self.partition.add_link(host, peer);
                     }
@@ -1361,14 +1364,16 @@ impl ShardedEngine {
                 NetworkDelta::RemoveHost { host } => {
                     let shard = self.partition.shard_of(*host);
                     if self.partition.remove_host(*host) == 0 {
-                        let shard = shard.expect("removed host was live in the partition");
-                        self.retire_shard(shard);
+                        drained.push(shard.expect("removed host was live in the partition"));
                     }
                 }
                 NetworkDelta::AddLink { a, b } => self.partition.add_link(*a, *b),
                 NetworkDelta::RemoveLink { a, b } => self.partition.remove_link(*a, *b),
                 _ => {}
             }
+        }
+        for shard in drained {
+            self.retire_shard(shard);
         }
     }
 
@@ -2903,6 +2908,27 @@ mod tests {
             .unwrap();
         assert_eq!(engine.partition_recomputes(), 0);
         let _ = costs_before;
+
+        // Draining the zone and rejoining it in one burst leaves it live.
+        let report = engine
+            .apply_batch(&[
+                NetworkDelta::remove_host(returner),
+                NetworkDelta::AddHost {
+                    name: "rejoiner".into(),
+                    zone: Some("zone1".into()),
+                    services: vec![(os, engine.catalog().products_of(os).to_vec())],
+                    links: vec![HostId(0)],
+                },
+            ])
+            .unwrap();
+        assert!(!engine.shard_retired(1), "zone 1 drained and rejoined");
+        assert!(report.shard_reports[1].is_some());
+        assert_eq!(engine.assignment().unwrap().products_at(HostId(9)).len(), 1);
+        engine
+            .assignment()
+            .unwrap()
+            .validate(engine.network())
+            .unwrap();
     }
 
     #[test]

@@ -15,6 +15,20 @@
 //! class runs on one thread or eight — the property the colored ≡
 //! sequential proptests pin. `threads == 1` keeps the classic slot-order
 //! sweep bit-for-bit.
+//!
+//! The frontier-restricted sweeps ([`MapSolver::refine_local`] and
+//! [`MapSolver::refine_local_sealed`]) visit a *worklist*, not the whole
+//! active region: a variable is queued when it enters the region and
+//! whenever a neighbor flips, and each sweep drains the queue in ascending
+//! slot order, a variable queued behind the cursor waiting for the next
+//! sweep. The skipped visits are exactly the ones that cannot flip: a
+//! variable's conditional costs depend only on its neighbors' labels, so
+//! with none of them moved since its last visit it would find its own
+//! label (or a non-improving one) again. Labels, flips, sweep counts and
+//! region telemetry are therefore those of the full masked sweep, at a
+//! fraction of the evaluations. The returned energy is the caller's start
+//! energy plus the accepted flips' deltas, so a localized refinement never
+//! evaluates the whole model.
 
 use crate::local::{ActiveRegion, LocalRefine};
 use crate::model::{MrfModel, VarId};
@@ -323,6 +337,70 @@ impl Icm {
         ctl.report(sweeps, energy, None);
         Solution::new(labels, energy, None, sweeps, converged)
     }
+
+    /// Masked coordinate descent from `start` (whose energy the caller
+    /// supplies): sweeps only the active region seeded by `frontier`,
+    /// activating every flipped variable's neighbors, and falls back to a
+    /// full [`Icm::solve_from`] when the region grows past half the model
+    /// (see [`crate::local`]). Each sweep visits, in ascending slot order,
+    /// only the queued variables (module docs), and the returned energy is
+    /// `start_energy` plus the accepted flips' deltas — no pass over the
+    /// whole model unless the fallback fires.
+    fn local_descent(
+        &self,
+        model: &MrfModel,
+        start: Vec<usize>,
+        start_energy: f64,
+        frontier: &[VarId],
+        ctl: &SolveControl,
+    ) -> LocalRefine {
+        assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
+        let region = ActiveRegion::new(model, frontier);
+        if region.count == 0 {
+            return LocalRefine::noop(start, start_energy);
+        }
+        if region.should_fall_back() {
+            return LocalRefine::full(self.solve_from(model, start, ctl), model.live_var_count());
+        }
+        let mut d = LocalDescent::new(model, region, frontier, start, start_energy);
+        let mut sweeps = 0usize;
+        let mut converged = false;
+        for sweep in 0..self.options.max_sweeps {
+            if ctl.should_stop() {
+                break;
+            }
+            sweeps = sweep + 1;
+            let mut changed = false;
+            let mut at = 0;
+            while let Some(i) = d.work.take_from(at) {
+                at = i + 1;
+                let Some(added) = d.visit(model, i, &[]) else {
+                    continue;
+                };
+                changed = true;
+                if added > 0 {
+                    d.region.expansions += 1;
+                    if d.region.should_fall_back() {
+                        // The wave stopped being local: finish with an
+                        // unmasked descent from where we got to.
+                        let expansions = d.region.expansions;
+                        let full = self.solve_from(model, d.labels, ctl);
+                        return LocalRefine {
+                            solution: full,
+                            swept_vars: model.live_var_count(),
+                            expansions,
+                            full_sweep: true,
+                        };
+                    }
+                }
+            }
+            if !changed {
+                converged = true;
+                break;
+            }
+        }
+        d.finish(sweeps, converged, false, ctl)
+    }
 }
 
 impl MapSolver for Icm {
@@ -372,10 +450,11 @@ impl MapSolver for Icm {
         }
     }
 
-    /// Masked coordinate descent: sweeps only the active region, activating
-    /// every flipped variable's neighbors (a flip can create pressure one
-    /// hop further out). Falls back to a full [`Icm::solve_from`] when the
-    /// region grows past half the model (see [`crate::local`]).
+    /// Masked coordinate descent over the active region (module docs),
+    /// started at `model.energy(&start)`: sweeps only the frontier's
+    /// region, activating every flipped variable's neighbors, and falls
+    /// back to a full [`Icm::solve_from`] when the region grows past half
+    /// the model (see [`crate::local`]).
     fn refine_local(
         &self,
         model: &MrfModel,
@@ -383,63 +462,24 @@ impl MapSolver for Icm {
         frontier: &[VarId],
         ctl: &SolveControl,
     ) -> LocalRefine {
-        assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
-        let n = model.var_count();
-        let mut region = ActiveRegion::new(model, frontier);
-        if region.count == 0 {
-            return LocalRefine::noop(model, start);
-        }
-        if region.should_fall_back() {
-            return LocalRefine::full(self.solve_from(model, start, ctl), model.live_var_count());
-        }
-        let mut labels = start;
-        let mut cost = vec![0.0f64; model.max_labels()];
-        let mut sweeps = 0usize;
-        let mut converged = false;
-        for sweep in 0..self.options.max_sweeps {
-            if ctl.should_stop() {
-                break;
-            }
-            sweeps = sweep + 1;
-            let mut changed = false;
-            for i in 0..n {
-                if !region.mask[i] {
-                    continue;
-                }
-                let best = conditional_argmin(model, &labels, i, &mut cost);
-                if best != labels[i] && cost[best] < cost[labels[i]] {
-                    labels[i] = best;
-                    changed = true;
-                    if region.activate_neighbors(model, i) > 0 {
-                        region.expansions += 1;
-                        if region.should_fall_back() {
-                            // The wave stopped being local: finish with an
-                            // unmasked descent from where we got to.
-                            let expansions = region.expansions;
-                            let full = self.solve_from(model, labels, ctl);
-                            return LocalRefine {
-                                solution: full,
-                                swept_vars: model.live_var_count(),
-                                expansions,
-                                full_sweep: true,
-                            };
-                        }
-                    }
-                }
-            }
-            if !changed {
-                converged = true;
-                break;
-            }
-        }
-        let energy = model.energy(&labels);
-        ctl.report(sweeps, energy, None);
-        LocalRefine {
-            solution: Solution::new(labels, energy, None, sweeps, converged),
-            swept_vars: region.count,
-            expansions: region.expansions,
-            full_sweep: false,
-        }
+        let start_energy = model.energy(&start);
+        self.local_descent(model, start, start_energy, frontier, ctl)
+    }
+
+    /// [`MapSolver::refine_local`]'s descent from the caller's start
+    /// energy, with no pass over the whole model unless the fallback fires.
+    /// The masked sweep needs no prepared structure and ignores the
+    /// scratch.
+    fn refine_local_with(
+        &self,
+        model: &MrfModel,
+        start: Vec<usize>,
+        start_energy: f64,
+        frontier: &[VarId],
+        ctl: &SolveControl,
+        _scratch: &mut SolveScratch,
+    ) -> LocalRefine {
+        self.local_descent(model, start, start_energy, frontier, ctl)
     }
 
     /// Masked coordinate descent with a hard freeze: sealed variables are
@@ -447,17 +487,20 @@ impl MapSolver for Icm {
     /// fallback widens the region to *every unsealed* variable instead of
     /// handing off to an unmasked full descent. No submodel is built — the
     /// seal is just a mask on the in-place sweep, which is what makes
-    /// pinned warm re-solves as cheap as unpinned ones.
+    /// pinned warm re-solves as cheap as unpinned ones. Visits follow the
+    /// same worklist, and the energy is carried from `start_energy` the same
+    /// way, as in [`MapSolver::refine_local_with`].
     fn refine_local_sealed(
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         sealed: &[VarId],
         ctl: &SolveControl,
     ) -> LocalRefine {
         if sealed.is_empty() {
-            return self.refine_local(model, start, frontier, ctl);
+            return self.local_descent(model, start, start_energy, frontier, ctl);
         }
         assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
         let n = model.var_count();
@@ -475,19 +518,15 @@ impl MapSolver for Icm {
             .copied()
             .filter(|v| v.0 < n && !sealed_mask[v.0])
             .collect();
-        let mut region = ActiveRegion::new(model, &unsealed_frontier);
+        let region = ActiveRegion::new(model, &unsealed_frontier);
         if region.count == 0 {
-            return LocalRefine::noop(model, start);
+            return LocalRefine::noop(start, start_energy);
         }
-        let mut full_sweep = 2 * region.count > unsealed_total;
+        let mut d = LocalDescent::new(model, region, &unsealed_frontier, start, start_energy);
+        let mut full_sweep = 2 * d.region.count > unsealed_total;
         if full_sweep {
-            for (i, active) in region.mask.iter_mut().enumerate() {
-                *active = !sealed_mask[i] && model.is_live(VarId(i));
-            }
-            region.count = unsealed_total;
+            d.widen(model, &sealed_mask, unsealed_total);
         }
-        let mut labels = start;
-        let mut cost = vec![0.0f64; model.max_labels()];
         let mut sweeps = 0usize;
         let mut converged = false;
         for sweep in 0..self.options.max_sweeps {
@@ -496,38 +535,20 @@ impl MapSolver for Icm {
             }
             sweeps = sweep + 1;
             let mut changed = false;
-            for i in 0..n {
-                if !region.mask[i] || sealed_mask[i] {
+            let mut at = 0;
+            while let Some(i) = d.work.take_from(at) {
+                at = i + 1;
+                let Some(added) = d.visit(model, i, &sealed_mask) else {
                     continue;
-                }
-                let best = conditional_argmin(model, &labels, i, &mut cost);
-                if best != labels[i] && cost[best] < cost[labels[i]] {
-                    labels[i] = best;
-                    changed = true;
-                    if !full_sweep {
-                        let mut added = 0;
-                        for &eidx in model.incident_edges(VarId(i)) {
-                            let e = model.edges()[eidx as usize];
-                            let other = if e.a().0 == i { e.b().0 } else { e.a().0 };
-                            if !sealed_mask[other] && !region.mask[other] {
-                                region.mask[other] = true;
-                                region.count += 1;
-                                added += 1;
-                            }
-                        }
-                        if added > 0 {
-                            region.expansions += 1;
-                            if 2 * region.count > unsealed_total {
-                                // The wave stopped being local: widen to
-                                // every live unsealed variable and keep
-                                // going.
-                                full_sweep = true;
-                                for (v, active) in region.mask.iter_mut().enumerate() {
-                                    *active = !sealed_mask[v] && model.is_live(VarId(v));
-                                }
-                                region.count = unsealed_total;
-                            }
-                        }
+                };
+                changed = true;
+                if added > 0 {
+                    d.region.expansions += 1;
+                    if 2 * d.region.count > unsealed_total {
+                        // The wave stopped being local: widen to every live
+                        // unsealed variable and keep going.
+                        full_sweep = true;
+                        d.widen(model, &sealed_mask, unsealed_total);
                     }
                 }
             }
@@ -536,12 +557,134 @@ impl MapSolver for Icm {
                 break;
             }
         }
-        let energy = model.energy(&labels);
-        ctl.report(sweeps, energy, None);
+        d.finish(sweeps, converged, full_sweep, ctl)
+    }
+}
+
+/// The variables a masked sweep still has to visit: those whose
+/// neighborhood changed since their last visit (module docs). A bitset
+/// over variable slots, drained in ascending slot order.
+struct Worklist {
+    words: Vec<u64>,
+}
+
+impl Worklist {
+    fn new(var_count: usize) -> Worklist {
+        Worklist {
+            words: vec![0; var_count.div_ceil(64)],
+        }
+    }
+
+    fn mark(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Removes and returns the lowest marked slot at or after `from`.
+    fn take_from(&mut self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0u64 << (from % 64));
+        loop {
+            if bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                self.words[w] &= !(1 << (i % 64));
+                return Some(i);
+            }
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+    }
+}
+
+/// The state of one masked local descent: the active region, the worklist,
+/// and the labeling with its energy carried as the start energy plus the
+/// accepted flips' deltas.
+struct LocalDescent {
+    region: ActiveRegion,
+    work: Worklist,
+    labels: Vec<usize>,
+    energy: f64,
+    cost: Vec<f64>,
+}
+
+impl LocalDescent {
+    /// Starts from `start` with every `frontier` variable queued (the
+    /// caller's region seeds the same set).
+    fn new(
+        model: &MrfModel,
+        region: ActiveRegion,
+        frontier: &[VarId],
+        start: Vec<usize>,
+        start_energy: f64,
+    ) -> LocalDescent {
+        let mut work = Worklist::new(model.var_count());
+        for &v in frontier {
+            if model.is_live(v) {
+                work.mark(v.0);
+            }
+        }
+        LocalDescent {
+            region,
+            work,
+            labels: start,
+            energy: start_energy,
+            cost: vec![0.0f64; model.max_labels()],
+        }
+    }
+
+    /// One ICM move on `i`: flips it to its conditional argmin when that is
+    /// strictly better, then queues every unsealed neighbor for a revisit
+    /// and activates those outside the region. Returns how many neighbors
+    /// were newly activated, or `None` when `i` kept its label.
+    fn visit(&mut self, model: &MrfModel, i: usize, sealed: &[bool]) -> Option<usize> {
+        let best = conditional_argmin(model, &self.labels, i, &mut self.cost);
+        let cur = self.labels[i];
+        let improves = best != cur && self.cost[best] < self.cost[cur];
+        if !improves {
+            return None;
+        }
+        self.energy += self.cost[best] - self.cost[cur];
+        self.labels[i] = best;
+        let mut added = 0;
+        for &eidx in model.incident_edges(VarId(i)) {
+            let e = model.edges()[eidx as usize];
+            let other = if e.a().0 == i { e.b().0 } else { e.a().0 };
+            if sealed.get(other).copied().unwrap_or(false) {
+                continue;
+            }
+            if !self.region.mask[other] {
+                self.region.mask[other] = true;
+                self.region.count += 1;
+                added += 1;
+            }
+            self.work.mark(other);
+        }
+        Some(added)
+    }
+
+    /// Activates (and queues) every live unsealed variable outside the
+    /// region — the sealed descent's past-half-the-model fallback.
+    fn widen(&mut self, model: &MrfModel, sealed: &[bool], unsealed_total: usize) {
+        for (v, active) in self.region.mask.iter_mut().enumerate() {
+            if !*active && !sealed[v] && model.is_live(VarId(v)) {
+                *active = true;
+                self.work.mark(v);
+            }
+        }
+        self.region.count = unsealed_total;
+    }
+
+    fn finish(
+        self,
+        sweeps: usize,
+        converged: bool,
+        full_sweep: bool,
+        ctl: &SolveControl,
+    ) -> LocalRefine {
+        ctl.report(sweeps, self.energy, None);
         LocalRefine {
-            solution: Solution::new(labels, energy, None, sweeps, converged),
-            swept_vars: region.count,
-            expansions: region.expansions,
+            solution: Solution::new(self.labels, self.energy, None, sweeps, converged),
+            swept_vars: self.region.count,
+            expansions: self.region.expansions,
             full_sweep,
         }
     }

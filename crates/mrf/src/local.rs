@@ -16,7 +16,8 @@
 //!
 //! * **ICM** sweeps the active set directly with the same coordinate
 //!   descent as [`crate::icm::Icm::solve_from`], activating neighbors of
-//!   every flipped variable.
+//!   every flipped variable and revisiting only variables whose
+//!   neighborhood changed (see [`crate::icm`]).
 //! * **TRW-S** runs message passing on a *conditioned submodel*: active
 //!   variables keep their domains, edges to inactive variables fold into
 //!   unaries at the inactive side's current label, and the sub-solution is
@@ -71,11 +72,10 @@ impl LocalRefine {
     }
 
     /// The empty-frontier outcome: nothing to sweep, `start` returned
-    /// unchanged as a converged solution.
-    pub fn noop(model: &MrfModel, start: Vec<usize>) -> LocalRefine {
-        let energy = model.energy(&start);
+    /// unchanged as a converged solution at the caller's `start_energy`.
+    pub fn noop(start: Vec<usize>, start_energy: f64) -> LocalRefine {
         LocalRefine {
-            solution: Solution::new(start, energy, None, 0, true),
+            solution: Solution::new(start, start_energy, None, 0, true),
             swept_vars: 0,
             expansions: 0,
             full_sweep: false,
@@ -447,8 +447,14 @@ mod tests {
         let m = biased_chain(n);
         let start = vec![0usize; n];
         for solver in [&Icm::default() as &dyn MapSolver, &Trws::default()] {
-            let out =
-                solver.refine_local_sealed(&m, start.clone(), &[VarId(0)], &[VarId(6)], &ctl());
+            let out = solver.refine_local_sealed(
+                &m,
+                start.clone(),
+                m.energy(&start),
+                &[VarId(0)],
+                &[VarId(6)],
+                &ctl(),
+            );
             assert_eq!(
                 out.solution.labels()[6],
                 0,
@@ -476,7 +482,8 @@ mod tests {
         let m = biased_chain(n);
         let frontier: Vec<VarId> = (0..n).map(VarId).collect();
         let start = vec![0usize; n];
-        let out = Icm::default().refine_local_sealed(&m, start, &frontier, &[VarId(3)], &ctl());
+        let e = m.energy(&start);
+        let out = Icm::default().refine_local_sealed(&m, start, e, &frontier, &[VarId(3)], &ctl());
         assert!(out.full_sweep);
         assert_eq!(out.swept_vars, n - 1, "everything but the sealed var");
         assert_eq!(out.solution.labels()[3], 0);
@@ -488,8 +495,9 @@ mod tests {
         let n = 10;
         let m = biased_chain(n);
         let start = vec![0usize; n];
+        let e = m.energy(&start);
         let sealed =
-            Icm::default().refine_local_sealed(&m, start.clone(), &[VarId(0)], &[], &ctl());
+            Icm::default().refine_local_sealed(&m, start.clone(), e, &[VarId(0)], &[], &ctl());
         let unsealed = Icm::default().refine_local(&m, start, &[VarId(0)], &ctl());
         assert_eq!(sealed.solution.labels(), unsealed.solution.labels());
         assert_eq!(sealed.solution.energy(), unsealed.solution.energy());

@@ -27,20 +27,28 @@ use crate::model::{MrfModel, VarId};
 /// unary argmin. Extra seed entries beyond the variable count are ignored.
 pub fn project_labels(model: &MrfModel, seeds: &[Option<usize>]) -> Vec<usize> {
     (0..model.var_count())
-        .map(|i| {
-            let v = VarId(i);
-            match seeds.get(i).copied().flatten() {
-                Some(label) if label < model.labels(v) => label,
-                _ => model
-                    .unary(v)
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(label, _)| label)
-                    .unwrap_or(0),
-            }
-        })
+        .map(|i| project_label(model, VarId(i), seeds.get(i).copied().flatten()))
         .collect()
+}
+
+/// One variable's share of [`project_labels`]: `seed` when present and in
+/// range, else `v`'s unary argmin (0 at a tombstoned slot). Lets callers
+/// that re-seed only a few variables keep the rest of a labeling as is.
+///
+/// # Panics
+///
+/// Panics if `v` is out of range.
+pub fn project_label(model: &MrfModel, v: VarId, seed: Option<usize>) -> usize {
+    match seed {
+        Some(label) if label < model.labels(v) => label,
+        _ => model
+            .unary(v)
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(label, _)| label)
+            .unwrap_or(0),
+    }
 }
 
 #[cfg(test)]

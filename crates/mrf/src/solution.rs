@@ -35,6 +35,11 @@ impl Solution {
         &self.labels
     }
 
+    /// Consumes the solution, returning its labeling without a copy.
+    pub fn into_labels(self) -> Vec<usize> {
+        self.labels
+    }
+
     /// The energy of the decoded labeling.
     pub fn energy(&self) -> f64 {
         self.energy

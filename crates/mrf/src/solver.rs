@@ -329,16 +329,21 @@ pub trait MapSolver: Send + Sync {
     }
 
     /// [`MapSolver::refine_local`] with a caller-owned [`SolveScratch`]
-    /// (see [`MapSolver::solve_with`]). The default ignores the scratch.
+    /// (see [`MapSolver::solve_with`]) and the caller's `start_energy`
+    /// (`model.energy(&start)`, which an incremental caller already carries):
+    /// solvers that track their energy by accepted moves return
+    /// `start_energy` plus those moves' deltas instead of re-evaluating the
+    /// model. The default ignores both.
     fn refine_local_with(
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         ctl: &SolveControl,
         scratch: &mut SolveScratch,
     ) -> LocalRefine {
-        let _ = scratch;
+        let _ = (start_energy, scratch);
         self.refine_local(model, start, frontier, ctl)
     }
 
@@ -351,8 +356,9 @@ pub trait MapSolver: Send + Sync {
     ///
     /// The energy contract matches [`MapSolver::refine`] (never worse than
     /// `start`); sealed variables aside, locality telemetry matches
-    /// [`MapSolver::refine_local`]. The default implementation conditions
-    /// the model on the sealed variables' start labels
+    /// [`MapSolver::refine_local`]. `start_energy` is `model.energy(&start)`,
+    /// as for [`MapSolver::refine_local_with`]. The default implementation
+    /// conditions the model on the sealed variables' start labels
     /// ([`crate::local::condition_submodel`]) and refines the unsealed
     /// submodel in full — always correct; [`crate::icm::Icm`] overrides it
     /// with a masked in-place sweep that skips the submodel construction.
@@ -365,10 +371,12 @@ pub trait MapSolver: Send + Sync {
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         sealed: &[VarId],
         ctl: &SolveControl,
     ) -> LocalRefine {
+        let _ = start_energy;
         if sealed.is_empty() {
             return self.refine_local(model, start, frontier, ctl);
         }
@@ -464,22 +472,24 @@ impl<S: MapSolver + ?Sized> MapSolver for Box<S> {
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         ctl: &SolveControl,
         scratch: &mut SolveScratch,
     ) -> LocalRefine {
-        (**self).refine_local_with(model, start, frontier, ctl, scratch)
+        (**self).refine_local_with(model, start, start_energy, frontier, ctl, scratch)
     }
 
     fn refine_local_sealed(
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         sealed: &[VarId],
         ctl: &SolveControl,
     ) -> LocalRefine {
-        (**self).refine_local_sealed(model, start, frontier, sealed, ctl)
+        (**self).refine_local_sealed(model, start, start_energy, frontier, sealed, ctl)
     }
 
     fn fallback_cause(&self) -> Option<String> {
@@ -542,22 +552,24 @@ impl<S: MapSolver + ?Sized> MapSolver for Arc<S> {
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         ctl: &SolveControl,
         scratch: &mut SolveScratch,
     ) -> LocalRefine {
-        (**self).refine_local_with(model, start, frontier, ctl, scratch)
+        (**self).refine_local_with(model, start, start_energy, frontier, ctl, scratch)
     }
 
     fn refine_local_sealed(
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         sealed: &[VarId],
         ctl: &SolveControl,
     ) -> LocalRefine {
-        (**self).refine_local_sealed(model, start, frontier, sealed, ctl)
+        (**self).refine_local_sealed(model, start, start_energy, frontier, sealed, ctl)
     }
 
     fn fallback_cause(&self) -> Option<String> {

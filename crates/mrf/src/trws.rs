@@ -139,7 +139,8 @@ impl MapSolver for Trws {
         ctl: &SolveControl,
     ) -> LocalRefine {
         let mut scratch = SolveScratch::new();
-        self.refine_local_with(model, start, frontier, ctl, &mut scratch)
+        let start_energy = model.energy(&start);
+        self.refine_local_with(model, start, start_energy, frontier, ctl, &mut scratch)
     }
 
     /// [`MapSolver::refine_local`] reusing a caller-owned scratch across
@@ -148,6 +149,7 @@ impl MapSolver for Trws {
         &self,
         model: &MrfModel,
         start: Vec<usize>,
+        start_energy: f64,
         frontier: &[VarId],
         ctl: &SolveControl,
         scratch: &mut SolveScratch,
@@ -155,10 +157,10 @@ impl MapSolver for Trws {
         assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
         let mut region = ActiveRegion::new(model, frontier);
         if region.count == 0 {
-            return LocalRefine::noop(model, start);
+            return LocalRefine::noop(start, start_energy);
         }
         let mut labels = start;
-        let mut energy = model.energy(&labels);
+        let mut energy = start_energy;
         let mut iterations = 0usize;
         let mut converged = false;
         // Each round re-conditions on the expanded region; the region is

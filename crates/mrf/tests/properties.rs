@@ -8,9 +8,14 @@ use mrf::elimination::Elimination;
 use mrf::exhaustive::Exhaustive;
 use mrf::icm::{Icm, IcmOptions};
 use mrf::ils::Ils;
+use mrf::local::LocalRefine;
 use mrf::model::{MrfBuilder, MrfModel};
+use mrf::order::SolveScratch;
 use mrf::solver::{MapSolver, SolveControl};
 use mrf::trws::{Trws, TrwsOptions};
+use mrf::VarId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A random model with ≤7 variables of 2–3 labels and random edges —
 /// small enough for the exhaustive oracle.
@@ -70,6 +75,194 @@ fn arb_tree_model() -> impl Strategy<Value = MrfModel> {
             }
             b.build()
         })
+}
+
+/// A random sparse model built through the mutation API, with tombstoned
+/// and recycled variable slots, plus an in-domain start labeling (0 at dead
+/// slots), a frontier (dead and duplicate entries included) and a seal set
+/// (possibly empty) — the inputs of a masked local refinement.
+fn fragmented_case(seed: u64, n: usize) -> (MrfModel, Vec<usize>, Vec<VarId>, Vec<VarId>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model = MrfModel::new();
+    let add_var = |model: &mut MrfModel, rng: &mut StdRng| {
+        let labels = rng.gen_range(2..5);
+        let v = model.add_var(labels).unwrap();
+        model
+            .set_unary(v, (0..labels).map(|_| rng.gen_range(0.0..2.0)).collect())
+            .unwrap();
+        v
+    };
+    let add_edges = |model: &mut MrfModel, rng: &mut StdRng, v: VarId, p: f64| {
+        let others: Vec<VarId> = model.live_vars().filter(|&o| o != v).collect();
+        for o in others {
+            if rng.gen_bool(p) {
+                let cells = model.labels(v) * model.labels(o);
+                let costs = (0..cells).map(|_| rng.gen_range(0.0..2.0)).collect();
+                model.add_pairwise_dense(v, o, costs).unwrap();
+            }
+        }
+    };
+    let degree = 3.0 / n as f64;
+    for _ in 0..n {
+        let v = add_var(&mut model, &mut rng);
+        add_edges(&mut model, &mut rng, v, degree);
+    }
+    // Tombstone a share of the variables, then recycle some of the slots.
+    for i in 0..n {
+        if rng.gen_bool(0.25) {
+            model.remove_var(VarId(i)).unwrap();
+        }
+    }
+    for _ in 0..rng.gen_range(0..n / 4 + 1) {
+        let v = add_var(&mut model, &mut rng);
+        add_edges(&mut model, &mut rng, v, degree);
+    }
+    let slots = model.var_count();
+    let start = (0..slots)
+        .map(|i| match model.labels(VarId(i)) {
+            0 => 0,
+            l => rng.gen_range(0..l),
+        })
+        .collect();
+    let frontier = (0..rng.gen_range(0..slots / 2 + 2))
+        .map(|_| VarId(rng.gen_range(0..slots)))
+        .collect();
+    let sealed = (0..rng.gen_range(0..slots / 3 + 1))
+        .map(|_| VarId(rng.gen_range(0..slots)))
+        .collect();
+    (model, start, frontier, sealed)
+}
+
+/// The conditional costs of variable `i` given `labels`, and their argmin.
+fn conditional(model: &MrfModel, labels: &[usize], i: usize, cost: &mut Vec<f64>) -> usize {
+    let v = VarId(i);
+    cost.clear();
+    cost.extend_from_slice(model.unary(v));
+    for &eidx in model.incident_edges(v) {
+        let e = model.edges()[eidx as usize];
+        for (x, c) in cost.iter_mut().enumerate() {
+            *c += if e.a().0 == i {
+                model.edge_cost(&e, x, labels[e.b().0])
+            } else {
+                model.edge_cost(&e, labels[e.a().0], x)
+            };
+        }
+    }
+    cost.iter()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(b.1))
+        .map_or(0, |(x, _)| x)
+}
+
+/// The masked local ICM sweep as it was before the worklist: every sweep
+/// visits every active (unsealed) variable in slot order, and the energy is
+/// re-evaluated at the end. An unsealed region past half the slots hands
+/// off to a full descent; a sealed one widens to every live unsealed
+/// variable. The reference the worklist sweep must reproduce.
+fn reference_local(
+    model: &MrfModel,
+    start: Vec<usize>,
+    frontier: &[VarId],
+    sealed: &[VarId],
+) -> LocalRefine {
+    let ctl = SolveControl::new();
+    let max_sweeps = IcmOptions::default().max_sweeps;
+    let n = model.var_count();
+    let mut sealed_mask = vec![false; n];
+    for v in sealed {
+        if let Some(m) = sealed_mask.get_mut(v.0) {
+            *m = true;
+        }
+    }
+    let is_unsealed = |i: usize| !sealed_mask[i] && model.is_live(VarId(i));
+    let unsealed_total = (0..n).filter(|&i| is_unsealed(i)).count();
+    let mut mask = vec![false; n];
+    let mut count = 0;
+    for &v in frontier {
+        if v.0 < n && is_unsealed(v.0) && !mask[v.0] {
+            mask[v.0] = true;
+            count += 1;
+        }
+    }
+    if count == 0 {
+        let energy = model.energy(&start);
+        return LocalRefine::noop(start, energy);
+    }
+    let seal = !sealed.is_empty();
+    let mut full_sweep = false;
+    if !seal && 2 * count > n {
+        return LocalRefine::full(
+            Icm::default().solve_from(model, start, &ctl),
+            model.live_var_count(),
+        );
+    }
+    if seal && 2 * count > unsealed_total {
+        full_sweep = true;
+        mask = (0..n).map(is_unsealed).collect();
+        count = unsealed_total;
+    }
+    let mut labels = start;
+    let mut cost = Vec::new();
+    let mut expansions = 0;
+    let mut sweeps = 0;
+    let mut converged = false;
+    for sweep in 0..max_sweeps {
+        sweeps = sweep + 1;
+        let mut changed = false;
+        for i in 0..n {
+            if !mask[i] {
+                continue;
+            }
+            let best = conditional(model, &labels, i, &mut cost);
+            if best == labels[i] || cost[best] >= cost[labels[i]] {
+                continue;
+            }
+            labels[i] = best;
+            changed = true;
+            if full_sweep {
+                continue;
+            }
+            let mut added = 0;
+            for &eidx in model.incident_edges(VarId(i)) {
+                let e = model.edges()[eidx as usize];
+                let other = if e.a().0 == i { e.b().0 } else { e.a().0 };
+                if !sealed_mask[other] && !mask[other] {
+                    mask[other] = true;
+                    count += 1;
+                    added += 1;
+                }
+            }
+            if added == 0 {
+                continue;
+            }
+            expansions += 1;
+            if !seal && 2 * count > n {
+                let full = Icm::default().solve_from(model, labels, &ctl);
+                return LocalRefine {
+                    solution: full,
+                    swept_vars: model.live_var_count(),
+                    expansions,
+                    full_sweep: true,
+                };
+            }
+            if seal && 2 * count > unsealed_total {
+                full_sweep = true;
+                mask = (0..n).map(is_unsealed).collect();
+                count = unsealed_total;
+            }
+        }
+        if !changed {
+            converged = true;
+            break;
+        }
+    }
+    let energy = model.energy(&labels);
+    LocalRefine {
+        solution: mrf::solution::Solution::new(labels, energy, None, sweeps, converged),
+        swept_vars: count,
+        expansions,
+        full_sweep,
+    }
 }
 
 proptest! {
@@ -194,6 +387,37 @@ proptest! {
             for (i, &l) in labels.iter().enumerate() {
                 prop_assert!(l < model.labels(mrf::VarId(i)));
             }
+        }
+    }
+
+    /// The worklist sweep behind `Icm::refine_local_with` and
+    /// `refine_local_sealed` reproduces the full-index masked sweep: same
+    /// labels, sweep count, region size, expansions and fallback, with its
+    /// carried energy (start energy plus flip deltas) matching the model.
+    #[test]
+    fn worklist_sweep_matches_the_full_index_masked_sweep(seed in 0u64..u64::MAX, n in 4usize..48) {
+        let (model, start, frontier, sealed) = fragmented_case(seed, n);
+        let ctl = SolveControl::new();
+        let start_energy = model.energy(&start);
+        let icm = Icm::default();
+        let unsealed = icm.refine_local_with(
+            &model, start.clone(), start_energy, &frontier, &ctl, &mut SolveScratch::new(),
+        );
+        let sealed_out =
+            icm.refine_local_sealed(&model, start.clone(), start_energy, &frontier, &sealed, &ctl);
+        for (got, seal) in [(unsealed, &[][..]), (sealed_out, &sealed[..])] {
+            let want = reference_local(&model, start.clone(), &frontier, seal);
+            prop_assert_eq!(got.solution.labels(), want.solution.labels());
+            prop_assert_eq!(got.solution.iterations(), want.solution.iterations());
+            prop_assert_eq!(got.solution.converged(), want.solution.converged());
+            prop_assert_eq!(got.swept_vars, want.swept_vars);
+            prop_assert_eq!(got.expansions, want.expansions);
+            prop_assert_eq!(got.full_sweep, want.full_sweep);
+            let exact = model.energy(got.solution.labels());
+            prop_assert!(
+                (got.solution.energy() - exact).abs() <= 1e-9 * exact.abs().max(1.0),
+                "carried energy {} vs model {}", got.solution.energy(), exact
+            );
         }
     }
 }

@@ -51,14 +51,17 @@ use crate::{Error, HostId, ProductId, Result, ServiceId};
 pub const FORMAT_VERSION: u64 = 1;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected): the per-record checksum. Table-based so
-// the hot append path costs one lookup per byte.
+// CRC-32 (IEEE 802.3, reflected): the per-record checksum, computed
+// slicing-by-8 so the hot append path folds eight bytes per step.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes, which lets eight table lookups
+/// stand in for eight bytewise steps.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -71,17 +74,41 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// The IEEE CRC-32 of `bytes` (the variant used by zip/gzip/Ethernet).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -177,20 +204,27 @@ impl Record {
     /// Encodes the record as one compact JSON object (no newline).
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(128);
-        match self {
-            Record::Preamble(p) => encode_preamble(&mut out, p),
-            Record::Snapshot(s) => encode_snapshot(&mut out, s),
-            Record::Batch(b) => encode_batch(&mut out, b),
-            Record::Mark(m) => encode_mark(&mut out, m),
-        }
+        self.encode_into(&mut out);
         out
+    }
+
+    fn encode_into(&self, out: &mut String) {
+        match self {
+            Record::Preamble(p) => encode_preamble(out, p),
+            Record::Snapshot(s) => {
+                encode_snapshot(out, s.revision, &s.network, s.assignment.as_ref())
+            }
+            Record::Batch(b) => {
+                encode_batch(out, b.seq, b.revision, &b.deltas, b.assignment.as_ref())
+            }
+            Record::Mark(m) => encode_mark(out, m),
+        }
     }
 
     /// Encodes the record as a full journal line: checksum, space, JSON,
     /// newline.
     pub fn to_line(&self) -> String {
-        let json = self.encode();
-        format!("{:08x} {json}\n", crc32(json.as_bytes()))
+        framed(128, |out| self.encode_into(out))
     }
 
     /// Decodes one record from its JSON body (checksum already verified).
@@ -211,6 +245,44 @@ impl Record {
             other => Err(Error::Journal(format!("unknown record kind {other:?}"))),
         }
     }
+}
+
+/// The journal line of a [`BatchRecord`] with these fields, encoded from
+/// borrowed parts: byte-identical to `Record::Batch(..).to_line()` without
+/// first copying the deltas and the assignment into a record.
+pub fn batch_line(
+    seq: u64,
+    revision: u64,
+    deltas: &[NetworkDelta],
+    assignment: Option<&Assignment>,
+) -> String {
+    let rows = assignment.map_or(0, Assignment::host_rows);
+    framed(128 + 64 * deltas.len() + 16 * rows, |out| {
+        encode_batch(out, seq, revision, deltas, assignment)
+    })
+}
+
+/// The journal line of a [`SnapshotRecord`] of `network` at its revision,
+/// encoded from borrowed parts: byte-identical to
+/// `Record::Snapshot(..).to_line()` without cloning the network.
+pub fn snapshot_line(network: &Network, assignment: Option<&Assignment>) -> String {
+    let capacity = 256 + 128 * network.host_count() + 16 * network.links().len();
+    framed(capacity, |out| {
+        encode_snapshot(out, network.revision(), network, assignment)
+    })
+}
+
+/// Encodes one record body with `encode` behind a checksum placeholder,
+/// then fills in the checksum and the newline — the JSON is written once,
+/// into the line itself.
+fn framed(capacity: usize, encode: impl FnOnce(&mut String)) -> String {
+    let mut line = String::with_capacity(capacity);
+    line.push_str("00000000 ");
+    encode(&mut line);
+    let crc = crc32(&line.as_bytes()[9..]);
+    line.replace_range(..8, &format!("{crc:08x}"));
+    line.push('\n');
+    line
 }
 
 // ---------------------------------------------------------------------------
@@ -307,8 +379,7 @@ pub fn read_strict(data: &[u8]) -> Result<Vec<Record>> {
 // Encoders: direct, deterministic compact-JSON writers.
 // ---------------------------------------------------------------------------
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -324,7 +395,6 @@ fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Shortest round-trippable decimal for a finite f64 (`{}` formatting is
@@ -334,31 +404,56 @@ fn fmt_f64(n: f64) -> String {
     format!("{n}")
 }
 
+/// Appends `v` in decimal — the bytes `write!(out, "{v}")` produces,
+/// without the formatting machinery on the append path.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `prefix` (punctuation and a key) and then `v`.
+fn push_field(out: &mut String, prefix: &str, v: impl Into<u64>) {
+    out.push_str(prefix);
+    push_u64(out, v.into());
+}
+
 fn push_u64_array(out: &mut String, items: impl Iterator<Item = u64>) {
     out.push('[');
     for (i, v) in items.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{v}");
+        push_u64(out, v);
     }
     out.push(']');
 }
 
 fn encode_zone(out: &mut String, zone: Option<&str>) {
     match zone {
-        Some(z) => out.push_str(&quote(z)),
+        Some(z) => push_quoted(out, z),
         None => out.push_str("null"),
     }
 }
 
-fn encode_services(out: &mut String, services: &[(ServiceId, Vec<ProductId>)]) {
+fn encode_services<'a>(
+    out: &mut String,
+    services: impl Iterator<Item = (ServiceId, &'a [ProductId])>,
+) {
     out.push('[');
-    for (i, (s, candidates)) in services.iter().enumerate() {
+    for (i, (s, candidates)) in services.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "[{}", s.0);
+        push_field(out, "[", s.0);
         out.push(',');
         push_u64_array(out, candidates.iter().map(|p| p.0 as u64));
         out.push(']');
@@ -372,21 +467,25 @@ fn encode_catalog(out: &mut String, catalog: &Catalog) {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&quote(s.name()));
+        push_quoted(out, s.name());
     }
     out.push_str("],\"products\":[");
     for (i, (_, p)) in catalog.iter_products().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "[{},{}]", quote(p.name()), p.service().0);
+        out.push('[');
+        push_quoted(out, p.name());
+        push_field(out, ",", p.service().0);
+        out.push(']');
     }
     out.push_str("]}");
 }
 
 fn encode_similarity(out: &mut String, sim: &ProductSimilarity) {
     let n = sim.len();
-    let _ = write!(out, "{{\"n\":{n},\"values\":[");
+    push_field(out, "{\"n\":", n as u64);
+    out.push_str(",\"values\":[");
     let mut first = true;
     for i in 0..n {
         for j in 0..n {
@@ -402,9 +501,7 @@ fn encode_similarity(out: &mut String, sim: &ProductSimilarity) {
 
 fn encode_scope(out: &mut String, scope: Scope) {
     match scope {
-        Scope::Host(h) => {
-            let _ = write!(out, "{}", h.0);
-        }
+        Scope::Host(h) => push_u64(out, h.0.into()),
         Scope::All => out.push_str("null"),
     }
 }
@@ -421,41 +518,36 @@ fn encode_constraints(out: &mut String, set: &ConstraintSet) {
                 service,
                 product,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"t\":\"fix\",\"host\":{},\"service\":{},\"product\":{}}}",
-                    host.0, service.0, product.0
-                );
+                push_field(out, "{\"t\":\"fix\",\"host\":", host.0);
+                push_field(out, ",\"service\":", service.0);
+                push_field(out, ",\"product\":", product.0);
+                out.push('}');
             }
             Constraint::ForbidCombination {
                 scope,
                 if_service,
                 if_product,
                 then_service,
-                forbidden,
-            } => {
-                out.push_str("{\"t\":\"forbid\",\"scope\":");
-                encode_scope(out, scope);
-                let _ = write!(
-                    out,
-                    ",\"if_service\":{},\"if_product\":{},\"then_service\":{},\"other\":{}}}",
-                    if_service.0, if_product.0, then_service.0, forbidden.0
-                );
+                forbidden: other,
             }
-            Constraint::RequireCombination {
+            | Constraint::RequireCombination {
                 scope,
                 if_service,
                 if_product,
                 then_service,
-                required,
+                required: other,
             } => {
-                out.push_str("{\"t\":\"require\",\"scope\":");
+                out.push_str(if matches!(c, Constraint::ForbidCombination { .. }) {
+                    "{\"t\":\"forbid\",\"scope\":"
+                } else {
+                    "{\"t\":\"require\",\"scope\":"
+                });
                 encode_scope(out, scope);
-                let _ = write!(
-                    out,
-                    ",\"if_service\":{},\"if_product\":{},\"then_service\":{},\"other\":{}}}",
-                    if_service.0, if_product.0, then_service.0, required.0
-                );
+                push_field(out, ",\"if_service\":", if_service.0);
+                push_field(out, ",\"if_product\":", if_product.0);
+                push_field(out, ",\"then_service\":", then_service.0);
+                push_field(out, ",\"other\":", other.0);
+                out.push('}');
             }
         }
     }
@@ -468,35 +560,37 @@ fn encode_network(out: &mut String, n: &Network) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"name\":{},\"zone\":", quote(h.name()));
+        out.push_str("{\"name\":");
+        push_quoted(out, h.name());
+        out.push_str(",\"zone\":");
         encode_zone(out, h.zone());
         out.push_str(",\"services\":");
-        let services: Vec<(ServiceId, Vec<ProductId>)> = h
-            .services()
-            .iter()
-            .map(|s| (s.service(), s.candidates().to_vec()))
-            .collect();
-        encode_services(out, &services);
-        let _ = write!(
+        encode_services(
             out,
-            ",\"removed\":{}}}",
-            if h.is_removed() { "true" } else { "false" }
+            h.services().iter().map(|s| (s.service(), s.candidates())),
         );
+        out.push_str(if h.is_removed() {
+            ",\"removed\":true}"
+        } else {
+            ",\"removed\":false}"
+        });
     }
     out.push_str("],\"links\":[");
     for (i, &(a, b)) in n.links().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "[{},{}]", a.0, b.0);
+        push_field(out, "[", a.0);
+        push_field(out, ",", b.0);
+        out.push(']');
     }
-    let _ = write!(out, "],\"revision\":{}", n.revision());
+    push_field(out, "],\"revision\":", n.revision());
     out.push_str(",\"host_revisions\":");
     push_u64_array(
         out,
         (0..n.host_count()).map(|i| n.host_revision(HostId(i as u32))),
     );
-    let _ = write!(out, ",\"topology_revision\":{}", n.topology_revision());
+    push_field(out, ",\"topology_revision\":", n.topology_revision());
     out.push_str(",\"link_revisions\":");
     push_u64_array(
         out,
@@ -534,48 +628,48 @@ fn encode_delta(out: &mut String, d: &NetworkDelta) {
             services,
             links,
         } => {
-            let _ = write!(
-                out,
-                "{{\"t\":\"add-host\",\"name\":{},\"zone\":",
-                quote(name)
-            );
+            out.push_str("{\"t\":\"add-host\",\"name\":");
+            push_quoted(out, name);
+            out.push_str(",\"zone\":");
             encode_zone(out, zone.as_deref());
             out.push_str(",\"services\":");
-            encode_services(out, services);
+            encode_services(out, services.iter().map(|(s, c)| (*s, c.as_slice())));
             out.push_str(",\"links\":");
             push_u64_array(out, links.iter().map(|h| h.0 as u64));
             out.push('}');
         }
         NetworkDelta::RemoveHost { host } => {
-            let _ = write!(out, "{{\"t\":\"remove-host\",\"host\":{}}}", host.0);
+            push_field(out, "{\"t\":\"remove-host\",\"host\":", host.0);
+            out.push('}');
         }
         NetworkDelta::AddLink { a, b } => {
-            let _ = write!(out, "{{\"t\":\"add-link\",\"a\":{},\"b\":{}}}", a.0, b.0);
+            push_field(out, "{\"t\":\"add-link\",\"a\":", a.0);
+            push_field(out, ",\"b\":", b.0);
+            out.push('}');
         }
         NetworkDelta::RemoveLink { a, b } => {
-            let _ = write!(out, "{{\"t\":\"remove-link\",\"a\":{},\"b\":{}}}", a.0, b.0);
+            push_field(out, "{\"t\":\"remove-link\",\"a\":", a.0);
+            push_field(out, ",\"b\":", b.0);
+            out.push('}');
         }
         NetworkDelta::FixSlot {
             host,
             service,
             product,
         } => {
-            let _ = write!(
-                out,
-                "{{\"t\":\"fix-slot\",\"host\":{},\"service\":{},\"product\":{}}}",
-                host.0, service.0, product.0
-            );
+            push_field(out, "{\"t\":\"fix-slot\",\"host\":", host.0);
+            push_field(out, ",\"service\":", service.0);
+            push_field(out, ",\"product\":", product.0);
+            out.push('}');
         }
         NetworkDelta::UnfixSlot {
             host,
             service,
             candidates,
         } => {
-            let _ = write!(
-                out,
-                "{{\"t\":\"unfix-slot\",\"host\":{},\"service\":{},\"candidates\":",
-                host.0, service.0
-            );
+            push_field(out, "{\"t\":\"unfix-slot\",\"host\":", host.0);
+            push_field(out, ",\"service\":", service.0);
+            out.push_str(",\"candidates\":");
             push_u64_array(out, candidates.iter().map(|p| p.0 as u64));
             out.push('}');
         }
@@ -584,11 +678,9 @@ fn encode_delta(out: &mut String, d: &NetworkDelta) {
             service,
             products,
         } => {
-            let _ = write!(
-                out,
-                "{{\"t\":\"extend-candidates\",\"host\":{},\"service\":{},\"products\":",
-                host.0, service.0
-            );
+            push_field(out, "{\"t\":\"extend-candidates\",\"host\":", host.0);
+            push_field(out, ",\"service\":", service.0);
+            out.push_str(",\"products\":");
             push_u64_array(out, products.iter().map(|p| p.0 as u64));
             out.push('}');
         }
@@ -596,11 +688,8 @@ fn encode_delta(out: &mut String, d: &NetworkDelta) {
 }
 
 fn encode_preamble(out: &mut String, p: &Preamble) {
-    let _ = write!(
-        out,
-        "{{\"kind\":\"preamble\",\"format\":{},\"catalog\":",
-        p.format
-    );
+    push_field(out, "{\"kind\":\"preamble\",\"format\":", p.format);
+    out.push_str(",\"catalog\":");
     encode_catalog(out, &p.catalog);
     out.push_str(",\"similarity\":");
     encode_similarity(out, &p.similarity);
@@ -609,42 +698,46 @@ fn encode_preamble(out: &mut String, p: &Preamble) {
     out.push('}');
 }
 
-fn encode_snapshot(out: &mut String, s: &SnapshotRecord) {
-    let _ = write!(
-        out,
-        "{{\"kind\":\"snapshot\",\"revision\":{},\"network\":",
-        s.revision
-    );
-    encode_network(out, &s.network);
+fn encode_snapshot(
+    out: &mut String,
+    revision: u64,
+    network: &Network,
+    assignment: Option<&Assignment>,
+) {
+    push_field(out, "{\"kind\":\"snapshot\",\"revision\":", revision);
+    out.push_str(",\"network\":");
+    encode_network(out, network);
     out.push_str(",\"assignment\":");
-    encode_assignment(out, s.assignment.as_ref(), s.network.host_count());
+    encode_assignment(out, assignment, network.host_count());
     out.push('}');
 }
 
-fn encode_batch(out: &mut String, b: &BatchRecord) {
-    let _ = write!(
-        out,
-        "{{\"kind\":\"batch\",\"seq\":{},\"revision\":{},\"deltas\":[",
-        b.seq, b.revision
-    );
-    for (i, d) in b.deltas.iter().enumerate() {
+fn encode_batch(
+    out: &mut String,
+    seq: u64,
+    revision: u64,
+    deltas: &[NetworkDelta],
+    assignment: Option<&Assignment>,
+) {
+    push_field(out, "{\"kind\":\"batch\",\"seq\":", seq);
+    push_field(out, ",\"revision\":", revision);
+    out.push_str(",\"deltas\":[");
+    for (i, d) in deltas.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         encode_delta(out, d);
     }
     out.push_str("],\"assignment\":");
-    let rows = b.assignment.as_ref().map_or(0, Assignment::host_rows);
-    encode_assignment(out, b.assignment.as_ref(), rows);
+    let rows = assignment.map_or(0, Assignment::host_rows);
+    encode_assignment(out, assignment, rows);
     out.push('}');
 }
 
 fn encode_mark(out: &mut String, m: &MarkRecord) {
-    let _ = write!(
-        out,
-        "{{\"kind\":\"mark\",\"label\":{},\"fields\":{{",
-        quote(&m.label)
-    );
+    out.push_str("{\"kind\":\"mark\",\"label\":");
+    push_quoted(out, &m.label);
+    out.push_str(",\"fields\":{");
     let mut first = true;
     for (k, v) in &m.fields {
         if !v.is_finite() {
@@ -654,7 +747,9 @@ fn encode_mark(out: &mut String, m: &MarkRecord) {
             out.push(',');
         }
         first = false;
-        let _ = write!(out, "{}:{}", quote(k), fmt_f64(*v));
+        push_quoted(out, k);
+        out.push(':');
+        out.push_str(&fmt_f64(*v));
     }
     out.push_str("}}");
 }
@@ -1279,6 +1374,83 @@ mod tests {
         // The standard CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook one-lookup-per-byte CRC the slicing-by-8 loop replaces.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in 0..=64 {
+            for _ in 0..8 {
+                let buf: Vec<u8> = (0..len)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 24) as u8
+                    })
+                    .collect();
+                assert_eq!(crc32(&buf), crc32_bytewise(&buf), "length {len}: {buf:?}");
+                // Misaligned views of the same bytes too.
+                if len > 3 {
+                    assert_eq!(crc32(&buf[3..]), crc32_bytewise(&buf[3..]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digit_writer_matches_format() {
+        for v in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    #[test]
+    fn borrowed_line_builders_match_the_record_encoding() {
+        let (catalog, _, mut network) = small_world();
+        let deltas = vec![
+            NetworkDelta::fix_slot(HostId(1), ServiceId(0), ProductId(1)),
+            NetworkDelta::add_host(
+                "n",
+                vec![(ServiceId(0), vec![ProductId(0)])],
+                vec![HostId(0)],
+            ),
+        ];
+        network.apply_all(&deltas, &catalog).unwrap();
+        let assignment = Assignment::from_slots(vec![
+            vec![ProductId(0)],
+            vec![ProductId(1), ProductId(2)],
+            vec![ProductId(0)],
+        ]);
+        for assignment in [None, Some(&assignment)] {
+            let record = Record::Batch(BatchRecord {
+                seq: 7,
+                revision: network.revision(),
+                deltas: deltas.clone(),
+                assignment: assignment.cloned(),
+            });
+            assert_eq!(
+                batch_line(7, network.revision(), &deltas, assignment),
+                record.to_line()
+            );
+            let record = Record::Snapshot(SnapshotRecord {
+                revision: network.revision(),
+                network: network.clone(),
+                assignment: assignment.cloned(),
+            });
+            assert_eq!(snapshot_line(&network, assignment), record.to_line());
+        }
     }
 
     fn small_world() -> (Catalog, ProductSimilarity, Network) {

@@ -1,5 +1,7 @@
 //! Property tests for the incremental pipeline: a cache that absorbed an
-//! arbitrary delta stream must be indistinguishable from a scratch build.
+//! arbitrary delta stream must be indistinguishable from a scratch build,
+//! and an engine carrying its labeling across steps must match the full
+//! derivation at every step.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -7,10 +9,17 @@ use rand::{Rng, SeedableRng};
 
 use ics_diversity::cache::EnergyCache;
 use ics_diversity::energy::{build_energy, EnergyModel, EnergyParams};
-use ics_diversity::engine::DiversityEngine;
+use ics_diversity::engine::{DiversityEngine, ReassignmentReport};
+use ics_diversity::shard::ShardedEngine;
+use ics_diversity::Error;
+use netmodel::catalog::Catalog;
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
-use netmodel::delta::random_delta;
-use netmodel::topology::{generate, GeneratedNetwork, RandomNetworkConfig, TopologyKind};
+use netmodel::delta::{random_delta, NetworkDelta};
+use netmodel::network::Network;
+use netmodel::topology::{
+    generate, generate_zoned, GeneratedNetwork, RandomNetworkConfig, TopologyKind,
+    ZonedNetworkConfig,
+};
 use netmodel::{HostId, ServiceId};
 
 /// Structural + energetic equivalence of two models. The incremental model
@@ -111,6 +120,82 @@ fn random_constraints(g: &GeneratedNetwork, rng: &mut StdRng) -> ConstraintSet {
         ));
     }
     set
+}
+
+/// A burst of one to four random deltas (every kind `random_delta` draws),
+/// valid in order from `network`; `protect`ed hosts are never removed.
+fn random_burst(
+    network: &Network,
+    catalog: &Catalog,
+    rng: &mut StdRng,
+    protect: &[HostId],
+) -> Vec<NetworkDelta> {
+    let mut scratch = network.clone();
+    (0..rng.gen_range(1..5))
+        .map(|_| {
+            let delta = random_delta(&scratch, catalog, rng, protect);
+            scratch
+                .apply_delta(&delta, catalog)
+                .expect("generated deltas are valid");
+            delta
+        })
+        .collect()
+}
+
+/// Which step kinds a stream drove the engine through.
+#[derive(Debug, Default)]
+struct Paths {
+    /// A warm step after an in-place edit: the carried path.
+    edited: bool,
+    /// A warm step after a reassembling refresh: the full derivation.
+    reassembled: bool,
+    infeasible: bool,
+    unsatisfiable: bool,
+}
+
+impl Paths {
+    /// Records one step's outcome; only the two constraint errors a
+    /// constrained stream legitimately produces are accepted.
+    fn absorb(
+        &mut self,
+        step: ics_diversity::Result<ReassignmentReport>,
+    ) -> Result<(), TestCaseError> {
+        match step {
+            Ok(report) => {
+                if report.warm_started && report.rebuild.rebuilt {
+                    if report.rebuild.edited {
+                        self.edited = true;
+                    } else {
+                        self.reassembled = true;
+                    }
+                }
+                Ok(())
+            }
+            Err(Error::Infeasible { .. }) => {
+                self.infeasible = true;
+                Ok(())
+            }
+            Err(Error::UnsatisfiableConstraints { .. }) => {
+                self.unsatisfiable = true;
+                Ok(())
+            }
+            Err(e) => Err(TestCaseError::Fail(format!("unexpected step error: {e}"))),
+        }
+    }
+
+    fn stream(
+        &mut self,
+        engine: &mut DiversityEngine,
+        rng: &mut StdRng,
+        bursts: usize,
+        protect: &[HostId],
+    ) -> Result<(), TestCaseError> {
+        for _ in 0..bursts {
+            let burst = random_burst(engine.network(), engine.catalog(), rng, protect);
+            self.absorb(engine.apply_batch(&burst))?;
+        }
+        Ok(())
+    }
 }
 
 fn arb_config() -> impl Strategy<Value = RandomNetworkConfig> {
@@ -228,6 +313,136 @@ proptest! {
                 .assignment()
                 .expect("solved")
                 .validate(engine.network())
+                .expect("assignment is valid");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// In debug builds every engine step audits its carried state against
+    /// the full derivation: start labels, carried and final objectives,
+    /// both assignments and the changed hosts. This drives a constrained
+    /// engine through bursts of every delta kind, an `Infeasible` and an
+    /// `UnsatisfiableConstraints` step, a reconfiguration, and a shrink
+    /// that trips compaction (a reassembling refresh), then a sharded
+    /// engine through pinned warm steps and coordinator write-backs — and
+    /// requires both refresh kinds to have occurred.
+    #[test]
+    fn carried_steps_match_the_full_derivation(
+        net_seed in 0u64..200,
+        delta_seed in 0u64..200,
+        bursts in 3usize..8,
+    ) {
+        let g = generate(
+            &RandomNetworkConfig {
+                hosts: 48,
+                mean_degree: 3,
+                services: 2,
+                products_per_service: 3,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            net_seed,
+        );
+        let mut rng = StdRng::seed_from_u64(delta_seed);
+        let (s0, s1) = (ServiceId(0), ServiceId(1));
+        let products = |s: ServiceId| g.catalog.products_of(s).to_vec();
+        let candidates = |net: &Network, h: HostId| {
+            net.host(h).expect("live host").candidates_for(s0).expect("runs s0").to_vec()
+        };
+        let (fixed, doomed) = (HostId(1), HostId(2));
+        let p_fixed = candidates(&g.network, fixed)[0];
+        let mut base = ConstraintSet::new();
+        base.push(Constraint::fix(fixed, s0, p_fixed));
+        base.push(Constraint::forbid_combination(
+            Scope::All,
+            (s0, products(s0)[rng.gen_range(0..3usize)]),
+            (s1, products(s1)[rng.gen_range(0..3usize)]),
+        ));
+        base.push(Constraint::require_combination(
+            Scope::Host(HostId(rng.gen_range(3..48u32))),
+            (s1, products(s1)[rng.gen_range(0..3usize)]),
+            (s0, products(s0)[rng.gen_range(0..3usize)]),
+        ));
+        let mut engine = DiversityEngine::new(g.network.clone(), g.catalog.clone(), g.similarity.clone())
+            .with_constraints(base.clone());
+        let protect = [fixed, doomed];
+        let mut paths = Paths::default();
+        prop_assume!(engine.solve().is_ok());
+        paths.stream(&mut engine, &mut rng, bursts, &protect)?;
+
+        // Contradict the fixed host's mandate: Infeasible, nothing moves,
+        // and the carried labeling stays valid for the next step.
+        let other = *products(s0).iter().find(|&&p| p != p_fixed).expect("three products");
+        let revision = engine.revision();
+        let step = engine.apply(&NetworkDelta::unfix_slot(fixed, s0, vec![other]));
+        let infeasible = matches!(step, Err(Error::Infeasible { .. }));
+        prop_assert!(infeasible, "contradicting the mandate must be infeasible");
+        paths.absorb(step)?;
+        prop_assert_eq!(engine.revision(), revision);
+        paths.stream(&mut engine, &mut rng, bursts, &protect)?;
+
+        // Mandate a product on the doomed host, then remove the host: the
+        // re-solve cannot satisfy the mandate. Dropping it recovers cold.
+        let mut doomed_set = base.clone();
+        doomed_set.push(Constraint::fix(doomed, s0, candidates(engine.network(), doomed)[0]));
+        engine = engine.with_constraints(doomed_set);
+        paths.absorb(engine.solve())?;
+        paths.stream(&mut engine, &mut rng, 1, &protect)?;
+        let step = engine.apply(&NetworkDelta::remove_host(doomed));
+        let unsatisfiable = matches!(step, Err(Error::UnsatisfiableConstraints { .. }));
+        prop_assert!(unsatisfiable, "removing a mandated host must be unsatisfiable");
+        paths.absorb(step)?;
+        prop_assert!(engine.assignment().is_none());
+        engine = engine.with_constraints(base);
+        paths.absorb(engine.solve())?;
+        paths.stream(&mut engine, &mut rng, bursts, &protect)?;
+
+        // Shrink until a refresh reassembles the fragmented model, then
+        // carry on from the renumbered variables.
+        while !paths.reassembled {
+            let live: Vec<HostId> = engine
+                .network()
+                .iter_hosts()
+                .filter(|(id, h)| !h.is_removed() && !protect.contains(id))
+                .map(|(id, _)| id)
+                .collect();
+            prop_assert!(live.len() >= 3, "ran out of hosts before compaction");
+            let burst: Vec<NetworkDelta> = live[..3]
+                .iter()
+                .map(|&h| NetworkDelta::remove_host(h))
+                .collect();
+            paths.absorb(engine.apply_batch(&burst))?;
+        }
+        paths.stream(&mut engine, &mut rng, bursts, &protect)?;
+        prop_assert!(paths.edited && paths.infeasible && paths.unsatisfiable, "{:?}", paths);
+
+        // Sharded: pinned shard engines take the sealed sweep, and
+        // coordinator write-backs reset a shard's carried labeling.
+        let z = generate_zoned(
+            &ZonedNetworkConfig {
+                zones: 2,
+                hosts_per_zone: 6,
+                gateway_links: 2,
+                mean_degree: 3,
+                services: 2,
+                products_per_service: 3,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            net_seed,
+        );
+        let mut sharded = ShardedEngine::new(z.network, z.catalog, z.similarity);
+        sharded.solve().expect("cold sharded solve");
+        for _ in 0..bursts {
+            let burst = random_burst(sharded.network(), sharded.catalog(), &mut rng, &[HostId(0)]);
+            sharded.apply_batch(&burst).expect("unconstrained bursts apply");
+            sharded
+                .assignment()
+                .expect("solved")
+                .validate(sharded.network())
                 .expect("assignment is valid");
         }
     }
