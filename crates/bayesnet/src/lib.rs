@@ -47,6 +47,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod factor;
 pub mod graph;

@@ -1,25 +1,18 @@
-//! Criterion benchmark: in-place model *edit* vs. linear model reassembly
-//! (the ISSUE 5 acceptance comparison).
+//! Criterion benchmark: absorbing a single-host delta through the in-place
+//! model edit on a 960-host network.
 //!
-//! Both sides absorb the same single-host delta on a 960-host network
-//! through an [`ics_diversity::cache::EnergyCache`] whose domains and
-//! potential matrices are already warm — so the measured difference is
-//! exactly the *model-maintenance* phase:
-//!
-//! * **model_rebuild** — in-place edits disabled: every refresh reassembles
-//!   the MRF linearly (one variable layout pass plus one edge pass over
-//!   every link), `O(V + E)` regardless of how small the delta was. This
-//!   was the only path before the mutable model and the dominant cost of
-//!   `apply_batch` at this scale.
-//! * **model_edit** — the hinted refresh edits the model in place: only the
+//! * **model_edit** — an [`ics_diversity::cache::EnergyCache`] whose
+//!   domains and potential matrices are already warm absorbs the delta
+//!   through a hinted refresh, which edits the model in place: only the
 //!   touched host's variables and incident factors are re-derived and its
-//!   neighbors' folded unaries refreshed, `O(touched · degree)`.
+//!   neighbors' folded unaries refreshed, `O(touched · degree)`. This is
+//!   exactly the *model-maintenance* phase.
+//! * **engine_apply_edit** — the same delta end-to-end through
+//!   `DiversityEngine::apply` (delta staging + model maintenance +
+//!   localized warm re-solve).
 //!
-//! The acceptance target is the edit path ≥ 5× faster than reassembly for
-//! a single-host delta at 960 hosts. A second pair measures the same
-//! comparison end-to-end through `DiversityEngine::apply` (delta staging +
-//! model maintenance + localized warm re-solve), where the model phase is
-//! the dominant term at this size.
+//! A linear reassembly, `O(V + E)` however small the delta, is what every
+//! cold build runs; the `solvers` bench times it as `model_build/build/960`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -66,40 +59,38 @@ fn bench_model_maintenance(c: &mut Criterion) {
     group.sample_size(10);
 
     // Cache-level: exactly the model-maintenance phase, with domains and
-    // cost matrices warm on both sides.
-    for (label, edits) in [("model_edit", true), ("model_rebuild", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &g, |b, g| {
-            let mut network = g.network.clone();
-            let mut cache = EnergyCache::new(
-                &network,
-                &g.similarity,
-                &ConstraintSet::new(),
-                EnergyParams::default(),
-            )
-            .expect("instance builds");
-            cache.set_in_place_edits(edits);
-            let mut fix = true;
-            b.iter(|| {
-                let effect = network
-                    .apply_delta(&toggle_delta(g, fix), &g.catalog)
-                    .expect("valid toggle");
-                fix = !fix;
-                let stats = cache
-                    .refresh_hinted(&network, &g.similarity, Some(&effect.touched))
-                    .expect("feasible refresh");
-                assert_eq!(stats.edited, edits);
-                stats.variables
-            });
+    // cost matrices warm.
+    group.bench_with_input(BenchmarkId::from_parameter("model_edit"), &g, |b, g| {
+        let mut network = g.network.clone();
+        let mut cache = EnergyCache::new(
+            &network,
+            &g.similarity,
+            &ConstraintSet::new(),
+            EnergyParams::default(),
+        )
+        .expect("instance builds");
+        let mut fix = true;
+        b.iter(|| {
+            let effect = network
+                .apply_delta(&toggle_delta(g, fix), &g.catalog)
+                .expect("valid toggle");
+            fix = !fix;
+            let stats = cache
+                .refresh_hinted(&network, &g.similarity, Some(&effect.touched))
+                .expect("feasible refresh");
+            assert!(stats.edited);
+            stats.variables
         });
-    }
+    });
 
-    // Engine-level: the same comparison end-to-end through apply() (staged
+    // Engine-level: the same delta end-to-end through apply() (staged
     // delta + model maintenance + localized warm re-solve).
-    for (label, edits) in [("engine_apply_edit", true), ("engine_apply_rebuild", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &g, |b, g| {
+    group.bench_with_input(
+        BenchmarkId::from_parameter("engine_apply_edit"),
+        &g,
+        |b, g| {
             let mut engine =
-                DiversityEngine::new(g.network.clone(), g.catalog.clone(), g.similarity.clone())
-                    .with_in_place_edits(edits);
+                DiversityEngine::new(g.network.clone(), g.catalog.clone(), g.similarity.clone());
             engine.solve().expect("cold solve");
             let mut fix = true;
             b.iter(|| {
@@ -107,8 +98,8 @@ fn bench_model_maintenance(c: &mut Criterion) {
                 fix = !fix;
                 report.objective_after
             });
-        });
-    }
+        },
+    );
 
     group.finish();
 }

@@ -27,19 +27,15 @@ use netmodel::topology::{generate, GeneratedNetwork, RandomNetworkConfig};
 /// Median ns/op measured on this harness *before* the solver hot-loop pass
 /// (flat message arenas, resolved potentials, colored sweeps) landed — the
 /// "before" column of the README table, re-measured at the pre-pass commit
-/// with this same solve-only harness. The `-par4` entries compare against
-/// the corresponding *sequential* pre-pass solver: in-solver parallelism did
-/// not exist before the pass, so the sequential number is the before. The
-/// `-warm` entries have no baseline (reusable solve scratch is new).
+/// with this same solve-only harness. The `-warm` entries have no baseline
+/// (reusable solve scratch is new).
 const BASELINE_NS: &[(&str, f64)] = &[
     ("solvers/trws/240", 5_671_000.0),
     ("solvers/bp/240", 14_951_000.0),
     ("solvers/icm/240", 896_000.0),
     ("solvers/trws/960", 30_182_000.0),
     ("solvers/bp/960", 62_373_000.0),
-    ("solvers/bp-par4/960", 62_373_000.0),
     ("solvers/icm/960", 4_622_000.0),
-    ("solvers/icm-par4/960", 4_622_000.0),
     ("portfolio_vs_single/single_trws/960", 30_342_000.0),
     ("portfolio_vs_single/portfolio/960", 96_886_000.0),
 ];
@@ -68,8 +64,8 @@ fn energy_for(g: &GeneratedNetwork) -> EnergyModel {
     .expect("instance builds")
 }
 
-fn solver_cases(hosts: usize) -> Vec<(&'static str, SolverKind)> {
-    let mut cases = vec![
+fn solver_cases() -> [(&'static str, SolverKind); 3] {
+    [
         (
             "trws",
             SolverKind::Trws(TrwsOptions {
@@ -85,28 +81,7 @@ fn solver_cases(hosts: usize) -> Vec<(&'static str, SolverKind)> {
             }),
         ),
         ("icm", SolverKind::Icm(IcmOptions::default())),
-    ];
-    // The parallel variants only separate from the sequential ones above
-    // the in-solver threshold; benching them below it would measure the
-    // same code twice.
-    if hosts >= 960 {
-        cases.push((
-            "bp-par4",
-            SolverKind::Bp(BpOptions {
-                max_iterations: 30,
-                threads: 4,
-                ..BpOptions::default()
-            }),
-        ));
-        cases.push((
-            "icm-par4",
-            SolverKind::Icm(IcmOptions {
-                threads: 4,
-                ..IcmOptions::default()
-            }),
-        ));
-    }
-    cases
+    ]
 }
 
 /// One full solve per solver at `hosts` on a prebuilt model, plus the
@@ -118,7 +93,7 @@ fn bench_full_solves(c: &mut Criterion, hosts: usize) {
     let ctl = SolveControl::new();
     let mut group = c.benchmark_group("solvers");
     group.sample_size(10);
-    for (name, kind) in solver_cases(hosts) {
+    for (name, kind) in solver_cases() {
         let solver = kind.build();
         group.bench_with_input(BenchmarkId::new(name, hosts), &model, |b, m| {
             b.iter(|| solver.solve(m, &ctl));
@@ -177,8 +152,9 @@ fn bench_portfolio_vs_single(c: &mut Criterion) {
     group.finish();
 }
 
-/// Hand-rolled JSON (no serde offline): per-entry ns/op with the recorded
-/// baseline and speedup where one exists. Same pattern as BENCH_serving.json.
+/// Hand-rolled JSON (no serde offline): the core count the run saw, then
+/// per-entry ns/op with the recorded baseline and speedup where one exists.
+/// Same pattern as BENCH_serving.json.
 fn emit_json(criterion: &Criterion, full: bool) {
     let mut entries = String::new();
     for (i, (name, t)) in criterion.measurements().iter().enumerate() {
@@ -202,8 +178,10 @@ fn emit_json(criterion: &Criterion, full: bool) {
             )),
         }
     }
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"solvers\",\n  \"mode\": \"{}\",\n  \"entries\": [\n{entries}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"solvers\",\n  \"mode\": \"{}\",\n  \"cores\": {cores},\n  \
+         \"entries\": [\n{entries}\n  ]\n}}\n",
         if full { "full" } else { "reduced" },
     );
     match std::fs::write("BENCH_solvers.json", &json) {

@@ -17,6 +17,8 @@
 //! Scalability binaries accept `--full` for the paper-scale grid (minutes)
 //! and default to a reduced grid (seconds).
 
+#![forbid(unsafe_code)]
+
 use ics_diversity::optimizer::{DiversityOptimizer, SolverKind};
 use netmodel::assignment::Assignment;
 use netmodel::casestudy::CaseStudy;

@@ -306,9 +306,6 @@ pub struct EnergyCache {
     /// Partner index over `fixed_pairs` so an edit finds a host's entries
     /// without scanning the map.
     fixed_adj: HashMap<HostId, Vec<HostId>>,
-    /// Whether hinted refreshes may edit the model in place (default true;
-    /// benches disable it to measure the linear-reassembly baseline).
-    edit_enabled: bool,
 }
 
 impl EnergyCache {
@@ -349,7 +346,6 @@ impl EnergyCache {
             registered: HashMap::new(),
             fixed_pairs: HashMap::new(),
             fixed_adj: HashMap::new(),
-            edit_enabled: true,
         }
     }
 
@@ -379,14 +375,6 @@ impl EnergyCache {
     /// The constraint set the cached domains were filtered under.
     pub fn constraints(&self) -> &ConstraintSet {
         &self.constraints
-    }
-
-    /// Enables or disables in-place model edits on hinted refreshes.
-    /// Disabled, every refresh reassembles the model linearly — the
-    /// pre-mutable-model behavior, kept as the measurable baseline for the
-    /// `mutable_model` bench and as an escape hatch.
-    pub fn set_in_place_edits(&mut self, enabled: bool) {
-        self.edit_enabled = enabled;
     }
 
     /// The cache's memory-footprint drivers: `(interned domains, cached
@@ -440,13 +428,6 @@ impl EnergyCache {
         self.domains.clear();
         self.interner.refs.fill(0);
         self.interner.live = 0;
-        self.synced = None;
-    }
-
-    /// Replaces the energy parameters, forcing a model rebuild at the next
-    /// refresh (domains are unaffected).
-    pub fn set_params(&mut self, params: EnergyParams) {
-        self.params = params;
         self.synced = None;
     }
 
@@ -626,7 +607,7 @@ impl EnergyCache {
                 .len(),
             "domain reference counts drifted from the slots"
         );
-        let mut reassemble = !hinted || !self.edit_enabled;
+        let mut reassemble = !hinted;
         if self.interner.domains.len() >= 64 && self.interner.domains.len() > 2 * live {
             self.compact();
             reassemble = true;
@@ -1374,28 +1355,6 @@ mod tests {
             .unwrap();
             assert_equivalent(cache.model(), &scratch);
         }
-    }
-
-    #[test]
-    fn disabled_edits_fall_back_to_reassembly() {
-        let (mut net, c, sim) = instance(6);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
-        cache.set_in_place_edits(false);
-        let os = c.service_by_name("os").unwrap();
-        let p0 = c.product_by_name("p0").unwrap();
-        let effect = net
-            .apply_delta(&NetworkDelta::fix_slot(HostId(1), os, p0), &c)
-            .unwrap();
-        let stats = cache
-            .refresh_hinted(&net, &sim, Some(&effect.touched))
-            .unwrap();
-        assert!(stats.rebuilt);
-        assert!(!stats.edited);
-        let scratch =
-            crate::energy::build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default())
-                .unwrap();
-        assert_equivalent(cache.model(), &scratch);
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl fmt::Debug for DiversityEngine {
 impl DiversityEngine {
     /// Creates an engine over `network` (unconstrained, default parameters,
     /// TRW-S cold solver, ICM warm-start refiner). Construction is lazy:
-    /// the energy model is built — under whatever constraints/params the
+    /// the energy model is built — under whatever constraints the
     /// `with_*` builders set — at the first [`DiversityEngine::solve`] or
     /// [`DiversityEngine::apply`], which is also where infeasibility
     /// surfaces ([`Error::Infeasible`]).
@@ -257,15 +257,6 @@ impl DiversityEngine {
     /// constraints).
     pub fn with_constraints(mut self, constraints: ConstraintSet) -> DiversityEngine {
         self.cache.set_constraints(&constraints);
-        self.last = None;
-        self.carried = None;
-        self
-    }
-
-    /// Replaces the energy parameters; the next step rebuilds and solves
-    /// cold.
-    pub fn with_params(mut self, params: EnergyParams) -> DiversityEngine {
-        self.cache.set_params(params);
         self.last = None;
         self.carried = None;
         self
@@ -361,17 +352,6 @@ impl DiversityEngine {
         self.journal
             .as_mut()
             .map_or(Ok(()), |j| j.mark(label, fields))
-    }
-
-    /// Enables or disables in-place model edits on delta absorption
-    /// (default: enabled). Disabled, every absorbed delta reassembles the
-    /// model linearly — the pre-mutable-model behavior, kept as the
-    /// measurable baseline for the `mutable_model` bench (the
-    /// [`ReassignmentReport::rebuild`]`.edited` flag reports which path a
-    /// step took either way).
-    pub fn with_in_place_edits(mut self, enabled: bool) -> DiversityEngine {
-        self.cache.set_in_place_edits(enabled);
-        self
     }
 
     /// The current network (with revision counters).

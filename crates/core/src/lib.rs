@@ -216,6 +216,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod churn;
 pub mod energy;

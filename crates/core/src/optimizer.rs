@@ -205,7 +205,6 @@ impl OptimizedAssignment {
 #[derive(Clone)]
 pub struct DiversityOptimizer {
     solver: Arc<dyn MapSolver>,
-    params: EnergyParams,
     refiners: Vec<Arc<dyn MapSolver>>,
     budget: Option<Duration>,
 }
@@ -214,7 +213,6 @@ impl fmt::Debug for DiversityOptimizer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DiversityOptimizer")
             .field("solver", &self.solver.name())
-            .field("params", &self.params)
             .field(
                 "refiners",
                 &self.refiners.iter().map(|r| r.name()).collect::<Vec<_>>(),
@@ -228,7 +226,6 @@ impl Default for DiversityOptimizer {
     fn default() -> DiversityOptimizer {
         DiversityOptimizer {
             solver: Arc::new(Trws::default()),
-            params: EnergyParams::default(),
             refiners: vec![Arc::new(Ils::default())],
             budget: None,
         }
@@ -287,12 +284,6 @@ impl DiversityOptimizer {
         self
     }
 
-    /// Replaces the energy parameters.
-    pub fn with_params(mut self, params: EnergyParams) -> DiversityOptimizer {
-        self.params = params;
-        self
-    }
-
     fn control(&self) -> SolveControl {
         match self.budget {
             Some(budget) => SolveControl::new().with_budget(budget),
@@ -346,7 +337,7 @@ impl DiversityOptimizer {
     ) -> Result<OptimizedAssignment> {
         // Construct the energy *before* starting the budget clock: the
         // documented budget covers solve + refinement, not model building.
-        let energy = build_energy(network, similarity, constraints, self.params)?;
+        let energy = build_energy(network, similarity, constraints, EnergyParams::default())?;
         self.finish(network, constraints, energy, &self.control())
     }
 
@@ -366,7 +357,7 @@ impl DiversityOptimizer {
         constraints: &ConstraintSet,
         ctl: &SolveControl,
     ) -> Result<OptimizedAssignment> {
-        let energy = build_energy(network, similarity, constraints, self.params)?;
+        let energy = build_energy(network, similarity, constraints, EnergyParams::default())?;
         self.finish(network, constraints, energy, ctl)
     }
 

@@ -72,9 +72,8 @@
 //! cross-link relaxation plus boundary coordination left on the table,
 //! given the shards' solves. The loop stops at [`DUAL_GAP_TOLERANCE`], on
 //! a stalled bound, or at [`ShardedEngine::with_max_rounds`]; a final
-//! polish round refines each shard's full cross-augmented model with the
-//! configured coordinator (bounded ILS by default), closing the primal gap
-//! the message-passing decodes leave.
+//! polish round refines each shard's full cross-augmented model with a
+//! bounded ILS, closing the primal gap the message-passing decodes leave.
 //!
 //! The accept-only-if-better splice keeps every pass *monotone*: the
 //! global objective (shard model energies + cross-link similarity
@@ -140,7 +139,7 @@ use crate::{Error, Result};
 /// frustrated boundaries.
 pub const DEFAULT_COORDINATION_ROUNDS: usize = 8;
 
-/// Kick budget of the default Strong-pass coordinator (a bounded ILS).
+/// Kick budget of the Strong-pass coordinator (a bounded ILS).
 /// The Strong pass's final polish round doubles as the post-TRW-S primal
 /// repair stage: per-shard message-passing decodes leave a primal gap that
 /// iterated local search closes, so the sharded fixpoint typically lands
@@ -375,7 +374,9 @@ pub struct ShardedEngine {
     /// Master host id → (shard index, local host id). Total: every master
     /// host is owned by exactly one shard.
     locator: Vec<(usize, HostId)>,
-    coordinator: Arc<dyn MapSolver>,
+    /// Refines each boundary shard's cross-augmented model in the Strong
+    /// pass's closing polish round.
+    coordinator: Ils,
     max_rounds: usize,
     budget: Option<Duration>,
     /// The full, unsplit constraint set — the `ALL`-scoped subset seeds
@@ -461,10 +462,10 @@ impl ShardedEngine {
             partition,
             shards,
             locator,
-            coordinator: Arc::new(Ils::new(IlsOptions {
+            coordinator: Ils::new(IlsOptions {
                 kicks: DEFAULT_COORDINATOR_KICKS,
                 ..IlsOptions::default()
-            })),
+            }),
             max_rounds: DEFAULT_COORDINATION_ROUNDS,
             budget: None,
             constraints: ConstraintSet::new(),
@@ -519,17 +520,6 @@ impl ShardedEngine {
     /// [`DiversityEngine::with_locality`]).
     pub fn with_locality(self, k_hops: Option<usize>) -> ShardedEngine {
         self.map_engines(|e| e.with_locality(k_hops))
-    }
-
-    /// Replaces the solver that refines *Strong* coordination proposals
-    /// (default: a bounded ILS, [`DEFAULT_COORDINATOR_KICKS`], whose
-    /// refinement both responds to cross-shard costs and closes the primal
-    /// gap the shards' TRW-S decodes leave). Light steady-state proposals
-    /// always use a greedy boundary sweep — they sit on every burst's
-    /// serving path.
-    pub fn with_coordinator(mut self, coordinator: Box<dyn MapSolver>) -> ShardedEngine {
-        self.coordinator = Arc::from(coordinator);
-        self
     }
 
     /// Splits a global constraint set exactly across the shards (module
@@ -2062,9 +2052,6 @@ impl ShardedEngine {
                 stall += 1;
             }
             prev_dual = d;
-            if std::env::var_os("DUAL_TRACE").is_some() {
-                eprintln!("round {t}: d {d:.4} primal {:.4} stall {stall}", st.total);
-            }
             // The subproblem argmin's endpoint label per dual edge at this
             // λ — the warm labeling when it beat the decode — captured
             // before the splice mutates the primal state.
@@ -2113,9 +2100,8 @@ impl ShardedEngine {
         }
         // One full-model polish round: the subgradient loop's primal
         // recovery is improve-only splicing of subproblem labelings; a
-        // bounded coordinator pass (ILS by default) over each boundary
-        // shard's cross-augmented full model closes the primal gap the
-        // message-passing decodes leave.
+        // bounded ILS pass over each boundary shard's cross-augmented full
+        // model closes the primal gap the message-passing decodes leave.
         rounds += 1;
         let polish: Vec<usize> = (0..shard_count)
             .filter(|&s| !boundary_entries[s].is_empty())
@@ -2133,7 +2119,7 @@ impl ShardedEngine {
                 .iter()
                 .map(|&s| {
                     let start_labels = st.labels[s].clone().expect("encoded above");
-                    let coordinator = Arc::clone(&this.coordinator);
+                    let coordinator = &this.coordinator;
                     let ctl = ctl.clone();
                     let frontier: Vec<VarId> = boundary_entries[s].iter().map(|e| e.0).collect();
                     (

@@ -4,14 +4,10 @@
 //! [`crate::order::SolveScratch`] arena and are updated **in place**,
 //! variable by variable: each visit recomputes the variable's belief from
 //! the freshest incoming messages and rewrites all of its outgoing
-//! messages. Visits run color class by color class (greedy coloring,
-//! [`crate::color::ColorClasses`]); variables inside one class are
-//! pairwise non-adjacent, so the class can be swept by several threads
-//! with no synchronization — a thread only writes messages *from* its own
-//! variables and reads messages on its own variables' edges, and
-//! non-adjacent variables share no edge. The schedule (class-major,
-//! ascending slot inside each class) is fixed, so results are identical
-//! for every thread count.
+//! messages. A sweep visits the variables color class by color class
+//! (greedy coloring, [`crate::color::ColorClasses`]), ascending slot inside
+//! each class, on the calling thread. The coloring fixes the visit order
+//! and nothing more.
 //!
 //! Gauss-Seidel propagation is strictly fresher than the synchronous
 //! schedule this module used to implement — information crosses several
@@ -20,7 +16,7 @@
 //! Unlike TRW-S it provides no lower bound.
 
 use crate::model::{MrfModel, VarId};
-use crate::order::{ensure_thread_bufs, SendPtr, SolveScratch, Tables};
+use crate::order::{SolveScratch, Tables};
 use crate::solution::Solution;
 use crate::solver::{MapSolver, SolveControl};
 
@@ -37,11 +33,6 @@ pub struct BpOptions {
     /// applies for the rest of the run. The Gauss-Seidel schedule rarely
     /// oscillates, so most runs never pay for damping. 0 disables.
     pub damping: f64,
-    /// Number of worker threads (1 = sequential).
-    pub threads: usize,
-    /// Minimum live-variable count before `threads >= 2` actually spawns;
-    /// below it the same schedule runs sequentially (identical results).
-    pub parallel_threshold: usize,
 }
 
 impl Default for BpOptions {
@@ -50,8 +41,6 @@ impl Default for BpOptions {
             max_iterations: 100,
             tolerance: 1e-9,
             damping: 0.3,
-            threads: 1,
-            parallel_threshold: 512,
         }
     }
 }
@@ -105,7 +94,6 @@ impl MapSolver for Bp {
             p.theta,
             p.mins,
             p.labels_buf,
-            p.thread_bufs,
             ctl,
         )
     }
@@ -122,17 +110,9 @@ fn run(
     theta: &mut [f64],
     mins: &mut [f64],
     labels_buf: &mut Vec<usize>,
-    thread_bufs: &mut Vec<Vec<f64>>,
     ctl: &SolveControl,
 ) -> Solution {
-    let threads = options.threads.max(1);
-    let par = threads >= 2 && model.live_var_count() >= options.parallel_threshold;
-    if par {
-        ensure_thread_bufs(thread_bufs, threads, 2 * t.max_labels);
-    }
     let damping_ceiling = options.damping.clamp(0.0, 0.999);
-    let ptr = SendPtr(arena.as_mut_ptr());
-    let barrier = std::sync::Barrier::new(threads);
     let mut iterations = 0usize;
     let mut converged = false;
     // Adaptive damping: undamped sweeps converge fastest when the
@@ -147,60 +127,10 @@ fn run(
         }
         iterations = iter + 1;
         let mut delta = 0.0f64;
-        if par {
-            // One sweep = one spawn of `threads` workers; a barrier
-            // separates the color classes so the class-major order is
-            // preserved across threads.
-            let barrier = &barrier;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = thread_bufs
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(tid, buf)| {
-                        scope.spawn(move || {
-                            let (theta, mins) = buf.split_at_mut(t.max_labels);
-                            let mut local = 0.0f64;
-                            for k in 0..t.colors.class_count() {
-                                let class = t.colors.class(k);
-                                let chunk = class.len().div_ceil(threads);
-                                let lo = (tid * chunk).min(class.len());
-                                let hi = ((tid + 1) * chunk).min(class.len());
-                                for &iu in &class[lo..hi] {
-                                    // SAFETY: each thread takes a disjoint
-                                    // chunk of one color class (an
-                                    // independent set) — no two threads
-                                    // touch messages on a shared edge.
-                                    local = local.max(unsafe {
-                                        update_var(
-                                            model,
-                                            t,
-                                            pot,
-                                            ptr,
-                                            iu as usize,
-                                            theta,
-                                            mins,
-                                            damping,
-                                        )
-                                    });
-                                }
-                                barrier.wait();
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    delta = delta.max(h.join().expect("bp sweep worker panicked"));
-                }
-            });
-        } else {
-            for k in 0..t.colors.class_count() {
-                for &iu in t.colors.class(k) {
-                    // SAFETY: sequential use — no concurrent writers at all.
-                    delta = delta.max(unsafe {
-                        update_var(model, t, pot, ptr, iu as usize, theta, mins, damping)
-                    });
-                }
+        for k in 0..t.colors.class_count() {
+            for &iu in t.colors.class(k) {
+                let d = update_var(model, t, pot, arena, iu as usize, theta, mins, damping);
+                delta = delta.max(d);
             }
         }
         if ctl.has_progress() {
@@ -224,35 +154,33 @@ fn run(
 
 /// One Gauss-Seidel visit: recompute variable `i`'s belief and rewrite all
 /// of its outgoing messages in place; returns the largest message change.
-///
-/// # Safety
-///
-/// The caller must guarantee no concurrent visit touches a variable
-/// adjacent to `i` — the colored schedule's structural invariant.
+/// Each incoming message, potential table and outgoing message is sliced
+/// once per edge, so the per-label loops index nothing.
 #[allow(clippy::too_many_arguments)]
-unsafe fn update_var(
+fn update_var(
     model: &MrfModel,
     t: &Tables<'_>,
     pot: &[f64],
-    arena: SendPtr<f64>,
+    arena: &mut [f64],
     i: usize,
     theta: &mut [f64],
     mins: &mut [f64],
     damping: f64,
 ) -> f64 {
     let l = t.labels(i);
+    let theta = &mut theta[..l];
     // Belief numerator: unary + every incoming message, freshest values.
-    theta[..l].copy_from_slice(model.unary(VarId(i)));
+    theta.copy_from_slice(model.unary(VarId(i)));
     for &e in t.fwd(i) {
         let inc = t.split + t.off_to_a[e as usize] as usize;
-        for (x, s) in theta[..l].iter_mut().enumerate() {
-            *s += *arena.0.add(inc + x);
+        for (s, &m) in theta.iter_mut().zip(&arena[inc..inc + l]) {
+            *s += m;
         }
     }
     for &e in t.bwd(i) {
         let inc = t.off_to_b[e as usize] as usize;
-        for (x, s) in theta[..l].iter_mut().enumerate() {
-            *s += *arena.0.add(inc + x);
+        for (s, &m) in theta.iter_mut().zip(&arena[inc..inc + l]) {
+            *s += m;
         }
     }
     let mut delta = 0.0f64;
@@ -261,60 +189,48 @@ unsafe fn update_var(
         let e = e as usize;
         let lb = t.edge_lb[e] as usize;
         let inc = t.split + t.off_to_a[e] as usize;
-        let row0 = t.pot_ab[e] as usize;
-        mins[..lb].fill(f64::INFINITY);
-        for xa in 0..l {
-            let base = theta[xa] - *arena.0.add(inc + xa);
-            let row = &pot[row0 + xa * lb..row0 + (xa + 1) * lb];
-            for (m, &c) in mins[..lb].iter_mut().zip(row) {
-                let v = base + c;
-                if v < *m {
-                    *m = v;
-                }
-            }
-        }
-        delta = delta.max(write_damped(
-            arena,
-            t.off_to_b[e] as usize,
-            &mins[..lb],
-            damping,
-        ));
+        let table = &pot[t.pot_ab[e] as usize..][..l * lb];
+        let mins = &mut mins[..lb];
+        min_out(theta, &arena[inc..inc + l], table, mins);
+        let out = t.off_to_b[e] as usize;
+        delta = delta.max(write_damped(&mut arena[out..out + lb], mins, damping));
     }
     for &e in t.bwd(i) {
         let e = e as usize;
         let la = t.edge_la[e] as usize;
         let inc = t.off_to_b[e] as usize;
-        let row0 = t.pot_ba[e] as usize;
-        mins[..la].fill(f64::INFINITY);
-        for xb in 0..l {
-            let base = theta[xb] - *arena.0.add(inc + xb);
-            let row = &pot[row0 + xb * la..row0 + (xb + 1) * la];
-            for (m, &c) in mins[..la].iter_mut().zip(row) {
-                let v = base + c;
-                if v < *m {
-                    *m = v;
-                }
-            }
-        }
-        delta = delta.max(write_damped(
-            arena,
-            t.split + t.off_to_a[e] as usize,
-            &mins[..la],
-            damping,
-        ));
+        let table = &pot[t.pot_ba[e] as usize..][..l * la];
+        let mins = &mut mins[..la];
+        min_out(theta, &arena[inc..inc + l], table, mins);
+        let out = t.split + t.off_to_a[e] as usize;
+        delta = delta.max(write_damped(&mut arena[out..out + la], mins, damping));
     }
     delta
 }
 
+/// The min-sum message body: `mins[y] = min_x (theta[x] − incoming[x] +
+/// table[x][y])`, with `table` row-major over the sender's labels.
+fn min_out(theta: &[f64], incoming: &[f64], table: &[f64], mins: &mut [f64]) {
+    mins.fill(f64::INFINITY);
+    for ((&th, &m_in), row) in theta
+        .iter()
+        .zip(incoming)
+        .zip(table.chunks_exact(mins.len()))
+    {
+        let base = th - m_in;
+        for (m, &c) in mins.iter_mut().zip(row) {
+            let v = base + c;
+            if v < *m {
+                *m = v;
+            }
+        }
+    }
+}
+
 /// Normalizes `mins` (subtract its minimum), damps against the old
-/// message at `arena[off..]`, writes the result back, and returns the
-/// largest per-label change.
-///
-/// # Safety
-///
-/// As [`update_var`]: `arena[off..off + mins.len()]` must not be touched
-/// concurrently.
-unsafe fn write_damped(arena: SendPtr<f64>, off: usize, mins: &[f64], damping: f64) -> f64 {
+/// message in `out`, writes the result back, and returns the largest
+/// per-label change.
+fn write_damped(out: &mut [f64], mins: &[f64], damping: f64) -> f64 {
     let mut low = f64::INFINITY;
     for &m in mins {
         if m < low {
@@ -325,8 +241,7 @@ unsafe fn write_damped(arena: SendPtr<f64>, off: usize, mins: &[f64], damping: f
         low = 0.0;
     }
     let mut delta = 0.0f64;
-    for (x, &m) in mins.iter().enumerate() {
-        let cell = arena.0.add(off + x);
+    for (cell, &m) in out.iter_mut().zip(mins) {
         let old = *cell;
         let new = (1.0 - damping) * (m - low) + damping * old;
         delta = delta.max((new - old).abs());
@@ -456,48 +371,6 @@ mod tests {
             total_gap < 1.0,
             "BP total excess energy {total_gap} too large"
         );
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut b = MrfBuilder::new();
-        let n = 40;
-        let vars: Vec<_> = (0..n).map(|_| b.add_variable(3)).collect();
-        for &v in &vars {
-            b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..3.0)).collect())
-                .unwrap();
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if rng.gen_bool(0.2) {
-                    b.add_edge_dense(
-                        vars[i],
-                        vars[j],
-                        (0..9).map(|_| rng.gen_range(0.0..2.0)).collect(),
-                    )
-                    .unwrap();
-                }
-            }
-        }
-        let m = b.build();
-        let seq = Bp::new(BpOptions {
-            threads: 1,
-            max_iterations: 30,
-            ..BpOptions::default()
-        })
-        .solve(&m, &ctl());
-        // Threshold 0 forces the scoped-thread path even on this small
-        // model; the schedule is identical, so the results must be too.
-        let par = Bp::new(BpOptions {
-            threads: 4,
-            max_iterations: 30,
-            parallel_threshold: 0,
-            ..BpOptions::default()
-        })
-        .solve(&m, &ctl());
-        assert_eq!(seq.labels(), par.labels());
-        assert_eq!(seq.energy(), par.energy());
     }
 
     #[test]

@@ -1,26 +1,22 @@
-//! Greedy graph coloring over live variables, for race-free parallel
-//! sweeps.
+//! Greedy graph coloring over live variables: the visit order of BP's
+//! Gauss-Seidel sweep.
 //!
 //! A color class is an independent set: no two variables in the same class
-//! share an edge, so their ICM moves read disjoint neighbor labels and
-//! their BP updates read and write disjoint messages. Sweeping class by
-//! class (classes ascending, variables ascending within a class) therefore
-//! yields a *fixed* schedule whose results do not depend on how many
-//! threads execute each class — the property the colored-parallel solvers
-//! rely on and the proptests pin.
+//! share an edge. BP sweeps class by class (classes ascending, variables
+//! ascending within a class), so within a class no visit reads a message
+//! another visit of the same class has just rewritten, and every class
+//! sees the freshest messages of all earlier ones.
 //!
 //! The coloring itself is the classic greedy first-fit in slot order:
 //! linear in edges, and on the bounded-degree network MRFs this repo
-//! builds it produces a handful of classes, each large enough to keep a
-//! few worker threads busy.
+//! builds it produces a handful of classes.
 
 use crate::model::MrfModel;
 
 /// Flat-CSR partition of the live variables into independent sets.
 ///
 /// Built (and rebuilt, reusing capacity) by [`ColorClasses::build`];
-/// consumed by the colored sweeps in [`crate::icm`] and [`crate::bp`] via
-/// [`ColorClasses::class`].
+/// consumed by the sweep in [`crate::bp`] via [`ColorClasses::class`].
 #[derive(Debug, Clone, Default)]
 pub struct ColorClasses {
     /// Color per variable slot; `u32::MAX` for tombstoned slots.

@@ -5,16 +5,10 @@
 //! terminates at a local optimum; fast but easily trapped, which is exactly
 //! why it is a useful contrast to TRW-S in the ablation benchmarks.
 //!
-//! With [`IcmOptions::threads`] ≥ 2 the sweep switches to a *colored*
-//! schedule over a [`crate::order::SolveScratch`]: variables are visited
-//! color class by color class ([`crate::color`]), and each class — an
-//! independent set, so its moves read and write disjoint state — is split
-//! across scoped threads when the model is large enough
-//! ([`IcmOptions::parallel_threshold`]). The schedule is fixed by the
-//! coloring, not by the thread count, so results are identical whether a
-//! class runs on one thread or eight — the property the colored ≡
-//! sequential proptests pin. `threads == 1` keeps the classic slot-order
-//! sweep bit-for-bit.
+//! A full sweep visits the live variables in ascending slot order on the
+//! calling thread. TRW-S polishes each decode with the same move through
+//! its prepared [`crate::order::SolveScratch`] tables (`fast_sweeps`),
+//! which read contiguous potential rows instead of the model's edge list.
 //!
 //! The frontier-restricted sweeps ([`MapSolver::refine_local`] and
 //! [`MapSolver::refine_local_sealed`]) visit a *worklist*, not the whole
@@ -32,7 +26,7 @@
 
 use crate::local::{ActiveRegion, LocalRefine};
 use crate::model::{MrfModel, VarId};
-use crate::order::{energy_fast, ensure_thread_bufs, SendPtr, SolveScratch, Tables};
+use crate::order::{SolveScratch, Tables};
 use crate::solution::Solution;
 use crate::solver::{MapSolver, SolveControl};
 
@@ -65,54 +59,47 @@ fn conditional_argmin(model: &MrfModel, labels: &[usize], i: usize, cost: &mut [
         .unwrap_or(0)
 }
 
-/// One colored-schedule ICM move on variable `i`: fill the conditional
-/// cost via the resolved tables (contiguous potential rows, no transpose
-/// branch) and flip to the argmin if strictly better — the fast-path twin
-/// of [`conditional_argmin`].
-///
-/// # Safety
-///
-/// `labels` must point to a labeling of length `t.n`, and no variable
-/// adjacent to `i` (nor `i` itself) may be written through another copy of
-/// the pointer while this call runs — guaranteed when concurrent callers
-/// process distinct variables of one color class.
-unsafe fn colored_move(
+/// One ICM move on variable `i` through the resolved tables: fill the
+/// conditional cost from contiguous potential rows (no transpose branch)
+/// and flip to the argmin if strictly better — the fast-path twin of
+/// [`conditional_argmin`].
+fn table_move(
     model: &MrfModel,
     t: &Tables<'_>,
     pot: &[f64],
-    labels: SendPtr<usize>,
+    labels: &mut [usize],
     i: usize,
     cost: &mut [f64],
 ) -> bool {
-    let l = t.labels(i);
-    cost[..l].copy_from_slice(model.unary(VarId(i)));
+    let cost = &mut cost[..t.labels(i)];
+    cost.copy_from_slice(model.unary(VarId(i)));
     for &e in t.fwd(i) {
         let e = e as usize;
         let la = t.edge_la[e] as usize;
-        let xb = *labels.0.add(t.edge_b[e] as usize);
+        let xb = labels[t.edge_b[e] as usize];
         let row = &pot[t.pot_ba[e] as usize + xb * la..][..la];
-        for (c, &p) in cost[..l].iter_mut().zip(row) {
+        for (c, &p) in cost.iter_mut().zip(row) {
             *c += p;
         }
     }
     for &e in t.bwd(i) {
         let e = e as usize;
         let lb = t.edge_lb[e] as usize;
-        let xa = *labels.0.add(t.edge_a[e] as usize);
+        let xa = labels[t.edge_a[e] as usize];
         let row = &pot[t.pot_ab[e] as usize + xa * lb..][..lb];
-        for (c, &p) in cost[..l].iter_mut().zip(row) {
+        for (c, &p) in cost.iter_mut().zip(row) {
             *c += p;
         }
     }
     let mut best = 0usize;
-    for x in 1..l {
+    for x in 1..cost.len() {
         if cost[x] < cost[best] {
             best = x;
         }
     }
-    let cur = *labels.0.add(i);
+    let cur = labels[i];
     if best != cur && cost[best] < cost[cur] {
-        *labels.0.add(i) = best;
+        labels[i] = best;
         true
     } else {
         false
@@ -131,7 +118,6 @@ pub(crate) fn fast_sweeps(
     max_sweeps: usize,
     ctl: &SolveControl,
 ) -> (usize, bool) {
-    let ptr = SendPtr(labels.as_mut_ptr());
     let mut sweeps = 0usize;
     for sweep in 0..max_sweeps {
         if ctl.should_stop() {
@@ -140,8 +126,7 @@ pub(crate) fn fast_sweeps(
         sweeps = sweep + 1;
         let mut changed = false;
         for &iu in t.order {
-            // SAFETY: sequential use — no concurrent writers at all.
-            changed |= unsafe { colored_move(model, t, pot, ptr, iu as usize, cost) };
+            changed |= table_move(model, t, pot, labels, iu as usize, cost);
         }
         if !changed {
             return (sweeps, true);
@@ -155,26 +140,11 @@ pub(crate) fn fast_sweeps(
 pub struct IcmOptions {
     /// Maximum number of full sweeps.
     pub max_sweeps: usize,
-    /// Worker threads for the colored sweep schedule. 1 (the default)
-    /// keeps the classic sequential slot-order sweep; ≥ 2 switches to the
-    /// colored class-by-class schedule, parallelized per class when the
-    /// model clears [`IcmOptions::parallel_threshold`]. The colored
-    /// schedule's results depend only on the coloring, never on the thread
-    /// count.
-    pub threads: usize,
-    /// Minimum live variables before a colored sweep actually spawns
-    /// threads; below it the same schedule runs sequentially (identical
-    /// results, no spawn overhead).
-    pub parallel_threshold: usize,
 }
 
 impl Default for IcmOptions {
     fn default() -> IcmOptions {
-        IcmOptions {
-            max_sweeps: 100,
-            threads: 1,
-            parallel_threshold: 512,
-        }
+        IcmOptions { max_sweeps: 100 }
     }
 }
 
@@ -203,10 +173,6 @@ impl Icm {
         mut labels: Vec<usize>,
         ctl: &SolveControl,
     ) -> Solution {
-        if self.options.threads >= 2 {
-            let mut scratch = SolveScratch::new();
-            return self.solve_from_with(model, labels, ctl, &mut scratch);
-        }
         assert_eq!(labels.len(), model.var_count(), "labeling arity mismatch");
         let n = model.var_count();
         if n == 0 {
@@ -237,103 +203,6 @@ impl Icm {
             }
         }
         let energy = model.energy(&labels);
-        ctl.report(sweeps, energy, None);
-        Solution::new(labels, energy, None, sweeps, converged)
-    }
-
-    /// [`Icm::solve_from`] over a caller-owned [`SolveScratch`]: the
-    /// colored class-by-class schedule (module docs), threaded per class
-    /// when `threads ≥ 2` and the model clears the parallel threshold.
-    /// With `threads == 1` this still runs the colored schedule — callers
-    /// wanting the classic slot-order sweep use [`Icm::solve_from`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels` has the wrong arity or out-of-range labels.
-    pub fn solve_from_with(
-        &self,
-        model: &MrfModel,
-        mut labels: Vec<usize>,
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> Solution {
-        assert_eq!(labels.len(), model.var_count(), "labeling arity mismatch");
-        if model.var_count() == 0 {
-            return Solution::new(labels, 0.0, None, 0, true);
-        }
-        scratch.prepare(model);
-        let p = scratch.parts();
-        let threads = self.options.threads.max(1);
-        let par = threads >= 2 && model.live_var_count() >= self.options.parallel_threshold;
-        ensure_thread_bufs(p.thread_bufs, threads, p.t.max_labels);
-        let ptr = SendPtr(labels.as_mut_ptr());
-        let mut sweeps = 0usize;
-        let mut converged = false;
-        let barrier = std::sync::Barrier::new(threads);
-        for sweep in 0..self.options.max_sweeps {
-            if ctl.should_stop() {
-                break;
-            }
-            sweeps = sweep + 1;
-            let mut changed = false;
-            if !par {
-                let cost = &mut p.thread_bufs[0];
-                for k in 0..p.t.colors.class_count() {
-                    for &iu in p.t.colors.class(k) {
-                        // SAFETY: sequential — sole writer.
-                        changed |=
-                            unsafe { colored_move(model, &p.t, p.pot, ptr, iu as usize, cost) };
-                    }
-                }
-            } else {
-                // One sweep = one spawn of `threads` workers; a barrier
-                // separates the color classes so the class-major order is
-                // preserved. One class = one independent set: concurrent
-                // moves read only other-class labels and write disjoint own
-                // labels, so chunking is free of ordering effects.
-                let t = &p.t;
-                let pot = p.pot;
-                let barrier = &barrier;
-                let flags = std::thread::scope(|scope| {
-                    let handles: Vec<_> = p
-                        .thread_bufs
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(tid, cost)| {
-                            scope.spawn(move || {
-                                let mut local = false;
-                                for k in 0..t.colors.class_count() {
-                                    let class = t.colors.class(k);
-                                    let chunk = class.len().div_ceil(threads);
-                                    let lo = (tid * chunk).min(class.len());
-                                    let hi = ((tid + 1) * chunk).min(class.len());
-                                    for &iu in &class[lo..hi] {
-                                        // SAFETY: vars of one class are
-                                        // pairwise non-adjacent (see
-                                        // `colored_move`).
-                                        local |= unsafe {
-                                            colored_move(model, t, pot, ptr, iu as usize, cost)
-                                        };
-                                    }
-                                    barrier.wait();
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("colored ICM worker panicked"))
-                        .collect::<Vec<_>>()
-                });
-                changed = flags.into_iter().any(|f| f);
-            }
-            if !changed {
-                converged = true;
-                break;
-            }
-        }
-        let energy = energy_fast(model, &p.t, p.pot, &labels);
         ctl.report(sweeps, energy, None);
         Solution::new(labels, energy, None, sweeps, converged)
     }
@@ -413,41 +282,21 @@ impl MapSolver for Icm {
         self.solve_from(model, model.unary_argmin(), ctl)
     }
 
-    /// [`MapSolver::solve`] reusing the scratch's allocations when the
-    /// colored schedule is active (`threads ≥ 2`); the sequential sweep
-    /// needs no prepared structure and ignores the scratch.
-    fn solve_with(
-        &self,
-        model: &MrfModel,
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> Solution {
-        if self.options.threads >= 2 {
-            self.solve_from_with(model, model.unary_argmin(), ctl, scratch)
-        } else {
-            self.solve(model, ctl)
-        }
-    }
-
     /// ICM genuinely warm-starts: descends from `start` directly.
     fn refine(&self, model: &MrfModel, start: Vec<usize>, ctl: &SolveControl) -> Solution {
         self.solve_from(model, start, ctl)
     }
 
-    /// Warm-start descent through the scratch (see
-    /// [`Icm::solve_from_with`]).
+    /// Warm-start descent from `start`, as [`MapSolver::refine`]; the
+    /// sweep needs no prepared structure and ignores the scratch.
     fn refine_with(
         &self,
         model: &MrfModel,
         start: Vec<usize>,
         ctl: &SolveControl,
-        scratch: &mut SolveScratch,
+        _scratch: &mut SolveScratch,
     ) -> Solution {
-        if self.options.threads >= 2 {
-            self.solve_from_with(model, start, ctl, scratch)
-        } else {
-            self.solve_from(model, start, ctl)
-        }
+        self.solve_from(model, start, ctl)
     }
 
     /// Masked coordinate descent over the active region (module docs),

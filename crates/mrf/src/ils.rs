@@ -105,7 +105,6 @@ impl MapSolver for Ils {
         }
         let icm = Icm::new(IcmOptions {
             max_sweeps: self.options.sweeps,
-            ..IcmOptions::default()
         });
         let mut rng = SplitMix64::new(self.options.seed);
         let start_energy = model.energy(&start);

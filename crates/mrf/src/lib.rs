@@ -29,15 +29,14 @@
 //!   graphs.
 //! * [`bp`] — loopy min-sum belief propagation as the baseline the paper
 //!   compares TRW-S against: chromatic Gauss–Seidel sweeps over a greedy
-//!   coloring ([`color`]), adaptive damping that engages only when the
-//!   residual oscillates, and optional colored-parallel execution.
+//!   coloring ([`color`]) and adaptive damping that engages only when the
+//!   residual oscillates.
 //! * [`icm`] — iterated conditional modes, a fast greedy baseline and the
 //!   warm-start refiner other solvers build on.
 //! * [`ils`] — iterated local search, the refinement stage that closes the
 //!   primal gap the message-passing decode leaves on frustrated energies.
 //! * [`projection`] — projecting a stale labeling onto a rebuilt model, the
-//!   safe warm-start path for incremental re-solves
-//!   ([`MapSolver::refine_projected`]).
+//!   safe warm-start path for incremental re-solves.
 //! * [`local`] — frontier-restricted refinement
 //!   ([`MapSolver::refine_local`]): masked sweeps around a localized
 //!   change, expanding while labels keep flipping, with a full-sweep
@@ -50,7 +49,9 @@
 //! * [`order`] and [`color`] — the shared hot-loop substrate:
 //!   [`SolveScratch`] (flat SoA message arena, precomputed edge-slot
 //!   offsets, monotone-chain ordering; warm re-solves allocate nothing)
-//!   and greedy graph coloring for thread-count-invariant parallel sweeps.
+//!   and the greedy graph coloring that orders BP's sweep. Every sweep runs
+//!   on the calling thread; only [`portfolio`] spawns threads, one per
+//!   member.
 //!
 //! # Quick start
 //!
@@ -142,6 +143,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bp;

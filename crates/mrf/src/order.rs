@@ -20,8 +20,8 @@
 //!   messages first, laid out in forward sweep order, then all backward
 //!   messages in backward sweep order — so a TRW-S pass is one
 //!   `split_at_mut` and two linear walks.
-//! * **Coloring** ([`crate::color::ColorClasses`]) for the parallel ICM/BP
-//!   sweeps.
+//! * **Coloring** ([`crate::color::ColorClasses`]): the class-major visit
+//!   order of BP's Gauss-Seidel sweep.
 //!
 //! [`SolveScratch::prepare`] recomputes everything from the model (edge
 //! slots recycle under churn, so nothing is fingerprinted or trusted
@@ -76,8 +76,6 @@ pub(crate) struct Tables<'a> {
     pub n_backward: &'a [u32],
     /// Independent-set partition of the live variables.
     pub colors: &'a ColorClasses,
-    /// Largest label domain.
-    pub max_labels: usize,
 }
 
 impl Tables<'_> {
@@ -118,8 +116,6 @@ pub(crate) struct Parts<'a> {
     pub decoded: &'a mut Vec<bool>,
     /// Reusable decode BFS queue.
     pub queue: &'a mut VecDeque<u32>,
-    /// Per-thread buffers for the colored parallel sweeps.
-    pub thread_bufs: &'a mut Vec<Vec<f64>>,
 }
 
 /// Reusable solver structure + workspace (module docs). One instance per
@@ -155,7 +151,6 @@ pub struct SolveScratch {
     labels_buf: Vec<usize>,
     decoded: Vec<bool>,
     queue: VecDeque<u32>,
-    thread_bufs: Vec<Vec<f64>>,
 }
 
 impl SolveScratch {
@@ -302,7 +297,7 @@ impl SolveScratch {
         self.arena.clear();
         self.arena.resize(arena_len, 0.0);
 
-        // TRW-S node weights and the coloring for parallel sweeps.
+        // TRW-S node weights and BP's visit coloring.
         self.gamma.clear();
         self.gamma.reserve(n);
         self.n_backward.clear();
@@ -345,7 +340,6 @@ impl SolveScratch {
                 gamma: &self.gamma,
                 n_backward: &self.n_backward,
                 colors: &self.colors,
-                max_labels: self.max_labels,
             },
             arena: &mut self.arena,
             pot: &self.pot_data,
@@ -354,38 +348,7 @@ impl SolveScratch {
             labels_buf: &mut self.labels_buf,
             decoded: &mut self.decoded,
             queue: &mut self.queue,
-            thread_bufs: &mut self.thread_bufs,
         }
-    }
-}
-
-/// A raw pointer that crosses scoped-thread boundaries. Used by the
-/// colored parallel sweeps, whose safety argument is structural: variables
-/// in one color class are pairwise non-adjacent, so their concurrent
-/// updates touch disjoint labels/messages by construction.
-pub(crate) struct SendPtr<T>(pub *mut T);
-
-// SAFETY: see the type docs — every use partitions the pointee disjointly.
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: as above.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for SendPtr<T> {}
-
-/// Sizes `bufs[..threads]` to `each` zeroed f64s apiece, reusing capacity.
-pub(crate) fn ensure_thread_bufs(bufs: &mut Vec<Vec<f64>>, threads: usize, each: usize) {
-    if bufs.len() < threads {
-        bufs.resize_with(threads, Vec::new);
-    }
-    for b in &mut bufs[..threads] {
-        b.clear();
-        b.resize(each, 0.0);
     }
 }
 

@@ -10,11 +10,9 @@
 //! variable, an optional seed label (typically "the label encoding the
 //! product this slot ran before the change"); every missing or out-of-range
 //! seed falls back to that variable's unary argmin. The result is always a
-//! complete, in-domain labeling, so the [`MapSolver::refine_projected`]
-//! convenience can never panic on stale input.
+//! complete, in-domain labeling that `refine` accepts.
 //!
 //! [`MapSolver::refine`]: crate::solver::MapSolver::refine
-//! [`MapSolver::refine_projected`]: crate::solver::MapSolver::refine_projected
 
 use crate::model::{MrfModel, VarId};
 
@@ -54,9 +52,7 @@ pub fn project_label(model: &MrfModel, v: VarId, seed: Option<usize>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::icm::Icm;
     use crate::model::MrfBuilder;
-    use crate::solver::{MapSolver, SolveControl};
 
     fn model() -> MrfModel {
         let mut b = MrfBuilder::new();
@@ -82,16 +78,5 @@ mod tests {
         // Short and over-long seed slices are both fine.
         assert_eq!(project_labels(&m, &[]), vec![1, 1]);
         assert_eq!(project_labels(&m, &[Some(0), Some(0), Some(7)]), vec![0, 0]);
-    }
-
-    #[test]
-    fn refine_projected_never_panics_on_stale_arity() {
-        let m = model();
-        // A labeling from a "previous model" with a different variable count
-        // would panic in refine; refine_projected handles it.
-        let stale = [Some(1), None, Some(4), Some(0)];
-        let s = Icm::default().refine_projected(&m, &stale, &SolveControl::new());
-        assert_eq!(s.labels().len(), m.var_count());
-        assert!(s.labels()[1] < 3);
     }
 }

@@ -214,7 +214,7 @@ pub trait MapSolver: Send + Sync {
     fn solve(&self, model: &MrfModel, ctl: &SolveControl) -> Solution;
 
     /// [`MapSolver::solve`] with a caller-owned [`SolveScratch`]: solvers
-    /// that sweep through prepared structure (TRW-S, BP, colored ICM)
+    /// that sweep through prepared structure (TRW-S, BP)
     /// reuse the scratch's allocations across repeated solves — the
     /// engine's warm re-solve pattern. The scratch is re-prepared for
     /// `model` internally; any previous contents are irrelevant. The
@@ -280,23 +280,6 @@ pub trait MapSolver: Send + Sync {
                 false,
             )
         }
-    }
-
-    /// Warm-starts from per-variable *seed* labels that may be stale: seeds
-    /// are projected onto the model first (see
-    /// [`crate::projection::project_labels`]), with missing or out-of-range
-    /// entries falling back to the unary argmin, then refined via
-    /// [`MapSolver::refine`]. Unlike `refine`, this never panics on a seed
-    /// slice from an older model revision — the safe path for incremental
-    /// re-solves.
-    fn refine_projected(
-        &self,
-        model: &MrfModel,
-        seeds: &[Option<usize>],
-        ctl: &SolveControl,
-    ) -> Solution {
-        let start = crate::projection::project_labels(model, seeds);
-        self.refine(model, start, ctl)
     }
 
     /// Refines `start` while restricting sweeps to the *frontier* — the
@@ -449,15 +432,6 @@ impl<S: MapSolver + ?Sized> MapSolver for Box<S> {
         (**self).refine_with(model, start, ctl, scratch)
     }
 
-    fn refine_projected(
-        &self,
-        model: &MrfModel,
-        seeds: &[Option<usize>],
-        ctl: &SolveControl,
-    ) -> Solution {
-        (**self).refine_projected(model, seeds, ctl)
-    }
-
     fn refine_local(
         &self,
         model: &MrfModel,
@@ -527,15 +501,6 @@ impl<S: MapSolver + ?Sized> MapSolver for Arc<S> {
         scratch: &mut SolveScratch,
     ) -> Solution {
         (**self).refine_with(model, start, ctl, scratch)
-    }
-
-    fn refine_projected(
-        &self,
-        model: &MrfModel,
-        seeds: &[Option<usize>],
-        ctl: &SolveControl,
-    ) -> Solution {
-        (**self).refine_projected(model, seeds, ctl)
     }
 
     fn refine_local(
@@ -655,11 +620,7 @@ pub(crate) fn descent_start(model: &MrfModel) -> Vec<usize> {
 /// under a blown budget" path: a single bounded ICM from the unary argmin.
 pub(crate) fn best_effort(model: &MrfModel, ctl: &SolveControl) -> Solution {
     let start = descent_start(model);
-    let descended = Icm::new(IcmOptions {
-        max_sweeps: 4,
-        ..IcmOptions::default()
-    })
-    .solve_from(model, start, ctl);
+    let descended = Icm::new(IcmOptions { max_sweeps: 4 }).solve_from(model, start, ctl);
     Solution::new(
         descended.labels().to_vec(),
         descended.energy(),

@@ -322,33 +322,6 @@ proptest! {
         prop_assert!(s.energy() >= brute.energy() - 1e-9);
     }
 
-    /// The colored sweep schedule is thread-count-invariant: running the
-    /// class-major schedule across scoped threads produces bit-identical
-    /// labels and energy to running the same schedule sequentially, for
-    /// both BP (message sweeps) and ICM (move sweeps).
-    #[test]
-    fn colored_parallel_sweeps_match_sequential(model in arb_model()) {
-        let ctl = SolveControl::new();
-        // threshold 0 forces the scoped-thread path; usize::MAX runs the
-        // identical colored schedule on one thread.
-        let bp_par = Bp::new(BpOptions {
-            threads: 4, parallel_threshold: 0, ..BpOptions::default()
-        }).solve(&model, &ctl);
-        let bp_seq = Bp::new(BpOptions {
-            threads: 1, ..BpOptions::default()
-        }).solve(&model, &ctl);
-        prop_assert_eq!(bp_par.labels(), bp_seq.labels());
-        prop_assert_eq!(bp_par.energy(), bp_seq.energy());
-        let icm_par = Icm::new(IcmOptions {
-            threads: 4, parallel_threshold: 0, ..IcmOptions::default()
-        }).solve(&model, &ctl);
-        let icm_seq = Icm::new(IcmOptions {
-            threads: 4, parallel_threshold: usize::MAX, ..IcmOptions::default()
-        }).solve(&model, &ctl);
-        prop_assert_eq!(icm_par.labels(), icm_seq.labels());
-        prop_assert_eq!(icm_par.energy(), icm_seq.energy());
-    }
-
     /// On tree-structured models min-sum BP is exact: its decoded energy
     /// agrees with bucket elimination's certified optimum.
     #[test]

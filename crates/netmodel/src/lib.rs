@@ -103,6 +103,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod assignment;
 pub mod casestudy;
 pub mod catalog;

@@ -41,6 +41,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cpe;
 pub mod cve;
 pub mod database;

@@ -43,6 +43,8 @@
 //! assert!(est.mean_ticks().unwrap() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod attacker;
 pub mod engine;
 pub mod mttc;
