@@ -840,8 +840,9 @@ impl WarmStart {
     /// The carried labeling moved across the refresh: after an in-place
     /// edit, the removed variables' slots are zeroed, the re-bound hosts'
     /// variables re-seeded from their previous rows, the energy moved by
-    /// the edit's delta, and only the re-bound hosts' rows re-decoded.
-    /// `O(touched)` apart from copying `prev`'s rows.
+    /// the edit's delta, and only the re-bound hosts' rows re-decoded into
+    /// a clone of `prev`, which shares every other chunk. `O(touched)`
+    /// apart from the clone's chunk pointers.
     fn carried(
         energy: &EnergyModel,
         prev: &Assignment,
@@ -852,14 +853,14 @@ impl WarmStart {
             mut labels,
             energy: mut start_energy,
         } = carried;
-        let mut rows = prev.clone().into_slots();
+        let mut assignment = prev.clone();
         if let Some(edit) = edit {
             let model = energy.model();
             for v in &edit.removed {
                 labels[v.0] = 0;
             }
             labels.resize(model.var_count(), 0);
-            rows.resize(energy.slots().len(), Vec::new());
+            assignment.resize(energy.slots().len());
             for &host in &edit.hosts {
                 let old_row = prev.products_at(host);
                 for (slot, binding) in energy.slots()[host.index()].iter().enumerate() {
@@ -868,14 +869,14 @@ impl WarmStart {
                             project_label(model, *var, seed(candidates, old_row.get(slot)));
                     }
                 }
-                rows[host.index()] = energy.decode_host(&labels, host);
+                assignment.set_row(host, &energy.decode_host(&labels, host));
             }
             start_energy += edit.scope_energy(energy, &labels) - edit.retracted;
         }
         WarmStart {
             labels,
             energy: start_energy,
-            assignment: Assignment::from_slots(rows),
+            assignment,
             carried: true,
         }
     }
@@ -904,12 +905,13 @@ enum Locality {
 
 /// The committed rows after a carried step: `prev`'s rows with the
 /// re-bound hosts' rows and the rows of every host owning a flipped
-/// variable re-decoded from `labels`, plus the live hosts among them whose
-/// row changed — `O(touched + flips)` rows instead of the whole table.
+/// variable re-decoded from `labels` and written in place, plus the live
+/// hosts among them whose row changed — `O(touched + flips)` rows instead
+/// of the whole table.
 fn commit_rows(
     energy: &EnergyModel,
     network: &Network,
-    prev: Assignment,
+    mut assignment: Assignment,
     rebound: &[HostId],
     start: &[usize],
     labels: &[usize],
@@ -925,17 +927,17 @@ fn commit_rows(
     );
     hosts.sort_unstable();
     hosts.dedup();
-    let mut rows = prev.into_slots();
-    rows.resize(energy.slots().len(), Vec::new());
+    assignment.resize(energy.slots().len());
     let mut changed = Vec::new();
     for host in hosts {
         let row = energy.decode_host(labels, host);
-        if row != rows[host.index()] && network.host(host).is_ok_and(|h| !h.is_removed()) {
+        if row != assignment.products_at(host) && network.host(host).is_ok_and(|h| !h.is_removed())
+        {
             changed.push(host);
         }
-        rows[host.index()] = row;
+        assignment.set_row(host, &row);
     }
-    (Assignment::from_slots(rows), changed)
+    (assignment, changed)
 }
 
 /// Debug-build audit of one step against the full derivation: the start

@@ -10,10 +10,14 @@
 //!   genesis snapshot; every committed `apply_batch` then appends one batch
 //!   record *post-commit* (on the serving writer thread, off the read
 //!   path), and every successful `solve` appends a snapshot so the
-//!   post-solve assignment is recoverable. Both engines drive the same
-//!   hook — `Journal::commit_batch` and `Journal::commit_snapshot`, which
-//!   borrow the committed network and assignment — so the journal sees a
-//!   sharded deployment exactly as it sees a single engine.
+//!   post-solve assignment is recoverable. A batch record carries only the
+//!   rows that differ from the assignment of the last record that landed,
+//!   which the journal keeps as a clone sharing chunks with the engine's
+//!   table, so finding them skips every chunk the batch left alone. Both
+//!   engines drive the same hook — `Journal::commit_batch` and
+//!   `Journal::commit_snapshot`, which borrow the committed network and
+//!   assignment — so the journal sees a sharded deployment exactly as it
+//!   sees a single engine.
 //! * **Snapshot cadence and compaction** — every
 //!   [`DEFAULT_SNAPSHOT_EVERY`] batches (configurable) the engine writes a
 //!   full snapshot and the journal *compacts*: the file is atomically
@@ -23,10 +27,10 @@
 //!   full history is kept, which is what the churn harness's record mode
 //!   wants (a replayable artifact).
 //! * [`recover`] — load the last snapshot, replay the journal tail's
-//!   deltas at the network level, and restore the assignment the last
-//!   batch committed. Replay is exact — batch records carry the committed
-//!   assignment precisely so recovery never has to re-run a solver whose
-//!   answer could drift. Damaged tails (torn writes, bit flips) are
+//!   deltas at the network level, and patch each batch's changed rows into
+//!   the running assignment. Replay is exact — batch records carry the
+//!   committed rows precisely so recovery never has to re-run a solver
+//!   whose answer could drift. Damaged tails (torn writes, bit flips) are
 //!   detected by the per-record checksums and truncated at the last valid
 //!   record; recovery only fails when no valid preamble + snapshot prefix
 //!   survives.
@@ -38,10 +42,13 @@
 //!   under any solver.
 //!
 //! Durability contract: each record is flushed to the OS after the append,
-//! so state survives a process crash or kill; fsync-per-record is
-//! deliberately not paid on the hot path. Compaction does sync the rewrite
-//! before the atomic rename, so a crash mid-compaction leaves either the
-//! old or the new file, never a mix.
+//! so it survives a crash or kill of the process. Records are not fsynced
+//! (that cost is deliberately not paid on the hot path), so a power loss
+//! or OS crash can drop the unsynced tail; recovery then lands on the last
+//! record that reached the disk. Compaction is atomic and durable: it
+//! syncs the rewrite, renames it over the journal and then syncs the
+//! directory, so a crash mid-compaction leaves either the old or the new
+//! file, never a mix, and a completed compaction survives a power loss.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -90,6 +97,10 @@ pub struct Journal {
     seq: u64,
     snapshot_every: Option<usize>,
     batches_since_snapshot: usize,
+    /// The assignment of the last record that landed (written and
+    /// flushed): the base the next batch record's changed rows are taken
+    /// against, and the one replay will have reached at that point.
+    landed: Option<Assignment>,
 }
 
 impl Journal {
@@ -108,15 +119,18 @@ impl Journal {
         snapshot_every: Option<usize>,
     ) -> netmodel::Result<Journal> {
         let preamble_line = Record::Preamble(preamble.clone()).to_line();
+        let landed = snapshot.assignment.clone();
         let snapshot_line = Record::Snapshot(snapshot).to_line();
-        Journal::create_lines(path, preamble_line, &snapshot_line, snapshot_every)
+        Journal::create_lines(path, preamble_line, &snapshot_line, landed, snapshot_every)
     }
 
-    /// [`Journal::create`] from encoded preamble and snapshot lines.
+    /// [`Journal::create`] from encoded preamble and snapshot lines; the
+    /// snapshot holds `landed`.
     fn create_lines(
         path: impl AsRef<Path>,
         preamble_line: String,
         snapshot_line: &str,
+        landed: Option<Assignment>,
         snapshot_every: Option<usize>,
     ) -> netmodel::Result<Journal> {
         let path = path.as_ref().to_path_buf();
@@ -132,6 +146,7 @@ impl Journal {
             seq: 0,
             snapshot_every,
             batches_since_snapshot: 0,
+            landed,
         })
     }
 
@@ -154,8 +169,14 @@ impl Journal {
             constraints: constraints.clone(),
         });
         let snapshot = snapshot_line(network, assignment);
-        Journal::create_lines(path, preamble.to_line(), &snapshot, snapshot_every)
-            .map_err(Error::Model)
+        Journal::create_lines(
+            path,
+            preamble.to_line(),
+            &snapshot,
+            assignment.cloned(),
+            snapshot_every,
+        )
+        .map_err(Error::Model)
     }
 
     /// Journals one committed batch, plus a compacting snapshot when the
@@ -186,7 +207,7 @@ impl Journal {
         network: &Network,
         assignment: Option<&Assignment>,
     ) -> Result<()> {
-        self.write_snapshot(&snapshot_line(network, assignment))
+        self.write_snapshot(&snapshot_line(network, assignment), assignment.cloned())
             .map_err(Error::Model)
     }
 
@@ -214,6 +235,9 @@ impl Journal {
     }
 
     /// Appends one committed batch record and returns its sequence number.
+    /// The record carries `assignment`'s length and the rows that differ
+    /// from the assignment of the last record that landed; `assignment`
+    /// becomes that base once the record is written and flushed.
     ///
     /// # Errors
     ///
@@ -225,7 +249,9 @@ impl Journal {
         assignment: Option<&Assignment>,
     ) -> netmodel::Result<u64> {
         let seq = self.seq;
-        self.append_line(&batch_line(seq, revision, deltas, assignment))?;
+        let line = batch_line(seq, revision, deltas, self.landed.as_ref(), assignment);
+        self.append_line(&line)?;
+        self.landed = assignment.cloned();
         self.seq += 1;
         self.batches_since_snapshot += 1;
         Ok(seq)
@@ -249,27 +275,42 @@ impl Journal {
 
     /// Writes a full snapshot. With a periodic cadence configured this also
     /// *compacts*: the file is atomically rewritten as preamble + this
-    /// snapshot (temp file, sync, rename), dropping the journal prefix the
-    /// snapshot supersedes. Without a cadence the snapshot is appended in
-    /// place and history is kept. The cadence restarts only once the
-    /// snapshot is on disk, so a failed compaction is retried at the next
-    /// batch.
+    /// snapshot (temp file, sync, rename, directory sync), dropping the
+    /// journal prefix the snapshot supersedes. Without a cadence the
+    /// snapshot is appended in place and history is kept. The cadence
+    /// restarts only once the snapshot is on disk, so a failed compaction
+    /// is retried at the next batch.
     ///
     /// # Errors
     ///
     /// [`netmodel::Error::Journal`] on I/O failure.
     pub fn append_snapshot(&mut self, snapshot: SnapshotRecord) -> netmodel::Result<()> {
-        self.write_snapshot(&Record::Snapshot(snapshot).to_line())
+        let landed = snapshot.assignment.clone();
+        self.write_snapshot(&Record::Snapshot(snapshot).to_line(), landed)
     }
 
-    /// [`Journal::append_snapshot`] of an encoded snapshot line.
-    fn write_snapshot(&mut self, line: &str) -> netmodel::Result<()> {
+    /// [`Journal::append_snapshot`] of an encoded snapshot line holding
+    /// `assignment`.
+    fn write_snapshot(
+        &mut self,
+        line: &str,
+        assignment: Option<Assignment>,
+    ) -> netmodel::Result<()> {
         if self.snapshot_every.is_none() {
             self.append_line(line)?;
-            self.batches_since_snapshot = 0;
-            return Ok(());
+        } else {
+            self.compact(line)?;
         }
-        // Compact: rewrite head as preamble + snapshot, atomically.
+        self.batches_since_snapshot = 0;
+        self.landed = assignment;
+        Ok(())
+    }
+
+    /// Rewrites the file as preamble + `line`, atomically and durably: the
+    /// rewrite is synced before it is renamed over the journal, and the
+    /// directory is synced after, so the rename itself survives a power
+    /// loss.
+    fn compact(&mut self, line: &str) -> netmodel::Result<()> {
         let tmp = self.path.with_extension("compact-tmp");
         let mut out = File::create(&tmp).map_err(|e| io_err("create", &tmp, &e))?;
         out.write_all(self.preamble_line.as_bytes())
@@ -278,11 +319,17 @@ impl Journal {
             .map_err(|e| io_err("write", &tmp, &e))?;
         drop(out);
         std::fs::rename(&tmp, &self.path).map_err(|e| io_err("rename over", &self.path, &e))?;
+        let dir = match self.path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("sync directory", dir, &e))?;
         self.file = OpenOptions::new()
             .append(true)
             .open(&self.path)
             .map_err(|e| io_err("reopen", &self.path, &e))?;
-        self.batches_since_snapshot = 0;
         Ok(())
     }
 }
@@ -341,8 +388,8 @@ pub fn recover(path: impl AsRef<Path>) -> Result<DiversityEngine> {
 /// engine (different solver, budget, locality) before it is handed back.
 ///
 /// Replay is *exact*, not a re-solve: each batch record carries both its
-/// deltas and the assignment the re-solve committed, so recovery applies
-/// the deltas at the network level and restores the recorded assignment
+/// deltas and the rows the re-solve changed, so recovery applies the
+/// deltas at the network level and patches in the recorded rows
 /// ([`Checkpoint::replay`]). (A re-solve could legitimately land in a
 /// different local optimum — the warm refiner's sweep order depends on
 /// incremental cache layout the journal does not capture.) Re-solving
@@ -431,12 +478,13 @@ impl<'a> Checkpoint<'a> {
 
     /// Replays the batches exactly: each one's deltas at the network level,
     /// checked against the revision it recorded ([`check_revision`]), then
-    /// its committed assignment. `visit` sees every batch with the state it
-    /// reached; the final state is returned.
+    /// its changed rows patched into the running assignment. `visit` sees
+    /// every batch with the state it reached; the final state is returned.
     ///
     /// # Errors
     ///
-    /// See [`recover_with`].
+    /// See [`recover_with`]; also a batch whose committed table does not
+    /// have one row per host of the replayed network.
     pub fn replay(
         &self,
         mut visit: impl FnMut(&BatchRecord, &Network, Option<&Assignment>),
@@ -448,7 +496,18 @@ impl<'a> Checkpoint<'a> {
                 .apply_all(&batch.deltas, &self.preamble.catalog)
                 .map_err(Error::Model)?;
             check_revision(batch, network.revision())?;
-            assignment.clone_from(&batch.assignment);
+            match &batch.assignment {
+                Some(rows) if rows.len != network.host_count() => {
+                    return Err(journal_err(format!(
+                        "replay diverged: batch seq {} recorded {} assignment rows for {} hosts",
+                        batch.seq,
+                        rows.len,
+                        network.host_count()
+                    )));
+                }
+                Some(rows) => rows.apply_to(assignment.get_or_insert_with(Assignment::default)),
+                None => assignment = None,
+            }
             visit(batch, &network, assignment.as_ref());
         }
         Ok((network, assignment))

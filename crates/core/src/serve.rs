@@ -868,6 +868,8 @@ fn writer_loop(mut core: WriterCore, rx: &Receiver<Msg>, ctx: &WriterCtx) -> Wri
                 epoch += 1;
                 let (revision, objective) = (report.revision(), report.objective());
                 absorbed_total += burst.len() as u64;
+                // Chunk-pointer copies: the snapshot (and a probe job)
+                // share the engine's rows instead of copying the table.
                 let assignment = core
                     .assignment()
                     .cloned()

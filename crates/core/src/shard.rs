@@ -744,7 +744,7 @@ impl ShardedEngine {
             .run_shards(None)
             .map_err(|(s, e)| self.remap_local_error(s, e))?;
         self.refresh_cached_objectives(&reports);
-        let current = self.compose();
+        let current = self.compose(self.last.as_ref());
         let (coordinated, coordination_changed, telemetry) =
             self.coordinate(current, CoordinationMode::Strong, None);
         self.commit_assignment(coordinated, coordination_changed);
@@ -893,9 +893,8 @@ impl ShardedEngine {
         // solve is the baseline, so the carry includes the new hosts'
         // energy and cross links and `improvement()` measures only what
         // re-solving and coordination bought on top.
-        let carried = carried_previous.map(|previous| {
-            let mut rows = previous.into_slots();
-            rows.resize(self.master.host_count(), Vec::new());
+        let carried = carried_previous.map(|mut carried| {
+            carried.resize(self.master.host_count());
             for (s, report) in reports.iter().enumerate() {
                 let Some(report) = report else { continue };
                 let fresh = self.shards[s].engine.assignment();
@@ -905,10 +904,10 @@ impl ShardedEngine {
                     (None, None) => continue,
                 };
                 for (local, &global) in self.shards[s].to_global.iter().enumerate() {
-                    rows[global.index()] = shard_carried.products_at(HostId(local as u32)).to_vec();
+                    carried.set_row(global, shard_carried.products_at(HostId(local as u32)));
                 }
             }
-            Assignment::from_slots(rows)
+            carried
         });
         let objective_before = carried
             .as_ref()
@@ -919,7 +918,7 @@ impl ShardedEngine {
         // gets the full-model Strong pass, while a mere boundary-label
         // wobble (a local re-solve moving a boundary host) gets the cheap
         // conditioned-region Light pass.
-        let current = self.compose();
+        let current = self.compose(carried.as_ref());
         let cross_changed = old_cross != self.partition.cross_links();
         let touched_boundary = effect
             .touched
@@ -1383,24 +1382,28 @@ impl ShardedEngine {
         }
     }
 
-    /// Composes the global assignment from the shards' current ones.
-    fn compose(&self) -> Assignment {
-        let mut rows: Vec<Vec<netmodel::ProductId>> = vec![Vec::new(); self.master.host_count()];
+    /// Composes the global assignment from the shards' current ones,
+    /// writing every host's row into a clone of `base` (an earlier global
+    /// assignment, if any): the chunks whose rows did not move stay shared
+    /// with `base`.
+    fn compose(&self, base: Option<&Assignment>) -> Assignment {
+        let mut global = base.cloned().unwrap_or_default();
+        global.resize(self.master.host_count());
         for shard in &self.shards {
-            if shard.retired {
-                // A drained zone's hosts are tombstones in the master:
-                // their rows stay empty, same as the unsharded engine's.
-                continue;
-            }
-            let assignment = shard
-                .engine
-                .assignment()
-                .expect("compose runs only after every live shard has solved");
-            for (local, &global) in shard.to_global.iter().enumerate() {
-                rows[global.index()] = assignment.products_at(HostId(local as u32)).to_vec();
+            // A drained zone's hosts are tombstones in the master: their
+            // rows are empty, same as the unsharded engine's.
+            let assignment = (!shard.retired).then(|| {
+                shard
+                    .engine
+                    .assignment()
+                    .expect("compose runs only after every live shard has solved")
+            });
+            for (local, &g) in shard.to_global.iter().enumerate() {
+                let row = assignment.map_or(&[][..], |a| a.products_at(HostId(local as u32)));
+                global.set_row(g, row);
             }
         }
-        Assignment::from_slots(rows)
+        global
     }
 
     /// Writes the step's global assignment back: the whole into
@@ -1411,12 +1414,12 @@ impl ShardedEngine {
     fn commit_assignment(&mut self, global: Assignment, coordination_changed: bool) {
         if coordination_changed {
             for shard in &mut self.shards {
-                let rows: Vec<Vec<netmodel::ProductId>> = shard
-                    .to_global
-                    .iter()
-                    .map(|&g| global.products_at(g).to_vec())
-                    .collect();
-                shard.engine.set_assignment(Assignment::from_slots(rows));
+                let mut local = shard.engine.assignment().cloned().unwrap_or_default();
+                local.resize(shard.to_global.len());
+                for (l, &g) in shard.to_global.iter().enumerate() {
+                    local.set_row(HostId(l as u32), global.products_at(g));
+                }
+                shard.engine.set_assignment(local);
             }
         }
         self.last = Some(global);
@@ -1763,12 +1766,11 @@ impl ShardedEngine {
         let energy = self.shards[s].engine.energy();
         let candidate_shard_energy = energy.model().energy(&proposal) + energy.base_energy();
         let local_rows = energy.decode(&proposal);
-        let mut candidate_rows = st.global.clone().into_slots();
-        candidate_rows.resize(self.master.host_count(), Vec::new());
+        let mut candidate = st.global.clone();
+        candidate.resize(self.master.host_count());
         for (local, &g) in self.shards[s].to_global.iter().enumerate() {
-            candidate_rows[g.index()] = local_rows.products_at(HostId(local as u32)).to_vec();
+            candidate.set_row(g, local_rows.products_at(HostId(local as u32)));
         }
-        let candidate = Assignment::from_slots(candidate_rows);
         let candidate_residual = self.cross_residual(&candidate);
         let candidate_total = st.total - st.shard_energies[s] - st.residual
             + candidate_shard_energy

@@ -14,9 +14,10 @@
 //! Its contract is the serving layer's acceptance bar: **a read never
 //! waits for delta absorption.** The writer absorbs a burst entirely on
 //! its own state and only then swaps the `Arc` pointer, holding the slot's
-//! write lock for the duration of a pointer store — nanoseconds, and never
-//! while solving. A wait-free `AtomicU64` epoch published alongside lets
-//! [`SnapshotReader`] skip even the brief read lock in the steady state:
+//! write lock for the duration of a pointer swap — nanoseconds, and never
+//! while solving or while freeing the snapshot it replaced. A wait-free
+//! `AtomicU64` epoch published alongside lets [`SnapshotReader`] skip
+//! even the brief read lock in the steady state:
 //! `current()` is an atomic load plus a local `Arc` clone while the epoch
 //! is unchanged, and pays one uncontended read-lock acquisition exactly
 //! when a fresh snapshot exists to fetch.
@@ -182,11 +183,19 @@ impl SnapshotCell {
 
     /// Publishes `snapshot`, making it the value every subsequent
     /// [`SnapshotCell::load`] returns. Called only by the writer; the
-    /// write lock is held for the pointer store alone.
+    /// write lock is held for the pointer swap alone — the replaced
+    /// snapshot is dropped (and, when no reader still holds it, freed)
+    /// after the lock is released.
     pub(crate) fn publish(&self, snapshot: Snapshot) {
         let epoch = snapshot.epoch;
-        *self.slot.write().expect("snapshot lock poisoned") = Arc::new(snapshot);
+        // The guard is a temporary of this statement: the lock is released
+        // before `replaced` is dropped below.
+        let replaced = std::mem::replace(
+            &mut *self.slot.write().expect("snapshot lock poisoned"),
+            Arc::new(snapshot),
+        );
         self.epoch.store(epoch, Ordering::Release);
+        drop(replaced);
     }
 }
 

@@ -2,21 +2,91 @@
 //! diversity statistics.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 
 use crate::catalog::{Catalog, ProductSimilarity};
 use crate::network::Network;
 use crate::{Error, HostId, ProductId, Result, ServiceId};
 
+/// Host rows per chunk of an [`Assignment`]: the unit a clone shares and a
+/// write copies.
+const CHUNK_ROWS: usize = 64;
+
+/// Entries at the head of every chunk: `CHUNK_ROWS + 1` row ends, each a
+/// `u32` offset into the chunk's products split over two `ProductId`
+/// halves (low half first), so the whole chunk is one `[ProductId]`.
+const HEADER: usize = 2 * (CHUNK_ROWS + 1);
+
 /// A complete product assignment for a network.
 ///
-/// Internally stores one product per (host, service-slot), aligned with each
-/// host's service declaration order, so lookups are O(#services-per-host)
-/// with no hashing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Stores one product per (host, service-slot), aligned with each host's
+/// service declaration order, so lookups are O(#services-per-host) with no
+/// hashing.
+///
+/// The table is a copy-on-write vector of 64-row chunks behind `Arc` — a
+/// one-level chunked persistent vector (Bagwell & Rompf, "RRB-Trees:
+/// Efficient Immutable Vectors", 2011). Each chunk is one allocation: its
+/// row ends, then its rows' products back to back. A clone copies chunk
+/// pointers, so clones share every chunk until one side writes;
+/// [`Assignment::set_row`] and [`Assignment::resize`] copy at most the one
+/// chunk they touch, and only while another table shares it. A chunk's
+/// layout is a function of its rows, so equal chunks (and equal tables)
+/// hold equal rows, and two tables sharing a chunk pointer hold the same
+/// rows there — which [`Assignment::changed_rows`] uses to skip whole
+/// chunks.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Assignment {
-    products: Vec<Vec<ProductId>>,
+    /// Host rows, including empty rows for removed hosts.
+    len: usize,
+    /// `len.div_ceil(CHUNK_ROWS)` chunks of `CHUNK_ROWS` rows each; the
+    /// rows of the last chunk past `len` are empty.
+    chunks: Vec<Arc<[ProductId]>>,
+}
+
+/// Where row `row` of `chunk` ends (and row `row + 1` starts), counted in
+/// products after the header.
+#[inline]
+fn row_end(chunk: &[ProductId], row: usize) -> usize {
+    usize::from(chunk[2 * row].0) | usize::from(chunk[2 * row + 1].0) << 16
+}
+
+fn put_row_end(chunk: &mut [ProductId], row: usize, end: usize) {
+    let end = u32::try_from(end).expect("a chunk holds fewer than 2^32 products");
+    chunk[2 * row] = ProductId(end as u16);
+    chunk[2 * row + 1] = ProductId((end >> 16) as u16);
+}
+
+#[inline]
+fn row_of(chunk: &[ProductId], row: usize) -> &[ProductId] {
+    // Splitting off the fixed-size header first lets the compiler drop
+    // the bounds checks on the row ends (`row < CHUNK_ROWS` at callers).
+    let (ends, products) = chunk.split_at(HEADER);
+    &products[row_end(ends, row)..row_end(ends, row + 1)]
+}
+
+/// A chunk holding `rows` (at most [`CHUNK_ROWS`]) followed by empty rows.
+fn build_chunk<'a>(rows: impl IntoIterator<Item = &'a [ProductId]>) -> Arc<[ProductId]> {
+    let mut chunk = vec![ProductId(0); HEADER];
+    let mut filled = 0;
+    for row in rows {
+        assert!(filled < CHUNK_ROWS, "a chunk holds {CHUNK_ROWS} rows");
+        chunk.extend_from_slice(row);
+        filled += 1;
+        let end = chunk.len() - HEADER;
+        put_row_end(&mut chunk, filled, end);
+    }
+    let end = chunk.len() - HEADER;
+    for row in filled + 1..=CHUNK_ROWS {
+        put_row_end(&mut chunk, row, end);
+    }
+    chunk.into()
+}
+
+impl fmt::Debug for Assignment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.rows()).finish()
+    }
 }
 
 impl Assignment {
@@ -25,22 +95,108 @@ impl Assignment {
     /// Prefer [`Assignment::validated`] unless the table is known-correct by
     /// construction (e.g. produced by the optimizer).
     pub fn from_slots(products: Vec<Vec<ProductId>>) -> Assignment {
-        Assignment { products }
+        Assignment {
+            len: products.len(),
+            chunks: products
+                .chunks(CHUNK_ROWS)
+                .map(|rows| build_chunk(rows.iter().map(Vec::as_slice)))
+                .collect(),
+        }
     }
 
     /// The number of host rows in the table (including empty rows for
     /// removed hosts) — the bound `products_at` answers non-empty slices
     /// under.
     pub fn host_rows(&self) -> usize {
-        self.products.len()
+        self.len
     }
 
-    /// Consumes the assignment, returning the per-host product table — the
-    /// inverse of [`Assignment::from_slots`], for callers that splice rows
-    /// without paying a deep clone (e.g. the sharded engine composing a
-    /// carried assignment from the previous one plus touched-shard rows).
-    pub fn into_slots(self) -> Vec<Vec<ProductId>> {
-        self.products
+    /// Every host row in host order, empty rows included.
+    pub fn rows(&self) -> impl Iterator<Item = &[ProductId]> {
+        (0..self.len).map(|h| self.products_at(HostId(h as u32)))
+    }
+
+    /// Replaces the products at `host`. Copies the row's chunk if another
+    /// table shares it; writing a row's current products changes nothing
+    /// and keeps the chunk shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host` is not below [`Assignment::host_rows`]
+    /// ([`Assignment::resize`] first).
+    pub fn set_row(&mut self, host: HostId, row: &[ProductId]) {
+        let h = host.index();
+        assert!(
+            h < self.len,
+            "host {h} is past the table's {} rows",
+            self.len
+        );
+        let (chunk, at) = (&mut self.chunks[h / CHUNK_ROWS], h % CHUNK_ROWS);
+        let (start, end) = (row_end(chunk, at), row_end(chunk, at + 1));
+        if chunk[HEADER + start..HEADER + end] == *row {
+            return;
+        }
+        if end - start == row.len() {
+            Arc::make_mut(chunk)[HEADER + start..HEADER + end].copy_from_slice(row);
+            return;
+        }
+        let mut fresh = Vec::with_capacity(chunk.len() - (end - start) + row.len());
+        fresh.extend_from_slice(&chunk[..HEADER + start]);
+        fresh.extend_from_slice(row);
+        fresh.extend_from_slice(&chunk[HEADER + end..]);
+        for later in at + 1..=CHUNK_ROWS {
+            put_row_end(
+                &mut fresh,
+                later,
+                row_end(chunk, later) - end + start + row.len(),
+            );
+        }
+        *chunk = fresh.into();
+    }
+
+    /// Grows the table with empty rows, or truncates it, to `len` rows.
+    /// Growing shares one empty chunk among the new chunks; truncating
+    /// copies the new last chunk only if it must drop non-empty rows.
+    pub fn resize(&mut self, len: usize) {
+        let chunks = len.div_ceil(CHUNK_ROWS);
+        if len < self.len {
+            self.chunks.truncate(chunks);
+            if let Some(last) = self.chunks.last_mut() {
+                let keep = len - (chunks - 1) * CHUNK_ROWS;
+                let end = row_end(last, keep);
+                if end != row_end(last, CHUNK_ROWS) {
+                    let mut fresh = last[..HEADER + end].to_vec();
+                    for row in keep + 1..=CHUNK_ROWS {
+                        put_row_end(&mut fresh, row, end);
+                    }
+                    *last = fresh.into();
+                }
+            }
+        } else if chunks > self.chunks.len() {
+            self.chunks.resize(chunks, build_chunk([]));
+        }
+        self.len = len;
+    }
+
+    /// The rows of this table that differ from `base`'s (a row past
+    /// `base`'s end reads as empty), ascending by host. A chunk this table
+    /// shares with `base` is skipped unread, so diffing a table against an
+    /// ancestor it was cloned from costs O(chunks) plus the rows of the
+    /// chunks written since.
+    pub fn changed_rows<'a>(
+        &'a self,
+        base: &'a Assignment,
+    ) -> impl Iterator<Item = (HostId, &'a [ProductId])> + 'a {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter(|&(c, chunk)| !base.chunks.get(c).is_some_and(|b| Arc::ptr_eq(b, chunk)))
+            .flat_map(|(c, _)| c * CHUNK_ROWS..((c + 1) * CHUNK_ROWS).min(self.len))
+            .filter_map(|h| {
+                let host = HostId(h as u32);
+                let row = self.products_at(host);
+                (row != base.products_at(host)).then_some((host, row))
+            })
     }
 
     /// Creates an assignment and validates it against the network: every
@@ -52,7 +208,7 @@ impl Assignment {
     /// * [`Error::NotACandidate`] — a chosen product is outside the slot's
     ///   candidate set.
     pub fn validated(products: Vec<Vec<ProductId>>, network: &Network) -> Result<Assignment> {
-        let a = Assignment { products };
+        let a = Assignment::from_slots(products);
         a.validate(network)?;
         Ok(a)
     }
@@ -63,14 +219,14 @@ impl Assignment {
     ///
     /// See [`Assignment::validated`].
     pub fn validate(&self, network: &Network) -> Result<()> {
-        if self.products.len() != network.host_count() {
+        if self.len != network.host_count() {
             return Err(Error::MissingAssignment {
-                host: HostId(self.products.len() as u32),
+                host: HostId(self.len as u32),
                 service: ServiceId(0),
             });
         }
         for (host_id, host) in network.iter_hosts() {
-            let row = &self.products[host_id.index()];
+            let row = self.products_at(host_id);
             if row.len() != host.services().len() {
                 return Err(Error::MissingAssignment {
                     host: host_id,
@@ -105,15 +261,19 @@ impl Assignment {
     ) -> Option<ProductId> {
         let h = network.host(host).ok()?;
         let slot = h.service_slot(service)?;
-        self.products.get(host.index())?.get(slot).copied()
+        self.products_at(host).get(slot).copied()
     }
 
     /// The products assigned at `host`, in service declaration order.
+    /// Inlined across crates: it is the point query of every snapshot
+    /// read.
+    #[inline]
     pub fn products_at(&self, host: HostId) -> &[ProductId] {
-        self.products
-            .get(host.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let h = host.index();
+        match self.chunks.get(h / CHUNK_ROWS) {
+            Some(chunk) => row_of(chunk, h % CHUNK_ROWS),
+            None => &[],
+        }
     }
 
     /// Paper Eq. 3: the total pairwise similarity over all links and shared
@@ -142,7 +302,7 @@ impl Assignment {
         let mut total = 0.0;
         for (slot, inst) in host_a.services().iter().enumerate() {
             if let Some(pb) = self.product_for(network, b, inst.service()) {
-                let pa = self.products[a.index()][slot];
+                let pa = self.products_at(a)[slot];
                 total += similarity.get(pa, pb);
             }
         }
@@ -159,7 +319,7 @@ impl Assignment {
                 let host_a = network.host(a).expect("validated");
                 host_a.services().iter().enumerate().any(|(slot, inst)| {
                     self.product_for(network, b, inst.service())
-                        .is_some_and(|pb| pb == self.products[a.index()][slot])
+                        .is_some_and(|pb| pb == self.products_at(a)[slot])
                 })
             })
             .count()
@@ -168,7 +328,7 @@ impl Assignment {
     /// Frequency of each product across the whole network.
     pub fn product_histogram(&self) -> BTreeMap<ProductId, usize> {
         let mut hist = BTreeMap::new();
-        for row in &self.products {
+        for row in self.rows() {
             for &p in row {
                 *hist.entry(p).or_insert(0) += 1;
             }

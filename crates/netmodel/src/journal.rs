@@ -17,8 +17,13 @@
 //!   [`Network`] (all revision counters included) and the current
 //!   [`Assignment`], if any. Recovery starts from the last snapshot.
 //! * `batch` — one committed `apply_batch` call: a sequence number, the
-//!   network revision *after* the commit, and the applied
-//!   [`NetworkDelta`]s. Recovery replays these after the snapshot.
+//!   network revision *after* the commit, the applied [`NetworkDelta`]s
+//!   and the committed assignment as [`ChangedRows`]: the table's length
+//!   and only the rows that differ from the assignment of the record
+//!   before it. Recovery replays these after the snapshot. (Format 1 batch
+//!   records carried the whole table, an array of rows, as their
+//!   `"assignment"`; they still read, as a [`ChangedRows`] that lists
+//!   every row.)
 //! * `mark` — an application-level annotation (label plus numeric fields),
 //!   checksummed like everything else but ignored by engine recovery. The
 //!   churn harness uses marks to record per-step MTTC so a replay can diff
@@ -47,8 +52,12 @@ use crate::network::{Host, Network, ServiceInstance};
 use crate::{Error, HostId, ProductId, Result, ServiceId};
 
 /// The on-disk format version written into every preamble. Bump on any
-/// incompatible codec change; readers reject versions they do not know.
-pub const FORMAT_VERSION: u64 = 1;
+/// incompatible codec change; readers accept every version from 1 up to
+/// this one and reject the rest.
+///
+/// Version 2 replaced the batch record's whole-table `"assignment"` with
+/// the changed rows alone ([`ChangedRows`]).
+pub const FORMAT_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected): the per-record checksum, computed
@@ -150,11 +159,39 @@ pub struct BatchRecord {
     pub revision: u64,
     /// The deltas the batch applied, in order.
     pub deltas: Vec<NetworkDelta>,
-    /// The committed assignment *after* the batch's re-solve. Recorded so
-    /// recovery restores the exact committed state instead of re-running
-    /// the solver (whose local optimum can depend on incremental cache
-    /// layout the journal does not capture).
-    pub assignment: Option<Assignment>,
+    /// The committed assignment *after* the batch's re-solve, as the rows
+    /// that differ from the assignment of the record before it (`None`:
+    /// the engine held no assignment). Recorded so recovery restores the
+    /// exact committed state instead of re-running the solver (whose local
+    /// optimum can depend on incremental cache layout the journal does not
+    /// capture).
+    pub assignment: Option<ChangedRows>,
+}
+
+/// A batch record's committed assignment: the table's length and the rows
+/// that differ from the assignment the previous record left.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChangedRows {
+    /// Host rows in the committed table.
+    pub len: usize,
+    /// Each changed row, ascending by host, every host below `len`.
+    pub rows: Vec<(HostId, Vec<ProductId>)>,
+}
+
+impl ChangedRows {
+    /// Patches these rows into `assignment`, the assignment the previous
+    /// record left: resizes it to `len` rows, then writes each changed row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's host is not below `len` (decoded records never
+    /// hold one).
+    pub fn apply_to(&self, assignment: &mut Assignment) {
+        assignment.resize(self.len);
+        for (host, row) in &self.rows {
+            assignment.set_row(*host, row);
+        }
+    }
 }
 
 /// An application-level annotation; engine recovery skips these.
@@ -215,7 +252,11 @@ impl Record {
                 encode_snapshot(out, s.revision, &s.network, s.assignment.as_ref())
             }
             Record::Batch(b) => {
-                encode_batch(out, b.seq, b.revision, &b.deltas, b.assignment.as_ref())
+                let rows = b.assignment.as_ref().map(|c| {
+                    let rows = c.rows.iter().map(|(host, row)| (*host, row.as_slice()));
+                    (c.len, rows)
+                });
+                encode_batch(out, b.seq, b.revision, &b.deltas, rows)
             }
             Record::Mark(m) => encode_mark(out, m),
         }
@@ -247,18 +288,25 @@ impl Record {
     }
 }
 
-/// The journal line of a [`BatchRecord`] with these fields, encoded from
-/// borrowed parts: byte-identical to `Record::Batch(..).to_line()` without
-/// first copying the deltas and the assignment into a record.
+/// The journal line of a [`BatchRecord`] committing `assignment` after a
+/// record that left `base`, encoded from borrowed parts: byte-identical to
+/// `Record::Batch(..).to_line()` of the record whose [`ChangedRows`] are
+/// `assignment`'s rows that differ from `base` (every non-empty row when
+/// there is no `base`), without first copying the deltas and the rows
+/// into a record. Finding the rows skips every chunk `assignment` shares
+/// with `base` ([`Assignment::changed_rows`]).
 pub fn batch_line(
     seq: u64,
     revision: u64,
     deltas: &[NetworkDelta],
+    base: Option<&Assignment>,
     assignment: Option<&Assignment>,
 ) -> String {
-    let rows = assignment.map_or(0, Assignment::host_rows);
-    framed(128 + 64 * deltas.len() + 16 * rows, |out| {
-        encode_batch(out, seq, revision, deltas, assignment)
+    let empty = Assignment::default();
+    let base = base.unwrap_or(&empty);
+    let rows = assignment.map(|a| (a.host_rows(), a.changed_rows(base)));
+    framed(128 + 64 * deltas.len(), |out| {
+        encode_batch(out, seq, revision, deltas, rows)
     })
 }
 
@@ -712,12 +760,14 @@ fn encode_snapshot(
     out.push('}');
 }
 
-fn encode_batch(
+/// A batch record; `rows` is the committed table's length and its changed
+/// rows, written as `{"len":N,"changed":[[host,[products]],...]}`.
+fn encode_batch<'a>(
     out: &mut String,
     seq: u64,
     revision: u64,
     deltas: &[NetworkDelta],
-    assignment: Option<&Assignment>,
+    rows: Option<(usize, impl Iterator<Item = (HostId, &'a [ProductId])>)>,
 ) {
     push_field(out, "{\"kind\":\"batch\",\"seq\":", seq);
     push_field(out, ",\"revision\":", revision);
@@ -729,8 +779,23 @@ fn encode_batch(
         encode_delta(out, d);
     }
     out.push_str("],\"assignment\":");
-    let rows = assignment.map_or(0, Assignment::host_rows);
-    encode_assignment(out, assignment, rows);
+    match rows {
+        None => out.push_str("null"),
+        Some((len, rows)) => {
+            push_field(out, "{\"len\":", len as u64);
+            out.push_str(",\"changed\":[");
+            for (i, (host, row)) in rows.enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_field(out, "[", host.0);
+                out.push(',');
+                push_u64_array(out, row.iter().map(|p| u64::from(p.0)));
+                out.push(']');
+            }
+            out.push_str("]}");
+        }
+    }
     out.push('}');
 }
 
@@ -1059,9 +1124,9 @@ fn decode_delta(v: &Value) -> Result<NetworkDelta> {
 
 fn decode_preamble(obj: &BTreeMap<String, Value>) -> Result<Record> {
     let format = as_u64(get(obj, "format", "preamble")?, "format")?;
-    if format != FORMAT_VERSION {
+    if !(1..=FORMAT_VERSION).contains(&format) {
         return Err(Error::Journal(format!(
-            "unsupported journal format {format} (this reader knows {FORMAT_VERSION})"
+            "unsupported journal format {format} (this reader knows 1 to {FORMAT_VERSION})"
         )));
     }
     Ok(Record::Preamble(Preamble {
@@ -1089,8 +1154,48 @@ fn decode_batch(obj: &BTreeMap<String, Value>) -> Result<Record> {
             .iter()
             .map(decode_delta)
             .collect::<Result<_>>()?,
-        assignment: decode_assignment(get(obj, "assignment", "batch")?)?,
+        assignment: match get(obj, "assignment", "batch")? {
+            Value::Null => None,
+            // Format 1: the whole committed table, read as every row
+            // changed (so patching it in rewrites the whole table).
+            full @ Value::Array(_) => decode_assignment(full)?.map(|table| ChangedRows {
+                len: table.host_rows(),
+                rows: table
+                    .rows()
+                    .enumerate()
+                    .map(|(h, row)| (HostId(h as u32), row.to_vec()))
+                    .collect(),
+            }),
+            changed => Some(decode_changed_rows(changed)?),
+        },
     }))
+}
+
+/// A format 2 batch record's `"assignment"`: the table length and its
+/// changed rows, strictly ascending by host and each below the length.
+fn decode_changed_rows(v: &Value) -> Result<ChangedRows> {
+    let obj = v.as_object("batch rows")?;
+    let len = as_u64(get(obj, "len", "batch rows")?, "batch rows len")?;
+    let len = usize::try_from(len)
+        .map_err(|_| Error::Journal(format!("batch rows len {len} out of range")))?;
+    let mut rows: Vec<(HostId, Vec<ProductId>)> = Vec::new();
+    for entry in get(obj, "changed", "batch rows")?.as_array("changed rows")? {
+        let pair = entry.as_array("changed row")?;
+        let [host, products] = pair else {
+            return Err(Error::Journal(
+                "changed row: expected [host, products] pair".into(),
+            ));
+        };
+        let host = as_host(host, "changed row host")?;
+        if host.index() >= len || rows.last().is_some_and(|(prev, _)| *prev >= host) {
+            return Err(Error::Journal(format!(
+                "changed row host {} is out of order or past the table's {len} rows",
+                host.0
+            )));
+        }
+        rows.push((host, decode_products(products, "changed row")?));
+    }
+    Ok(ChangedRows { len, rows })
 }
 
 fn decode_mark(obj: &BTreeMap<String, Value>) -> Result<Record> {
@@ -1428,20 +1533,43 @@ mod tests {
             ),
         ];
         network.apply_all(&deltas, &catalog).unwrap();
+        let base = Assignment::from_slots(vec![vec![ProductId(0)], vec![ProductId(1)]]);
         let assignment = Assignment::from_slots(vec![
             vec![ProductId(0)],
             vec![ProductId(1), ProductId(2)],
             vec![ProductId(0)],
         ]);
-        for assignment in [None, Some(&assignment)] {
+        let row = |h: u32, products: &[u16]| {
+            (HostId(h), products.iter().map(|&p| ProductId(p)).collect())
+        };
+        let cases = [
+            (None, None, None),
+            (
+                None,
+                Some(&assignment),
+                Some(ChangedRows {
+                    len: 3,
+                    rows: vec![row(0, &[0]), row(1, &[1, 2]), row(2, &[0])],
+                }),
+            ),
+            (
+                Some(&base),
+                Some(&assignment),
+                Some(ChangedRows {
+                    len: 3,
+                    rows: vec![row(1, &[1, 2]), row(2, &[0])],
+                }),
+            ),
+        ];
+        for (base, assignment, rows) in cases {
             let record = Record::Batch(BatchRecord {
                 seq: 7,
                 revision: network.revision(),
                 deltas: deltas.clone(),
-                assignment: assignment.cloned(),
+                assignment: rows,
             });
             assert_eq!(
-                batch_line(7, network.revision(), &deltas, assignment),
+                batch_line(7, network.revision(), &deltas, base, assignment),
                 record.to_line()
             );
             let record = Record::Snapshot(SnapshotRecord {
@@ -1558,14 +1686,61 @@ mod tests {
             seq: 12,
             revision: 99,
             deltas,
-            assignment: Some(Assignment::from_slots(vec![
-                vec![ProductId(0), ProductId(2)],
-                vec![],
-                vec![ProductId(1)],
-            ])),
+            assignment: Some(ChangedRows {
+                len: 4,
+                rows: vec![
+                    (HostId(0), vec![ProductId(0), ProductId(2)]),
+                    (HostId(1), vec![]),
+                    (HostId(3), vec![ProductId(1)]),
+                ],
+            }),
         });
         let back = parse_record_line(record.to_line().trim_end().as_bytes()).unwrap();
         assert_eq!(back, record);
+    }
+
+    #[test]
+    fn changed_rows_must_ascend_below_the_table_length() {
+        let batch = |rows: &str| {
+            format!("{{\"kind\":\"batch\",\"seq\":0,\"revision\":1,\"deltas\":[],\"assignment\":{rows}}}")
+        };
+        assert!(Record::decode(&batch("{\"len\":2,\"changed\":[[0,[1]],[1,[]]]}")).is_ok());
+        for bad in [
+            "{\"len\":2,\"changed\":[[2,[1]]]}",
+            "{\"len\":2,\"changed\":[[1,[1]],[0,[1]]]}",
+            "{\"len\":2,\"changed\":[[1,[1]],[1,[2]]]}",
+            "{\"len\":2,\"changed\":[[1]]}",
+        ] {
+            assert!(Record::decode(&batch(bad)).is_err(), "{bad} accepted");
+        }
+    }
+
+    #[test]
+    fn format_one_batches_read_as_every_row_changed() {
+        let json = "{\"kind\":\"batch\",\"seq\":3,\"revision\":4,\"deltas\":[],\"assignment\":[[1],[],[0,2]]}";
+        let Record::Batch(batch) = Record::decode(json).unwrap() else {
+            panic!("a batch record");
+        };
+        let rows = batch.assignment.expect("an assignment");
+        assert_eq!(rows.len, 3);
+        assert_eq!(
+            rows.rows,
+            vec![
+                (HostId(0), vec![ProductId(1)]),
+                (HostId(1), vec![]),
+                (HostId(2), vec![ProductId(0), ProductId(2)]),
+            ]
+        );
+        let mut patched = Assignment::from_slots(vec![vec![ProductId(5)]; 5]);
+        rows.apply_to(&mut patched);
+        assert_eq!(
+            patched,
+            Assignment::from_slots(vec![
+                vec![ProductId(1)],
+                vec![],
+                vec![ProductId(0), ProductId(2)],
+            ])
+        );
     }
 
     #[test]
@@ -1637,5 +1812,12 @@ mod tests {
             FORMAT_VERSION + 1
         );
         assert!(matches!(Record::decode(&json), Err(Error::Journal(_))));
+        for format in [1, FORMAT_VERSION] {
+            let json = json.replace(
+                &format!("\"format\":{}", FORMAT_VERSION + 1),
+                &format!("\"format\":{format}"),
+            );
+            assert!(Record::decode(&json).is_ok(), "format {format} rejected");
+        }
     }
 }

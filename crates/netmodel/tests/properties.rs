@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use netmodel::assignment::Assignment;
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
 use netmodel::delta::NetworkDelta;
 use netmodel::journal::{read_strict, Record, SnapshotRecord};
@@ -478,4 +479,62 @@ proptest! {
         assert_connected_from_zero(&g);
         assert_partition_tracks_stream(g, seed, steps);
     }
+
+    /// The chunked copy-on-write `Assignment` behaves as the plain
+    /// `Vec<Vec<ProductId>>` it replaced under random `set_row`, `resize`
+    /// and `clone` sequences spanning several chunks: row reads, length and
+    /// `==` agree with the model; a write to a clone never shows in the
+    /// tables it was cloned from; and the chunk-skipping `changed_rows`
+    /// against every earlier clone equals the naive full-row diff.
+    #[test]
+    fn chunked_assignment_matches_a_row_table(
+        start in proptest::collection::vec(arb_row(), 0..200),
+        ops in proptest::collection::vec(
+            (0u32..8, 0usize..400, arb_row()),
+            0..60,
+        ),
+    ) {
+        let mut model = start.clone();
+        let mut table = Assignment::from_slots(start);
+        let mut kept: Vec<(Assignment, Vec<Vec<ProductId>>)> = Vec::new();
+        for (op, at, row) in ops {
+            match op {
+                0 => kept.push((table.clone(), model.clone())),
+                1 => {
+                    table.resize(at);
+                    model.resize(at, Vec::new());
+                }
+                _ if model.is_empty() => {}
+                _ => {
+                    let host = at % model.len();
+                    table.set_row(HostId(host as u32), &row);
+                    model[host] = row;
+                }
+            }
+            prop_assert_eq!(table.host_rows(), model.len());
+            for host in 0..model.len() + 70 {
+                let expected = model.get(host).map_or(&[][..], Vec::as_slice);
+                prop_assert_eq!(table.products_at(HostId(host as u32)), expected);
+            }
+            prop_assert!(table.rows().eq(model.iter().map(Vec::as_slice)));
+            prop_assert_eq!(&table, &Assignment::from_slots(model.clone()));
+            for (old, old_model) in &kept {
+                prop_assert_eq!(old, &Assignment::from_slots(old_model.clone()));
+                prop_assert_eq!(table == *old, model == *old_model);
+                let naive: Vec<(HostId, &[ProductId])> = model
+                    .iter()
+                    .enumerate()
+                    .filter(|(h, row)| old_model.get(*h).map_or(&[][..], Vec::as_slice) != row.as_slice())
+                    .map(|(h, row)| (HostId(h as u32), row.as_slice()))
+                    .collect();
+                let chunked: Vec<(HostId, &[ProductId])> = table.changed_rows(old).collect();
+                prop_assert_eq!(chunked, naive);
+            }
+        }
+    }
+}
+
+/// A host row: up to four products.
+fn arb_row() -> impl Strategy<Value = Vec<ProductId>> {
+    proptest::collection::vec((0u16..6).prop_map(ProductId), 0..4)
 }

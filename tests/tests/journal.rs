@@ -2,13 +2,13 @@
 //! damaged journals must recover to the last checksum-valid prefix (never
 //! panic, never silently accept corruption), the record codec must
 //! round-trip every [`NetworkDelta`] variant, and the on-disk format is
-//! pinned byte-for-byte by a golden file.
+//! pinned byte-for-byte by a golden file (format 1 files stay readable).
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use ics_diversity::engine::DiversityEngine;
 use ics_diversity::journal::{read_records, recover, recover_with};
@@ -19,10 +19,10 @@ use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
 use netmodel::delta::{random_delta, NetworkDelta};
 use netmodel::journal::{
-    parse_record_line, read_strict, read_tolerant, BatchRecord, MarkRecord, Preamble, Record,
-    SnapshotRecord, FORMAT_VERSION,
+    crc32, parse_record_line, read_strict, read_tolerant, BatchRecord, ChangedRows, MarkRecord,
+    Preamble, Record, SnapshotRecord, FORMAT_VERSION,
 };
-use netmodel::network::NetworkBuilder;
+use netmodel::network::{Network, NetworkBuilder};
 use netmodel::topology::{
     generate, generate_zoned, RandomNetworkConfig, TopologyKind, ZonedNetworkConfig,
 };
@@ -66,11 +66,67 @@ fn valid_burst(engine: &DiversityEngine, rng: &mut StdRng, len: usize) -> Vec<Ne
     let mut deltas = Vec::with_capacity(len);
     for _ in 0..len {
         let delta = random_delta(&scratch, engine.catalog(), rng, &[HostId(0)]);
-        scratch
-            .apply_delta(&delta, engine.catalog())
-            .expect("staged delta applies to scratch");
-        deltas.push(delta);
+        push_staged(&mut scratch, engine.catalog(), &mut deltas, delta);
     }
+    deltas
+}
+
+fn push_staged(
+    scratch: &mut Network,
+    catalog: &Catalog,
+    deltas: &mut Vec<NetworkDelta>,
+    delta: NetworkDelta,
+) {
+    scratch
+        .apply_delta(&delta, catalog)
+        .expect("staged delta applies to scratch");
+    deltas.push(delta);
+}
+
+/// A burst that adds a host — a copy of host 0's services, linked to host
+/// 0, in host 0's zone or (every third step) a fresh one — then removes a
+/// live host other than host 0 when one is left, then draws a random
+/// delta.
+fn churning_burst(
+    network: &Network,
+    catalog: &Catalog,
+    rng: &mut StdRng,
+    step: usize,
+) -> Vec<NetworkDelta> {
+    let mut scratch = network.clone();
+    let mut deltas = Vec::new();
+    let template = network.host(HostId(0)).expect("host 0 is protected");
+    let zone = match step % 3 {
+        2 => Some(format!("fresh-{step}")),
+        _ => template.zone().map(str::to_owned),
+    };
+    let add = NetworkDelta::AddHost {
+        name: format!("joiner-{step}"),
+        zone,
+        services: template
+            .services()
+            .iter()
+            .map(|s| (s.service(), s.candidates().to_vec()))
+            .collect(),
+        links: vec![HostId(0)],
+    };
+    push_staged(&mut scratch, catalog, &mut deltas, add);
+    let live: Vec<HostId> = scratch
+        .iter_hosts()
+        .filter(|(id, h)| id.index() > 0 && !h.is_removed())
+        .map(|(id, _)| id)
+        .collect();
+    if !live.is_empty() {
+        let victim = live[rng.gen_range(0..live.len())];
+        push_staged(
+            &mut scratch,
+            catalog,
+            &mut deltas,
+            NetworkDelta::remove_host(victim),
+        );
+    }
+    let drawn = random_delta(&scratch, catalog, rng, &[HostId(0)]);
+    push_staged(&mut scratch, catalog, &mut deltas, drawn);
     deltas
 }
 
@@ -90,8 +146,9 @@ proptest! {
 
     /// Journal + snapshot + recover reproduces the live engine exactly:
     /// same network (revision counters included), same revision, same
-    /// topology revision, objective within 1e-9 — across arbitrary delta
-    /// streams, burst sizes and snapshot cadences (including compaction).
+    /// topology revision, same assignment, objective within 1e-9 — across
+    /// arbitrary delta streams, burst sizes and snapshot cadences
+    /// (including compaction).
     #[test]
     fn recovery_matches_live_engine(
         config in arb_config(),
@@ -118,6 +175,7 @@ proptest! {
             recovered.network().topology_revision(),
             live.network().topology_revision()
         );
+        prop_assert_eq!(recovered.assignment(), live.assignment());
         let (live_obj, back_obj) = (objective(&live), objective(&recovered));
         prop_assert!(
             (live_obj - back_obj).abs() <= 1e-9,
@@ -125,6 +183,48 @@ proptest! {
             live_obj,
             back_obj
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The sharded engine journals through the same hook: with cadence 2
+    /// (a compaction every other burst) and bursts that add hosts — some
+    /// to fresh zones, creating shards — and remove others, recovery
+    /// reproduces its network and assignment exactly.
+    #[test]
+    fn sharded_recovery_matches_live_engine(
+        zones in 2usize..4,
+        hosts_per_zone in 3usize..7,
+        seed in 0u64..200,
+        steps in 1usize..7,
+    ) {
+        let path = tmp_path("prop-sharded");
+        let g = generate_zoned(
+            &ZonedNetworkConfig {
+                zones,
+                hosts_per_zone,
+                gateway_links: 1,
+                mean_degree: 2,
+                services: 2,
+                products_per_service: 3,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            seed,
+        );
+        let mut live = ShardedEngine::new(g.network, g.catalog, g.similarity)
+            .with_journal_cadence(&path, Some(2))
+            .map_err(fail("attach journal"))?;
+        live.solve().map_err(fail("cold solve"))?;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5DEE_CE66_D1CE_4E5B);
+        for step in 0..steps {
+            let burst = churning_burst(live.network(), live.catalog(), &mut rng, step);
+            live.apply_batch(&burst).map_err(fail("apply_batch"))?;
+        }
+
+        let recovered = recover(&path).map_err(fail("recover"))?;
+        prop_assert_eq!(recovered.network(), live.network());
+        prop_assert_eq!(recovered.revision(), live.revision());
+        prop_assert_eq!(recovered.assignment(), live.assignment());
         std::fs::remove_file(&path).ok();
     }
 }
@@ -405,11 +505,20 @@ proptest! {
         seq in 0u64..1000,
         revision in 0u64..1000,
         deltas in proptest::collection::vec(arb_delta(), 0..6),
-        assignment in proptest::option::of(
-            proptest::collection::vec(arb_products(), 0..4).prop_map(Assignment::from_slots)
+        rows in proptest::option::of(
+            proptest::collection::vec(proptest::option::of(arb_products()), 0..5).prop_map(
+                |table| ChangedRows {
+                    len: table.len(),
+                    rows: table
+                        .into_iter()
+                        .enumerate()
+                        .filter_map(|(h, row)| Some((HostId(h as u32), row?)))
+                        .collect(),
+                },
+            )
         ),
     ) {
-        let record = Record::Batch(BatchRecord { seq, revision, deltas, assignment });
+        let record = Record::Batch(BatchRecord { seq, revision, deltas, assignment: rows });
         let line = record.to_line();
         let parsed = parse_record_line(line.trim_end_matches('\n').as_bytes())
             .map_err(fail("parse"))?;
@@ -425,8 +534,11 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// A small fixed journal exercising every record kind, every delta variant,
-/// zones, fixed slots, escape-needing strings and extreme ids.
-fn golden_records() -> Vec<Record> {
+/// zones, fixed slots, escape-needing strings and extreme ids, as written
+/// by on-disk format `format`: format 1 batch records carry the whole
+/// committed table (read back as every row changed), format 2 ones the
+/// rows that differ from the snapshot before them.
+fn golden_records(format: u64) -> Vec<Record> {
     let mut catalog = Catalog::new();
     let web = catalog.add_service("web");
     let scada = catalog.add_service("scada");
@@ -457,10 +569,18 @@ fn golden_records() -> Vec<Record> {
     b.add_link(h0, h1).unwrap();
     let network = b.build(&catalog).unwrap();
     let assignment = Assignment::from_slots(vec![vec![ie, wincc], vec![ff]]);
+    let rows = match format {
+        1 => vec![
+            (HostId(0), vec![ie, wincc]),
+            (HostId(1), vec![]),
+            (HostId(2), vec![ff]),
+        ],
+        _ => vec![(HostId(1), vec![]), (HostId(2), vec![ff])],
+    };
 
     vec![
         Record::Preamble(Preamble {
-            format: FORMAT_VERSION,
+            format,
             catalog,
             similarity,
             constraints,
@@ -473,11 +593,7 @@ fn golden_records() -> Vec<Record> {
         Record::Batch(BatchRecord {
             seq: 7,
             revision: 9,
-            assignment: Some(Assignment::from_slots(vec![
-                vec![ie, wincc],
-                vec![],
-                vec![ff],
-            ])),
+            assignment: Some(ChangedRows { len: 3, rows }),
             deltas: vec![
                 NetworkDelta::AddHost {
                     name: "plc-λ中🦀\n2".to_owned(),
@@ -524,14 +640,101 @@ fn golden_records() -> Vec<Record> {
 /// `cargo test -p integration-tests --test journal -- --ignored`).
 #[test]
 fn golden_file_pins_the_on_disk_format() {
-    let encoded: String = golden_records().iter().map(Record::to_line).collect();
+    let encoded: String = golden_records(FORMAT_VERSION)
+        .iter()
+        .map(Record::to_line)
+        .collect();
     let checked_in = include_str!("data/journal_golden.log");
     assert_eq!(
         encoded, checked_in,
         "on-disk journal format changed; see this test's doc comment"
     );
     let decoded = read_strict(checked_in.as_bytes()).expect("golden file is valid");
-    assert_eq!(decoded, golden_records());
+    assert_eq!(decoded, golden_records(FORMAT_VERSION));
+}
+
+/// The format 1 fixture — the golden file as format 1 wrote it, its batch
+/// carrying the whole table — still decodes to the same records, the batch
+/// as every row changed.
+#[test]
+fn format_one_golden_file_still_reads() {
+    let checked_in = include_str!("data/journal_golden_v1.log");
+    let decoded = read_strict(checked_in.as_bytes()).expect("format 1 golden file is valid");
+    assert_eq!(decoded, golden_records(1));
+}
+
+/// `line` (a format 2 batch record) as format 1 wrote it: the changed rows
+/// replaced by the whole committed table, re-checksummed.
+fn format_one_batch_line(line: &str, table: &Assignment) -> String {
+    let json = line[9..].trim_end();
+    let head = &json[..json.rfind(",\"assignment\":").expect("a batch record")];
+    let rows: Vec<String> = table
+        .rows()
+        .map(|row| {
+            let products: Vec<String> = row.iter().map(|p| p.0.to_string()).collect();
+            format!("[{}]", products.join(","))
+        })
+        .collect();
+    let json = format!("{head},\"assignment\":[{}]}}", rows.join(","));
+    format!("{:08x} {json}\n", crc32(json.as_bytes()))
+}
+
+/// A journal as format 1 wrote it — format 1 preamble, batch records
+/// carrying the whole committed table — still recovers to the live
+/// engine's network and assignment.
+#[test]
+fn format_one_journal_with_a_batch_tail_recovers() {
+    let path = tmp_path("format-one");
+    let g = generate(
+        &RandomNetworkConfig {
+            hosts: 10,
+            mean_degree: 3,
+            services: 2,
+            products_per_service: 3,
+            vendors_per_service: 2,
+            topology: TopologyKind::Random,
+        },
+        17,
+    );
+    let mut live = DiversityEngine::new(g.network, g.catalog, g.similarity)
+        .with_journal_cadence(&path, None)
+        .expect("journal attaches");
+    live.solve().expect("cold solve");
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut committed = Vec::new();
+    for step in 0..5 {
+        let burst = valid_burst(&live, &mut rng, 1 + step % 3);
+        live.apply_batch(&burst).expect("batch applies");
+        committed.push(live.assignment().expect("solved").clone());
+    }
+
+    let data = std::fs::read_to_string(&path).unwrap();
+    let mut committed = committed.iter();
+    let v1: String = data
+        .split_inclusive('\n')
+        .map(
+            |line| match parse_record_line(line.trim_end().as_bytes()).unwrap() {
+                Record::Preamble(mut preamble) => {
+                    preamble.format = 1;
+                    Record::Preamble(preamble).to_line()
+                }
+                Record::Batch(_) => {
+                    format_one_batch_line(line, committed.next().expect("one table per batch"))
+                }
+                _ => line.to_owned(),
+            },
+        )
+        .collect();
+    assert!(committed.next().is_none(), "every batch rewritten");
+    std::fs::write(&path, v1).unwrap();
+
+    let read = read_records(&path).unwrap();
+    assert!(read.corruption.is_none());
+    assert!(matches!(&read.records[0], Record::Preamble(p) if p.format == 1));
+    let recovered = recover(&path).expect("format 1 journal recovers");
+    assert_eq!(recovered.network(), live.network());
+    assert_eq!(recovered.assignment(), live.assignment());
+    std::fs::remove_file(&path).ok();
 }
 
 /// Regenerates the golden fixture after a deliberate format change.
@@ -539,6 +742,9 @@ fn golden_file_pins_the_on_disk_format() {
 #[ignore = "writes the golden fixture; run explicitly after a format change"]
 fn regenerate_golden_fixture() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/journal_golden.log");
-    let encoded: String = golden_records().iter().map(Record::to_line).collect();
+    let encoded: String = golden_records(FORMAT_VERSION)
+        .iter()
+        .map(Record::to_line)
+        .collect();
     std::fs::write(path, encoded).unwrap();
 }
