@@ -1,13 +1,18 @@
-//! Criterion benchmark: absorbing a single-host delta through the in-place
-//! model edit on a 960-host network.
+//! Criterion benchmark: absorbing a small delta through the in-place model
+//! edit on a 960-host network.
 //!
 //! * **model_edit** — an [`ics_diversity::cache::EnergyCache`] whose
-//!   domains and potential matrices are already warm absorbs the delta
-//!   through a hinted refresh, which edits the model in place: only the
-//!   touched host's variables and incident factors are re-derived and its
-//!   neighbors' folded unaries refreshed, `O(touched · degree)`. This is
-//!   exactly the *model-maintenance* phase.
-//! * **engine_apply_edit** — the same delta end-to-end through
+//!   domains and potential matrices are already warm absorbs a
+//!   `FixSlot`/`UnfixSlot` toggle through a hinted refresh, which edits the
+//!   model in place: only the toggled slot's variable is re-created, with
+//!   its unary and edges, and only its neighbours' unaries on the same
+//!   service are refolded — `O(degree)` model work. This is exactly the
+//!   *model-maintenance* phase.
+//! * **link_edit** — the same cache absorbs an `AddLink`/`RemoveLink`
+//!   toggle between two hosts whose domains do not change: no variable is
+//!   re-created; only the link's edges between the two hosts' free slots
+//!   and the unaries it folds fixed partners into move.
+//! * **engine_apply_edit** — the slot toggle end-to-end through
 //!   `DiversityEngine::apply` (delta staging + model maintenance +
 //!   localized warm re-solve).
 //!
@@ -53,6 +58,17 @@ fn toggle_delta(g: &GeneratedNetwork, fix: bool) -> NetworkDelta {
     }
 }
 
+/// The link the `link_edit` entry toggles: host 480 and the first later
+/// host it is not linked to.
+fn link_pair(g: &GeneratedNetwork) -> (HostId, HostId) {
+    let a = HostId(480);
+    let b = (481..HOSTS as u32)
+        .map(HostId)
+        .find(|&b| !g.network.linked(a, b))
+        .expect("a degree-8 network leaves most pairs unlinked");
+    (a, b)
+}
+
 fn bench_model_maintenance(c: &mut Criterion) {
     let g = instance();
     let mut group = c.benchmark_group("mutable_model_960_hosts");
@@ -83,7 +99,37 @@ fn bench_model_maintenance(c: &mut Criterion) {
         });
     });
 
-    // Engine-level: the same delta end-to-end through apply() (staged
+    // Cache-level, a link toggle: no domain moves, so no variable does.
+    group.bench_with_input(BenchmarkId::from_parameter("link_edit"), &g, |b, g| {
+        let mut network = g.network.clone();
+        let mut cache = EnergyCache::new(
+            &network,
+            &g.similarity,
+            &ConstraintSet::new(),
+            EnergyParams::default(),
+        )
+        .expect("instance builds");
+        let (x, y) = link_pair(g);
+        let mut add = true;
+        b.iter(|| {
+            let delta = if add {
+                NetworkDelta::add_link(x, y)
+            } else {
+                NetworkDelta::remove_link(x, y)
+            };
+            let effect = network
+                .apply_delta(&delta, &g.catalog)
+                .expect("valid toggle");
+            add = !add;
+            let stats = cache
+                .refresh_hinted(&network, &g.similarity, Some(&effect.touched))
+                .expect("feasible refresh");
+            assert!(stats.edited);
+            stats.edges
+        });
+    });
+
+    // Engine-level: the slot toggle end-to-end through apply() (staged
     // delta + model maintenance + localized warm re-solve).
     group.bench_with_input(
         BenchmarkId::from_parameter("engine_apply_edit"),

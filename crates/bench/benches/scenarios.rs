@@ -274,12 +274,13 @@ fn emit_json(families: &[FamilyEntry], adaptive: &AdaptiveEntry, cve: &CveEntry,
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"scenarios\",\n  \"mode\": \"{}\",\n  \"families\": [\n{rows}\n  ],\n  \
+        "{{\n  \"bench\": \"scenarios\",\n  \"mode\": \"{}\",\n  {},\n  \"families\": [\n{rows}\n  ],\n  \
          \"adaptive\": {{\"steps\": {}, \"wall_ms\": {:.3}, \"total_defender_lag\": {:.4}, \
          \"max_defender_lag\": {:.4}, \"favor_reopt\": {}}},\n  \
          \"cve_feed\": {{\"bursts\": {}, \"deltas\": {}, \"largest_burst\": {}, \
          \"wall_ms\": {:.3}, \"favor_reopt\": {}}}\n}}\n",
         if full { "full" } else { "reduced" },
+        bench::machine_json(),
         adaptive.steps,
         adaptive.wall_ms,
         adaptive.total_defender_lag,

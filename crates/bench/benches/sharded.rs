@@ -255,9 +255,10 @@ fn emit_json(entries: &[Entry], hosts: usize, full: bool) {
         ));
     }
     let json = format!(
-        "{{\n  \"bench\": \"sharded\",\n  \"mode\": \"{}\",\n  \"hosts\": {hosts},\n  \
+        "{{\n  \"bench\": \"sharded\",\n  \"mode\": \"{}\",\n  {},\n  \"hosts\": {hosts},\n  \
          \"entries\": [\n{rows}\n  ]\n}}\n",
         if full { "full" } else { "reduced" },
+        bench::machine_json(),
     );
     match std::fs::write("BENCH_sharded.json", &json) {
         Ok(()) => println!("wrote BENCH_sharded.json"),

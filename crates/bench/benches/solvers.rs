@@ -178,11 +178,11 @@ fn emit_json(criterion: &Criterion, full: bool) {
             )),
         }
     }
-    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"solvers\",\n  \"mode\": \"{}\",\n  \"cores\": {cores},\n  \
+        "{{\n  \"bench\": \"solvers\",\n  \"mode\": \"{}\",\n  {},\n  \
          \"entries\": [\n{entries}\n  ]\n}}\n",
         if full { "full" } else { "reduced" },
+        bench::machine_json(),
     );
     match std::fs::write("BENCH_solvers.json", &json) {
         Ok(()) => println!("wrote BENCH_solvers.json"),

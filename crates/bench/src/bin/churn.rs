@@ -1147,7 +1147,7 @@ fn run_serving(hosts: usize, steps: usize, readers: usize, burst: usize, shards:
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"serving_churn\",\n  \"hosts\": {host_count},\n  \"shards\": {},\n  \
+        "{{\n  \"bench\": \"serving_churn\",\n  {},\n  \"hosts\": {host_count},\n  \"shards\": {},\n  \
          \"readers\": {readers},\n  \"submissions\": {},\n  \"burst\": {burst},\n  \
          \"deltas_absorbed\": {},\n  \"batches_absorbed\": {},\n  \"publications\": {},\n  \
          \"coalesced_submissions\": {},\n  \"last_epoch\": {},\n  \"last_revision\": {},\n  \
@@ -1155,6 +1155,7 @@ fn run_serving(hosts: usize, steps: usize, readers: usize, burst: usize, shards:
          \"reads_total\": {total_reads},\n  \"read_p50_ns\": {},\n  \"read_p99_ns\": {},\n  \
          \"probes_scheduled\": {},\n  \"probes_dropped\": {},\n  \"mttc_samples\": {},\n  \
          \"mttc_favor_reopt\": {favor},\n  \"mttc_both_censored\": {both_censored}\n}}\n",
+        bench::machine_json(),
         shards.map_or_else(|| "null".to_owned(), |z| z.to_string()),
         stats.submissions,
         stats.deltas_absorbed,

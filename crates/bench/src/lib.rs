@@ -86,6 +86,25 @@ pub fn full_mode() -> bool {
     std::env::args().any(|a| a == "--full")
 }
 
+/// The machine a run measured, as the `"cores": N, "cpu": "…"` fields
+/// every `BENCH_*.json` records: the cores this process may use and the
+/// CPU model from the `model name` line of `/proc/cpuinfo` (`"unknown"`
+/// where there is none).
+pub fn machine_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_owned())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    let cpu = cpu.replace('\\', "\\\\").replace('"', "\\\"");
+    format!("\"cores\": {cores}, \"cpu\": \"{cpu}\"")
+}
+
 /// True when the CLI args request usage help (`--help` or `-h`).
 pub fn help_requested() -> bool {
     std::env::args().any(|a| a == "--help" || a == "-h")

@@ -21,43 +21,61 @@
 //!   and survive rebuilds; a refresh only recomputes matrices for domain
 //!   pairs it has never seen. [`EnergyCache::invalidate_similarity_pair`]
 //!   drops exactly the matrices a single similarity update touched.
-//! * **The MRF is edited in place.** `mrf`'s [`mrf::model::MrfModel`] keeps stable
-//!   variable handles across mutations (tombstones + free lists), so a
-//!   *hinted* refresh ([`EnergyCache::refresh_hinted`]) removes and
-//!   re-creates only the touched hosts' variables and incident factors,
-//!   refreshes the folded unaries of their direct neighbors, and adjusts
-//!   the fixed–fixed base energy by the affected links — `O(touched ·
-//!   degree)` model-maintenance work instead of the old `O(V + E)` linear
-//!   reassembly, which ROADMAP had flagged as the dominant cost of
-//!   `apply_batch` on large networks. Untouched hosts' variables keep
-//!   their [`mrf::VarId`]s, which is also what keeps warm-start seeds
-//!   valid across revisions. Handed the labeling its caller carries, an
-//!   edit also prices the factors it rewrites at those labels before
-//!   anything moves (an `Edit` record), so the engine can carry the
-//!   labeling's energy across the edit without evaluating the model.
+//! * **The MRF is edited in place, factor by factor.** `mrf`'s
+//!   [`mrf::model::MrfModel`] keeps stable variable handles across
+//!   mutations (tombstones + free lists), so a refresh re-derives only the
+//!   factors of paper Eq. 1 that changed. Its units are the slot and the
+//!   link:
+//!   - a slot is *rebound* when its interned [`DomainId`] changed, or its
+//!     host was added or removed. Only a rebound slot's variable is
+//!     removed and, if the slot is still free, re-created with its unary,
+//!     its similarity edges and its combination-constraint edges; the
+//!     fixed–fixed base terms of its links are re-derived with it;
+//!   - a link is *changed* when it was added or removed since the last
+//!     refresh. The cache keeps the neighbour lists its model was built
+//!     from and diffs them against the network only at hosts whose
+//!     [`netmodel::network::Network::link_revision`] moved. A changed
+//!     link's edges between kept variables and its fixed–fixed base terms
+//!     are re-derived;
+//!   - a kept variable's unary is *refolded* only when a fixed partner's
+//!     contribution to it changed: a neighbour's slot on the same service
+//!     was rebound and is `Fixed` before or after, or a changed link's
+//!     partner slot on that service is `Fixed`.
 //!
-//! Un-hinted refreshes of a *synced* cache derive the touched set
-//! themselves by diffing the per-host domain and link revision counters
+//!   Every other variable keeps its [`mrf::VarId`], including every
+//!   variable of a host whose links changed but whose domains did not;
+//!   that is also what keeps warm-start seeds valid across revisions. The
+//!   model work is `O(degree)` per rebound slot, per changed link and per
+//!   host whose links moved, instead of the `O(V + E)` linear reassembly.
+//!   Handed the labeling its caller carries, an edit also prices the
+//!   factors it rewrites at those labels before anything moves (an `Edit`
+//!   record), so the engine can carry the labeling's energy across the
+//!   edit without evaluating the model.
+//!
+//! Hinted and un-hinted refreshes of a *synced* cache take the same edit
+//! path: a hint ([`netmodel::delta::BatchEffect::touched`]) names the hosts
+//! to look at, and without one the cache finds them by diffing the per-host
+//! domain and link revision counters
 //! ([`netmodel::network::Network::host_revision`] /
-//! [`netmodel::network::Network::link_revision`]) and take the same edit
-//! path. Only refreshes with no synced model to edit — a cold build, a
-//! constraint or parameter change, a similarity invalidation — reassemble
-//! linearly, as does any refresh once the edited model's fragmentation
-//! crosses [`mrf::model::MrfModel::should_compact`]'s threshold — the
-//! rebuild doubles as the compaction, restoring a dense model. The expensive part of reacting to
-//! a delta — the re-solve — is warm-started by
+//! [`netmodel::network::Network::link_revision`]). Only refreshes with no
+//! synced model to edit — a cold build, a constraint or parameter change, a
+//! similarity invalidation — reassemble linearly, as does any refresh once
+//! the edited model's fragmentation crosses
+//! [`mrf::model::MrfModel::should_compact`]'s threshold: the rebuild
+//! doubles as the compaction, restoring a dense model. The expensive part
+//! of reacting to a delta — the re-solve — is warm-started by
 //! [`crate::engine::DiversityEngine`] from the previous MAP assignment
 //! either way.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mrf::model::{MrfBuilder, PotentialId, VarId};
+use mrf::model::{EdgeId, MrfBuilder, MrfModel, PotentialId, VarId};
 
 use netmodel::catalog::ProductSimilarity;
 use netmodel::constraints::{ConstraintSet, Scope};
 use netmodel::network::Network;
-use netmodel::{HostId, ProductId};
+use netmodel::{HostId, ProductId, ServiceId};
 
 use crate::energy::{EnergyModel, EnergyParams, SlotBinding};
 use crate::{Error, Result};
@@ -113,69 +131,95 @@ impl DomainInterner {
     }
 }
 
+/// One service instance of one host: `(host, slot index)`.
+pub(crate) type Slot = (HostId, usize);
+
 /// What an in-place edit rewrote, recorded when the refresh is handed the
-/// labeling it must carry ([`EnergyCache::refresh_carrying`]): the
-/// re-bound hosts, the variables they gave up, and the energy the rewritten
-/// factors held at the carried labels. The engine re-seeds the re-bound
-/// variables and prices the same factors again ([`Edit::scope_energy`]) to
-/// carry its objective across the edit without evaluating the whole model.
+/// labeling it must carry ([`EnergyCache::refresh_carrying`]): the rebound
+/// slots and the variables they gave up, the kept variables whose unaries
+/// were refolded, the kept variable pairs of the changed links (module
+/// docs), and the energy the rewritten factors held at the carried labels.
+/// The engine re-seeds the rebound slots' variables and prices the same
+/// factors again ([`Edit::scope_energy`]) to carry its objective across the
+/// edit without evaluating the whole model.
 #[derive(Debug)]
 pub(crate) struct Edit {
-    /// The re-bound hosts, ascending: their variables were removed and
-    /// re-created (a new host's for the first time; a removed host keeps
-    /// none).
+    /// The rebound slots, ascending: their variables were removed and,
+    /// where the slot is still free, re-created (a new host's for the first
+    /// time; a removed host keeps none).
+    pub(crate) rebound: Vec<Slot>,
+    /// The hosts owning a rebound slot, ascending: the only rows whose
+    /// products the edit can move.
     pub(crate) hosts: Vec<HostId>,
-    /// The re-bound hosts and their direct neighbors: every host whose free
-    /// slots' unaries the edit recomputed.
-    unary_hosts: Vec<HostId>,
-    /// The variables the edit removed: the re-bound hosts' previous ones.
+    /// The variables the rebound slots gave up.
     pub(crate) removed: Vec<VarId>,
+    /// Kept free slots whose unaries the edit refolded, ascending.
+    refolded: Vec<Slot>,
+    /// The kept variable pairs of the changed links, one per shared free
+    /// service: the edit removed their edge (a removed link) or added it
+    /// (an added link).
+    linked: Vec<(VarId, VarId)>,
     /// [`Edit::scope_energy`] before the edit, at the carried labels.
     pub(crate) retracted: f64,
 }
 
 impl Edit {
     /// The MRF energy of the factors this edit rewrites, under `labels`:
-    /// the unaries of every free slot on [`Edit::unary_hosts`] and every
-    /// edge incident to a re-bound host's variables (once each). Every other
-    /// factor is the same object at the same labels before and after the
-    /// edit, so the MRF energy moves by exactly this scope's energy after
-    /// the edit minus [`Edit::retracted`] (the base energy is the model's
-    /// own, re-derived by the edit). The one statement of what an in-place
-    /// edit changes; the edit's steps 2–6 are its implementation.
+    /// the unaries of the rebound and refolded slots, every edge incident
+    /// to a rebound slot's variable, and the edge between each pair in
+    /// [`Edit::linked`] where `energy` has one, each counted once. Every
+    /// other factor is the same object at the same labels before and after
+    /// the edit, so the MRF energy moves by exactly this scope's energy
+    /// after the edit minus [`Edit::retracted`] (the base energy is the
+    /// model's own, re-derived by the edit). The one statement of what an
+    /// in-place edit changes; [`EnergyCache::edit`] is its implementation.
     pub(crate) fn scope_energy(&self, energy: &EnergyModel, labels: &[usize]) -> f64 {
         let model = energy.model();
-        let vars = |h: HostId| {
-            energy
-                .slots()
-                .get(h.index())
-                .map_or(&[][..], Vec::as_slice)
-                .iter()
-                .filter_map(|binding| match binding {
-                    SlotBinding::Variable { var, .. } => Some(*var),
-                    SlotBinding::Fixed(_) => None,
-                })
+        let var = |&(h, k): &Slot| match energy.slots().get(h.index())?.get(k)? {
+            SlotBinding::Variable { var, .. } => Some(*var),
+            SlotBinding::Fixed(_) => None,
         };
+        let mut rebound: Vec<VarId> = self.rebound.iter().filter_map(var).collect();
+        rebound.sort_unstable();
         let mut total = 0.0;
-        for &h in &self.unary_hosts {
-            for v in vars(h) {
-                total += model.unary(v)[labels[v.0]];
+        for v in rebound
+            .iter()
+            .copied()
+            .chain(self.refolded.iter().filter_map(var))
+        {
+            total += model.unary(v)[labels[v.0]];
+        }
+        for &v in &rebound {
+            for &eidx in model.incident_edges(v) {
+                let e = &model.edges()[eidx as usize];
+                let other = if e.a() == v { e.b() } else { e.a() };
+                if other < v && rebound.binary_search(&other).is_ok() {
+                    continue; // counted from `other`, a rebound variable too
+                }
+                total += model.edge_cost(e, labels[e.a().0], labels[e.b().0]);
             }
         }
-        for &h in &self.hosts {
-            for v in vars(h) {
-                for &eidx in model.incident_edges(v) {
-                    let e = &model.edges()[eidx as usize];
-                    let other = if e.a() == v { e.b() } else { e.a() };
-                    if other.0 < v.0 && self.hosts.binary_search(&energy.owner(other)).is_ok() {
-                        continue; // counted from `other`, a re-bound variable too
-                    }
-                    total += model.edge_cost(e, labels[e.a().0], labels[e.b().0]);
-                }
+        for &(a, b) in &self.linked {
+            if let Some(e) = edge_between(model, a, b) {
+                let e = &model.edges()[e.0];
+                total += model.edge_cost(e, labels[e.a().0], labels[e.b().0]);
             }
         }
         total
     }
+}
+
+/// The edge joining variables `a` and `b`, if any.
+fn edge_between(model: &MrfModel, a: VarId, b: VarId) -> Option<EdgeId> {
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    model
+        .incident_edges(lo)
+        .iter()
+        .map(|&eidx| EdgeId(eidx as usize))
+        .find(|e| {
+            let edge = &model.edges()[e.0];
+            edge.a() == lo && edge.b() == hi
+        })
 }
 
 /// What one [`EnergyCache::refresh`] did, for telemetry and tests.
@@ -289,8 +333,17 @@ pub struct EnergyCache {
     /// correspond to ([`Network::link_revision`]). Diffing it against the
     /// network recovers the hosts whose neighborhoods moved, which is what
     /// lets an un-hinted refresh derive a complete touched set instead of
-    /// reassembling.
+    /// reassembling, and what tells an edit where to diff `adjacency`.
     link_revisions: Vec<u64>,
+    /// The sorted neighbour list of each host that the cached model was
+    /// built from: an edit finds the added and removed links by diffing a
+    /// host's list against [`Network::neighbors`] where its link revision
+    /// moved.
+    adjacency: Vec<Vec<HostId>>,
+    /// The service of each slot, per host. A removed host keeps the list
+    /// it ran, so an edit can still pair its slots with its former
+    /// neighbours' when it retracts their factors.
+    services: Vec<Vec<ServiceId>>,
     /// Network revision the cached *model* corresponds to; `None` forces a
     /// rebuild at the next refresh.
     synced: Option<u64>,
@@ -299,13 +352,6 @@ pub struct EnergyCache {
     /// long as the model lives (its potential ids are append-only); cleared
     /// on every reassembly and on interner compaction.
     registered: HashMap<(DomainId, DomainId), PotentialId>,
-    /// Per-link fixed–fixed similarity sums currently folded into the base
-    /// energy, keyed with `a < b` — what an in-place edit subtracts before
-    /// re-deriving the touched links.
-    fixed_pairs: HashMap<(HostId, HostId), f64>,
-    /// Partner index over `fixed_pairs` so an edit finds a host's entries
-    /// without scanning the map.
-    fixed_adj: HashMap<HostId, Vec<HostId>>,
 }
 
 impl EnergyCache {
@@ -341,11 +387,11 @@ impl EnergyCache {
             domains: Vec::new(),
             host_revisions: Vec::new(),
             link_revisions: Vec::new(),
+            adjacency: Vec::new(),
+            services: Vec::new(),
             synced: None,
             model: EnergyModel::from_parts(MrfBuilder::new().build(), Vec::new(), 0.0),
             registered: HashMap::new(),
-            fixed_pairs: HashMap::new(),
-            fixed_adj: HashMap::new(),
         }
     }
 
@@ -489,23 +535,25 @@ impl EnergyCache {
     /// [`EnergyCache::refresh`] with a *touched-set fast path*: when the
     /// caller knows exactly which hosts a delta batch touched (a merged
     /// [`netmodel::delta::BatchEffect::touched`] set), the per-host
-    /// revision scan is restricted to those hosts **and the model is edited
-    /// in place** — only the touched hosts' variables and incident factors
-    /// are re-derived, their neighbors' folded unaries refreshed, and the
-    /// fixed–fixed base energy adjusted by the affected links. Untouched
-    /// variables keep their ids (see [`mrf::model`]'s stability contract).
+    /// revision scan is restricted to those hosts. Hinted or not, a synced
+    /// cache **edits its model in place** at the granularity of the slot
+    /// and the link (module docs): only the variables of slots whose
+    /// interned domain changed are re-created, only the edges and base
+    /// terms of those slots and of added or removed links are re-derived,
+    /// and only the unaries whose fixed-partner contributions changed are
+    /// refolded. Every other variable keeps its id (see [`mrf::model`]'s
+    /// stability contract).
     ///
     /// Correctness requires the hint to cover every host whose revision
     /// moved *and* every endpoint of a changed link since the last refresh
     /// — which `touched` sets do by construction. Without a hint the same
     /// set is *derived* by diffing the per-host domain and link revision
     /// counters ([`Network::host_revision`] /
-    /// [`Network::link_revision`]) against the cache, so un-hinted
-    /// refreshes with structural changes ride the edit path too; the hint
-    /// merely saves the `O(hosts)` counter scan. The hint is ignored (full
-    /// scan + reassembly) while the cache has no synced model, e.g. after
-    /// [`EnergyCache::set_constraints`], and the edit falls back to
-    /// reassembly when the edited model's fragmentation crosses the
+    /// [`Network::link_revision`]) against the cache; the hint merely saves
+    /// that `O(hosts)` counter scan. The hint is ignored (full scan +
+    /// reassembly) while the cache has no synced model, e.g. after
+    /// [`EnergyCache::set_constraints`], and the refresh reassembles instead
+    /// of editing when the edited model's fragmentation crosses the
     /// compaction threshold ([`mrf::model::MrfModel::should_compact`]).
     ///
     /// # Errors
@@ -555,18 +603,19 @@ impl EnergyCache {
         // `link_revision` at every affected host), so the derived set is a
         // complete touched set and the in-place edit path stays open.
         let hinted = self.synced.is_some();
-        // Refilter changed hosts into a scratch list first so an infeasible
-        // host cannot leave half-committed domains behind.
-        let scan: Vec<HostId> = match changed {
+        let mut scan: Vec<HostId> = match changed {
             Some(hint) if hinted => hint.to_vec(),
             None if hinted => self.revised_hosts(network),
             _ => network.iter_hosts().map(|(id, _)| id).collect(),
         };
-        let mut refiltered: Vec<(usize, Vec<DomainId>)> = Vec::new();
+        scan.sort_unstable();
+        scan.dedup();
+        // Refilter changed hosts into a scratch list first so an infeasible
+        // host cannot leave half-committed domains behind.
+        let mut refiltered: Vec<(HostId, Vec<DomainId>)> = Vec::new();
         for &host_id in &scan {
-            let i = host_id.index();
             let current = network.host_revision(host_id);
-            if self.host_revisions.get(i) == Some(&current) {
+            if self.host_revisions.get(host_id.index()) == Some(&current) {
                 continue;
             }
             let domains = filter_host_domains(network, host_id, &self.constraints)?;
@@ -574,25 +623,43 @@ impl EnergyCache {
                 .into_iter()
                 .map(|d| self.interner.intern(d))
                 .collect();
-            refiltered.push((i, interned));
+            refiltered.push((host_id, interned));
         }
         let hosts_refiltered = refiltered.len();
-        if self.domains.len() < network.host_count() {
-            self.domains.resize(network.host_count(), Vec::new());
-            self.host_revisions.resize(network.host_count(), u64::MAX);
+        let hosts = network.host_count();
+        if self.domains.len() < hosts {
+            self.domains.resize(hosts, Vec::new());
+            self.host_revisions.resize(hosts, u64::MAX);
+            self.link_revisions.resize(hosts, u64::MAX);
+            self.adjacency.resize(hosts, Vec::new());
+            self.services.resize(hosts, Vec::new());
         }
-        if self.link_revisions.len() < network.host_count() {
-            self.link_revisions.resize(network.host_count(), u64::MAX);
-        }
-        for (i, interned) in refiltered {
+        // Commit the new domains, noting the rebound slots (module docs):
+        // a slot whose domain id changed, or every slot of a host that
+        // gained or lost its services (added or removed).
+        let mut rebound: Vec<Slot> = Vec::new();
+        for (h, interned) in refiltered {
+            let i = h.index();
             for &id in &self.domains[i] {
                 self.interner.release(id);
             }
             for &id in &interned {
                 self.interner.retain(id);
             }
-            self.domains[i] = interned;
-            self.host_revisions[i] = network.host_revision(HostId(i as u32));
+            let old = std::mem::replace(&mut self.domains[i], interned);
+            let new = &self.domains[i];
+            if old.len() == new.len() {
+                rebound.extend((0..new.len()).filter(|&k| old[k] != new[k]).map(|k| (h, k)));
+            } else {
+                rebound.extend((0..old.len().max(new.len())).map(|k| (h, k)));
+            }
+            let host = network.host(h).map_err(Error::Model)?;
+            if !host.is_removed() {
+                let services = &mut self.services[i];
+                services.clear();
+                services.extend(host.services().iter().map(|inst| inst.service()));
+            }
+            self.host_revisions[i] = network.host_revision(h);
         }
         // Evict dead interner entries (domains no slot references anymore)
         // once they outnumber the live set. Compaction remaps domain ids,
@@ -621,10 +688,7 @@ impl EnergyCache {
             let (c, r) = self.rebuild(network, similarity)?;
             (c, r, None)
         } else {
-            let mut dirty: Vec<HostId> = scan.clone();
-            dirty.sort_unstable();
-            dirty.dedup();
-            let (c, r, edit) = self.edit(network, similarity, dirty, labels)?;
+            let (c, r, edit) = self.edit(network, similarity, &scan, rebound, labels)?;
             (c, r, Some(edit))
         };
         let edited = edit.is_some();
@@ -729,16 +793,19 @@ impl EnergyCache {
 
     /// Reassembles the MRF from cached domains and cost matrices (steps 3-5
     /// of the original monolithic `build_energy`) and re-derives the edit
-    /// bookkeeping (registered potentials, fixed-pair base terms) along the
-    /// way. Also the compaction path: the produced model is dense.
+    /// bookkeeping (registered potentials, neighbour lists) along the way.
+    /// Also the compaction path: the produced model is dense.
     fn rebuild(
         &mut self,
         network: &Network,
         similarity: &ProductSimilarity,
     ) -> Result<(usize, usize)> {
         self.registered.clear();
-        self.fixed_pairs.clear();
-        self.fixed_adj.clear();
+        for (host_id, _) in network.iter_hosts() {
+            let list = &mut self.adjacency[host_id.index()];
+            list.clear();
+            list.extend_from_slice(network.neighbors(host_id));
+        }
         // --- Variables. -----------------------------------------------------
         let mut builder = MrfBuilder::new();
         let mut slots: Vec<Vec<SlotBinding>> = Vec::with_capacity(network.host_count());
@@ -812,9 +879,6 @@ impl EnergyCache {
             }
             if any_fixed {
                 base_energy += link_fixed;
-                self.fixed_pairs.insert((a, b), link_fixed);
-                self.fixed_adj.entry(a).or_default().push(b);
-                self.fixed_adj.entry(b).or_default().push(a);
             }
         }
 
@@ -860,232 +924,278 @@ impl EnergyCache {
         Ok((computed, reused))
     }
 
-    /// Edits the cached model in place for a touched-host set (module
-    /// docs): per dirty host, removes its variables (their incident edges
-    /// go with them), re-derives its slot bindings from the committed
-    /// domains, recomputes the folded unaries of the host and its direct
-    /// neighbors, re-adds the similarity edges and fixed–fixed base terms
-    /// of every link incident to the dirty set, and re-adds the dirty
-    /// hosts' combination-constraint edges. `O(touched · degree)` model
-    /// work; everything else keeps its variable ids. With `labels` the
-    /// returned [`Edit`] is priced at them before anything moves.
+    /// Edits the cached model in place (module docs), once the refresh has
+    /// committed the new domains of the refiltered `scan` hosts and noted
+    /// their `rebound` slots (ascending):
+    ///
+    /// 1. lists the factor pairs that can have changed and plans the
+    ///    [`Edit`]: the kept unaries to refold and the kept variable pairs
+    ///    that changed links join. With `labels`, the edit is priced here,
+    ///    before anything moves;
+    /// 2. retracts the pairs' old fixed–fixed base terms and the removed
+    ///    links' edges;
+    /// 3. removes the rebound slots' variables (their incident edges go with
+    ///    them), re-binds the slots from the committed domains and updates
+    ///    the moved neighbour lists;
+    /// 4. adds the pairs' new base terms and edges, and folds the unaries of
+    ///    the new and the refolded variables;
+    /// 5. re-adds the combination-constraint edges at rebound slots.
     fn edit(
         &mut self,
         network: &Network,
         similarity: &ProductSimilarity,
-        dirty: Vec<HostId>,
+        scan: &[HostId],
+        rebound: Vec<Slot>,
         labels: Option<&[usize]>,
     ) -> Result<(usize, usize, Edit)> {
-        let params = self.params;
-        let mut dirty_mask = vec![false; network.host_count()];
-        for &h in &dirty {
-            dirty_mask[h.index()] = true;
-        }
-        // The hosts whose unaries step 4 recomputes: every dirty host and
-        // each direct neighbor of one. The folded contributions from fixed
-        // neighbors are the only unary terms that can have changed, and
-        // they never reach further than one hop.
-        let mut unary_mask = dirty_mask.clone();
-        let mut unary_hosts = dirty.clone();
-        for &h in &dirty {
-            for &g in network.neighbors(h) {
-                if !unary_mask[g.index()] {
-                    unary_mask[g.index()] = true;
-                    unary_hosts.push(g);
-                }
-            }
-        }
+        debug_assert!(
+            rebound.windows(2).all(|w| w[0] < w[1]),
+            "rebound slots ascend"
+        );
         let mut edit = Edit {
-            hosts: dirty,
-            unary_hosts,
+            rebound,
+            hosts: Vec::new(),
             removed: Vec::new(),
+            refolded: Vec::new(),
+            linked: Vec::new(),
             retracted: 0.0,
         };
+        let is_rebound = |slot: Slot| edit.rebound.binary_search(&slot).is_ok();
+        let services = &self.services;
+        let slot_of = |h: HostId, s: ServiceId| services[h.index()].iter().position(|&x| x == s);
+
+        // 1. The factor pairs that can have changed: two linked slots on one
+        //    service, lower host first, with whether their link existed
+        //    before the edit and exists after it. They are a rebound slot's
+        //    pairs with its old and new neighbours (a pair of two rebound
+        //    slots once, from its lower host) and the pairs of the links
+        //    added or removed, diffed where a host's link revision moved
+        //    (each link once, from its lower host).
+        let mut pairs: Vec<(Slot, Slot, bool, bool)> = Vec::new();
+        for &(g, j) in &edit.rebound {
+            let s = services[g.index()][j];
+            merge_sorted(
+                &self.adjacency[g.index()],
+                network.neighbors(g),
+                |h, before, after| match slot_of(h, s) {
+                    Some(k) if g < h => pairs.push(((g, j), (h, k), before, after)),
+                    Some(k) if !is_rebound((h, k)) => pairs.push(((h, k), (g, j), before, after)),
+                    _ => {}
+                },
+            );
+        }
+        let mut link_dirty = Vec::new();
+        for &h in scan {
+            if self.link_revisions[h.index()] == network.link_revision(h) {
+                continue;
+            }
+            link_dirty.push(h);
+            merge_sorted(
+                &self.adjacency[h.index()],
+                network.neighbors(h),
+                |g, before, after| {
+                    if before == after || g < h {
+                        return;
+                    }
+                    for (i, &s) in services[h.index()].iter().enumerate() {
+                        match slot_of(g, s) {
+                            Some(k) if !is_rebound((h, i)) && !is_rebound((g, k)) => {
+                                pairs.push(((h, i), (g, k), before, after));
+                            }
+                            _ => {}
+                        }
+                    }
+                },
+            );
+        }
+        // The plan, read off the model before it moves.
+        let old = self.model.slots();
+        for &(g, j) in &edit.rebound {
+            if edit.hosts.last() != Some(&g) {
+                edit.hosts.push(g);
+            }
+            if let Some(SlotBinding::Variable { var, .. }) = binding(old, (g, j)) {
+                edit.removed.push(*var);
+            }
+        }
+        let kept_var = |slot: Slot| match binding(old, slot) {
+            Some(SlotBinding::Variable { var, .. }) if !is_rebound(slot) => Some(*var),
+            _ => None,
+        };
+        let fixed_before = |slot: Slot| matches!(binding(old, slot), Some(SlotBinding::Fixed(_)));
+        let fixed_after = |(h, k): Slot| {
+            if is_rebound((h, k)) {
+                let domain = self.domains[h.index()].get(k);
+                domain.is_some_and(|&d| self.interner.resolve(d).len() == 1)
+            } else {
+                fixed_before((h, k))
+            }
+        };
+        // A fixed slot folds into its partner's unary while their link
+        // exists, so a kept variable is refolded when its partner is fixed
+        // on either side of the edit.
+        let folds = |slot: Slot, before: bool, after: bool| {
+            (before && fixed_before(slot)) || (after && fixed_after(slot))
+        };
+        for &(a, b, before, after) in &pairs {
+            match (kept_var(a), kept_var(b)) {
+                (Some(va), Some(vb)) => edit.linked.push((va, vb)),
+                (Some(_), None) if folds(b, before, after) => edit.refolded.push(a),
+                (None, Some(_)) if folds(a, before, after) => edit.refolded.push(b),
+                _ => {}
+            }
+        }
+        edit.refolded.sort_unstable();
+        edit.refolded.dedup();
         if let Some(labels) = labels {
             debug_assert_eq!(labels.len(), self.model.model().var_count());
             edit.retracted = edit.scope_energy(&self.model, labels);
         }
-        let dirty = &edit.hosts;
+
+        let params = self.params;
         let (model, slots, owners, base_energy) = self.model.parts_mut();
         if slots.len() < network.host_count() {
             slots.resize(network.host_count(), Vec::new());
         }
 
-        // 1. Retract the fixed–fixed base terms of every link that touched
-        //    a dirty host at the previous revision (removed links' endpoints
-        //    are always in the dirty set, so the partner index covers them).
-        for &h in dirty {
-            for g in self.fixed_adj.remove(&h).unwrap_or_default() {
-                let key = if h < g { (h, g) } else { (g, h) };
-                if let Some(v) = self.fixed_pairs.remove(&key) {
-                    *base_energy -= v;
-                }
-                if let Some(list) = self.fixed_adj.get_mut(&g) {
-                    list.retain(|&x| x != h);
-                }
-            }
-        }
-
-        // 2. Remove the dirty hosts' variables; incident edges (similarity
-        //    and constraint alike, including edges into clean neighbors) go
-        //    with them.
-        for &h in dirty {
-            for binding in &slots[h.index()] {
-                if let SlotBinding::Variable { var, .. } = binding {
-                    model.remove_var(*var).map_err(Error::Mrf)?;
-                    edit.removed.push(*var);
-                }
-            }
-            slots[h.index()].clear();
-        }
-
-        // 3. Re-derive the dirty hosts' slot bindings from the committed
-        //    domains (removed hosts have none and stay empty).
-        for &h in dirty {
-            let host_domains = &self.domains[h.index()];
-            let mut host_slots = Vec::with_capacity(host_domains.len());
-            for &did in host_domains {
-                let domain = self.interner.resolve(did);
-                if domain.len() == 1 {
-                    host_slots.push(SlotBinding::Fixed(domain[0]));
-                } else {
-                    let var = model.add_var(domain.len()).map_err(Error::Mrf)?;
-                    if owners.len() <= var.0 {
-                        owners.resize(var.0 + 1, HostId(u32::MAX));
-                    }
-                    owners[var.0] = h;
-                    host_slots.push(SlotBinding::Variable {
-                        var,
-                        candidates: Arc::clone(domain),
-                    });
-                }
-            }
-            slots[h.index()] = host_slots;
-        }
-
-        // 4. Recompute the unaries of every free slot on a dirty host or a
-        //    direct neighbor of one.
-        for &h in &edit.unary_hosts {
-            let host = network.host(h).map_err(Error::Model)?;
-            // One accumulator per free slot, so each neighbor's record is
-            // read once for all of them (in the same neighbor order).
-            let mut free: Vec<_> = slots[h.index()]
-                .iter()
-                .enumerate()
-                .filter_map(|(slot, binding)| match binding {
-                    SlotBinding::Variable { var, candidates } => Some((
-                        *var,
-                        host.services()[slot].service(),
-                        candidates,
-                        vec![params.preference_cost; candidates.len()],
-                    )),
-                    SlotBinding::Fixed(_) => None,
-                })
-                .collect();
-            if free.is_empty() {
+        // 2. Retract the old base terms and the removed links' edges.
+        for &(a, b, before, after) in &pairs {
+            if !before {
                 continue;
             }
-            for &g in network.neighbors(h) {
-                let peer = network.host(g).map_err(Error::Model)?;
-                for (_, service, candidates, unary) in &mut free {
-                    let Some(slot_g) = peer.service_slot(*service) else {
-                        continue;
-                    };
-                    let SlotBinding::Fixed(p) = slots[g.index()][slot_g] else {
-                        continue;
-                    };
-                    // Match the reassembly's (lower host, higher host)
-                    // similarity orientation exactly.
-                    if h < g {
-                        for (label, &cand) in candidates.iter().enumerate() {
-                            unary[label] += similarity.get(cand, p);
-                        }
-                    } else {
-                        for (label, &cand) in candidates.iter().enumerate() {
-                            unary[label] += similarity.get(p, cand);
-                        }
+            match (binding(slots, a), binding(slots, b)) {
+                (Some(&SlotBinding::Fixed(p)), Some(&SlotBinding::Fixed(q))) => {
+                    *base_energy -= similarity.get(p, q);
+                }
+                (
+                    Some(&SlotBinding::Variable { var: va, .. }),
+                    Some(&SlotBinding::Variable { var: vb, .. }),
+                ) if !after => {
+                    if let Some(e) = edge_between(model, va, vb) {
+                        model.remove_pairwise(e).map_err(Error::Mrf)?;
                     }
                 }
-            }
-            for (var, _, _, unary) in free {
-                model.set_unary(var, unary).map_err(Error::Mrf)?;
+                _ => {}
             }
         }
 
-        // 5. Similarity edges and fixed–fixed base terms for every link
-        //    incident to the dirty set (each link once).
+        // 3. Re-bind the rebound slots (a removed host keeps none) and
+        //    bring the moved neighbour lists up to date.
+        for &v in &edit.removed {
+            model.remove_var(v).map_err(Error::Mrf)?;
+        }
+        for &h in &edit.hosts {
+            slots[h.index()].truncate(self.domains[h.index()].len());
+        }
+        for &(h, k) in &edit.rebound {
+            let Some(&did) = self.domains[h.index()].get(k) else {
+                continue;
+            };
+            let domain = self.interner.resolve(did);
+            let binding = if domain.len() == 1 {
+                SlotBinding::Fixed(domain[0])
+            } else {
+                let var = model.add_var(domain.len()).map_err(Error::Mrf)?;
+                if owners.len() <= var.0 {
+                    owners.resize(var.0 + 1, HostId(u32::MAX));
+                }
+                owners[var.0] = h;
+                SlotBinding::Variable {
+                    var,
+                    candidates: Arc::clone(domain),
+                }
+            };
+            let row = &mut slots[h.index()];
+            if k < row.len() {
+                row[k] = binding;
+            } else {
+                row.push(binding); // a new host's slots arrive in order
+            }
+        }
+        for &h in &link_dirty {
+            let list = &mut self.adjacency[h.index()];
+            list.clear();
+            list.extend_from_slice(network.neighbors(h));
+        }
+
+        // 4. The new base terms, edges and unaries.
+        let slots: &[Vec<SlotBinding>] = slots;
         let mut computed = 0usize;
         let mut reused = 0usize;
-        for &h in dirty {
-            for &g in network.neighbors(h) {
-                if dirty_mask[g.index()] && g < h {
-                    continue; // both dirty: the lower id owns the link
+        for &(a, b, _, after) in &pairs {
+            if !after {
+                continue;
+            }
+            match (binding(slots, a), binding(slots, b)) {
+                (Some(&SlotBinding::Fixed(p)), Some(&SlotBinding::Fixed(q))) => {
+                    *base_energy += similarity.get(p, q);
                 }
-                let (a, b) = if h < g { (h, g) } else { (g, h) };
-                let host_a = network.host(a).map_err(Error::Model)?;
-                let host_b = network.host(b).map_err(Error::Model)?;
-                let mut link_fixed = 0.0;
-                let mut any_fixed = false;
-                for (slot_a, inst) in host_a.services().iter().enumerate() {
-                    let Some(slot_b) = host_b.service_slot(inst.service()) else {
-                        continue;
-                    };
-                    match (&slots[a.index()][slot_a], &slots[b.index()][slot_b]) {
-                        (SlotBinding::Fixed(pa), SlotBinding::Fixed(pb)) => {
-                            link_fixed += similarity.get(*pa, *pb);
-                            any_fixed = true;
-                        }
-                        (SlotBinding::Fixed(_), SlotBinding::Variable { .. })
-                        | (SlotBinding::Variable { .. }, SlotBinding::Fixed(_)) => {
-                            // Folded into the variable side by step 4.
-                        }
-                        (
-                            SlotBinding::Variable { var: va, .. },
-                            SlotBinding::Variable { var: vb, .. },
-                        ) => {
-                            let key = (
-                                self.domains[a.index()][slot_a],
-                                self.domains[b.index()][slot_b],
-                            );
-                            let pot = EnergyCache::shared_potential(
-                                &self.interner,
-                                &mut self.costs,
-                                &mut self.registered,
-                                similarity,
-                                key,
-                                |rows, cols, matrix| {
-                                    model.add_potential(rows, cols, matrix).map_err(Error::Mrf)
-                                },
-                                &mut computed,
-                                &mut reused,
-                            )?;
-                            model.add_pairwise(*va, *vb, pot).map_err(Error::Mrf)?;
-                        }
-                    }
+                (
+                    Some(&SlotBinding::Variable { var: va, .. }),
+                    Some(&SlotBinding::Variable { var: vb, .. }),
+                ) => {
+                    let key = (
+                        self.domains[a.0.index()][a.1],
+                        self.domains[b.0.index()][b.1],
+                    );
+                    let pot = EnergyCache::shared_potential(
+                        &self.interner,
+                        &mut self.costs,
+                        &mut self.registered,
+                        similarity,
+                        key,
+                        |rows, cols, matrix| {
+                            model.add_potential(rows, cols, matrix).map_err(Error::Mrf)
+                        },
+                        &mut computed,
+                        &mut reused,
+                    )?;
+                    model.add_pairwise(va, vb, pot).map_err(Error::Mrf)?;
                 }
-                if any_fixed {
-                    *base_energy += link_fixed;
-                    self.fixed_pairs.insert((a, b), link_fixed);
-                    self.fixed_adj.entry(a).or_default().push(b);
-                    self.fixed_adj.entry(b).or_default().push(a);
-                }
+                _ => {}
             }
         }
+        // A free slot's unary: the preference cost plus the similarity to
+        // each fixed neighbour slot on its service, summed in ascending
+        // neighbour order with the lower host's product first, as the
+        // reassembly sums them.
+        for &(h, k) in edit.rebound.iter().chain(&edit.refolded) {
+            let Some(SlotBinding::Variable { var, candidates }) = binding(slots, (h, k)) else {
+                continue;
+            };
+            let s = services[h.index()][k];
+            let mut unary = vec![params.preference_cost; candidates.len()];
+            for &g in network.neighbors(h) {
+                let Some(&SlotBinding::Fixed(p)) =
+                    slot_of(g, s).and_then(|l| binding(slots, (g, l)))
+                else {
+                    continue;
+                };
+                for (label, &c) in candidates.iter().enumerate() {
+                    unary[label] += if h < g {
+                        similarity.get(c, p)
+                    } else {
+                        similarity.get(p, c)
+                    };
+                }
+            }
+            model.set_unary(*var, unary).map_err(Error::Mrf)?;
+        }
 
-        // 6. Combination-constraint edges of the dirty hosts (they were
-        //    removed with the hosts' variables in step 2).
+        // 5. Combination-constraint edges at rebound slots (the kept ones
+        //    between two kept variables never moved).
         for c in self.constraints.iter() {
             let Some(comb) = c.as_combination() else {
                 continue;
             };
-            let hosts: Vec<HostId> = match comb.scope {
-                Scope::Host(h) if dirty_mask.get(h.index()).copied().unwrap_or(false) => {
-                    vec![h]
-                }
-                Scope::Host(_) => Vec::new(),
-                Scope::All => dirty.clone(),
+            let hosts: &[HostId] = match comb.scope {
+                Scope::Host(h) => match edit.hosts.binary_search(&h) {
+                    Ok(at) => &edit.hosts[at..=at],
+                    Err(_) => &[],
+                },
+                Scope::All => &edit.hosts,
             };
-            for h in hosts {
+            for &h in hosts {
                 let Ok(host) = network.host(h) else { continue };
                 let (Some(sm), Some(sn)) = (
                     host.service_slot(comb.if_service),
@@ -1093,16 +1203,19 @@ impl EnergyCache {
                 ) else {
                     continue;
                 };
+                if !is_rebound((h, sm)) && !is_rebound((h, sn)) {
+                    continue;
+                }
                 let (
-                    SlotBinding::Variable {
+                    Some(SlotBinding::Variable {
                         var: va,
                         candidates: ca,
-                    },
-                    SlotBinding::Variable {
+                    }),
+                    Some(SlotBinding::Variable {
                         var: vb,
                         candidates: cb,
-                    },
-                ) = (&slots[h.index()][sm], &slots[h.index()][sn])
+                    }),
+                ) = (binding(slots, (h, sm)), binding(slots, (h, sn)))
                 else {
                     continue; // fixed sides were resolved by the fixpoint
                 };
@@ -1116,6 +1229,40 @@ impl EnergyCache {
         }
 
         Ok((computed, reused, edit))
+    }
+}
+
+/// The binding of `slot` in `slots`, if the host has that slot.
+fn binding(slots: &[Vec<SlotBinding>], (h, k): Slot) -> Option<&SlotBinding> {
+    slots.get(h.index())?.get(k)
+}
+
+/// Walks two ascending neighbour lists together, calling `visit(host,
+/// before, after)` once for each host in either: whether it is in `old`
+/// and whether it is in `new`.
+fn merge_sorted(old: &[HostId], new: &[HostId], mut visit: impl FnMut(HostId, bool, bool)) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        match (old.get(i), new.get(j)) {
+            (Some(&o), Some(&n)) if o == n => {
+                visit(o, true, true);
+                i += 1;
+                j += 1;
+            }
+            (Some(&o), Some(&n)) if o < n => {
+                visit(o, true, false);
+                i += 1;
+            }
+            (Some(&o), None) => {
+                visit(o, true, false);
+                i += 1;
+            }
+            (_, Some(&n)) => {
+                visit(n, false, true);
+                j += 1;
+            }
+            (None, None) => return,
+        }
     }
 }
 
@@ -1196,6 +1343,199 @@ mod tests {
                 "objective mismatch on trial {trial}: {ea} vs {eb}"
             );
         }
+    }
+
+    /// A 6-host ring running `services` services on every host, each slot
+    /// free over its service's three products.
+    fn ring(services: usize) -> (Network, Catalog, ProductSimilarity) {
+        let mut c = Catalog::new();
+        let mut offered = Vec::new();
+        for s in 0..services {
+            let service = c.add_service(&format!("s{s}"));
+            let products: Vec<_> = (0..3)
+                .map(|i| c.add_product(&format!("s{s}p{i}"), service).unwrap())
+                .collect();
+            offered.push((service, products));
+        }
+        let mut b = NetworkBuilder::new();
+        let ids: Vec<HostId> = (0..6).map(|i| b.add_host(&format!("h{i}"))).collect();
+        for &h in &ids {
+            for (service, products) in &offered {
+                b.add_service(h, *service, products.clone()).unwrap();
+            }
+        }
+        for i in 0..6 {
+            b.add_link(ids[i], ids[(i + 1) % 6]).unwrap();
+        }
+        let net = b.build(&c).unwrap();
+        let n = c.product_count();
+        let vals = (0..n * n)
+            .map(|x| {
+                if x / n == x % n {
+                    1.0
+                } else {
+                    0.05 * ((x / n + 2 * (x % n)) % 7) as f64
+                }
+            })
+            .collect();
+        (net, c, ProductSimilarity::from_dense(n, vals))
+    }
+
+    /// Absorbs `delta` through a carrying refresh at all-zero labels,
+    /// checks the edit's pricing against whole-model evaluations and the
+    /// edited model against a scratch build, and returns the edit record.
+    fn carried_edit(
+        cache: &mut EnergyCache,
+        net: &mut Network,
+        c: &Catalog,
+        sim: &ProductSimilarity,
+        delta: NetworkDelta,
+    ) -> Edit {
+        let labels = vec![0usize; cache.model().model().var_count()];
+        let before = cache.model().model().energy(&labels);
+        let effect = net.apply_delta(&delta, c).unwrap();
+        let (stats, edit) = cache
+            .refresh_carrying(net, sim, Some(&effect.touched), Some(&labels))
+            .unwrap();
+        assert!(stats.edited, "a synced cache edits in place");
+        let edit = edit.expect("a carrying edit returns its record");
+        // New variables start at label 0 too, so the carried labels are
+        // all zeros at the new arity.
+        let labels = vec![0usize; cache.model().model().var_count()];
+        let after = cache.model().model().energy(&labels);
+        let carried = before + edit.scope_energy(cache.model(), &labels) - edit.retracted;
+        assert!(
+            (carried - after).abs() < 1e-9,
+            "priced {carried} vs evaluated {after}"
+        );
+        let scratch =
+            crate::energy::build_energy(net, sim, &ConstraintSet::new(), EnergyParams::default())
+                .unwrap();
+        assert_equivalent(cache.model(), &scratch);
+        edit
+    }
+
+    #[test]
+    fn add_link_between_unchanged_hosts_keeps_their_variables() {
+        let (mut net, c, sim) = ring(2);
+        let s1 = c.service_by_name("s1").unwrap();
+        let fixed = c.product_by_name("s1p2").unwrap();
+        let mut cache =
+            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        carried_edit(
+            &mut cache,
+            &mut net,
+            &c,
+            &sim,
+            NetworkDelta::fix_slot(HostId(3), s1, fixed),
+        );
+        let slots = cache.model().slots().to_vec();
+        let edges = cache.model().model().edge_count();
+        // Hosts 0 and 3 share two services: s0 free on both, s1 fixed at 3.
+        let edit = carried_edit(
+            &mut cache,
+            &mut net,
+            &c,
+            &sim,
+            NetworkDelta::add_link(HostId(0), HostId(3)),
+        );
+        assert!(edit.rebound.is_empty() && edit.removed.is_empty() && edit.hosts.is_empty());
+        assert_eq!(
+            cache.model().slots(),
+            &slots[..],
+            "every variable keeps its id"
+        );
+        assert_eq!(
+            cache.model().model().edge_count(),
+            edges + 1,
+            "one edge for the one shared free service"
+        );
+        assert_eq!(edit.linked.len(), 1);
+        assert_eq!(
+            edit.refolded,
+            vec![(HostId(0), 1)],
+            "host 0's s1 unary folds the fixed partner in"
+        );
+    }
+
+    #[test]
+    fn fix_slot_on_a_four_service_host_rebinds_only_that_slot() {
+        let (mut net, c, sim) = ring(4);
+        let s2 = c.service_by_name("s2").unwrap();
+        let product = c.product_by_name("s2p1").unwrap();
+        let mut cache =
+            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let before = cache.model().slots().to_vec();
+        let edit = carried_edit(
+            &mut cache,
+            &mut net,
+            &c,
+            &sim,
+            NetworkDelta::fix_slot(HostId(2), s2, product),
+        );
+        assert_eq!(edit.rebound, vec![(HostId(2), 2)]);
+        assert_eq!(edit.hosts, vec![HostId(2)]);
+        assert_eq!(
+            edit.removed.len(),
+            1,
+            "only the fixed slot gave up its variable"
+        );
+        assert_eq!(cache.model().slots()[2][2], SlotBinding::Fixed(product));
+        for (host, (old_row, new_row)) in before.iter().zip(cache.model().slots()).enumerate() {
+            for (slot, (old, new)) in old_row.iter().zip(new_row).enumerate() {
+                if (host, slot) != (2, 2) {
+                    assert_eq!(old, new, "slot ({host}, {slot}) must keep its variable");
+                }
+            }
+        }
+        assert_eq!(
+            edit.refolded,
+            vec![(HostId(1), 2), (HostId(3), 2)],
+            "the neighbours' s2 unaries fold the new fixed product"
+        );
+    }
+
+    #[test]
+    fn remove_host_refolds_neighbours_only_for_its_fixed_slots() {
+        let (mut net, c, sim) = ring(2);
+        let mut cache =
+            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let before = cache.model().slots().to_vec();
+        let edit = carried_edit(
+            &mut cache,
+            &mut net,
+            &c,
+            &sim,
+            NetworkDelta::remove_host(HostId(2)),
+        );
+        assert_eq!(edit.rebound, vec![(HostId(2), 0), (HostId(2), 1)]);
+        assert_eq!(edit.removed.len(), 2);
+        assert!(
+            edit.refolded.is_empty(),
+            "no fixed slot left, so no neighbour's unary changed"
+        );
+        assert!(cache.model().slots()[2].is_empty());
+        for host in [0, 1, 3, 4, 5] {
+            assert_eq!(before[host], cache.model().slots()[host]);
+        }
+        // A removed fixed slot takes its folded terms with it.
+        let s0 = c.service_by_name("s0").unwrap();
+        let product = c.product_by_name("s0p0").unwrap();
+        carried_edit(
+            &mut cache,
+            &mut net,
+            &c,
+            &sim,
+            NetworkDelta::fix_slot(HostId(4), s0, product),
+        );
+        let edit = carried_edit(
+            &mut cache,
+            &mut net,
+            &c,
+            &sim,
+            NetworkDelta::remove_host(HostId(4)),
+        );
+        assert_eq!(edit.refolded, vec![(HostId(3), 0), (HostId(5), 0)]);
     }
 
     #[test]

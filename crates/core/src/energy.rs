@@ -153,7 +153,11 @@ impl EnergyModel {
         self.base_energy
     }
 
-    /// Number of free variables.
+    /// Number of variable *slots* in the model, tombstones included: the
+    /// arity of a labeling of this model ([`MrfModel::var_count`]). Equal
+    /// to the number of free (host, service) slots only for a freshly
+    /// assembled model; after in-place edits use
+    /// [`MrfModel::live_var_count`] on [`EnergyModel::model`] for that.
     pub fn variable_count(&self) -> usize {
         self.model.var_count()
     }

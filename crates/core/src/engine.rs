@@ -29,16 +29,16 @@
 //! **Carried state.** Steps 3 and 4 cost `O(touched)` rather than `O(V)`
 //! because the engine also carries the labeling its last assignment
 //! decodes from, with that labeling's energy. After an in-place edit the
-//! projection only has to re-seed the variables the edit re-bound, the
-//! carried energy moves by the edit's delta ([`crate::cache`] prices the
-//! factors it rewrites), and only the touched hosts' rows — then the rows
-//! of hosts owning a flipped variable — are decoded. The same step derives
-//! everything from the last assignment instead wherever the carried state
-//! is not known to match the model: after a reassembling refresh (which
-//! renumbers every variable), after the shard coordinator writes an
-//! assignment back or overlays multipliers on the model, after a
-//! constraint, parameter or similarity change, and after
-//! [`Error::UnsatisfiableConstraints`]. Debug builds check every step
+//! projection only has to seed the variables of the slots the edit
+//! rebound, the carried energy moves by the edit's delta ([`crate::cache`]
+//! prices the factors it rewrites), and only the rows of hosts owning a
+//! rebound slot — then the rows of hosts owning a flipped variable — are
+//! decoded. The same step derives everything from the last assignment
+//! instead wherever the carried state is not known to match the model:
+//! after a reassembling refresh (which renumbers every variable), after
+//! the shard coordinator writes an assignment back or overlays multipliers
+//! on the model, after a constraint, parameter or similarity change, and
+//! after [`Error::UnsatisfiableConstraints`]. Debug builds check every step
 //! against that full derivation.
 //!
 //! [`NetworkDelta`]: netmodel::delta::NetworkDelta
@@ -838,11 +838,11 @@ struct WarmStart {
 
 impl WarmStart {
     /// The carried labeling moved across the refresh: after an in-place
-    /// edit, the removed variables' slots are zeroed, the re-bound hosts'
-    /// variables re-seeded from their previous rows, the energy moved by
-    /// the edit's delta, and only the re-bound hosts' rows re-decoded into
-    /// a clone of `prev`, which shares every other chunk. `O(touched)`
-    /// apart from the clone's chunk pointers.
+    /// edit, the removed variables' slots are zeroed, the rebound slots'
+    /// new variables seeded from their previous products, the energy moved
+    /// by the edit's delta, and only the rows of hosts owning a rebound
+    /// slot re-decoded into a clone of `prev`, which shares every other
+    /// chunk. `O(rebound slots)` apart from the clone's chunk pointers.
     fn carried(
         energy: &EnergyModel,
         prev: &Assignment,
@@ -861,14 +861,15 @@ impl WarmStart {
             }
             labels.resize(model.var_count(), 0);
             assignment.resize(energy.slots().len());
-            for &host in &edit.hosts {
-                let old_row = prev.products_at(host);
-                for (slot, binding) in energy.slots()[host.index()].iter().enumerate() {
-                    if let SlotBinding::Variable { var, candidates } = binding {
-                        labels[var.0] =
-                            project_label(model, *var, seed(candidates, old_row.get(slot)));
-                    }
+            for &(host, slot) in &edit.rebound {
+                if let Some(SlotBinding::Variable { var, candidates }) =
+                    energy.slots()[host.index()].get(slot)
+                {
+                    let old = prev.products_at(host).get(slot);
+                    labels[var.0] = project_label(model, *var, seed(candidates, old));
                 }
+            }
+            for &host in &edit.hosts {
                 assignment.set_row(host, &energy.decode_host(&labels, host));
             }
             start_energy += edit.scope_energy(energy, &labels) - edit.retracted;
@@ -903,11 +904,11 @@ enum Locality {
     Full(usize),
 }
 
-/// The committed rows after a carried step: `prev`'s rows with the
-/// re-bound hosts' rows and the rows of every host owning a flipped
+/// The committed rows after a carried step: `prev`'s rows with the rows
+/// of the hosts owning a rebound slot and of every host owning a flipped
 /// variable re-decoded from `labels` and written in place, plus the live
-/// hosts among them whose row changed — `O(touched + flips)` rows instead
-/// of the whole table.
+/// hosts among them whose row changed — `O(rebound hosts + flips)` rows
+/// instead of the whole table.
 fn commit_rows(
     energy: &EnergyModel,
     network: &Network,

@@ -1,8 +1,10 @@
 //! Property tests for the mutable MRF and the in-place energy-cache edit:
-//! any random sequence of model edits must be indistinguishable from a
-//! scratch-assembled model — same energy function (≤1e-9 divergence on
-//! random labelings), same exact MAP — and edits addressed at tombstoned
-//! handles must error without corrupting the model.
+//! any random sequence of model edits — one delta per refresh or whole
+//! bursts of them — must be indistinguishable from a scratch-assembled
+//! model — same energy function (≤1e-9 divergence on random labelings),
+//! same exact MAP — and edits addressed at tombstoned handles must error
+//! without corrupting the model. Bursts that cancel themselves must leave
+//! every kept variable where it was.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -14,8 +16,9 @@ use mrf::model::MrfModel;
 use mrf::solver::{ExactFallback, MapSolver, SolveControl};
 use mrf::VarId;
 use netmodel::constraints::ConstraintSet;
-use netmodel::delta::random_delta;
-use netmodel::topology::{generate, RandomNetworkConfig, TopologyKind};
+use netmodel::delta::{random_delta, NetworkDelta};
+use netmodel::network::Network;
+use netmodel::topology::{generate, GeneratedNetwork, RandomNetworkConfig, TopologyKind};
 use netmodel::HostId;
 
 /// Semantic equivalence of an edited energy model and a scratch-assembled
@@ -170,6 +173,68 @@ proptest! {
         prop_assert!(edited_any, "the stream must exercise the edit path");
     }
 
+    /// The same equivalence when a whole burst of 2–8 deltas is absorbed
+    /// by one hinted refresh with the burst's merged `touched` set: later
+    /// deltas may undo or build on earlier ones (a link added then removed,
+    /// a slot fixed and then its host removed), and the one edit must still
+    /// land on the scratch model.
+    #[test]
+    fn burst_edits_equal_scratch_assembly(
+        hosts in 3usize..12,
+        degree in 1usize..4,
+        services in 1usize..4,
+        products in 2usize..4,
+        net_seed in 0u64..100,
+        delta_seed in 0u64..100,
+        bursts in 1usize..6,
+    ) {
+        let g = generate(
+            &RandomNetworkConfig {
+                hosts,
+                mean_degree: degree,
+                services,
+                products_per_service: products,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            net_seed,
+        );
+        let mut rng = StdRng::seed_from_u64(delta_seed);
+        let mut check_rng = StdRng::seed_from_u64(delta_seed ^ 0xB0257);
+        let mut net = g.network.clone();
+        let mut cache = EnergyCache::new(
+            &net,
+            &g.similarity,
+            &ConstraintSet::new(),
+            EnergyParams::default(),
+        )
+        .expect("unconstrained instances are feasible");
+        for _ in 0..bursts {
+            let len = rng.gen_range(2usize..=8);
+            let mut staged = net.clone();
+            let burst: Vec<NetworkDelta> = (0..len)
+                .map(|_| {
+                    let delta = random_delta(&staged, &g.catalog, &mut rng, &[HostId(0)]);
+                    staged.apply_delta(&delta, &g.catalog).expect("valid delta");
+                    delta
+                })
+                .collect();
+            let effect = net.apply_batch(&burst, &g.catalog).expect("valid burst");
+            let stats = cache
+                .refresh_hinted(&net, &g.similarity, Some(&effect.touched))
+                .expect("feasible refresh");
+            prop_assert!(stats.rebuilt);
+            let scratch = build_energy(
+                &net,
+                &g.similarity,
+                &ConstraintSet::new(),
+                EnergyParams::default(),
+            )
+            .expect("scratch build");
+            assert_equivalent(cache.model(), &scratch, &mut check_rng)?;
+        }
+    }
+
     /// Raw model-level churn: random interleavings of add/remove variable
     /// and edge mutations agree with a freshly assembled model of the same
     /// final structure, and mutations addressed at tombstoned handles error
@@ -270,4 +335,151 @@ proptest! {
         let map_f = solver.solve(&fresh, &ctl).energy();
         prop_assert!((map_m - map_f).abs() < 1e-9, "MAP {} vs {}", map_m, map_f);
     }
+}
+
+/// A 6-host ring with two services on every host and every slot free,
+/// with its cache built.
+fn line_instance() -> (GeneratedNetwork, EnergyCache) {
+    let g = generate(
+        &RandomNetworkConfig {
+            hosts: 6,
+            mean_degree: 2,
+            services: 2,
+            products_per_service: 3,
+            vendors_per_service: 2,
+            topology: TopologyKind::Ring,
+        },
+        7,
+    );
+    let cache = EnergyCache::new(
+        &g.network,
+        &g.similarity,
+        &ConstraintSet::new(),
+        EnergyParams::default(),
+    )
+    .expect("unconstrained instances are feasible");
+    (g, cache)
+}
+
+/// Absorbs `burst` through one hinted refresh, checks the edited model
+/// against a scratch build, and returns the model's slot bindings before
+/// and after.
+fn absorb_burst(
+    g: &GeneratedNetwork,
+    net: &mut Network,
+    cache: &mut EnergyCache,
+    burst: &[NetworkDelta],
+) -> (Vec<Vec<SlotBinding>>, Vec<Vec<SlotBinding>>) {
+    let before = cache.model().slots().to_vec();
+    let effect = net.apply_batch(burst, &g.catalog).expect("valid burst");
+    let stats = cache
+        .refresh_hinted(net, &g.similarity, Some(&effect.touched))
+        .expect("feasible refresh");
+    assert!(stats.edited, "a synced cache edits in place");
+    let scratch = build_energy(
+        net,
+        &g.similarity,
+        &ConstraintSet::new(),
+        EnergyParams::default(),
+    )
+    .expect("scratch build");
+    let mut rng = StdRng::seed_from_u64(11);
+    assert_equivalent(cache.model(), &scratch, &mut rng).expect("edited model equals scratch");
+    (before, cache.model().slots().to_vec())
+}
+
+#[test]
+fn burst_adding_and_removing_a_link_keeps_every_variable() {
+    let (g, mut cache) = line_instance();
+    let mut net = g.network.clone();
+    let (a, b) = (HostId(0), HostId(4));
+    assert!(!net.linked(a, b));
+    let edges = cache.model().model().edge_count();
+    let (before, after) = absorb_burst(
+        &g,
+        &mut net,
+        &mut cache,
+        &[
+            NetworkDelta::add_link(a, b),
+            NetworkDelta::remove_link(a, b),
+        ],
+    );
+    assert_eq!(before, after, "no slot was rebound");
+    assert_eq!(cache.model().model().edge_count(), edges);
+}
+
+#[test]
+fn burst_adding_and_removing_a_host_keeps_every_variable() {
+    let (g, mut cache) = line_instance();
+    let mut net = g.network.clone();
+    let services: Vec<_> = net
+        .host(HostId(2))
+        .unwrap()
+        .services()
+        .iter()
+        .map(|inst| (inst.service(), inst.candidates().to_vec()))
+        .collect();
+    let new_host = HostId(net.host_count() as u32);
+    let (before, after) = absorb_burst(
+        &g,
+        &mut net,
+        &mut cache,
+        &[
+            NetworkDelta::add_host("transient", services, vec![HostId(2), HostId(3)]),
+            NetworkDelta::remove_host(new_host),
+        ],
+    );
+    assert_eq!(
+        &after[..before.len()],
+        &before[..],
+        "no old slot was rebound"
+    );
+    assert!(
+        after[new_host.index()].is_empty(),
+        "the removed host has no slots"
+    );
+}
+
+#[test]
+fn burst_fixing_and_unfixing_a_slot_to_its_candidates_keeps_every_variable() {
+    let (g, mut cache) = line_instance();
+    let mut net = g.network.clone();
+    let host = HostId(3);
+    let inst = net.host(host).unwrap().services()[1].clone();
+    let (before, after) = absorb_burst(
+        &g,
+        &mut net,
+        &mut cache,
+        &[
+            NetworkDelta::fix_slot(host, inst.service(), inst.candidates()[0]),
+            NetworkDelta::unfix_slot(host, inst.service(), inst.candidates().to_vec()),
+        ],
+    );
+    assert_eq!(
+        before, after,
+        "the domain id did not change: nothing rebound"
+    );
+}
+
+#[test]
+fn burst_removing_a_host_right_after_linking_it_matches_scratch() {
+    let (g, mut cache) = line_instance();
+    let mut net = g.network.clone();
+    let (kept, doomed) = (HostId(0), HostId(3));
+    assert!(!net.linked(kept, doomed));
+    let (before, after) = absorb_burst(
+        &g,
+        &mut net,
+        &mut cache,
+        &[
+            NetworkDelta::add_link(kept, doomed),
+            NetworkDelta::remove_host(doomed),
+        ],
+    );
+    assert!(after[doomed.index()].is_empty());
+    assert_eq!(
+        after[kept.index()],
+        before[kept.index()],
+        "the kept host keeps its variables"
+    );
 }
