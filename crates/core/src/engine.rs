@@ -18,9 +18,13 @@
 //!    network committed,
 //! 3. the previous MAP assignment is *projected* onto the new model
 //!    (product identity per slot; vanished products fall back
-//!    per-variable) and the re-solve warm-starts from it — restricted to a
-//!    k-hop ball around the touched hosts via [`MapSolver::refine_local`],
-//!    expanding only while labels keep flipping (see [`mrf::local`]),
+//!    per-variable) and the re-solve warm-starts from it — one
+//!    [`MapSolver::refine_local`] call restricted to the
+//!    [`DEFAULT_LOCALITY_HOPS`]-hop ball around the touched hosts,
+//!    expanding only while labels keep flipping (see [`mrf::local`]). A
+//!    warm [`DiversityEngine::solve`] that touched nothing hands the same
+//!    call every live variable, and the hosts the sharded engine pins are
+//!    sealed in every warm call,
 //! 4. the result is decoded, checked against the constraints, and returned
 //!    as a [`ReassignmentReport`]: which hosts changed products, the
 //!    objective before/after the re-solve, locality telemetry
@@ -49,6 +53,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mrf::icm::Icm;
+use mrf::local::Start;
 use mrf::model::VarId;
 use mrf::order::SolveScratch;
 use mrf::projection::{project_label, project_labels};
@@ -106,7 +111,7 @@ pub struct ReassignmentReport {
     pub solve_wall: Duration,
     /// Solver iterations.
     pub iterations: usize,
-    /// Whether the solver converged (vs. budget/iteration cap).
+    /// Whether the solver converged (vs. its iteration cap).
     pub converged: bool,
     /// Certified lower bound on the objective, when the solver provides one.
     pub lower_bound: Option<f64>,
@@ -117,7 +122,7 @@ pub struct ReassignmentReport {
     /// of a localized refinement, or the full variable count otherwise.
     pub swept_vars: usize,
     /// Whether the re-solve stayed frontier-restricted (false for cold
-    /// solves, engines with locality disabled, and localized refinements
+    /// solves, warm solves that touched nothing, and localized refinements
     /// that fell back to a full sweep).
     pub localized: bool,
 }
@@ -164,8 +169,8 @@ impl fmt::Display for ReassignmentReport {
     }
 }
 
-/// Default k-hop radius of the frontier ball localized re-solves start
-/// from. Deliberately tight: the refinement *expands* the ball on its own
+/// The k-hop radius of the frontier ball localized re-solves start from.
+/// Deliberately tight: the refinement *expands* the ball on its own
 /// while labels keep flipping, so a 1-hop seed loses nothing on quality —
 /// a generous seed only makes dense networks trip the half-the-model
 /// full-sweep fallback immediately.
@@ -179,8 +184,6 @@ pub struct DiversityEngine {
     cache: EnergyCache,
     solver: Arc<dyn MapSolver>,
     refiner: Arc<dyn MapSolver>,
-    budget: Option<Duration>,
-    locality: Option<usize>,
     /// Hosts whose variables warm re-solves must not move (crate-internal:
     /// the sharded engine pins its boundary hosts — see
     /// [`DiversityEngine::set_pinned_hosts`]).
@@ -242,8 +245,6 @@ impl DiversityEngine {
             cache: EnergyCache::deferred(&ConstraintSet::new(), EnergyParams::default()),
             solver: Arc::new(Trws::default()),
             refiner: Arc::new(Icm::default()),
-            budget: None,
-            locality: Some(DEFAULT_LOCALITY_HOPS),
             pinned: Vec::new(),
             last: None,
             carried: None,
@@ -277,21 +278,6 @@ impl DiversityEngine {
     /// [`MapSolver::refine`] runs after each delta).
     pub fn with_refiner(mut self, refiner: Box<dyn MapSolver>) -> DiversityEngine {
         self.refiner = Arc::from(refiner);
-        self
-    }
-
-    /// Sets a wall-clock budget for each subsequent (re-)solve.
-    pub fn with_time_budget(mut self, budget: Duration) -> DiversityEngine {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Sets the k-hop radius of the frontier ball warm re-solves are
-    /// restricted to after a delta (`Some(k)`), or disables localization
-    /// entirely (`None`: every warm re-solve sweeps the full model via
-    /// [`MapSolver::refine`]). Default: `Some(`[`DEFAULT_LOCALITY_HOPS`]`)`.
-    pub fn with_locality(mut self, k_hops: Option<usize>) -> DiversityEngine {
-        self.locality = k_hops;
         self
     }
 
@@ -418,8 +404,8 @@ impl DiversityEngine {
     }
 
     /// A fresh, unsolved engine over `network` inheriting this engine's
-    /// configuration — solvers, refiner, budget, locality, constraints and
-    /// energy parameters (crate-internal: how the sharded engine spins up
+    /// configuration — solvers, refiner, constraints and energy
+    /// parameters (crate-internal: how the sharded engine spins up
     /// a shard for a zone created mid-stream by an `AddHost` delta).
     pub(crate) fn configured_like(
         &self,
@@ -434,8 +420,6 @@ impl DiversityEngine {
             cache: EnergyCache::deferred(self.cache.constraints(), self.cache.params()),
             solver: Arc::clone(&self.solver),
             refiner: Arc::clone(&self.refiner),
-            budget: self.budget,
-            locality: self.locality,
             pinned: Vec::new(),
             last: None,
             carried: None,
@@ -543,9 +527,9 @@ impl DiversityEngine {
     /// * the per-delta effects are merged and their `touched` union steers
     ///   one [`EnergyCache::refresh_hinted`],
     /// * the staged network is committed and the re-solve warm-starts from
-    ///   the projected previous assignment, restricted to the k-hop
-    ///   frontier ball around the merged touched set (see
-    ///   [`DiversityEngine::with_locality`]).
+    ///   the projected previous assignment, restricted to the
+    ///   [`DEFAULT_LOCALITY_HOPS`]-hop frontier ball around the merged
+    ///   touched set.
     ///
     /// An empty batch degenerates to [`DiversityEngine::solve`].
     ///
@@ -594,13 +578,6 @@ impl DiversityEngine {
         Ok(report)
     }
 
-    fn control(&self) -> SolveControl {
-        match self.budget {
-            Some(budget) => SolveControl::new().with_budget(budget),
-            None => SolveControl::new(),
-        }
-    }
-
     /// Shared pipeline behind [`DiversityEngine::apply`],
     /// [`DiversityEngine::apply_batch`] and [`DiversityEngine::solve`].
     ///
@@ -639,7 +616,7 @@ impl DiversityEngine {
             .take()
             .filter(|_| !rebuild.rebuilt || edit.is_some());
         let energy = self.cache.model();
-        let ctl = self.control();
+        let ctl = SolveControl::new();
         let previous = cfg!(debug_assertions).then(|| self.last.clone()).flatten();
 
         let solve_start = Instant::now();
@@ -649,80 +626,38 @@ impl DiversityEngine {
         });
         let (solution, locality) = match &warm {
             Some(warm) => {
-                let start = warm.labels.clone();
-                if self.pinned.is_empty() {
-                    match self.locality {
-                        Some(k) if !touched.is_empty() => {
-                            let ball = frontier_ball(&self.network, &touched, k);
-                            let frontier = frontier_vars(energy.slots(), &ball);
-                            let local = self.refiner.refine_local_with(
-                                energy.model(),
-                                start,
-                                warm.energy,
-                                &frontier,
-                                &ctl,
-                                &mut self.scratch,
-                            );
-                            let locality = if local.full_sweep {
-                                Locality::Full(energy.model().live_var_count())
-                            } else {
-                                Locality::Local(ball.len(), local.swept_vars)
-                            };
-                            (local.solution, locality)
-                        }
-                        _ => (
-                            self.refiner.refine_with(
-                                energy.model(),
-                                start,
-                                &ctl,
-                                &mut self.scratch,
-                            ),
-                            Locality::Full(energy.model().live_var_count()),
-                        ),
-                    }
+                // The one warm re-solve: the frontier ball around the
+                // touched hosts (every live variable when nothing was
+                // touched), with the pinned hosts' variables sealed — the
+                // shard coordinator, which owns the pins, moves them with
+                // cross-shard knowledge this engine does not have.
+                let model = energy.model();
+                let (ball, frontier) = if touched.is_empty() {
+                    (Vec::new(), model.live_vars().collect())
                 } else {
-                    // Pinned hosts: their variables are *sealed* — the warm
-                    // re-solve may never move them (the shard coordinator,
-                    // which owns the pins, moves them with cross-shard
-                    // knowledge this engine does not have). With the ICM
-                    // refiner this is a pure mask on the in-place sweep; no
-                    // submodel is built.
-                    let sealed = frontier_vars(energy.slots(), &self.pinned);
-                    match self.locality {
-                        Some(k) if !touched.is_empty() => {
-                            let ball = frontier_ball(&self.network, &touched, k);
-                            let frontier = frontier_vars(energy.slots(), &ball);
-                            let local = self.refiner.refine_local_sealed(
-                                energy.model(),
-                                start,
-                                warm.energy,
-                                &frontier,
-                                &sealed,
-                                &ctl,
-                            );
-                            let locality = if local.full_sweep {
-                                Locality::Full(local.swept_vars)
-                            } else {
-                                Locality::Local(ball.len(), local.swept_vars)
-                            };
-                            (local.solution, locality)
-                        }
-                        _ => {
-                            // A deliberate full (but seal-respecting)
-                            // re-sweep: seed every live variable as frontier.
-                            let all: Vec<VarId> = energy.model().live_vars().collect();
-                            let local = self.refiner.refine_local_sealed(
-                                energy.model(),
-                                start,
-                                warm.energy,
-                                &all,
-                                &sealed,
-                                &ctl,
-                            );
-                            (local.solution, Locality::Full(local.swept_vars))
-                        }
-                    }
-                }
+                    let ball = frontier_ball(&self.network, &touched, DEFAULT_LOCALITY_HOPS);
+                    let frontier = frontier_vars(energy.slots(), &ball);
+                    (ball, frontier)
+                };
+                let sealed = frontier_vars(energy.slots(), &self.pinned);
+                let start = Start {
+                    labels: warm.labels.clone(),
+                    energy: warm.energy,
+                };
+                let local = self.refiner.refine_local(
+                    model,
+                    start,
+                    &frontier,
+                    &sealed,
+                    &ctl,
+                    &mut self.scratch,
+                );
+                let locality = if local.full_sweep || touched.is_empty() {
+                    Locality::Full(local.swept_vars)
+                } else {
+                    Locality::Local(ball.len(), local.swept_vars)
+                };
+                (local.solution, locality)
             }
             None => (
                 self.solver
@@ -1015,8 +950,8 @@ fn frontier_ball(network: &Network, touched: &[HostId], k: usize) -> Vec<HostId>
     ball
 }
 
-/// The free variables of every slot on the given hosts — the frontier
-/// handed to [`MapSolver::refine_local`].
+/// The free variables of every slot on the given hosts — the frontier, or
+/// the seal, handed to [`MapSolver::refine_local`].
 fn frontier_vars(slots: &[Vec<SlotBinding>], hosts: &[HostId]) -> Vec<VarId> {
     let mut vars = Vec::new();
     for &h in hosts {
@@ -1396,12 +1331,11 @@ mod tests {
         assert!(report.swept_vars < report.rebuild.variables);
         assert!(report.improvement().unwrap() >= -1e-9);
         eng.assignment().unwrap().validate(eng.network()).unwrap();
-        // Disabling locality sweeps everything and reports it.
-        let mut full = engine(120, 13).with_locality(None);
-        full.solve().unwrap();
-        let report = full.apply(&NetworkDelta::fix_slot(host, os, p)).unwrap();
+        // A warm solve that touches nothing sweeps everything and reports it.
+        let report = eng.solve().unwrap();
+        assert!(report.warm_started);
         assert!(!report.localized);
-        assert_eq!(report.frontier_hosts, full.network().active_host_count());
+        assert_eq!(report.frontier_hosts, eng.network().active_host_count());
     }
 
     #[test]

@@ -269,12 +269,6 @@ impl DiversityOptimizer {
         self
     }
 
-    /// Appends a refinement stage.
-    pub fn add_refiner(mut self, refiner: Box<dyn MapSolver>) -> DiversityOptimizer {
-        self.refiners.push(Arc::from(refiner));
-        self
-    }
-
     /// Sets a wall-clock budget applied to every subsequent
     /// `optimize*` call (solve + refinement share the budget). All solvers
     /// honor it at iteration granularity and return their best-so-far

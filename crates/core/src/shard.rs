@@ -378,7 +378,6 @@ pub struct ShardedEngine {
     /// pass's closing polish round.
     coordinator: Ils,
     max_rounds: usize,
-    budget: Option<Duration>,
     /// The full, unsplit constraint set — the `ALL`-scoped subset seeds
     /// shards created later for new zones.
     constraints: ConstraintSet,
@@ -467,7 +466,6 @@ impl ShardedEngine {
                 ..IlsOptions::default()
             }),
             max_rounds: DEFAULT_COORDINATION_ROUNDS,
-            budget: None,
             constraints: ConstraintSet::new(),
             partition_recomputes: 0,
             last: None,
@@ -503,23 +501,10 @@ impl ShardedEngine {
         self
     }
 
-    /// Sets a wall-clock budget for each shard (re-)solve and each
-    /// coordination round's proposal solves.
-    pub fn with_time_budget(mut self, budget: Duration) -> ShardedEngine {
-        self.budget = Some(budget);
-        self.map_engines(|e| e.with_time_budget(budget))
-    }
-
     /// Replaces every shard's cold-start solver (see
     /// [`DiversityEngine::with_solver`]).
     pub fn with_solver(self, kind: SolverKind) -> ShardedEngine {
         self.map_engines(|e| e.with_solver(kind.clone()))
-    }
-
-    /// Sets the k-hop locality of every shard's warm re-solves (see
-    /// [`DiversityEngine::with_locality`]).
-    pub fn with_locality(self, k_hops: Option<usize>) -> ShardedEngine {
-        self.map_engines(|e| e.with_locality(k_hops))
     }
 
     /// Splits a global constraint set exactly across the shards (module
@@ -1020,13 +1005,6 @@ impl ShardedEngine {
         total
     }
 
-    fn control(&self) -> SolveControl {
-        match self.budget {
-            Some(budget) => SolveControl::new().with_budget(budget),
-            None => SolveControl::new(),
-        }
-    }
-
     /// Syncs the cached per-shard objectives with the shards that just
     /// re-solved.
     fn refresh_cached_objectives(&mut self, reports: &[Option<ReassignmentReport>]) {
@@ -1283,8 +1261,7 @@ impl ShardedEngine {
 
     /// Appends a brand-new shard for a zone the current burst introduces:
     /// an engine over the empty sub-network, inheriting this engine's
-    /// solver/refiner/budget/locality configuration and the `ALL`-scoped
-    /// constraints. The burst's routed `AddHost` deltas populate it in the
+    /// solver and refiner and the `ALL`-scoped constraints. The burst's routed `AddHost` deltas populate it in the
     /// same step.
     fn push_new_shard(&mut self) {
         let view = extract_shard(&self.master, &[]);
@@ -1295,15 +1272,7 @@ impl ShardedEngine {
                 self.similarity.clone(),
             ),
             None => {
-                let mut engine = DiversityEngine::new(
-                    view.network,
-                    self.catalog.clone(),
-                    self.similarity.clone(),
-                );
-                if let Some(budget) = self.budget {
-                    engine = engine.with_time_budget(budget);
-                }
-                engine
+                DiversityEngine::new(view.network, self.catalog.clone(), self.similarity.clone())
             }
         };
         self.shards.push(Shard {
@@ -1645,9 +1614,8 @@ impl ShardedEngine {
 
     /// Builds shard `s`'s *full* model with the cross-shard edge costs
     /// against the neighbors' current labels folded into the boundary
-    /// variables' unaries — the Strong coordination path's model, on which
-    /// [`MapSolver::refine_local`] is free to expand from the boundary as
-    /// far as flips carry (up to a full shard sweep).
+    /// variables' unaries — the model the Strong pass's polish round
+    /// refines in full.
     fn augmented_full_model(&self, s: usize, global: &Assignment) -> MrfModel {
         let shard = &self.shards[s];
         let energy = shard.engine.energy();
@@ -1935,7 +1903,7 @@ impl ShardedEngine {
             touched[e.sa] = true;
             touched[e.sb] = true;
         }
-        let ctl = self.control();
+        let ctl = SolveControl::new();
         // Per shard: its latest (oracle subproblem value, base energy)
         // contribution to the dual value. The oracle value is the best
         // λ-augmented energy the shard's solver found — an upper bound on
@@ -2123,16 +2091,13 @@ impl ShardedEngine {
                     let start_labels = st.labels[s].clone().expect("encoded above");
                     let coordinator = &this.coordinator;
                     let ctl = ctl.clone();
-                    let frontier: Vec<VarId> = boundary_entries[s].iter().map(|e| e.0).collect();
                     (
                         s,
                         scope.spawn(move || {
                             let augmented = this.augmented_full_model(s, global_ref);
                             coordinator
-                                .refine_local(&augmented, start_labels, &frontier, &ctl)
-                                .solution
-                                .labels()
-                                .to_vec()
+                                .refine(&augmented, start_labels, &ctl)
+                                .into_labels()
                         }),
                     )
                 })

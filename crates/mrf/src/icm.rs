@@ -10,21 +10,27 @@
 //! its prepared [`crate::order::SolveScratch`] tables (`fast_sweeps`),
 //! which read contiguous potential rows instead of the model's edge list.
 //!
-//! The frontier-restricted sweeps ([`MapSolver::refine_local`] and
-//! [`MapSolver::refine_local_sealed`]) visit a *worklist*, not the whole
-//! active region: a variable is queued when it enters the region and
-//! whenever a neighbor flips, and each sweep drains the queue in ascending
-//! slot order, a variable queued behind the cursor waiting for the next
-//! sweep. The skipped visits are exactly the ones that cannot flip: a
-//! variable's conditional costs depend only on its neighbors' labels, so
-//! with none of them moved since its last visit it would find its own
-//! label (or a non-improving one) again. Labels, flips, sweep counts and
-//! region telemetry are therefore those of the full masked sweep, at a
-//! fraction of the evaluations. The returned energy is the caller's start
-//! energy plus the accepted flips' deltas, so a localized refinement never
-//! evaluates the whole model.
+//! The frontier-restricted sweep ([`MapSolver::refine_local`]) visits a
+//! *worklist*, not the whole active region: a variable is queued when it
+//! enters the region and whenever a neighbor flips, and each sweep drains
+//! the queue in ascending slot order, a variable queued behind the cursor
+//! waiting for the next sweep. The skipped visits are exactly the ones
+//! that cannot flip: a variable's conditional costs depend only on its
+//! neighbors' labels, so with none of them moved since its last visit it
+//! would find its own label (or a non-improving one) again. Labels, flips,
+//! sweep counts and region telemetry are therefore those of the full
+//! masked sweep, at a fraction of the evaluations. The returned energy is
+//! the caller's start energy plus the accepted flips' deltas, so a
+//! localized refinement never evaluates the whole model.
+//!
+//! Sealed variables are a mask on the same sweep: never queued, never
+//! activated. The one difference a seal makes is the past-half rule. With
+//! nothing sealed, a region past half the variable slots hands off to a
+//! full [`Icm::solve_from`]; with a seal, a region past half the live
+//! unsealed variables widens to all of them and the masked sweep goes on,
+//! so the seal survives the fallback.
 
-use crate::local::{ActiveRegion, LocalRefine};
+use crate::local::{ActiveRegion, LocalRefine, Start};
 use crate::model::{MrfModel, VarId};
 use crate::order::{SolveScratch, Tables};
 use crate::solution::Solution;
@@ -207,31 +213,52 @@ impl Icm {
         Solution::new(labels, energy, None, sweeps, converged)
     }
 
-    /// Masked coordinate descent from `start` (whose energy the caller
-    /// supplies): sweeps only the active region seeded by `frontier`,
-    /// activating every flipped variable's neighbors, and falls back to a
-    /// full [`Icm::solve_from`] when the region grows past half the model
-    /// (see [`crate::local`]). Each sweep visits, in ascending slot order,
-    /// only the queued variables (module docs), and the returned energy is
-    /// `start_energy` plus the accepted flips' deltas — no pass over the
-    /// whole model unless the fallback fires.
+    /// Masked coordinate descent from `start` over the active region the
+    /// unsealed `frontier` variables seed, activating every flipped
+    /// variable's unsealed neighbors, under the past-half rule of the
+    /// module docs. Each sweep visits, in ascending slot order, only the
+    /// queued variables, and the returned energy is `start.energy` plus the
+    /// accepted flips' deltas — no pass over the whole model unless the
+    /// hand-off fires.
     fn local_descent(
         &self,
         model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
+        start: Start,
         frontier: &[VarId],
+        sealed: &[VarId],
         ctl: &SolveControl,
     ) -> LocalRefine {
-        assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
-        let region = ActiveRegion::new(model, frontier);
-        if region.count == 0 {
-            return LocalRefine::noop(start, start_energy);
+        assert_eq!(
+            start.labels.len(),
+            model.var_count(),
+            "labeling arity mismatch"
+        );
+        let n = model.var_count();
+        let mut seal = vec![false; if sealed.is_empty() { 0 } else { n }];
+        for v in sealed {
+            if let Some(s) = seal.get_mut(v.0) {
+                *s = true;
+            }
         }
-        if region.should_fall_back() {
-            return LocalRefine::full(self.solve_from(model, start, ctl), model.live_var_count());
+        // The region stops being local past half of `limit` variables.
+        let limit = if seal.is_empty() {
+            n
+        } else {
+            (0..n)
+                .filter(|&i| !seal[i] && model.is_live(VarId(i)))
+                .count()
+        };
+        let mut d = LocalDescent::new(model, frontier, &seal, start);
+        if d.region.count == 0 {
+            return LocalRefine::noop(d.labels, d.energy);
         }
-        let mut d = LocalDescent::new(model, region, frontier, start, start_energy);
+        let mut full_sweep = 2 * d.region.count > limit;
+        if full_sweep {
+            if seal.is_empty() {
+                return d.hand_off(self, model, ctl);
+            }
+            d.widen(model, &seal, limit);
+        }
         let mut sweeps = 0usize;
         let mut converged = false;
         for sweep in 0..self.options.max_sweeps {
@@ -243,24 +270,21 @@ impl Icm {
             let mut at = 0;
             while let Some(i) = d.work.take_from(at) {
                 at = i + 1;
-                let Some(added) = d.visit(model, i, &[]) else {
+                let Some(added) = d.visit(model, i, &seal) else {
                     continue;
                 };
                 changed = true;
-                if added > 0 {
-                    d.region.expansions += 1;
-                    if d.region.should_fall_back() {
-                        // The wave stopped being local: finish with an
-                        // unmasked descent from where we got to.
-                        let expansions = d.region.expansions;
-                        let full = self.solve_from(model, d.labels, ctl);
-                        return LocalRefine {
-                            solution: full,
-                            swept_vars: model.live_var_count(),
-                            expansions,
-                            full_sweep: true,
-                        };
+                if added == 0 {
+                    continue;
+                }
+                d.region.expansions += 1;
+                if 2 * d.region.count > limit {
+                    // The wave stopped being local.
+                    if seal.is_empty() {
+                        return d.hand_off(self, model, ctl);
                     }
+                    full_sweep = true;
+                    d.widen(model, &seal, limit);
                 }
             }
             if !changed {
@@ -268,7 +292,7 @@ impl Icm {
                 break;
             }
         }
-        d.finish(sweeps, converged, false, ctl)
+        d.finish(sweeps, converged, full_sweep, ctl)
     }
 }
 
@@ -287,126 +311,20 @@ impl MapSolver for Icm {
         self.solve_from(model, start, ctl)
     }
 
-    /// Warm-start descent from `start`, as [`MapSolver::refine`]; the
-    /// sweep needs no prepared structure and ignores the scratch.
-    fn refine_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        ctl: &SolveControl,
-        _scratch: &mut SolveScratch,
-    ) -> Solution {
-        self.solve_from(model, start, ctl)
-    }
-
-    /// Masked coordinate descent over the active region (module docs),
-    /// started at `model.energy(&start)`: sweeps only the frontier's
-    /// region, activating every flipped variable's neighbors, and falls
-    /// back to a full [`Icm::solve_from`] when the region grows past half
-    /// the model (see [`crate::local`]).
+    /// Masked coordinate descent over the active region (module docs). No
+    /// submodel is built — the seal is just a mask on the in-place sweep,
+    /// which is what makes pinned warm re-solves as cheap as unpinned
+    /// ones. The sweep needs no prepared structure and ignores the scratch.
     fn refine_local(
         &self,
         model: &MrfModel,
-        start: Vec<usize>,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        let start_energy = model.energy(&start);
-        self.local_descent(model, start, start_energy, frontier, ctl)
-    }
-
-    /// [`MapSolver::refine_local`]'s descent from the caller's start
-    /// energy, with no pass over the whole model unless the fallback fires.
-    /// The masked sweep needs no prepared structure and ignores the
-    /// scratch.
-    fn refine_local_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-        _scratch: &mut SolveScratch,
-    ) -> LocalRefine {
-        self.local_descent(model, start, start_energy, frontier, ctl)
-    }
-
-    /// Masked coordinate descent with a hard freeze: sealed variables are
-    /// never swept and never activated, and the past-half-the-model
-    /// fallback widens the region to *every unsealed* variable instead of
-    /// handing off to an unmasked full descent. No submodel is built — the
-    /// seal is just a mask on the in-place sweep, which is what makes
-    /// pinned warm re-solves as cheap as unpinned ones. Visits follow the
-    /// same worklist, and the energy is carried from `start_energy` the same
-    /// way, as in [`MapSolver::refine_local_with`].
-    fn refine_local_sealed(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
+        start: Start,
         frontier: &[VarId],
         sealed: &[VarId],
         ctl: &SolveControl,
+        _scratch: &mut SolveScratch,
     ) -> LocalRefine {
-        if sealed.is_empty() {
-            return self.local_descent(model, start, start_energy, frontier, ctl);
-        }
-        assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
-        let n = model.var_count();
-        let mut sealed_mask = vec![false; n];
-        for v in sealed {
-            if let Some(m) = sealed_mask.get_mut(v.0) {
-                *m = true;
-            }
-        }
-        let unsealed_total = (0..n)
-            .filter(|&i| !sealed_mask[i] && model.is_live(VarId(i)))
-            .count();
-        let unsealed_frontier: Vec<VarId> = frontier
-            .iter()
-            .copied()
-            .filter(|v| v.0 < n && !sealed_mask[v.0])
-            .collect();
-        let region = ActiveRegion::new(model, &unsealed_frontier);
-        if region.count == 0 {
-            return LocalRefine::noop(start, start_energy);
-        }
-        let mut d = LocalDescent::new(model, region, &unsealed_frontier, start, start_energy);
-        let mut full_sweep = 2 * d.region.count > unsealed_total;
-        if full_sweep {
-            d.widen(model, &sealed_mask, unsealed_total);
-        }
-        let mut sweeps = 0usize;
-        let mut converged = false;
-        for sweep in 0..self.options.max_sweeps {
-            if ctl.should_stop() {
-                break;
-            }
-            sweeps = sweep + 1;
-            let mut changed = false;
-            let mut at = 0;
-            while let Some(i) = d.work.take_from(at) {
-                at = i + 1;
-                let Some(added) = d.visit(model, i, &sealed_mask) else {
-                    continue;
-                };
-                changed = true;
-                if added > 0 {
-                    d.region.expansions += 1;
-                    if 2 * d.region.count > unsealed_total {
-                        // The wave stopped being local: widen to every live
-                        // unsealed variable and keep going.
-                        full_sweep = true;
-                        d.widen(model, &sealed_mask, unsealed_total);
-                    }
-                }
-            }
-            if !changed {
-                converged = true;
-                break;
-            }
-        }
-        d.finish(sweeps, converged, full_sweep, ctl)
+        self.local_descent(model, start, frontier, sealed, ctl)
     }
 }
 
@@ -456,26 +374,21 @@ struct LocalDescent {
 }
 
 impl LocalDescent {
-    /// Starts from `start` with every `frontier` variable queued (the
-    /// caller's region seeds the same set).
-    fn new(
-        model: &MrfModel,
-        region: ActiveRegion,
-        frontier: &[VarId],
-        start: Vec<usize>,
-        start_energy: f64,
-    ) -> LocalDescent {
+    /// Starts from `start` with every unsealed live `frontier` variable
+    /// active and queued.
+    fn new(model: &MrfModel, frontier: &[VarId], sealed: &[bool], start: Start) -> LocalDescent {
+        let region = ActiveRegion::new(model, frontier, sealed);
         let mut work = Worklist::new(model.var_count());
         for &v in frontier {
-            if model.is_live(v) {
+            if region.mask.get(v.0) == Some(&true) {
                 work.mark(v.0);
             }
         }
         LocalDescent {
             region,
             work,
-            labels: start,
-            energy: start_energy,
+            labels: start.labels,
+            energy: start.energy,
             cost: vec![0.0f64; model.max_labels()],
         }
     }
@@ -520,6 +433,17 @@ impl LocalDescent {
             }
         }
         self.region.count = unsealed_total;
+    }
+
+    /// Finishes with an unmasked [`Icm::solve_from`] from where the
+    /// descent got to — the unsealed past-half fallback.
+    fn hand_off(self, icm: &Icm, model: &MrfModel, ctl: &SolveControl) -> LocalRefine {
+        LocalRefine {
+            solution: icm.solve_from(model, self.labels, ctl),
+            swept_vars: model.live_var_count(),
+            expansions: self.region.expansions,
+            full_sweep: true,
+        }
     }
 
     fn finish(

@@ -39,9 +39,10 @@
 //!   safe warm-start path for incremental re-solves.
 //! * [`local`] — frontier-restricted refinement
 //!   ([`MapSolver::refine_local`]): masked sweeps around a localized
-//!   change, expanding while labels keep flipping, with a full-sweep
-//!   fallback. Exposes [`condition_submodel`], the freeze-and-fold
-//!   mechanism shard coordinators build on.
+//!   change that leave a sealed set of variables alone, expanding while
+//!   labels keep flipping, with a full-sweep fallback. Exposes
+//!   [`condition_submodel`], the freeze-and-fold mechanism shard
+//!   coordinators build on.
 //! * [`elimination`] — exact MAP by min-sum bucket elimination, feasible
 //!   whenever the instance's treewidth is small (the ICS case study is).
 //! * [`exhaustive`] — brute force, the test oracle for small instances.
@@ -165,7 +166,7 @@ mod error;
 
 pub use color::ColorClasses;
 pub use error::Error;
-pub use local::{condition_submodel, LocalRefine};
+pub use local::{condition_submodel, LocalRefine, Start};
 pub use model::{EdgeId, MrfBuilder, MrfModel, PotentialId, UnaryOverlay, VarId};
 pub use order::SolveScratch;
 pub use portfolio::{MemberReport, PortfolioOutcome, SolverPortfolio};

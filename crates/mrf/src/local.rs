@@ -3,30 +3,37 @@
 //!
 //! After a localized model change (one host's domain, one link), the
 //! previous MAP labeling is near-optimal everywhere except around the
-//! change. [`MapSolver::refine_local`] exploits that: the caller supplies a
-//! *frontier* — the variables inside a k-hop ball around the change — and
-//! the solver restricts its sweeps to that active region, **expanding** the
-//! region through a variable's neighbors whenever the variable flips label
-//! (a flip can propagate pressure one hop further), and **falling back to a
-//! full sweep** when the active region stops being local (it grows past
-//! half the model — at that point masked bookkeeping costs more than it
-//! saves).
+//! change. [`MapSolver::refine_local`] exploits that: the caller supplies
+//! the [`Start`] (the previous labeling and its energy), a *frontier* — the
+//! variables inside a k-hop ball around the change — and a *seal*, the
+//! variables that must keep their start labels. The solver restricts its
+//! sweeps to the active region the unsealed frontier seeds, **expanding**
+//! the region through a variable's neighbors whenever the variable flips
+//! label (a flip can propagate pressure one hop further), and **falling
+//! back to a full sweep** when the active region stops being local (it
+//! grows past half the model — at that point masked bookkeeping costs more
+//! than it saves).
 //!
 //! Two real implementations exist:
 //!
 //! * **ICM** sweeps the active set directly with the same coordinate
 //!   descent as [`crate::icm::Icm::solve_from`], activating neighbors of
 //!   every flipped variable and revisiting only variables whose
-//!   neighborhood changed (see [`crate::icm`]).
+//!   neighborhood changed (see [`crate::icm`]). The seal is a mask on the
+//!   same sweep.
 //! * **TRW-S** runs message passing on a *conditioned submodel*: active
 //!   variables keep their domains, edges to inactive variables fold into
 //!   unaries at the inactive side's current label, and the sub-solution is
 //!   spliced back (kept only if it improves the full-model energy).
-//!   Boundary flips expand the region and the conditioning repeats.
+//!   Boundary flips expand the region and the conditioning repeats. A
+//!   frontier holding every live variable asks for the whole model, and
+//!   gets a full solve.
 //!
 //! Every other solver inherits the default [`MapSolver::refine_local`],
-//! which ignores the frontier and runs a full [`MapSolver::refine`] — the
-//! conservative, always-correct behavior.
+//! which ignores the frontier: a full [`MapSolver::refine`] when nothing is
+//! sealed — the conservative, always-correct behavior — and otherwise a
+//! full refine of the submodel the seal leaves free, which TRW-S runs for
+//! a seal too.
 //!
 //! The conditioning step itself — freeze a set of variables at given
 //! labels, fold the frozen edges into the unaries of the free side, and get
@@ -34,20 +41,29 @@
 //! as [`condition_submodel`] for callers that orchestrate partial solves
 //! themselves (the sharded engine's boundary coordination in
 //! `ics-diversity` is built on it).
-//!
-//! [`MapSolver::refine_local`]: crate::solver::MapSolver::refine_local
-//! [`MapSolver::refine`]: crate::solver::MapSolver::refine
 
 use crate::model::{MrfBuilder, MrfModel, VarId};
 use crate::solution::Solution;
+use crate::solver::{MapSolver, SolveControl};
+
+/// Where a [`MapSolver::refine_local`] starts: a labeling and its energy.
+/// An incremental caller carries both across steps, so a localized
+/// refinement never evaluates the whole model.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Start {
+    /// One label per variable slot.
+    pub labels: Vec<usize>,
+    /// `model.energy(&labels)`.
+    pub energy: f64,
+}
 
 /// The outcome of a frontier-restricted refinement
-/// ([`crate::solver::MapSolver::refine_local`]): the solution plus the
+/// ([`MapSolver::refine_local`]): the solution plus the
 /// locality telemetry serving layers surface as "did the sweep stay local".
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalRefine {
     /// The refined solution. Its energy is never worse than the start
-    /// labeling's (same contract as [`crate::solver::MapSolver::refine`]).
+    /// labeling's (same contract as [`MapSolver::refine`]).
     pub solution: Solution,
     /// Variables inside the final active region (equals the model's
     /// variable count when the refinement fell back to a full sweep).
@@ -92,14 +108,16 @@ pub(crate) struct ActiveRegion {
 }
 
 impl ActiveRegion {
-    /// Seeds the region with the frontier ball. Out-of-range and
-    /// tombstoned frontier entries are ignored — they can only come from a
-    /// stale caller and there is nothing local to sweep for them.
-    pub(crate) fn new(model: &MrfModel, frontier: &[VarId]) -> ActiveRegion {
+    /// Seeds the region with the frontier ball less the variables
+    /// `sealed` marks (a slot mask; empty when nothing is sealed).
+    /// Out-of-range and tombstoned frontier entries are ignored — they can
+    /// only come from a stale caller and there is nothing local to sweep
+    /// for them.
+    pub(crate) fn new(model: &MrfModel, frontier: &[VarId], sealed: &[bool]) -> ActiveRegion {
         let mut mask = vec![false; model.var_count()];
         let mut count = 0;
         for &v in frontier {
-            if !model.is_live(v) {
+            if !model.is_live(v) || sealed.get(v.0).copied().unwrap_or(false) {
                 continue;
             }
             if !mask[v.0] {
@@ -139,6 +157,45 @@ impl ActiveRegion {
     }
 }
 
+/// The default [`MapSolver::refine_local`] under a seal: conditions the
+/// model on the `sealed` variables' start labels ([`condition_submodel`]),
+/// refines the free submodel in full with [`MapSolver::refine`], and
+/// splices the result back, so the sealed variables keep their labels.
+pub(crate) fn refine_unsealed<S: MapSolver + ?Sized>(
+    solver: &S,
+    model: &MrfModel,
+    mut labels: Vec<usize>,
+    sealed: &[VarId],
+    ctl: &SolveControl,
+) -> LocalRefine {
+    assert_eq!(labels.len(), model.var_count(), "labeling arity mismatch");
+    let mut active = vec![true; model.var_count()];
+    for v in sealed {
+        if let Some(a) = active.get_mut(v.0) {
+            *a = false;
+        }
+    }
+    let (sub, map) = condition_submodel(model, &labels, &active);
+    let sub_start: Vec<usize> = map.iter().map(|&v| labels[v]).collect();
+    let refined = solver.refine(&sub, sub_start, ctl);
+    for (i, &orig) in map.iter().enumerate() {
+        labels[orig] = refined.labels()[i];
+    }
+    let energy = model.energy(&labels);
+    LocalRefine {
+        solution: Solution::new(
+            labels,
+            energy,
+            None,
+            refined.iterations(),
+            refined.converged(),
+        ),
+        swept_vars: map.len(),
+        expansions: 0,
+        full_sweep: true,
+    }
+}
+
 /// Builds the submodel conditioned on `labels` outside `active`: one
 /// variable per active variable (same label count, ascending original
 /// order), unaries augmented with the pairwise cost against each inactive
@@ -152,7 +209,7 @@ impl ActiveRegion {
 /// minimizes the full model over the active coordinates.
 ///
 /// This is the boundary-freezing mechanism behind the TRW-S
-/// [`crate::solver::MapSolver::refine_local`] implementation, exposed for
+/// [`MapSolver::refine_local`] implementation, exposed for
 /// callers that coordinate partial solves themselves — e.g. a shard
 /// coordinator that freezes the neighboring shards' boundary labels, solves
 /// its own region, and splices the result back (keeping it only if the full
@@ -263,7 +320,7 @@ pub fn condition_submodel(
 mod tests {
     use super::*;
     use crate::icm::Icm;
-    use crate::solver::{MapSolver, SolveControl};
+    use crate::order::SolveScratch;
     use crate::trws::Trws;
 
     use rand::rngs::StdRng;
@@ -271,6 +328,22 @@ mod tests {
 
     fn ctl() -> SolveControl {
         SolveControl::new()
+    }
+
+    /// `solver.refine_local` from `start` (energy evaluated) with a fresh
+    /// scratch.
+    fn refine(
+        solver: &dyn MapSolver,
+        m: &MrfModel,
+        start: &[usize],
+        frontier: &[VarId],
+        sealed: &[VarId],
+    ) -> LocalRefine {
+        let start = Start {
+            labels: start.to_vec(),
+            energy: m.energy(start),
+        };
+        solver.refine_local(m, start, frontier, sealed, &ctl(), &mut SolveScratch::new())
     }
 
     /// An attractive (Potts) chain whose optimum is all-ones: var 0 is
@@ -340,7 +413,7 @@ mod tests {
         let n = 12;
         let m = biased_chain(n);
         let start = vec![0usize; n];
-        let out = Icm::default().refine_local(&m, start.clone(), &[VarId(0)], &ctl());
+        let out = refine(&Icm::default(), &m, &start, &[VarId(0)], &[]);
         assert!(out.solution.energy() < m.energy(&start));
         assert_eq!(out.solution.energy(), 0.0, "optimum is all-ones");
         assert!(out.expansions > 0, "the wave must have expanded the region");
@@ -355,7 +428,7 @@ mod tests {
         let m = biased_chain(n);
         let mut start = vec![1usize; n];
         start[n - 1] = 0; // one local defect
-        let out = Icm::default().refine_local(&m, start, &[VarId(n - 1)], &ctl());
+        let out = refine(&Icm::default(), &m, &start, &[VarId(n - 1)], &[]);
         assert_eq!(out.solution.energy(), 0.0);
         assert!(!out.full_sweep);
         assert!(
@@ -394,7 +467,7 @@ mod tests {
             let start_energy = m.energy(&start);
             let frontier = [VarId(rng.gen_range(0..n))];
             for solver in [&Icm::default() as &dyn MapSolver, &Trws::default()] {
-                let out = solver.refine_local(&m, start.clone(), &frontier, &ctl());
+                let out = refine(solver, &m, &start, &frontier, &[]);
                 assert!(
                     out.solution.energy() <= start_energy + 1e-12,
                     "trial {trial}: {} worsened the start",
@@ -411,7 +484,7 @@ mod tests {
         let m = biased_chain(n);
         let frontier: Vec<VarId> = (0..n).map(VarId).collect();
         let start = vec![0usize; n];
-        let out = Icm::default().refine_local(&m, start, &frontier, &ctl());
+        let out = refine(&Icm::default(), &m, &start, &frontier, &[]);
         assert!(out.full_sweep);
         assert_eq!(out.swept_vars, n);
         assert_eq!(out.solution.energy(), 0.0);
@@ -423,17 +496,34 @@ mod tests {
         let m = biased_chain(n);
         let mut start = vec![1usize; n];
         start[14] = 0; // defect mid-chain
-        let out = Trws::default().refine_local(&m, start, &[VarId(14)], &ctl());
+        let out = refine(&Trws::default(), &m, &start, &[VarId(14)], &[]);
         assert_eq!(out.solution.energy(), 0.0);
         assert!(!out.full_sweep, "a mid-chain defect must be fixed locally");
         assert!(out.swept_vars < n);
     }
 
     #[test]
+    fn trws_whole_model_frontier_is_a_full_refine() {
+        // Seven of twelve slots tombstoned: the past-half rule alone would
+        // keep a frontier of every live variable local.
+        let n = 12;
+        let mut m = biased_chain(n);
+        for v in 0..7 {
+            m.remove_var(VarId(v)).unwrap();
+        }
+        let live: Vec<VarId> = m.live_vars().collect();
+        let start = vec![0usize; n];
+        let out = refine(&Trws::default(), &m, &start, &live, &[]);
+        assert!(out.full_sweep);
+        assert_eq!(out.swept_vars, live.len());
+        assert_eq!(out.solution, Trws::default().refine(&m, start, &ctl()));
+    }
+
+    #[test]
     fn empty_frontier_is_a_no_op() {
         let m = biased_chain(5);
         let start = vec![0usize; 5];
-        let out = Icm::default().refine_local(&m, start.clone(), &[], &ctl());
+        let out = refine(&Icm::default(), &m, &start, &[], &[]);
         assert_eq!(out.solution.labels(), &start[..]);
         assert_eq!(out.swept_vars, 0);
         assert!(!out.full_sweep);
@@ -447,14 +537,7 @@ mod tests {
         let m = biased_chain(n);
         let start = vec![0usize; n];
         for solver in [&Icm::default() as &dyn MapSolver, &Trws::default()] {
-            let out = solver.refine_local_sealed(
-                &m,
-                start.clone(),
-                m.energy(&start),
-                &[VarId(0)],
-                &[VarId(6)],
-                &ctl(),
-            );
+            let out = refine(solver, &m, &start, &[VarId(0)], &[VarId(6)]);
             assert_eq!(
                 out.solution.labels()[6],
                 0,
@@ -482,8 +565,7 @@ mod tests {
         let m = biased_chain(n);
         let frontier: Vec<VarId> = (0..n).map(VarId).collect();
         let start = vec![0usize; n];
-        let e = m.energy(&start);
-        let out = Icm::default().refine_local_sealed(&m, start, e, &frontier, &[VarId(3)], &ctl());
+        let out = refine(&Icm::default(), &m, &start, &frontier, &[VarId(3)]);
         assert!(out.full_sweep);
         assert_eq!(out.swept_vars, n - 1, "everything but the sealed var");
         assert_eq!(out.solution.labels()[3], 0);
@@ -492,14 +574,17 @@ mod tests {
 
     #[test]
     fn empty_seal_matches_refine_local() {
-        let n = 10;
+        // A one-variable defect at the far end of a long chain, and a seal
+        // at the other end that the correction never reaches: the sealed
+        // descent matches the unsealed one step for step.
+        let n = 40;
         let m = biased_chain(n);
-        let start = vec![0usize; n];
-        let e = m.energy(&start);
-        let sealed =
-            Icm::default().refine_local_sealed(&m, start.clone(), e, &[VarId(0)], &[], &ctl());
-        let unsealed = Icm::default().refine_local(&m, start, &[VarId(0)], &ctl());
-        assert_eq!(sealed.solution.labels(), unsealed.solution.labels());
-        assert_eq!(sealed.solution.energy(), unsealed.solution.energy());
+        let mut start = vec![1usize; n];
+        start[n - 1] = 0;
+        let unsealed = refine(&Icm::default(), &m, &start, &[VarId(n - 1)], &[]);
+        let sealed = refine(&Icm::default(), &m, &start, &[VarId(n - 1)], &[VarId(0)]);
+        assert!(!unsealed.full_sweep);
+        assert_eq!(unsealed.solution.energy(), 0.0);
+        assert_eq!(sealed, unsealed);
     }
 }

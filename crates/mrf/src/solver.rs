@@ -15,6 +15,11 @@
 //!   members use linked flags so a winner can stop its siblings.
 //! * **Progress** — an optional callback receiving
 //!   [`ProgressEvent`]s (iteration, current best energy, lower bound).
+//! * **Warm starts** — [`MapSolver::refine`] improves a given labeling over
+//!   the whole model; [`MapSolver::refine_local`] is the one warm re-solve
+//!   an incremental caller makes: a carried start labeling with its
+//!   energy, the frontier around a change, the variables to leave alone,
+//!   and a reusable scratch, all in one call (see [`crate::local`]).
 //!
 //! [`ExactFallback`] composes the exact eliminator with an approximate
 //! fallback and *records why* the fallback fired instead of swallowing the
@@ -27,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use crate::elimination::{Elimination, EliminationOptions};
 use crate::icm::{Icm, IcmOptions};
-use crate::local::LocalRefine;
+use crate::local::{refine_unsealed, LocalRefine, Start};
 use crate::model::{MrfModel, VarId};
 use crate::order::SolveScratch;
 use crate::solution::Solution;
@@ -240,58 +245,32 @@ pub trait MapSolver: Send + Sync {
     /// out-of-range labels.
     fn refine(&self, model: &MrfModel, start: Vec<usize>, ctl: &SolveControl) -> Solution {
         assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
-        let start_energy = model.energy(&start);
         let fresh = self.solve(model, ctl);
-        if fresh.energy() <= start_energy {
-            fresh
-        } else {
-            Solution::new(
-                start,
-                start_energy,
-                fresh.lower_bound(),
-                fresh.iterations(),
-                false,
-            )
-        }
+        keep_better(model, start, fresh)
     }
 
-    /// [`MapSolver::refine`] with a caller-owned [`SolveScratch`] (see
-    /// [`MapSolver::solve_with`]). The default mirrors `refine`'s
-    /// keep-the-better contract on top of `solve_with`, so scratch-aware
-    /// solvers benefit without overriding both.
-    fn refine_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> Solution {
-        assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
-        let start_energy = model.energy(&start);
-        let fresh = self.solve_with(model, ctl, scratch);
-        if fresh.energy() <= start_energy {
-            fresh
-        } else {
-            Solution::new(
-                start,
-                start_energy,
-                fresh.lower_bound(),
-                fresh.iterations(),
-                false,
-            )
-        }
-    }
-
-    /// Refines `start` while restricting sweeps to the *frontier* — the
-    /// variables a localized model change can plausibly have affected (a
-    /// k-hop ball around the change) — expanding the active region through
-    /// flipped variables' neighbors and falling back to a full sweep when
-    /// the region stops being local (see [`crate::local`]). Returns the
-    /// solution plus locality telemetry ([`LocalRefine`]).
+    /// The warm re-solve: improves `start` while restricting sweeps to the
+    /// *frontier* — the variables a localized model change can plausibly
+    /// have affected (a k-hop ball around the change) — and never moving
+    /// the `sealed` variables, which keep their start labels whatever
+    /// happens. The active region expands through flipped variables'
+    /// neighbors and falls back to a full sweep when it stops being local
+    /// (see [`crate::local`]). A frontier holding every live variable asks
+    /// for the whole model. Returns the solution plus locality telemetry
+    /// ([`LocalRefine`]).
+    ///
+    /// `start.energy` is `model.energy(&start.labels)`, which an
+    /// incremental caller already carries: solvers that track their energy
+    /// by accepted moves return it plus those moves' deltas instead of
+    /// re-evaluating the model. Solvers that sweep prepared structure reuse
+    /// `scratch` as in [`MapSolver::solve_with`].
     ///
     /// The energy contract matches [`MapSolver::refine`]: never worse than
-    /// `start`. The default implementation ignores the frontier and runs a
-    /// full `refine` — always correct, never local; [`crate::icm::Icm`] and
+    /// the start. The default ignores the frontier and the scratch: with
+    /// nothing sealed it runs a full `refine`, otherwise it conditions the
+    /// model on the sealed variables' start labels
+    /// ([`crate::local::condition_submodel`]) and refines the rest in full —
+    /// always correct, never local. [`crate::icm::Icm`] and
     /// [`crate::trws::Trws`] override it with genuinely masked sweeps.
     ///
     /// # Panics
@@ -302,93 +281,18 @@ pub trait MapSolver: Send + Sync {
     fn refine_local(
         &self,
         model: &MrfModel,
-        start: Vec<usize>,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        let _ = frontier;
-        let live = model.live_var_count();
-        LocalRefine::full(self.refine(model, start, ctl), live)
-    }
-
-    /// [`MapSolver::refine_local`] with a caller-owned [`SolveScratch`]
-    /// (see [`MapSolver::solve_with`]) and the caller's `start_energy`
-    /// (`model.energy(&start)`, which an incremental caller already carries):
-    /// solvers that track their energy by accepted moves return
-    /// `start_energy` plus those moves' deltas instead of re-evaluating the
-    /// model. The default ignores both.
-    fn refine_local_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> LocalRefine {
-        let _ = (start_energy, scratch);
-        self.refine_local(model, start, frontier, ctl)
-    }
-
-    /// [`MapSolver::refine_local`] with a hard freeze: the `sealed`
-    /// variables keep their `start` labels no matter what — they are never
-    /// swept, never activated by expansion, and survive any full-sweep
-    /// fallback. This is the serving primitive for shard boundaries: a
-    /// shard engine cannot value the cross-shard edges its boundary hosts
-    /// sit on, so its re-solves must leave them to the coordinator.
-    ///
-    /// The energy contract matches [`MapSolver::refine`] (never worse than
-    /// `start`); sealed variables aside, locality telemetry matches
-    /// [`MapSolver::refine_local`]. `start_energy` is `model.energy(&start)`,
-    /// as for [`MapSolver::refine_local_with`]. The default implementation
-    /// conditions the model on the sealed variables' start labels
-    /// ([`crate::local::condition_submodel`]) and refines the unsealed
-    /// submodel in full — always correct; [`crate::icm::Icm`] overrides it
-    /// with a masked in-place sweep that skips the submodel construction.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `start` has the wrong arity or
-    /// out-of-range labels.
-    fn refine_local_sealed(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
+        start: Start,
         frontier: &[VarId],
         sealed: &[VarId],
         ctl: &SolveControl,
+        scratch: &mut SolveScratch,
     ) -> LocalRefine {
-        let _ = start_energy;
+        let _ = (frontier, scratch);
         if sealed.is_empty() {
-            return self.refine_local(model, start, frontier, ctl);
-        }
-        assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
-        let mut active = vec![true; model.var_count()];
-        for v in sealed {
-            if let Some(a) = active.get_mut(v.0) {
-                *a = false;
-            }
-        }
-        let (sub, map) = crate::local::condition_submodel(model, &start, &active);
-        let sub_start: Vec<usize> = map.iter().map(|&v| start[v]).collect();
-        let refined = self.refine(&sub, sub_start, ctl);
-        let mut labels = start;
-        for (i, &orig) in map.iter().enumerate() {
-            labels[orig] = refined.labels()[i];
-        }
-        let energy = model.energy(&labels);
-        LocalRefine {
-            solution: Solution::new(
-                labels,
-                energy,
-                None,
-                refined.iterations(),
-                refined.converged(),
-            ),
-            swept_vars: map.len(),
-            expansions: 0,
-            full_sweep: true,
+            let live = model.live_var_count();
+            LocalRefine::full(self.refine(model, start.labels, ctl), live)
+        } else {
+            refine_unsealed(self, model, start.labels, sealed, ctl)
         }
     }
 
@@ -397,148 +301,6 @@ pub trait MapSolver: Send + Sync {
     /// solvers without a fallback stage (the default).
     fn fallback_cause(&self) -> Option<String> {
         None
-    }
-}
-
-impl<S: MapSolver + ?Sized> MapSolver for Box<S> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn solve(&self, model: &MrfModel, ctl: &SolveControl) -> Solution {
-        (**self).solve(model, ctl)
-    }
-
-    fn solve_with(
-        &self,
-        model: &MrfModel,
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> Solution {
-        (**self).solve_with(model, ctl, scratch)
-    }
-
-    fn refine(&self, model: &MrfModel, start: Vec<usize>, ctl: &SolveControl) -> Solution {
-        (**self).refine(model, start, ctl)
-    }
-
-    fn refine_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> Solution {
-        (**self).refine_with(model, start, ctl, scratch)
-    }
-
-    fn refine_local(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        (**self).refine_local(model, start, frontier, ctl)
-    }
-
-    fn refine_local_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> LocalRefine {
-        (**self).refine_local_with(model, start, start_energy, frontier, ctl, scratch)
-    }
-
-    fn refine_local_sealed(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
-        frontier: &[VarId],
-        sealed: &[VarId],
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        (**self).refine_local_sealed(model, start, start_energy, frontier, sealed, ctl)
-    }
-
-    fn fallback_cause(&self) -> Option<String> {
-        (**self).fallback_cause()
-    }
-}
-
-impl<S: MapSolver + ?Sized> MapSolver for Arc<S> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn solve(&self, model: &MrfModel, ctl: &SolveControl) -> Solution {
-        (**self).solve(model, ctl)
-    }
-
-    fn solve_with(
-        &self,
-        model: &MrfModel,
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> Solution {
-        (**self).solve_with(model, ctl, scratch)
-    }
-
-    fn refine(&self, model: &MrfModel, start: Vec<usize>, ctl: &SolveControl) -> Solution {
-        (**self).refine(model, start, ctl)
-    }
-
-    fn refine_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> Solution {
-        (**self).refine_with(model, start, ctl, scratch)
-    }
-
-    fn refine_local(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        (**self).refine_local(model, start, frontier, ctl)
-    }
-
-    fn refine_local_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
-        frontier: &[VarId],
-        ctl: &SolveControl,
-        scratch: &mut SolveScratch,
-    ) -> LocalRefine {
-        (**self).refine_local_with(model, start, start_energy, frontier, ctl, scratch)
-    }
-
-    fn refine_local_sealed(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
-        frontier: &[VarId],
-        sealed: &[VarId],
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        (**self).refine_local_sealed(model, start, start_energy, frontier, sealed, ctl)
-    }
-
-    fn fallback_cause(&self) -> Option<String> {
-        (**self).fallback_cause()
     }
 }
 
@@ -607,6 +369,24 @@ impl MapSolver for ExactFallback {
 
     fn fallback_cause(&self) -> Option<String> {
         self.cause.lock().expect("fallback cause lock").clone()
+    }
+}
+
+/// [`MapSolver::refine`]'s keep-the-better rule: `fresh`, unless `start`
+/// is strictly better, in which case `start` with `fresh`'s bound and
+/// iteration count, not converged.
+pub(crate) fn keep_better(model: &MrfModel, start: Vec<usize>, fresh: Solution) -> Solution {
+    let start_energy = model.energy(&start);
+    if fresh.energy() <= start_energy {
+        fresh
+    } else {
+        Solution::new(
+            start,
+            start_energy,
+            fresh.lower_bound(),
+            fresh.iterations(),
+            false,
+        )
     }
 }
 

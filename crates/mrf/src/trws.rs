@@ -29,11 +29,11 @@
 use std::collections::VecDeque;
 
 use crate::icm::fast_sweeps;
-use crate::local::{condition_submodel, ActiveRegion, LocalRefine};
+use crate::local::{condition_submodel, refine_unsealed, ActiveRegion, LocalRefine, Start};
 use crate::model::{MrfModel, VarId};
 use crate::order::{energy_fast, SolveScratch, Tables};
 use crate::solution::Solution;
-use crate::solver::{MapSolver, SolveControl};
+use crate::solver::{keep_better, MapSolver, SolveControl};
 
 /// Options controlling a TRW-S run.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,41 +126,43 @@ impl MapSolver for Trws {
     /// outside's current label, and the sub-solution is spliced back only
     /// if it improves the full-model energy. Variables flipped at the
     /// region boundary expand the region and the conditioning repeats;
-    /// past half the model the refinement falls back to a full
-    /// [`MapSolver::refine`] (see [`crate::local`]).
+    /// past half the model the refinement falls back to a full solve over
+    /// `scratch` (see [`crate::local`]), and so does a frontier holding
+    /// every live variable. A seal takes the default path: the sealed
+    /// variables are conditioned out and the rest is refined in full.
     ///
     /// No lower bound is reported: the submodel's bound conditions on the
     /// frozen exterior and does not bound the full model's optimum.
     fn refine_local(
         &self,
         model: &MrfModel,
-        start: Vec<usize>,
+        start: Start,
         frontier: &[VarId],
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        let mut scratch = SolveScratch::new();
-        let start_energy = model.energy(&start);
-        self.refine_local_with(model, start, start_energy, frontier, ctl, &mut scratch)
-    }
-
-    /// [`MapSolver::refine_local`] reusing a caller-owned scratch across
-    /// the conditioned sub-solves.
-    fn refine_local_with(
-        &self,
-        model: &MrfModel,
-        start: Vec<usize>,
-        start_energy: f64,
-        frontier: &[VarId],
+        sealed: &[VarId],
         ctl: &SolveControl,
         scratch: &mut SolveScratch,
     ) -> LocalRefine {
-        assert_eq!(start.len(), model.var_count(), "labeling arity mismatch");
-        let mut region = ActiveRegion::new(model, frontier);
-        if region.count == 0 {
-            return LocalRefine::noop(start, start_energy);
+        if !sealed.is_empty() {
+            return refine_unsealed(self, model, start.labels, sealed, ctl);
         }
-        let mut labels = start;
-        let mut energy = start_energy;
+        assert_eq!(
+            start.labels.len(),
+            model.var_count(),
+            "labeling arity mismatch"
+        );
+        let mut region = ActiveRegion::new(model, frontier, &[]);
+        if region.count == 0 {
+            return LocalRefine::noop(start.labels, start.energy);
+        }
+        let live = model.live_var_count();
+        let Start {
+            mut labels,
+            mut energy,
+        } = start;
+        if region.count == live {
+            let fresh = self.solve_with(model, ctl, scratch);
+            return LocalRefine::full(keep_better(model, labels, fresh), live);
+        }
         let mut iterations = 0usize;
         let mut converged = false;
         // Each round re-conditions on the expanded region; the region is
@@ -169,12 +171,11 @@ impl MapSolver for Trws {
         const MAX_ROUNDS: usize = 16;
         for _ in 0..MAX_ROUNDS {
             if region.should_fall_back() {
-                let expansions = region.expansions;
-                let refined = self.refine_with(model, labels, ctl, scratch);
+                let fresh = self.solve_with(model, ctl, scratch);
                 return LocalRefine {
-                    solution: refined,
-                    swept_vars: model.live_var_count(),
-                    expansions,
+                    solution: keep_better(model, labels, fresh),
+                    swept_vars: live,
+                    expansions: region.expansions,
                     full_sweep: true,
                 };
             }

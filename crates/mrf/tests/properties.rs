@@ -8,7 +8,7 @@ use mrf::elimination::Elimination;
 use mrf::exhaustive::Exhaustive;
 use mrf::icm::{Icm, IcmOptions};
 use mrf::ils::Ils;
-use mrf::local::LocalRefine;
+use mrf::local::{LocalRefine, Start};
 use mrf::model::{MrfBuilder, MrfModel};
 use mrf::order::SolveScratch;
 use mrf::solver::{MapSolver, SolveControl};
@@ -363,21 +363,21 @@ proptest! {
         }
     }
 
-    /// The worklist sweep behind `Icm::refine_local_with` and
-    /// `refine_local_sealed` reproduces the full-index masked sweep: same
-    /// labels, sweep count, region size, expansions and fallback, with its
-    /// carried energy (start energy plus flip deltas) matching the model.
+    /// The worklist sweep behind `Icm::refine_local`, unsealed and sealed,
+    /// reproduces the full-index masked sweep: same labels, sweep count,
+    /// region size, expansions and fallback, with its carried energy
+    /// (start energy plus flip deltas) matching the model.
     #[test]
     fn worklist_sweep_matches_the_full_index_masked_sweep(seed in 0u64..u64::MAX, n in 4usize..48) {
         let (model, start, frontier, sealed) = fragmented_case(seed, n);
         let ctl = SolveControl::new();
-        let start_energy = model.energy(&start);
         let icm = Icm::default();
-        let unsealed = icm.refine_local_with(
-            &model, start.clone(), start_energy, &frontier, &ctl, &mut SolveScratch::new(),
-        );
-        let sealed_out =
-            icm.refine_local_sealed(&model, start.clone(), start_energy, &frontier, &sealed, &ctl);
+        let refine = |seal: &[VarId]| {
+            let start = Start { labels: start.clone(), energy: model.energy(&start) };
+            icm.refine_local(&model, start, &frontier, seal, &ctl, &mut SolveScratch::new())
+        };
+        let unsealed = refine(&[]);
+        let sealed_out = refine(&sealed);
         for (got, seal) in [(unsealed, &[][..]), (sealed_out, &sealed[..])] {
             let want = reference_local(&model, start.clone(), &frontier, seal);
             prop_assert_eq!(got.solution.labels(), want.solution.labels());

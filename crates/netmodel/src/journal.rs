@@ -29,11 +29,12 @@
 //!   churn harness uses marks to record per-step MTTC so a replay can diff
 //!   trajectories.
 //!
-//! The JSON codec is hand-rolled on the [`nvd::json`] pattern (the build
-//! environment is offline, so `serde_json` is unavailable): a
-//! recursive-descent parser into a small `Value` tree plus direct string
-//! writers. Writers are deterministic — identical state produces identical
-//! bytes, which the golden-file test in `tests/tests/journal.rs` pins.
+//! The JSON codec is hand-rolled (the build environment is offline, so
+//! `serde_json` is unavailable): records decode through [`nvd::json`]'s
+//! recursive-descent parser into its small [`Value`] tree, and direct
+//! string writers encode them. Writers are deterministic — identical state
+//! produces identical bytes, which the golden-file test in
+//! `tests/tests/journal.rs` pins.
 //!
 //! Torn and corrupt tails are first-class: [`read_tolerant`] accepts the
 //! longest prefix of checksum-valid records and reports where (and why) the
@@ -43,6 +44,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+use nvd::json::{parse_value, JsonError, Value};
 
 use crate::assignment::Assignment;
 use crate::catalog::{Catalog, ProductSimilarity};
@@ -920,7 +923,7 @@ fn decode_similarity(v: &Value) -> Result<ProductSimilarity> {
         .as_array("similarity values")?
         .iter()
         .map(|x| x.as_number("similarity value"))
-        .collect::<Result<_>>()?;
+        .collect::<std::result::Result<_, JsonError>>()?;
     if values.len() != n * n {
         return Err(Error::Journal(format!(
             "similarity: expected {} values for n={n}, got {}",
@@ -1210,262 +1213,11 @@ fn decode_mark(obj: &BTreeMap<String, Value>) -> Result<Record> {
     }))
 }
 
-// ---------------------------------------------------------------------------
-// The Value tree and recursive-descent parser (the `nvd::json` pattern;
-// that module keeps its machinery private, so the journal carries its own).
-// ---------------------------------------------------------------------------
-
-enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
-    fn as_object(&self, what: &str) -> Result<&BTreeMap<String, Value>> {
-        match self {
-            Value::Object(m) => Ok(m),
-            other => Err(Error::Journal(format!(
-                "{what}: expected object, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    fn as_array(&self, what: &str) -> Result<&[Value]> {
-        match self {
-            Value::Array(v) => Ok(v),
-            other => Err(Error::Journal(format!(
-                "{what}: expected array, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str> {
-        match self {
-            Value::String(s) => Ok(s),
-            other => Err(Error::Journal(format!(
-                "{what}: expected string, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-
-    fn as_number(&self, what: &str) -> Result<f64> {
-        match self {
-            Value::Number(n) => Ok(*n),
-            other => Err(Error::Journal(format!(
-                "{what}: expected number, got {}",
-                other.type_name()
-            ))),
-        }
-    }
-}
-
-fn parse_value(input: &str) -> Result<Value> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::Journal(format!(
-            "trailing garbage at byte {}",
-            p.pos
-        )));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> Error {
-        Error::Journal(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<()> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", byte as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        match self
-            .peek()
-            .ok_or_else(|| self.err("unexpected end of input"))?
-        {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::String(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => Err(self.err("unexpected character")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Value) -> Result<Value> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Value> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our
-                            // writer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                b if b < 0x20 => return Err(self.err("control character in string")),
-                b if b < 0x80 => out.push(b as char),
-                _ => {
-                    // Re-decode the UTF-8 sequence starting one byte back.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("bad number"))
+/// A malformed journal line's JSON, or a field of the wrong type, is a
+/// journal error with the parser's message.
+impl From<JsonError> for Error {
+    fn from(e: JsonError) -> Error {
+        Error::Journal(e.0)
     }
 }
 

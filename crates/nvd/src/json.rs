@@ -19,9 +19,13 @@
 //! ```
 //!
 //! The codec is hand-rolled (the build environment is offline, so
-//! `serde_json` is unavailable): a recursive-descent parser into a small
-//! `Value` tree and a direct pretty-printer. Both are total over the
-//! schema above and reject anything malformed with [`Error::Json`].
+//! `serde_json` is unavailable): a recursive-descent parser
+//! ([`parse_value`]) into a small [`Value`] tree and a direct
+//! pretty-printer. Both are total over the schema above and reject
+//! anything malformed with [`Error::Json`]. The parser and the tree are
+//! public so that other record formats (`netmodel`'s journal) decode
+//! through the same code; their errors are a bare [`JsonError`] that each
+//! consumer maps into its own error type.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -121,19 +125,39 @@ pub fn from_json(json: &str) -> Result<VulnerabilityDatabase> {
     Ok(db)
 }
 
-/// A parsed JSON value (internal; just enough for the feed schema).
-enum Value {
+/// A malformed document, or a value of the wrong type: the message alone.
+/// Each consumer wraps it in its own error — [`Error::Json`] in this crate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JsonError(pub String);
+
+impl From<JsonError> for Error {
+    fn from(e: JsonError) -> Error {
+        Error::Json(e.0)
+    }
+}
+
+type JsonResult<T> = std::result::Result<T, JsonError>;
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
     Null,
-    #[allow(dead_code)] // parsed for completeness; the feed schema has no booleans
+    /// `true` or `false`.
     Bool(bool),
+    /// Any number, as an `f64`.
     Number(f64),
+    /// A string, escapes decoded.
     String(String),
+    /// An array.
     Array(Vec<Value>),
+    /// An object; keys are unique and kept sorted.
     Object(BTreeMap<String, Value>),
 }
 
 impl Value {
-    fn type_name(&self) -> &'static str {
+    /// The JSON type's name, for error messages.
+    pub fn type_name(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
@@ -144,40 +168,44 @@ impl Value {
         }
     }
 
-    fn as_object(&self, what: &str) -> Result<&BTreeMap<String, Value>> {
+    /// The object's entries; `what` names the value in the error.
+    pub fn as_object(&self, what: &str) -> JsonResult<&BTreeMap<String, Value>> {
         match self {
             Value::Object(m) => Ok(m),
-            other => Err(Error::Json(format!(
+            other => Err(JsonError(format!(
                 "{what}: expected object, got {}",
                 other.type_name()
             ))),
         }
     }
 
-    fn as_array(&self, what: &str) -> Result<&[Value]> {
+    /// The array's items; `what` names the value in the error.
+    pub fn as_array(&self, what: &str) -> JsonResult<&[Value]> {
         match self {
             Value::Array(v) => Ok(v),
-            other => Err(Error::Json(format!(
+            other => Err(JsonError(format!(
                 "{what}: expected array, got {}",
                 other.type_name()
             ))),
         }
     }
 
-    fn as_str(&self, what: &str) -> Result<&str> {
+    /// The string; `what` names the value in the error.
+    pub fn as_str(&self, what: &str) -> JsonResult<&str> {
         match self {
             Value::String(s) => Ok(s),
-            other => Err(Error::Json(format!(
+            other => Err(JsonError(format!(
                 "{what}: expected string, got {}",
                 other.type_name()
             ))),
         }
     }
 
-    fn as_number(&self, what: &str) -> Result<f64> {
+    /// The number; `what` names the value in the error.
+    pub fn as_number(&self, what: &str) -> JsonResult<f64> {
         match self {
             Value::Number(n) => Ok(*n),
-            other => Err(Error::Json(format!(
+            other => Err(JsonError(format!(
                 "{what}: expected number, got {}",
                 other.type_name()
             ))),
@@ -213,7 +241,13 @@ fn format_number(n: f64) -> String {
     }
 }
 
-fn parse_value(input: &str) -> Result<Value> {
+/// Parses one JSON document; whitespace may surround the value, anything
+/// else after it is an error.
+///
+/// # Errors
+///
+/// A [`JsonError`] naming the first malformed byte.
+pub fn parse_value(input: &str) -> JsonResult<Value> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
@@ -222,7 +256,7 @@ fn parse_value(input: &str) -> Result<Value> {
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(Error::Json(format!("trailing garbage at byte {}", p.pos)));
+        return Err(JsonError(format!("trailing garbage at byte {}", p.pos)));
     }
     Ok(v)
 }
@@ -233,8 +267,8 @@ struct Parser<'a> {
 }
 
 impl Parser<'_> {
-    fn err(&self, msg: &str) -> Error {
-        Error::Json(format!("{msg} at byte {}", self.pos))
+    fn err(&self, msg: &str) -> JsonError {
+        JsonError(format!("{msg} at byte {}", self.pos))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -247,7 +281,7 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<()> {
+    fn expect(&mut self, byte: u8) -> JsonResult<()> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -256,7 +290,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value> {
+    fn value(&mut self) -> JsonResult<Value> {
         match self
             .peek()
             .ok_or_else(|| self.err("unexpected end of input"))?
@@ -272,7 +306,7 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Value) -> Result<Value> {
+    fn literal(&mut self, lit: &str, value: Value) -> JsonResult<Value> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
@@ -281,7 +315,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value> {
+    fn object(&mut self) -> JsonResult<Value> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -309,7 +343,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value> {
+    fn array(&mut self) -> JsonResult<Value> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -332,7 +366,7 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String> {
+    fn string(&mut self) -> JsonResult<String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -362,7 +396,8 @@ impl Parser<'_> {
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             self.pos += 4;
                             // Surrogate pairs are not needed by the feed
-                            // schema; map lone surrogates to U+FFFD.
+                            // schema or the journal; map lone surrogates to
+                            // U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         _ => return Err(self.err("unknown escape")),
@@ -383,7 +418,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Value> {
+    fn number(&mut self) -> JsonResult<Value> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;

@@ -62,8 +62,8 @@ fn final_network(g: &GeneratedNetwork, deltas: &[NetworkDelta]) -> Network {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// With an *exact* full-model refiner (elimination, locality disabled),
-    /// `apply_batch(all)`, sequential `apply`s, and a scratch
+    /// With an *exact* full-model refiner (elimination, which ignores the
+    /// frontier), `apply_batch(all)`, sequential `apply`s, and a scratch
     /// `DiversityOptimizer` build on the final network agree exactly on the
     /// final network state and on the objective. The solver must be exact
     /// for the objective comparison: the engines optimize the in-place
@@ -85,7 +85,6 @@ proptest! {
             DiversityEngine::new(g.network.clone(), g.catalog.clone(), g.similarity.clone())
                 .with_solver(SolverKind::Exact(EliminationOptions::default()))
                 .with_refiner(Box::new(ExactFallback::default()))
-                .with_locality(None)
         };
         let mut batched = make_engine();
         batched.solve().expect("cold solve");
