@@ -4,8 +4,9 @@
 //! [`ShardedEngine`], plus the two adversarial churn modes:
 //!
 //! - **family rows** — generation wall, cold-solve wall for both engines,
-//!   the sharded pass's certified gap, and the solved assignment's MTTC
-//!   under the sophisticated worm (entry `h0` → last host);
+//!   the sharded pass's reported (uncertified) gap, and the solved
+//!   assignment's MTTC under the sophisticated worm (entry `h0` → last
+//!   host);
 //! - **adaptive row** — an adversary-in-the-loop churn replay
 //!   ([`Bursts::Adaptive`]): total/max defender-lag across the window
 //!   (the MTTC gain forfeited to re-solve latency — finite by
@@ -117,7 +118,7 @@ fn bench_family(criterion: &mut Criterion, name: &'static str, full: bool) -> Fa
     let sharded_cold_ms = measured_ms(criterion, &bench_name);
 
     // One representative solve of each kind for the non-timed numbers: the
-    // sharded pass's certified gap and the solved assignment's MTTC.
+    // sharded pass's reported gap and the solved assignment's MTTC.
     let mut sharded =
         ShardedEngine::new(g.network.clone(), g.catalog.clone(), g.similarity.clone());
     let report = sharded.solve().expect("family solves");

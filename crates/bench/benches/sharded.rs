@@ -22,8 +22,9 @@
 //!   then measures pure sharding overhead, which is the honest number).
 //!
 //! Besides the printed report the run writes `BENCH_sharded.json` — per
-//! zone count: cold walls, certified gap, absorb medians and both speedup
-//! curves — the machine-readable scaling record CI surfaces next to
+//! zone count: cold walls, the reported gap (`certified_gap()`, which is
+//! not an optimality bound), absorb medians and both speedup curves — the
+//! machine-readable scaling record CI surfaces next to
 //! `BENCH_solvers.json`.
 
 use std::time::Instant;
@@ -222,7 +223,7 @@ fn bench_zone_count(criterion: &mut Criterion, hosts: usize, zones: usize) -> En
 }
 
 /// Hand-rolled JSON (no serde offline), same pattern as `BENCH_solvers.json`:
-/// one entry per zone count with the cold walls, the certified gap and the
+/// one entry per zone count with the cold walls, the reported gap and the
 /// absorb medians. `confined_speedup` is the localization win (single vs.
 /// sharded on the zone-confined burst, core-count independent);
 /// `parallel_speedup` is the single engine's multi-zone absorb over the

@@ -1,6 +1,5 @@
-//! Criterion benchmarks for the MAP solvers (§V): TRW-S vs loopy BP vs ICM
-//! on identical prebuilt random-network energies at the §VIII scales, plus
-//! single-solver vs parallel-portfolio wall time.
+//! Criterion benchmarks for the MAP solvers (§V): TRW-S vs ICM on
+//! identical prebuilt random-network energies at the §VIII scales.
 //!
 //! The energy model is built once per size and every entry times *only*
 //! `MapSolver::solve` (or `solve_with` for the warm-scratch entries), so the
@@ -16,7 +15,6 @@ use criterion::{BenchmarkId, Criterion};
 
 use ics_diversity::energy::{build_energy, EnergyModel, EnergyParams};
 use ics_diversity::optimizer::SolverKind;
-use mrf::bp::BpOptions;
 use mrf::icm::IcmOptions;
 use mrf::order::SolveScratch;
 use mrf::solver::SolveControl;
@@ -25,19 +23,15 @@ use netmodel::constraints::ConstraintSet;
 use netmodel::topology::{generate, GeneratedNetwork, RandomNetworkConfig};
 
 /// Median ns/op measured on this harness *before* the solver hot-loop pass
-/// (flat message arenas, resolved potentials, colored sweeps) landed — the
+/// (flat message arenas, resolved potentials) landed — the
 /// "before" column of the README table, re-measured at the pre-pass commit
 /// with this same solve-only harness. The `-warm` entries have no baseline
 /// (reusable solve scratch is new).
 const BASELINE_NS: &[(&str, f64)] = &[
     ("solvers/trws/240", 5_671_000.0),
-    ("solvers/bp/240", 14_951_000.0),
     ("solvers/icm/240", 896_000.0),
     ("solvers/trws/960", 30_182_000.0),
-    ("solvers/bp/960", 62_373_000.0),
     ("solvers/icm/960", 4_622_000.0),
-    ("portfolio_vs_single/single_trws/960", 30_342_000.0),
-    ("portfolio_vs_single/portfolio/960", 96_886_000.0),
 ];
 
 fn instance(hosts: usize) -> GeneratedNetwork {
@@ -64,20 +58,13 @@ fn energy_for(g: &GeneratedNetwork) -> EnergyModel {
     .expect("instance builds")
 }
 
-fn solver_cases() -> [(&'static str, SolverKind); 3] {
+fn solver_cases() -> [(&'static str, SolverKind); 2] {
     [
         (
             "trws",
             SolverKind::Trws(TrwsOptions {
                 max_iterations: 30,
                 ..TrwsOptions::default()
-            }),
-        ),
-        (
-            "bp",
-            SolverKind::Bp(BpOptions {
-                max_iterations: 30,
-                ..BpOptions::default()
             }),
         ),
         ("icm", SolverKind::Icm(IcmOptions::default())),
@@ -117,38 +104,6 @@ fn bench_full_solves(c: &mut Criterion, hosts: usize) {
     group.bench_with_input(BenchmarkId::new("build", hosts), &g, |b, g| {
         b.iter(|| energy_for(g));
     });
-    group.finish();
-}
-
-/// Single solver vs portfolio: measures what the concurrent race costs (or
-/// saves) in wall time at fixed iteration caps.
-fn bench_portfolio_vs_single(c: &mut Criterion) {
-    let trws = || {
-        SolverKind::Trws(TrwsOptions {
-            max_iterations: 20,
-            ..TrwsOptions::default()
-        })
-    };
-    let portfolio = SolverKind::Portfolio(vec![
-        trws(),
-        SolverKind::Bp(BpOptions {
-            max_iterations: 20,
-            ..BpOptions::default()
-        }),
-        SolverKind::Icm(IcmOptions::default()),
-    ]);
-    let g = instance(960);
-    let energy = energy_for(&g);
-    let model = energy.model();
-    let ctl = SolveControl::new();
-    let mut group = c.benchmark_group("portfolio_vs_single");
-    group.sample_size(10);
-    for (label, kind) in [("single_trws", trws()), ("portfolio", portfolio.clone())] {
-        let solver = kind.build();
-        group.bench_with_input(BenchmarkId::new(label, 960usize), &model, |b, m| {
-            b.iter(|| solver.solve(m, &ctl));
-        });
-    }
     group.finish();
 }
 
@@ -198,6 +153,5 @@ fn main() {
     if full {
         bench_full_solves(&mut criterion, 5000);
     }
-    bench_portfolio_vs_single(&mut criterion);
     emit_json(&criterion, full);
 }

@@ -1,14 +1,12 @@
 //! Solver ablation: the design-choice comparison behind the paper's pick of
 //! TRW-S (§V-C discusses graph-cuts/BP alternatives). For the exactly
 //! solvable case study and a mid-scale random network, compares objective
-//! quality, certified bounds and wall-clock across every solver in the
-//! crate — including the parallel `SolverPortfolio` — with and without ILS
-//! refinement. Wall time and exact-fallback telemetry come straight from
-//! `OptimizedAssignment`.
+//! quality, certified bounds and wall-clock across the crate's solvers,
+//! with and without ILS refinement. Wall time and exact-fallback telemetry
+//! come straight from `OptimizedAssignment`.
 
 use ics_diversity::optimizer::{DiversityOptimizer, SolverKind};
 use ics_diversity::report::TextTable;
-use mrf::bp::BpOptions;
 use mrf::elimination::EliminationOptions;
 use mrf::icm::IcmOptions;
 use mrf::trws::TrwsOptions;
@@ -68,22 +66,6 @@ fn run(
     }
 }
 
-/// The portfolio raced in the ablation: every approximate solver at once.
-/// The elimination member gets a small table cap so it certifies the
-/// low-treewidth case study but fails fast (falling back internally) on
-/// dense instances — a portfolio without a deadline waits for its slowest
-/// member when nobody certifies, so keep members bounded.
-fn portfolio_kind() -> SolverKind {
-    SolverKind::Portfolio(vec![
-        SolverKind::Trws(TrwsOptions::default()),
-        SolverKind::Bp(BpOptions::default()),
-        SolverKind::Icm(IcmOptions::default()),
-        SolverKind::Exact(EliminationOptions {
-            max_table_entries: 50_000,
-        }),
-    ])
-}
-
 fn ablate(name: &str, network: &Network, similarity: &ProductSimilarity, with_exact: bool) {
     println!(
         "\n=== {name} ({} hosts, {} links) ===\n",
@@ -122,16 +104,6 @@ fn ablate(name: &str, network: &Network, similarity: &ProductSimilarity, with_ex
     for refine in [false, true] {
         run(
             &mut t,
-            "bp",
-            network,
-            similarity,
-            SolverKind::Bp(BpOptions::default()),
-            refine,
-        );
-    }
-    for refine in [false, true] {
-        run(
-            &mut t,
             "icm",
             network,
             similarity,
@@ -139,14 +111,6 @@ fn ablate(name: &str, network: &Network, similarity: &ProductSimilarity, with_ex
             refine,
         );
     }
-    run(
-        &mut t,
-        "portfolio (all)",
-        network,
-        similarity,
-        portfolio_kind(),
-        true,
-    );
     println!("{t}");
 }
 
@@ -167,7 +131,7 @@ fn main() {
         42,
     );
     ablate("mid-scale random network", &g.network, &g.similarity, false);
-    println!("reading: TRW-S dominates BP/ICM on objective at comparable cost; ILS");
+    println!("reading: TRW-S dominates ICM on objective at comparable cost; ILS");
     println!("refinement recovers most of the remaining primal gap; exact elimination");
     println!("certifies the case study, where treewidth permits. On dense frustrated");
     println!("instances the TRW dual bound is valid but loose (a known property of the");
@@ -197,16 +161,8 @@ mod tests {
         };
         let exact = obj(SolverKind::Exact(EliminationOptions::default()), false);
         let trws = obj(SolverKind::Trws(TrwsOptions::default()), true);
-        let bp = obj(SolverKind::Bp(BpOptions::default()), false);
         let icm = obj(SolverKind::Icm(IcmOptions::default()), false);
         assert!(exact <= trws + 1e-9);
-        assert!(trws <= bp + 1e-9, "trws {trws} vs bp {bp}");
         assert!(trws <= icm + 1e-9, "trws {trws} vs icm {icm}");
-        // The portfolio contains the exact solver, so it must match it.
-        let portfolio = obj(portfolio_kind(), false);
-        assert!(
-            (portfolio - exact).abs() < 1e-6,
-            "portfolio {portfolio} vs exact {exact}"
-        );
     }
 }

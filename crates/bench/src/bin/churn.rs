@@ -130,7 +130,7 @@ FLAGS:
                  the journal's preamble + snapshot (always a single
                  DiversityEngine, however the recording ran) and *re-solve*
                  every burst under that solver (cold solver *and* warm
-                 refiner): trws, bp, icm, ils, exhaustive, exact.
+                 refiner): trws, icm, ils, exhaustive, exact.
     --full       Paper-scale instance (300 hosts, more MTTC runs; 960 hosts
                  in --serve mode).
     --help       Print this help and exit.
@@ -175,11 +175,13 @@ the model edit/model rebuild/solve walls):
     shards       Indices of the shards the burst's deltas were routed to.
     rounds       Boundary-coordination rounds run (0: skipped — the burst
                  could not have leaked across shards).
-    gap          Certified primal−dual optimality gap of the step's Strong
+    gap          Primal−dual gap (P − D)/|P| of the step's Strong
                  coordination pass (dual decomposition over cross-zone
-                 links), as a percentage of the primal objective. \"-\" when
-                 the step ran no Strong pass (interior-confined burst) or a
-                 shard solver reported no bound.
+                 links), as a percentage of the primal objective. Not an
+                 optimality certificate: D is not a lower bound on the
+                 optimum. \"-\" when the step ran no Strong pass
+                 (interior-confined burst) or a shard solver reported no
+                 bound.
     flips        Boundary hosts whose product changed during coordination.
     shard solve  Wall-clock time of the slowest shard's local step (shards
                  run in parallel).
@@ -704,14 +706,14 @@ fn print_sharded_summary(replay: &[ChurnStep]) {
     );
     if let Some(worst) = gaps.iter().copied().reduce(f64::max) {
         println!(
-            "certified gap: {} Strong steps certified a primal−dual bound, worst {:.2}%",
+            "reported gap (not a certificate): {} Strong steps, worst {:.2}%",
             gaps.len(),
             100.0 * worst
         );
     }
     println!(
         "expected shape: obj resolve ≤ obj carry per step; rounds 0 on interior-confined \
-         bursts; certified gap small and never negative on Strong steps"
+         bursts; reported gap small and never negative on Strong steps"
     );
 }
 
@@ -1186,12 +1188,11 @@ fn run_replay(path: &str, solver: Option<&str>) {
 
     let kind = solver.map(|name| match name {
         "trws" => SolverKind::Trws(Default::default()),
-        "bp" => SolverKind::Bp(Default::default()),
         "icm" => SolverKind::Icm(Default::default()),
         "ils" => SolverKind::Ils(Default::default()),
         "exhaustive" => SolverKind::Exhaustive,
         "exact" => SolverKind::Exact(Default::default()),
-        other => panic!("unknown --solver {other:?} (trws, bp, icm, ils, exhaustive, exact)"),
+        other => panic!("unknown --solver {other:?} (trws, icm, ils, exhaustive, exact)"),
     });
     let read = read_records(path).expect("journal reads");
     if let Some(why) = &read.corruption {

@@ -120,6 +120,19 @@ fn unknown_scenario_is_rejected() {
 }
 
 #[test]
+fn unknown_solver_is_rejected() {
+    // The solver name is checked before the journal is read, so no
+    // recording is needed.
+    let out = churn(&["--replay", "no-such.log", "--solver", "bp"]);
+    assert!(!out.status.success(), "unknown solver must fail");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown --solver \"bp\" (trws, icm, ils, exhaustive, exact)"),
+        "names the error and the accepted solvers:\n{err}"
+    );
+}
+
+#[test]
 fn help_documents_every_flag_and_column() {
     let help = stdout_of(&["--help"]);
     // Every flag the parser understands.

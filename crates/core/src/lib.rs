@@ -51,9 +51,9 @@
 //!   snapshot + checksummed journal-tail replay, with corrupt or torn
 //!   trailing records truncated at the last valid one.
 //! * [`optimizer`] — the solver facade, built on the open
-//!   [`mrf::MapSolver`] trait: TRW-S (default), loopy BP, ICM, ILS, exact
-//!   elimination with a *recorded* fallback, brute force, parallel solver
-//!   portfolios, or any user-supplied `MapSolver`. Runs accept wall-clock
+//!   [`mrf::MapSolver`] trait: TRW-S (default), ICM, ILS, exact
+//!   elimination with a *recorded* fallback, brute force, or any
+//!   user-supplied `MapSolver`. Runs accept wall-clock
 //!   budgets, cancellation flags and progress callbacks
 //!   ([`mrf::SolveControl`]), chain refinement stages, and report
 //!   telemetry (solver name, wall time, fallback cause).
@@ -83,7 +83,7 @@
 //! # }
 //! ```
 //!
-//! # Budgeted portfolio solves
+//! # Budgeted solves
 //!
 //! ```
 //! use std::time::Duration;
@@ -92,16 +92,14 @@
 //!
 //! # fn main() -> Result<(), ics_diversity::Error> {
 //! let cs = CaseStudy::build();
-//! // Race TRW-S against exact elimination under a 250 ms budget; the
-//! // lowest-energy member wins, and telemetry says who and how long.
+//! // Exact elimination under a 250 ms budget, falling back to TRW-S if the
+//! // treewidth or the budget runs out; telemetry says which solver ran,
+//! // how long it took and why any fallback fired.
 //! let solved = DiversityOptimizer::new()
-//!     .with_solver(SolverKind::Portfolio(vec![
-//!         SolverKind::Trws(Default::default()),
-//!         SolverKind::Exact(Default::default()),
-//!     ]))
+//!     .with_solver(SolverKind::Exact(Default::default()))
 //!     .with_time_budget(Duration::from_millis(250))
 //!     .optimize(&cs.network, &cs.similarity)?;
-//! assert!(solved.solver_name().starts_with("portfolio["));
+//! assert!(solved.solver_name().starts_with("exact"));
 //! assert!(solved.assignment().validate(&cs.network).is_ok());
 //! # Ok(())
 //! # }

@@ -1,8 +1,8 @@
 //! The optimization facade: network in, optimal assignment out.
 //!
 //! Built entirely on the open [`MapSolver`] trait: any solver — the
-//! built-ins, a [`SolverPortfolio`], or a user-supplied implementation —
-//! drops into [`DiversityOptimizer::with_map_solver`]. [`SolverKind`]
+//! built-ins or a user-supplied implementation — drops into
+//! [`DiversityOptimizer::with_map_solver`]. [`SolverKind`]
 //! remains as a declarative convenience constructor. Refinement is a
 //! *chain* of solvers applied via [`MapSolver::refine`], replacing the old
 //! hardcoded ILS special case, and every run reports telemetry: solver
@@ -13,12 +13,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mrf::bp::{Bp, BpOptions};
 use mrf::elimination::EliminationOptions;
 use mrf::exhaustive::Exhaustive;
 use mrf::icm::{Icm, IcmOptions};
 use mrf::ils::{Ils, IlsOptions};
-use mrf::portfolio::SolverPortfolio;
 use mrf::solver::{ExactFallback, MapSolver, SolveControl};
 use mrf::trws::{Trws, TrwsOptions};
 use mrf::Solution;
@@ -34,13 +32,11 @@ use crate::{Error, Result};
 /// Declarative solver selection — a convenience constructor for the
 /// [`MapSolver`] implementations in [`mrf`]. Use
 /// [`DiversityOptimizer::with_map_solver`] directly for anything this enum
-/// cannot express (custom solvers, hand-tuned portfolios).
+/// cannot express (custom solvers).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolverKind {
     /// Sequential tree-reweighted message passing (the paper's choice).
     Trws(TrwsOptions),
-    /// Loopy min-sum belief propagation (the baseline TRW-S is compared to).
-    Bp(BpOptions),
     /// Iterated conditional modes (fast greedy baseline).
     Icm(IcmOptions),
     /// Iterated local search from the unary argmin.
@@ -53,10 +49,6 @@ pub enum SolverKind {
     /// fallback and its cause are surfaced via
     /// [`OptimizedAssignment::exact_fallback`].
     Exact(EliminationOptions),
-    /// A parallel portfolio of the listed solvers (see
-    /// [`SolverPortfolio`]): best energy wins, a certified winner cancels
-    /// the rest.
-    Portfolio(Vec<SolverKind>),
 }
 
 impl Default for SolverKind {
@@ -70,25 +62,10 @@ impl SolverKind {
     pub fn build(&self) -> Box<dyn MapSolver> {
         match self {
             SolverKind::Trws(opts) => Box::new(Trws::new(opts.clone())),
-            SolverKind::Bp(opts) => Box::new(Bp::new(opts.clone())),
             SolverKind::Icm(opts) => Box::new(Icm::new(opts.clone())),
             SolverKind::Ils(opts) => Box::new(Ils::new(opts.clone())),
             SolverKind::Exhaustive => Box::new(Exhaustive::new()),
             SolverKind::Exact(opts) => Box::new(ExactFallback::new(opts.clone())),
-            SolverKind::Portfolio(kinds) => {
-                // Fail here, at construction, with a clear message — an
-                // empty portfolio would otherwise panic mid-solve inside
-                // `SolverPortfolio::solve_detailed`.
-                assert!(
-                    !kinds.is_empty(),
-                    "SolverKind::Portfolio needs at least one member"
-                );
-                let mut portfolio = SolverPortfolio::new();
-                for kind in kinds {
-                    portfolio.push(kind.build());
-                }
-                Box::new(portfolio)
-            }
         }
     }
 }
@@ -131,7 +108,7 @@ impl OptimizedAssignment {
     }
 
     /// A certified lower bound on the optimal objective, when the solver
-    /// provides one (TRW-S, elimination, portfolios containing either).
+    /// provides one (TRW-S, elimination).
     pub fn lower_bound(&self) -> Option<f64> {
         self.lower_bound
     }
@@ -531,14 +508,9 @@ mod tests {
         let cs = CaseStudy::build();
         for solver in [
             SolverKind::Trws(TrwsOptions::default()),
-            SolverKind::Bp(BpOptions::default()),
             SolverKind::Icm(IcmOptions::default()),
             SolverKind::Ils(IlsOptions::default()),
             SolverKind::Exact(EliminationOptions::default()),
-            SolverKind::Portfolio(vec![
-                SolverKind::Trws(TrwsOptions::default()),
-                SolverKind::Icm(IcmOptions::default()),
-            ]),
         ] {
             let opt = DiversityOptimizer::new()
                 .with_solver(solver.clone())
@@ -613,23 +585,6 @@ mod tests {
             .unwrap();
         assert!(exact.exact_fallback().is_none());
         assert!(exact.solver_name().starts_with("exact"));
-        // A portfolio aggregates its members' causes instead of hiding them.
-        let via_portfolio = DiversityOptimizer::new()
-            .with_solver(SolverKind::Portfolio(vec![
-                SolverKind::Icm(IcmOptions::default()),
-                SolverKind::Exact(EliminationOptions {
-                    max_table_entries: 8,
-                }),
-            ]))
-            .optimize(&g.network, &g.similarity)
-            .unwrap();
-        let cause = via_portfolio
-            .exact_fallback()
-            .expect("portfolio must surface the member fallback");
-        assert!(
-            cause.contains("exact"),
-            "cause should name the member: {cause}"
-        );
     }
 
     #[test]
@@ -646,10 +601,6 @@ mod tests {
             7,
         );
         let opt = DiversityOptimizer::new()
-            .with_solver(SolverKind::Portfolio(vec![
-                SolverKind::Trws(TrwsOptions::default()),
-                SolverKind::Icm(IcmOptions::default()),
-            ]))
             .with_time_budget(Duration::from_millis(10))
             .optimize(&g.network, &g.similarity)
             .unwrap();

@@ -1,6 +1,6 @@
-//! Integration tests for the sharded scale-out path: the certified
-//! primal−dual gap's soundness properties, and zone-confined churn never
-//! forcing a from-scratch partition recompute.
+//! Integration tests for the sharded scale-out path: the two properties
+//! of the reported primal−dual gap, and zone-confined churn never forcing
+//! a from-scratch partition recompute.
 //!
 //! The gap properties pin the two claims the dual decomposition makes
 //! (module docs of `ics_diversity::shard`):
@@ -14,6 +14,12 @@
 //!    shared lower bound D ≤ P ≤ P₀ the relative gap (P − D)/P is monotone
 //!    in P, so the dual engine's certified gap must be ≤ the gap the
 //!    heuristic-only primal would certify against the same bound.
+//!
+//! Neither property makes D a lower bound on the optimum, and it is not
+//! one: the shard subproblems are decoded, not solved to optimality, so D
+//! can exceed a feasible objective (see the module docs of
+//! `ics_diversity::shard`). These tests pin the report's arithmetic, not
+//! optimality.
 
 use proptest::prelude::*;
 

@@ -13,9 +13,6 @@
 //!   granularity with anytime (best-so-far) semantics. Also home to
 //!   [`solver::ExactFallback`], which composes exact elimination with an
 //!   approximate fallback and records *why* the fallback fired.
-//! * [`portfolio`] — [`SolverPortfolio`]: N solvers racing on scoped
-//!   threads, first certified winner cancels the rest, per-member
-//!   telemetry.
 //! * [`model`] — the energy function: variables with finite label sets,
 //!   per-variable unary costs, and pairwise potentials on edges. Potentials
 //!   are *shared*: thousands of edges can reference one cost matrix, which
@@ -26,11 +23,9 @@
 //!   whole model — see the module docs and the example below.
 //! * [`trws`] — sequential tree-reweighted message passing with a certified
 //!   lower bound; exact on trees, state-of-the-art approximate on loopy
-//!   graphs.
-//! * [`bp`] — loopy min-sum belief propagation as the baseline the paper
-//!   compares TRW-S against: chromatic Gauss–Seidel sweeps over a greedy
-//!   coloring ([`color`]) and adaptive damping that engages only when the
-//!   residual oscillates.
+//!   graphs. The paper (§V-C) names loopy BP only as an alternative. On
+//!   the diversity energy BP stopped at its unary-argmin start, so this
+//!   crate has none (see the README's "Deviations from the paper").
 //! * [`icm`] — iterated conditional modes, a fast greedy baseline and the
 //!   warm-start refiner other solvers build on.
 //! * [`ils`] — iterated local search, the refinement stage that closes the
@@ -47,12 +42,12 @@
 //!   whenever the instance's treewidth is small (the ICS case study is).
 //! * [`exhaustive`] — brute force, the test oracle for small instances.
 //! * [`solution`] — the decoded labeling with energy and bound diagnostics.
-//! * [`order`] and [`color`] — the shared hot-loop substrate:
-//!   [`SolveScratch`] (flat SoA message arena, precomputed edge-slot
-//!   offsets, monotone-chain ordering; warm re-solves allocate nothing)
-//!   and the greedy graph coloring that orders BP's sweep. Every sweep runs
-//!   on the calling thread; only [`portfolio`] spawns threads, one per
-//!   member.
+//! * [`order`] — the shared hot-loop substrate: [`SolveScratch`] (flat
+//!   SoA message arena, precomputed edge-slot offsets, monotone-chain
+//!   ordering; warm re-solves allocate nothing).
+//!
+//! Every solver runs on the calling thread; this crate spawns none. Callers
+//! that want parallelism run independent solves on threads they own.
 //!
 //! # Quick start
 //!
@@ -76,13 +71,12 @@
 //! # }
 //! ```
 //!
-//! # Budgets and portfolios
+//! # Budgets
 //!
 //! ```
 //! use std::time::Duration;
 //! use mrf::model::MrfBuilder;
-//! use mrf::portfolio::SolverPortfolio;
-//! use mrf::solver::{MapSolver, SolveControl};
+//! use mrf::solver::{ExactFallback, MapSolver, SolveControl};
 //!
 //! # fn main() -> Result<(), mrf::Error> {
 //! let mut b = MrfBuilder::new();
@@ -92,12 +86,14 @@
 //! }
 //! let model = b.build();
 //!
-//! // Race TRW-S, BP, exact elimination and ILS under a 100 ms budget; the
-//! // first member to certify optimality cancels the others.
+//! // Exact elimination under a 100 ms budget. A chain has treewidth one,
+//! // so elimination certifies the optimum and the TRW-S fallback never
+//! // fires.
 //! let ctl = SolveControl::new().with_budget(Duration::from_millis(100));
-//! let outcome = SolverPortfolio::standard().solve_detailed(&model, &ctl);
-//! assert_eq!(outcome.solution.energy(), 0.0);
-//! assert!(outcome.reports.iter().any(|r| r.winner));
+//! let solver = ExactFallback::default();
+//! let solution = solver.solve(&model, &ctl);
+//! assert_eq!(solution.energy(), 0.0);
+//! assert!(solver.fallback_cause().is_none());
 //! # Ok(())
 //! # }
 //! ```
@@ -147,8 +143,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bp;
-pub mod color;
 pub mod elimination;
 pub mod exhaustive;
 pub mod icm;
@@ -156,7 +150,6 @@ pub mod ils;
 pub mod local;
 pub mod model;
 pub mod order;
-pub mod portfolio;
 pub mod projection;
 pub mod solution;
 pub mod solver;
@@ -164,12 +157,10 @@ pub mod trws;
 
 mod error;
 
-pub use color::ColorClasses;
 pub use error::Error;
 pub use local::{condition_submodel, LocalRefine, Start};
 pub use model::{EdgeId, MrfBuilder, MrfModel, PotentialId, UnaryOverlay, VarId};
 pub use order::SolveScratch;
-pub use portfolio::{MemberReport, PortfolioOutcome, SolverPortfolio};
 pub use solution::Solution;
 pub use solver::{ExactFallback, MapSolver, ProgressEvent, SolveControl};
 

@@ -337,7 +337,7 @@ impl MrfModel {
     }
 
     /// The labeling that independently minimizes each unary term — the
-    /// natural ICM / BP starting point. Tombstoned slots get label 0.
+    /// natural ICM starting point. Tombstoned slots get label 0.
     pub fn unary_argmin(&self) -> Vec<usize> {
         self.unary
             .iter()

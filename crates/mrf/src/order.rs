@@ -1,5 +1,5 @@
 //! Reusable per-solve structure: monotone-chain ordering, CSR edge lists,
-//! resolved potential tables, flat message arenas, and a graph coloring.
+//! resolved potential tables and a flat message arena.
 //!
 //! The message-passing solvers used to rebuild all of this — and allocate
 //! per-edge message vectors — on every `solve` call, which dominated the
@@ -20,8 +20,6 @@
 //!   messages first, laid out in forward sweep order, then all backward
 //!   messages in backward sweep order — so a TRW-S pass is one
 //!   `split_at_mut` and two linear walks.
-//! * **Coloring** ([`crate::color::ColorClasses`]): the class-major visit
-//!   order of BP's Gauss-Seidel sweep.
 //!
 //! [`SolveScratch::prepare`] recomputes everything from the model (edge
 //! slots recycle under churn, so nothing is fingerprinted or trusted
@@ -30,7 +28,6 @@
 
 use std::collections::VecDeque;
 
-use crate::color::ColorClasses;
 use crate::model::{MrfModel, VarId};
 
 /// Read-only view of the prepared structure, passed into solver kernels
@@ -74,8 +71,6 @@ pub(crate) struct Tables<'a> {
     pub gamma: &'a [f64],
     /// Backward edge count per variable slot.
     pub n_backward: &'a [u32],
-    /// Independent-set partition of the live variables.
-    pub colors: &'a ColorClasses,
 }
 
 impl Tables<'_> {
@@ -119,7 +114,8 @@ pub(crate) struct Parts<'a> {
 }
 
 /// Reusable solver structure + workspace (module docs). One instance per
-/// engine (or per thread); not `Sync` — clone for concurrent solvers.
+/// engine (or per thread): a solve borrows it mutably, so concurrent
+/// solvers each need their own.
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     n: usize,
@@ -142,7 +138,6 @@ pub struct SolveScratch {
     pot_data: Vec<f64>,
     gamma: Vec<f64>,
     n_backward: Vec<u32>,
-    colors: ColorClasses,
     max_labels: usize,
     cursor: Vec<u32>,
     arena: Vec<f64>,
@@ -297,7 +292,7 @@ impl SolveScratch {
         self.arena.clear();
         self.arena.resize(arena_len, 0.0);
 
-        // TRW-S node weights and BP's visit coloring.
+        // TRW-S node weights.
         self.gamma.clear();
         self.gamma.reserve(n);
         self.n_backward.clear();
@@ -308,7 +303,6 @@ impl SolveScratch {
             self.gamma.push(1.0 / nf.max(nb).max(1) as f64);
             self.n_backward.push(nb as u32);
         }
-        self.colors.build(model);
 
         self.theta.clear();
         self.theta.resize(self.max_labels, 0.0);
@@ -339,7 +333,6 @@ impl SolveScratch {
                 split: self.split,
                 gamma: &self.gamma,
                 n_backward: &self.n_backward,
-                colors: &self.colors,
             },
             arena: &mut self.arena,
             pot: &self.pot_data,

@@ -46,7 +46,7 @@ impl Solution {
     }
 
     /// A certified lower bound on the optimal energy, if the solver provides
-    /// one (TRW-S does; ICM and BP do not).
+    /// one (TRW-S and elimination do; ICM and ILS do not).
     pub fn lower_bound(&self) -> Option<f64> {
         self.lower_bound
     }

@@ -2,8 +2,8 @@
 //! every MAP solver in this crate.
 //!
 //! Historically each solver exposed its own `solve` method and callers
-//! dispatched by hand; scaling work (portfolios, sharding, async serving)
-//! needs an *open* interface instead. The contract is:
+//! dispatched by hand; scaling work (sharding, async serving) needs an
+//! *open* interface instead. The contract is:
 //!
 //! * **Anytime semantics** — [`MapSolver::solve`] always returns a complete,
 //!   in-domain labeling. If the [`SolveControl`] deadline passes or the run
@@ -11,8 +11,7 @@
 //!   returns its best-so-far labeling with `converged() == false`.
 //! * **Budgets** — [`SolveControl`] carries an optional wall-clock deadline
 //!   checked at iteration granularity.
-//! * **Cancellation** — an atomic flag, settable from any thread; portfolio
-//!   members use linked flags so a winner can stop its siblings.
+//! * **Cancellation** — an atomic flag, settable from any thread.
 //! * **Progress** — an optional callback receiving
 //!   [`ProgressEvent`]s (iteration, current best energy, lower bound).
 //! * **Warm starts** — [`MapSolver::refine`] improves a given labeling over
@@ -20,6 +19,10 @@
 //!   an incremental caller makes: a carried start labeling with its
 //!   energy, the frontier around a change, the variables to leave alone,
 //!   and a reusable scratch, all in one call (see [`crate::local`]).
+//!
+//! Solvers run on the calling thread. The trait is `Send + Sync` so that
+//! callers can own solvers on threads of their own (a serving writer, one
+//! scoped thread per shard).
 //!
 //! [`ExactFallback`] composes the exact eliminator with an approximate
 //! fallback and *records why* the fallback fired instead of swallowing the
@@ -79,7 +82,6 @@ type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 pub struct SolveControl {
     deadline: Option<Instant>,
     cancel: Arc<AtomicBool>,
-    linked: Vec<Arc<AtomicBool>>,
     progress: Option<ProgressFn>,
 }
 
@@ -88,7 +90,6 @@ impl Default for SolveControl {
         SolveControl {
             deadline: None,
             cancel: Arc::new(AtomicBool::new(false)),
-            linked: Vec::new(),
             progress: None,
         }
     }
@@ -99,7 +100,6 @@ impl fmt::Debug for SolveControl {
         f.debug_struct("SolveControl")
             .field("deadline", &self.deadline)
             .field("cancelled", &self.is_cancelled())
-            .field("linked_flags", &self.linked.len())
             .field("has_progress", &self.progress.is_some())
             .finish()
     }
@@ -122,9 +122,8 @@ impl SolveControl {
         self.with_deadline(Instant::now() + budget)
     }
 
-    /// Installs a progress callback. Called at iteration granularity from
-    /// whichever thread runs the solver (portfolio members call it
-    /// concurrently).
+    /// Installs a progress callback, called at iteration granularity from
+    /// the thread that runs the solver.
     pub fn with_progress(
         mut self,
         callback: impl Fn(&ProgressEvent) + Send + Sync + 'static,
@@ -144,9 +143,9 @@ impl SolveControl {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation was requested on this control or any linked one.
+    /// Whether cancellation was requested on this control or a clone of it.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed) || self.linked.iter().any(|f| f.load(Ordering::Relaxed))
+        self.cancel.load(Ordering::Relaxed)
     }
 
     /// The absolute deadline, if one is set.
@@ -171,12 +170,6 @@ impl SolveControl {
         self.deadline_exceeded() || self.is_cancelled()
     }
 
-    /// Whether a progress callback is installed — lets solvers skip
-    /// computing expensive per-iteration diagnostics nobody will see.
-    pub fn has_progress(&self) -> bool {
-        self.progress.is_some()
-    }
-
     /// Emits a progress sample (no-op without a callback installed).
     pub fn report(&self, iteration: usize, energy: f64, lower_bound: Option<f64>) {
         if let Some(cb) = &self.progress {
@@ -185,21 +178,6 @@ impl SolveControl {
                 energy,
                 lower_bound,
             });
-        }
-    }
-
-    /// A control for a child solve: shares the deadline and progress sink,
-    /// observes this control's cancellation, but owns a fresh flag so the
-    /// child (and its siblings) can be cancelled without touching the
-    /// parent. Used by [`crate::portfolio::SolverPortfolio`].
-    pub fn child(&self) -> SolveControl {
-        let mut linked = self.linked.clone();
-        linked.push(Arc::clone(&self.cancel));
-        SolveControl {
-            deadline: self.deadline,
-            cancel: Arc::new(AtomicBool::new(false)),
-            linked,
-            progress: self.progress.clone(),
         }
     }
 }
@@ -219,8 +197,8 @@ pub trait MapSolver: Send + Sync {
     fn solve(&self, model: &MrfModel, ctl: &SolveControl) -> Solution;
 
     /// [`MapSolver::solve`] with a caller-owned [`SolveScratch`]: solvers
-    /// that sweep through prepared structure (TRW-S, BP)
-    /// reuse the scratch's allocations across repeated solves — the
+    /// that sweep through prepared structure (TRW-S) reuse the
+    /// scratch's allocations across repeated solves — the
     /// engine's warm re-solve pattern. The scratch is re-prepared for
     /// `model` internally; any previous contents are irrelevant. The
     /// default ignores the scratch.
@@ -236,8 +214,8 @@ pub trait MapSolver: Send + Sync {
 
     /// Improves a caller-supplied labeling, returning a solution whose
     /// energy is no worse than `start`'s. The default runs a fresh
-    /// [`MapSolver::solve`] and keeps the better of the two; local-search
-    /// solvers override it to genuinely warm-start.
+    /// [`MapSolver::solve`] and keeps the better of the two (the start on
+    /// a tie); local-search solvers override it to genuinely warm-start.
     ///
     /// # Panics
     ///
@@ -372,12 +350,20 @@ impl MapSolver for ExactFallback {
     }
 }
 
-/// [`MapSolver::refine`]'s keep-the-better rule: `fresh`, unless `start`
-/// is strictly better, in which case `start` with `fresh`'s bound and
-/// iteration count, not converged.
+/// Relative energy difference [`keep_better`] treats as rounding: two
+/// labelings of equal energy can price a few ulps apart when their terms
+/// sum in a different order.
+const TIE_TOLERANCE: f64 = 1e-12;
+
+/// [`MapSolver::refine`]'s keep-the-better rule: `fresh` only if it is
+/// lower than `start` by more than rounding, both priced by the same
+/// [`MrfModel::energy`]; otherwise `start` with `fresh`'s bound and
+/// iteration count, not converged. A tie keeps the start, so a re-solve
+/// that finds nothing better moves no label.
 pub(crate) fn keep_better(model: &MrfModel, start: Vec<usize>, fresh: Solution) -> Solution {
     let start_energy = model.energy(&start);
-    if fresh.energy() <= start_energy {
+    let fresh_energy = model.energy(fresh.labels());
+    if fresh_energy < start_energy - TIE_TOLERANCE * start_energy.abs().max(1.0) {
         fresh
     } else {
         Solution::new(
@@ -434,17 +420,17 @@ mod tests {
 
     #[test]
     fn cancel_stops_and_links_propagate() {
-        let parent = SolveControl::new();
-        let child = parent.child();
-        assert!(!child.should_stop());
-        parent.cancel();
-        assert!(child.is_cancelled(), "child observes parent cancellation");
-        assert!(!parent.child().cancel_flag().load(Ordering::Relaxed));
-        // Cancelling a child does not cancel the parent.
-        let parent2 = SolveControl::new();
-        let child2 = parent2.child();
-        child2.cancel();
-        assert!(!parent2.is_cancelled());
+        let ctl = SolveControl::new();
+        let clone = ctl.clone();
+        assert!(!clone.should_stop());
+        ctl.cancel();
+        assert!(clone.should_stop(), "a clone shares the cancellation flag");
+        // Setting the flag handed out by `cancel_flag` stops the solve too.
+        let ctl = SolveControl::new();
+        ctl.cancel_flag().store(true, Ordering::Relaxed);
+        assert!(ctl.is_cancelled());
+        // A fresh control does not observe another control's flag.
+        assert!(!SolveControl::new().is_cancelled());
     }
 
     #[test]
@@ -475,6 +461,35 @@ mod tests {
         let ctl = SolveControl::new();
         let refined = Trws::default().refine(&model, vec![0, 1], &ctl);
         assert_eq!(refined.energy(), 0.0);
+    }
+
+    #[test]
+    fn keep_better_keeps_the_start_on_a_tie() {
+        // Both disagreeing labelings cost 0: a fresh solution at the same
+        // energy must not replace the start, whatever energy it reports.
+        let model = two_var_model();
+        let fresh = Solution::new(vec![1, 0], -1e-15, Some(0.0), 3, true);
+        let kept = keep_better(&model, vec![0, 1], fresh);
+        assert_eq!(kept.labels(), &[0, 1]);
+        assert_eq!(kept.energy(), 0.0);
+        assert_eq!(kept.lower_bound(), Some(0.0));
+        assert_eq!(kept.iterations(), 3);
+
+        // Equal energies that round apart: [0, 0] prices at 0.1 + 0.2 =
+        // 0.30000000000000004 and [1, 1] at 0.3 + 0.0 = 0.3.
+        let mut b = MrfBuilder::new();
+        let x = b.add_variable(2);
+        let y = b.add_variable(2);
+        b.set_unary(x, vec![0.1, 0.3]).unwrap();
+        b.set_unary(y, vec![0.2, 0.0]).unwrap();
+        let model = b.build();
+        assert!(model.energy(&[1, 1]) < model.energy(&[0, 0]));
+        let fresh = Solution::new(vec![1, 1], model.energy(&[1, 1]), None, 1, true);
+        assert_eq!(keep_better(&model, vec![0, 0], fresh).labels(), &[0, 0]);
+
+        // A genuinely lower fresh labeling still wins.
+        let fresh = Solution::new(vec![0, 1], model.energy(&[0, 1]), None, 1, true);
+        assert_eq!(keep_better(&model, vec![0, 0], fresh).labels(), &[0, 1]);
     }
 
     #[test]

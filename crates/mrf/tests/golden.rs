@@ -1,16 +1,15 @@
-//! Golden outputs of the three iterative solvers at their default options.
+//! Golden outputs of the two iterative solvers at their default options.
 //!
 //! Each case is a seeded random model built through the mutation API:
 //! label counts 2–5, flat and random unaries, dense edges in both endpoint
 //! orders (so half the potentials are stored transposed), shared
 //! tie-heavy potentials reused across edges, at least ten variable slots
-//! tombstoned by `remove_var` and some of them recycled. For `Trws`, `Bp` and `Icm` the test pins an
+//! tombstoned by `remove_var` and some of them recycled. For `Trws` and `Icm` the test pins an
 //! FNV-1a digest of the labels, the energy's bit pattern and the iteration
 //! count. Any change to a sweep's visit order, tie-breaking or arithmetic
 //! shows up here, which is the point: a refactor of the solver kernels
 //! must leave these numbers exactly as they are.
 
-use mrf::bp::Bp;
 use mrf::icm::Icm;
 use mrf::model::{MrfModel, PotentialId};
 use mrf::solver::{MapSolver, SolveControl};
@@ -153,18 +152,6 @@ fn trws_outputs_are_pinned() {
             (0xfd4a909b054f63e0, 0x404aab15668fa3a4, 100),
             (0x7a92d01cdd5c0f87, 0x4075e4e87fd4df34, 100),
             (0xbafb9f46558220a6, 0x409664e3d65d8fde, 100),
-        ],
-    );
-}
-
-#[test]
-fn bp_outputs_are_pinned() {
-    check(
-        &Bp::default(),
-        [
-            (0x9418dece490f8521, 0x4049ac48c244acab, 38),
-            (0xaf8e9e2b5c058120, 0x4076e686a039b4c6, 100),
-            (0x8da70ba236ae3700, 0x409681622251f960, 100),
         ],
     );
 }

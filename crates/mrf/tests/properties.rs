@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 
-use mrf::bp::{Bp, BpOptions};
 use mrf::elimination::Elimination;
 use mrf::exhaustive::Exhaustive;
 use mrf::icm::{Icm, IcmOptions};
@@ -50,7 +49,7 @@ fn arb_model() -> impl Strategy<Value = MrfModel> {
 }
 
 /// A random tree-structured model: every variable past the first attaches
-/// to a random earlier parent, so elimination is exact and min-sum BP must
+/// to a random earlier parent, so elimination is exact and TRW-S must
 /// converge to the optimum.
 fn arb_tree_model() -> impl Strategy<Value = MrfModel> {
     (
@@ -313,27 +312,6 @@ proptest! {
         prop_assert!(ils.energy() <= icm.energy() + 1e-12);
     }
 
-    /// BP decodes a labeling whose energy the model confirms.
-    #[test]
-    fn bp_energy_is_consistent(model in arb_model()) {
-        let s = Bp::new(BpOptions::default()).solve(&model, &SolveControl::new());
-        prop_assert!((model.energy(s.labels()) - s.energy()).abs() < 1e-9);
-        let brute = Exhaustive::new().solve(&model, &SolveControl::new());
-        prop_assert!(s.energy() >= brute.energy() - 1e-9);
-    }
-
-    /// On tree-structured models min-sum BP is exact: its decoded energy
-    /// agrees with bucket elimination's certified optimum.
-    #[test]
-    fn bp_matches_elimination_on_trees(model in arb_tree_model()) {
-        let exact = Elimination::default()
-            .solve_exact(&model, &SolveControl::new())
-            .unwrap();
-        let s = Bp::new(BpOptions::default()).solve(&model, &SolveControl::new());
-        prop_assert!((s.energy() - exact.energy()).abs() < 1e-6,
-            "bp {} vs elimination {}", s.energy(), exact.energy());
-    }
-
     /// On tree-structured models TRW-S closes its duality gap: the decoded
     /// energy agrees with elimination and the bound certifies it.
     #[test]
@@ -352,7 +330,6 @@ proptest! {
     fn solvers_respect_domains(model in arb_model()) {
         for labels in [
             Trws::new(TrwsOptions::default()).solve(&model, &SolveControl::new()).labels().to_vec(),
-            Bp::new(BpOptions::default()).solve(&model, &SolveControl::new()).labels().to_vec(),
             Icm::default().solve(&model, &SolveControl::new()).labels().to_vec(),
             Elimination::default().solve_exact(&model, &SolveControl::new()).unwrap().labels().to_vec(),
         ] {

@@ -175,7 +175,6 @@ fn legacy_hosts_never_change_products() {
 
 #[test]
 fn exact_solver_beats_or_matches_every_other_solver_on_the_case_study() {
-    use mrf::bp::BpOptions;
     use mrf::icm::IcmOptions;
     use mrf::trws::TrwsOptions;
     let cs = CaseStudy::build();
@@ -184,7 +183,6 @@ fn exact_solver_beats_or_matches_every_other_solver_on_the_case_study() {
         .unwrap();
     for solver in [
         SolverKind::Trws(TrwsOptions::default()),
-        SolverKind::Bp(BpOptions::default()),
         SolverKind::Icm(IcmOptions::default()),
     ] {
         let other = DiversityOptimizer::new()

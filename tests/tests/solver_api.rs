@@ -1,18 +1,12 @@
-//! Integration tests for the `MapSolver` redesign: portfolio dominance,
-//! deadline-limited anytime solves, cancellation, and progress reporting.
+//! Integration tests for the `MapSolver` redesign: deadline-limited
+//! anytime solves, cancellation, and progress reporting.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::prelude::*;
-
-use ics_diversity::optimizer::{DiversityOptimizer, SolverKind};
-use mrf::icm::IcmOptions;
-use mrf::portfolio::SolverPortfolio;
+use ics_diversity::optimizer::DiversityOptimizer;
 use mrf::solver::{MapSolver, SolveControl};
-use mrf::trws::TrwsOptions;
-use netmodel::casestudy::CaseStudy;
 use netmodel::constraints::{Constraint, ConstraintSet};
 use netmodel::topology::{generate, RandomNetworkConfig, TopologyKind};
 
@@ -24,49 +18,6 @@ fn config(hosts: usize, degree: usize) -> RandomNetworkConfig {
         products_per_service: 3,
         vendors_per_service: 2,
         topology: TopologyKind::Random,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The portfolio's energy never exceeds the minimum of its members'
-    /// energies on seeded random networks (it returns the best member).
-    #[test]
-    fn portfolio_energy_at_most_min_of_members(
-        hosts in 6usize..30,
-        degree in 2usize..6,
-        seed in 0u64..500,
-    ) {
-        let g = generate(&config(hosts, degree), seed);
-        let energy = ics_diversity::energy::build_energy(
-            &g.network,
-            &g.similarity,
-            &netmodel::constraints::ConstraintSet::new(),
-            ics_diversity::energy::EnergyParams::default(),
-        )
-        .unwrap();
-        let model = energy.model();
-        let outcome = SolverPortfolio::standard()
-            .solve_detailed(model, &SolveControl::new());
-        let min_member = outcome
-            .reports
-            .iter()
-            .map(|r| r.energy)
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!(
-            outcome.solution.energy() <= min_member + 1e-9,
-            "portfolio {} worse than best member {}",
-            outcome.solution.energy(),
-            min_member
-        );
-        // The reported winner is consistent with the returned solution.
-        let winner = outcome.reports.iter().find(|r| r.winner).unwrap();
-        prop_assert!((winner.energy - outcome.solution.energy()).abs() < 1e-12);
-        // Any certified bound brackets the returned energy.
-        if let Some(lb) = outcome.solution.lower_bound() {
-            prop_assert!(lb <= outcome.solution.energy() + 1e-7);
-        }
     }
 }
 
@@ -84,12 +35,7 @@ fn deadline_limited_solve_returns_valid_assignment() {
     let mut constraints = ConstraintSet::new();
     constraints.push(Constraint::fix(host, inst.service(), pinned));
 
-    let optimizer = DiversityOptimizer::new()
-        .with_solver(SolverKind::Portfolio(vec![
-            SolverKind::Trws(TrwsOptions::default()),
-            SolverKind::Icm(IcmOptions::default()),
-        ]))
-        .with_time_budget(Duration::from_millis(10));
+    let optimizer = DiversityOptimizer::new().with_time_budget(Duration::from_millis(10));
     let solved = optimizer
         .optimize_constrained(&g.network, &g.similarity, &constraints)
         .expect("deadline-limited solve still produces an assignment");
@@ -101,33 +47,6 @@ fn deadline_limited_solve_returns_valid_assignment() {
             .product_for(&g.network, host, inst.service()),
         Some(pinned)
     );
-}
-
-/// Acceptance: a deadline-limited portfolio solve on the ICS case study
-/// returns a valid assignment with energy ≤ the best single member's.
-#[test]
-fn case_study_portfolio_beats_single_members_under_deadline() {
-    let cs = CaseStudy::build();
-    let ctl = SolveControl::new().with_budget(Duration::from_millis(500));
-    let energy = ics_diversity::energy::build_energy(
-        &cs.network,
-        &cs.similarity,
-        &ConstraintSet::new(),
-        ics_diversity::energy::EnergyParams::default(),
-    )
-    .unwrap();
-    let outcome = SolverPortfolio::standard().solve_detailed(energy.model(), &ctl);
-    let assignment = energy.decode(outcome.solution.labels());
-    assignment.validate(&cs.network).unwrap();
-    for report in &outcome.reports {
-        assert!(
-            outcome.solution.energy() <= report.energy + 1e-9,
-            "portfolio {} worse than member {} ({})",
-            outcome.solution.energy(),
-            report.name,
-            report.energy
-        );
-    }
 }
 
 /// Cancellation stops a long solve promptly and still yields a labeling.

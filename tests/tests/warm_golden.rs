@@ -354,9 +354,9 @@ fn trws_refiner_warm_steps_are_pinned() {
             (0x51e3cfa57d965765, &[(0, true, 2)], 0.13823890017584028),
             (0xa17d6c86ee0bfaa4, &[(0, true, 2)], 0.1221592667838935),
             (0x7f65f1f9b9f08404, &[(0, true, 1)], 0.1060796333919467),
-            (0xa26f258dd968ede4, &[(0, false, 10)], 0.10607963339194677),
-            (0x74662b5bee457885, &[(0, true, 1)], 0.08607963339194677),
-            (0x74662b5bee457885, &[(0, false, 8)], 0.08607963339194677),
+            (0x7f65f1f9b9f08404, &[(0, false, 10)], 0.10607963339194677),
+            (0x515cf7c7cecd0ea5, &[(0, true, 1)], 0.08607963339194677),
+            (0x515cf7c7cecd0ea5, &[(0, false, 8)], 0.08607963339194677),
         ],
     );
 }
