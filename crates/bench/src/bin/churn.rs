@@ -233,6 +233,13 @@ SERVING TELEMETRY (--serve mode, replacing the per-step table):
                  because the helper was still simulating.
 ";
 
+/// Reports a bad command line (status 2) or an unusable journal (status
+/// 1) as one `churn: ` line on stderr and exits.
+fn exit_with(status: i32, message: impl std::fmt::Display) -> ! {
+    eprintln!("churn: {message}");
+    std::process::exit(status)
+}
+
 fn fmt_mttc(e: &MttcEstimate) -> String {
     match e.mean_ticks() {
         Some(mean) => format!("{mean:.1} ({:.0}%)", 100.0 * e.success_rate()),
@@ -443,8 +450,12 @@ fn build_topology(
             );
             (generate_tiered_enterprise(&cfg, 2026), label)
         }
-        Some(other) => panic!(
-            "unknown --scenario {other:?} (fat-tree, scale-free, enterprise, adaptive, cve-feed)"
+        Some(other) => exit_with(
+            2,
+            format!(
+                "unknown --scenario {other:?} (fat-tree, scale-free, enterprise, adaptive, \
+                 cve-feed)"
+            ),
         ),
     }
 }
@@ -1192,9 +1203,12 @@ fn run_replay(path: &str, solver: Option<&str>) {
         "ils" => SolverKind::Ils(Default::default()),
         "exhaustive" => SolverKind::Exhaustive,
         "exact" => SolverKind::Exact(Default::default()),
-        other => panic!("unknown --solver {other:?} (trws, icm, ils, exhaustive, exact)"),
+        other => exit_with(
+            2,
+            format!("unknown --solver {other:?} (trws, icm, ils, exhaustive, exact)"),
+        ),
     });
-    let read = read_records(path).expect("journal reads");
+    let read = read_records(path).unwrap_or_else(|e| exit_with(1, e));
     if let Some(why) = &read.corruption {
         println!(
             "warning: journal damaged after {} valid bytes — replaying the valid prefix ({why})\n",
@@ -1209,7 +1223,12 @@ fn run_replay(path: &str, solver: Option<&str>) {
             Record::Mark(m) if m.label == "churn-config" => Some(m.clone()),
             _ => None,
         })
-        .expect("journal has no churn-config mark — record one with: churn --journal PATH");
+        .unwrap_or_else(|| {
+            exit_with(
+                1,
+                format!("{path} has no churn-config mark — record one with: churn --journal PATH"),
+            )
+        });
     let entry = HostId(cfg.field("entry").expect("config mark has entry") as u32);
     let target = HostId(cfg.field("target").expect("config mark has target") as u32);
     let runs = cfg.field("mttc_runs").map_or(150, |r| r as usize);
@@ -1240,8 +1259,7 @@ fn run_replay(path: &str, solver: Option<&str>) {
     // estimator). With --solver, replay is the what-if mode: every burst
     // re-solves under that configuration and the trajectory diff shows how
     // it diverges from the recording.
-    let checkpoint =
-        Checkpoint::find(&read.records).expect("journal holds a valid preamble + snapshot");
+    let checkpoint = Checkpoint::find(&read.records).unwrap_or_else(|e| exit_with(1, e));
     println!(
         "Replaying {path} — {} records, snapshot at revision {}, {} recorded bursts, \
          {} hosts; solver: {}\n",
@@ -1307,8 +1325,7 @@ fn run_replay(path: &str, solver: Option<&str>) {
         None => checkpoint.replay(&mut row).map(drop),
     };
     if let Err(diverged) = replay {
-        eprintln!("{diverged}");
-        std::process::exit(1);
+        exit_with(1, diverged);
     }
     println!("{t}");
     println!(

@@ -108,11 +108,20 @@ fn scenario_cve_feed_smokes() {
     }
 }
 
+/// Runs `churn` on bad input and returns its stderr, checking it exits
+/// with `status` and a `churn: ` message, not a panic.
+fn rejected(args: &[&str], status: i32) -> String {
+    let out = churn(args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(status), "churn {args:?}:\n{err}");
+    assert!(err.starts_with("churn: "), "churn {args:?}:\n{err}");
+    assert!(!err.contains("panicked"), "churn {args:?}:\n{err}");
+    err
+}
+
 #[test]
 fn unknown_scenario_is_rejected() {
-    let out = churn(&["--scenario", "nope"]);
-    assert!(!out.status.success(), "unknown scenario must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
+    let err = rejected(&["--scenario", "nope"], 2);
     assert!(
         err.contains("unknown --scenario"),
         "names the error:\n{err}"
@@ -123,13 +132,17 @@ fn unknown_scenario_is_rejected() {
 fn unknown_solver_is_rejected() {
     // The solver name is checked before the journal is read, so no
     // recording is needed.
-    let out = churn(&["--replay", "no-such.log", "--solver", "bp"]);
-    assert!(!out.status.success(), "unknown solver must fail");
-    let err = String::from_utf8_lossy(&out.stderr);
+    let err = rejected(&["--replay", "x.log", "--solver", "bp"], 2);
     assert!(
         err.contains("unknown --solver \"bp\" (trws, icm, ils, exhaustive, exact)"),
         "names the error and the accepted solvers:\n{err}"
     );
+}
+
+#[test]
+fn unreadable_journal_is_rejected() {
+    let err = rejected(&["--replay", "no-such.log"], 1);
+    assert!(err.contains("no-such.log"), "names the file:\n{err}");
 }
 
 #[test]

@@ -340,6 +340,25 @@ impl DiversityEngine {
             .map_or(Ok(()), |j| j.mark(label, fields))
     }
 
+    /// The attached journal, if any: its path, sequence number and
+    /// compaction failures ([`Journal::compaction_failures`]).
+    pub fn journal(&self) -> Option<&Journal> {
+        self.journal.as_ref()
+    }
+
+    /// Waits for the journal's in-flight periodic compaction, if any
+    /// ([`Journal::wait_for_compaction`]).
+    pub fn wait_for_compaction(&mut self) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.wait_for_compaction();
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn journal_mut(&mut self) -> Option<&mut Journal> {
+        self.journal.as_mut()
+    }
+
     /// The current network (with revision counters).
     pub fn network(&self) -> &Network {
         &self.network

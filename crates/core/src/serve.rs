@@ -105,6 +105,7 @@ use sim::mttc::{estimate_mttc, MttcEstimate, MttcOptions};
 use sim::scenario::Scenario;
 
 use crate::engine::{DiversityEngine, ReassignmentReport};
+use crate::journal::Journal;
 use crate::shard::{ShardReport, ShardedEngine};
 use crate::snapshot::{Snapshot, SnapshotCell, SnapshotReader};
 use crate::{Error, Result};
@@ -280,6 +281,23 @@ impl WriterCore {
         }
     }
 
+    /// The attached journal, if any — see [`DiversityEngine::journal`].
+    pub fn journal(&self) -> Option<&Journal> {
+        match self {
+            WriterCore::Single(engine) => engine.journal(),
+            WriterCore::Sharded(engine) => engine.journal(),
+        }
+    }
+
+    /// Waits for the journal's in-flight periodic compaction, if any —
+    /// see [`DiversityEngine::wait_for_compaction`].
+    pub fn wait_for_compaction(&mut self) {
+        match self {
+            WriterCore::Single(engine) => engine.wait_for_compaction(),
+            WriterCore::Sharded(engine) => engine.wait_for_compaction(),
+        }
+    }
+
     /// The core's (master) network at its current revision.
     pub fn network(&self) -> &Network {
         match self {
@@ -445,6 +463,13 @@ pub struct ServingStats {
     pub probes_dropped: u64,
     /// The most recent rejected burst, attributed.
     pub last_rejection: Option<Rejection>,
+    /// Periodic journal compactions that failed, forwarded from
+    /// [`Journal::compaction_failures`]. Each left the journal file as it
+    /// was and is retried at the next commit; the bursts stay absorbed
+    /// and published.
+    pub compaction_failures: u64,
+    /// The error of the most recent failed compaction.
+    pub last_compaction_error: Option<String>,
 }
 
 /// What [`ServingEngine::shutdown`] drained and where serving stopped.
@@ -852,6 +877,7 @@ fn drain_queued(rx: &Receiver<Msg>, burst: &mut Vec<NetworkDelta>) -> bool {
 fn writer_loop(mut core: WriterCore, rx: &Receiver<Msg>, ctx: &WriterCtx) -> WriterCore {
     let mut epoch = ctx.cell.epoch();
     let mut absorbed_total: u64 = 0;
+    let mut failures_seen = 0;
     while let Ok(Msg::Deltas(mut burst)) = rx.recv() {
         // Coalesce: everything queued behind the first message joins the
         // same batch. The gate sits between the two drains so bursts
@@ -932,11 +958,28 @@ fn writer_loop(mut core: WriterCore, rx: &Receiver<Msg>, ctx: &WriterCtx) -> Wri
                 });
             }
         }
+        forward_compaction_failures(&core, &ctx.stats, &mut failures_seen);
         if shutdown {
             break;
         }
     }
+    core.wait_for_compaction();
+    forward_compaction_failures(&core, &ctx.stats, &mut failures_seen);
     core
+}
+
+/// Copies the journal's compaction failures into the serving stats when
+/// it counted one since `seen`.
+fn forward_compaction_failures(core: &WriterCore, stats: &Mutex<ServingStats>, seen: &mut u64) {
+    let Some(journal) = core.journal() else {
+        return;
+    };
+    if journal.compaction_failures() != *seen {
+        *seen = journal.compaction_failures();
+        let mut stats = stats.lock().expect("stats lock poisoned");
+        stats.compaction_failures = *seen;
+        stats.last_compaction_error = journal.last_compaction_error().map(str::to_owned);
+    }
 }
 
 /// Shard/index attribution of an absorb failure, for
@@ -1078,6 +1121,28 @@ mod tests {
         let (_core, report) = serving.shutdown();
         assert_eq!(report.last_revision, 1);
         assert_eq!(report.stats.bursts_rejected, 1);
+    }
+
+    #[test]
+    fn a_failed_compaction_still_publishes_its_burst_and_is_counted() {
+        let dir = std::env::temp_dir().join(format!("ics-serve-compaction-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("journal directory");
+        let engine = single(8, 7)
+            .with_journal_cadence(dir.join("journal.log"), Some(1))
+            .expect("journal attaches");
+        let serving = ServingEngine::start(engine).expect("initial solve");
+        // The burst's record still lands (the append handle stays open),
+        // but its compaction cannot create a temp file.
+        std::fs::remove_dir_all(&dir).expect("directory removed");
+        serving.submit(vec![NetworkDelta::remove_host(HostId(7))]);
+        assert!(serving.wait_for_revision(1, LONG), "the burst is published");
+        let (core, report) = serving.shutdown();
+        assert_eq!(report.stats.bursts_rejected, 0);
+        assert_eq!(report.stats.batches_absorbed, 1);
+        assert_eq!(report.stats.compaction_failures, 1);
+        let error = report.stats.last_compaction_error.expect("error kept");
+        assert!(error.contains("compact-tmp"), "{error}");
+        assert_eq!(core.journal().map(Journal::compaction_failures), Some(1));
     }
 
     #[test]

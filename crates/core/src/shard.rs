@@ -628,6 +628,19 @@ impl ShardedEngine {
             .map_or(Ok(()), |j| j.mark(label, fields))
     }
 
+    /// The attached journal, if any — see [`DiversityEngine::journal`].
+    pub fn journal(&self) -> Option<&Journal> {
+        self.journal.as_ref()
+    }
+
+    /// Waits for the journal's in-flight periodic compaction, if any —
+    /// see [`DiversityEngine::wait_for_compaction`].
+    pub fn wait_for_compaction(&mut self) {
+        if let Some(journal) = self.journal.as_mut() {
+            journal.wait_for_compaction();
+        }
+    }
+
     /// The `ALL`-scoped subset of the stored constraint set — what a shard
     /// created for a new zone starts under.
     fn all_scoped_constraints(&self) -> ConstraintSet {

@@ -104,8 +104,13 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 
 /// The IEEE CRC-32 of `bytes` (the variant used by zip/gzip/Ethernet).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// Folds `bytes` into a running (pre-inverted) CRC-32 state, so a long
+/// line can be checksummed in slices.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = !0u32;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
@@ -122,7 +127,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
 }
 
 // ---------------------------------------------------------------------------
@@ -251,9 +256,13 @@ impl Record {
     fn encode_into(&self, out: &mut String) {
         match self {
             Record::Preamble(p) => encode_preamble(out, p),
-            Record::Snapshot(s) => {
-                encode_snapshot(out, s.revision, &s.network, s.assignment.as_ref())
-            }
+            Record::Snapshot(s) => encode_snapshot(
+                out,
+                s.revision,
+                &s.network,
+                s.assignment.as_ref(),
+                &mut no_pause,
+            ),
             Record::Batch(b) => {
                 let rows = b.assignment.as_ref().map(|c| {
                     let rows = c.rows.iter().map(|(host, row)| (*host, row.as_slice()));
@@ -268,7 +277,7 @@ impl Record {
     /// Encodes the record as a full journal line: checksum, space, JSON,
     /// newline.
     pub fn to_line(&self) -> String {
-        framed(128, |out| self.encode_into(out))
+        framed(128, &mut no_pause, |out, _| self.encode_into(out))
     }
 
     /// Decodes one record from its JSON body (checksum already verified).
@@ -308,7 +317,7 @@ pub fn batch_line(
     let empty = Assignment::default();
     let base = base.unwrap_or(&empty);
     let rows = assignment.map(|a| (a.host_rows(), a.changed_rows(base)));
-    framed(128 + 64 * deltas.len(), |out| {
+    framed(128 + 64 * deltas.len(), &mut no_pause, |out, _| {
         encode_batch(out, seq, revision, deltas, rows)
     })
 }
@@ -317,21 +326,64 @@ pub fn batch_line(
 /// encoded from borrowed parts: byte-identical to
 /// `Record::Snapshot(..).to_line()` without cloning the network.
 pub fn snapshot_line(network: &Network, assignment: Option<&Assignment>) -> String {
+    snapshot_line_sliced(network, assignment, no_pause)
+}
+
+/// Hosts (or assignment rows) [`snapshot_line_sliced`] encodes between two
+/// pauses.
+const SLICE_HOSTS: usize = 256;
+/// Links [`snapshot_line_sliced`] encodes between two pauses.
+const SLICE_LINKS: usize = 2048;
+/// Line bytes [`snapshot_line_sliced`] checksums between two pauses.
+const SLICE_BYTES: usize = 256 * 1024;
+
+/// [`snapshot_line`] in slices: `pause` runs after every 256 hosts, every
+/// 2,048 links, every 256 assignment rows and every 256 KiB checksummed,
+/// so a background thread encoding a large snapshot can give up the
+/// processor between slices. The line is byte-identical to
+/// [`snapshot_line`]'s.
+pub fn snapshot_line_sliced(
+    network: &Network,
+    assignment: Option<&Assignment>,
+    mut pause: impl FnMut(),
+) -> String {
     let capacity = 256 + 128 * network.host_count() + 16 * network.links().len();
-    framed(capacity, |out| {
-        encode_snapshot(out, network.revision(), network, assignment)
+    framed(capacity, &mut pause, |out, pause| {
+        encode_snapshot(out, network.revision(), network, assignment, pause)
     })
+}
+
+/// The pause of an encoding nobody paces.
+fn no_pause() {}
+
+/// Calls `pause` before item `i` of a run when `i` starts a new slice of
+/// `per` items.
+fn slice_boundary(i: usize, per: usize, pause: &mut impl FnMut()) {
+    if i > 0 && i.is_multiple_of(per) {
+        pause();
+    }
 }
 
 /// Encodes one record body with `encode` behind a checksum placeholder,
 /// then fills in the checksum and the newline — the JSON is written once,
-/// into the line itself.
-fn framed(capacity: usize, encode: impl FnOnce(&mut String)) -> String {
+/// into the line itself. `pause` is handed to `encode` and runs between
+/// the checksum's slices.
+fn framed<P: FnMut()>(
+    capacity: usize,
+    pause: &mut P,
+    encode: impl FnOnce(&mut String, &mut P),
+) -> String {
     let mut line = String::with_capacity(capacity);
     line.push_str("00000000 ");
-    encode(&mut line);
-    let crc = crc32(&line.as_bytes()[9..]);
-    line.replace_range(..8, &format!("{crc:08x}"));
+    encode(&mut line, pause);
+    let mut crc = !0;
+    for (i, slice) in line.as_bytes()[9..].chunks(SLICE_BYTES).enumerate() {
+        if i > 0 {
+            pause();
+        }
+        crc = crc32_update(crc, slice);
+    }
+    line.replace_range(..8, &format!("{:08x}", !crc));
     line.push('\n');
     line
 }
@@ -605,9 +657,10 @@ fn encode_constraints(out: &mut String, set: &ConstraintSet) {
     out.push(']');
 }
 
-fn encode_network(out: &mut String, n: &Network) {
+fn encode_network(out: &mut String, n: &Network, pause: &mut impl FnMut()) {
     out.push_str("{\"hosts\":[");
     for (i, (_, h)) in n.iter_hosts().enumerate() {
+        slice_boundary(i, SLICE_HOSTS, pause);
         if i > 0 {
             out.push(',');
         }
@@ -628,6 +681,7 @@ fn encode_network(out: &mut String, n: &Network) {
     }
     out.push_str("],\"links\":[");
     for (i, &(a, b)) in n.links().iter().enumerate() {
+        slice_boundary(i, SLICE_LINKS, pause);
         if i > 0 {
             out.push(',');
         }
@@ -650,12 +704,18 @@ fn encode_network(out: &mut String, n: &Network) {
     out.push('}');
 }
 
-fn encode_assignment(out: &mut String, a: Option<&Assignment>, host_count: usize) {
+fn encode_assignment(
+    out: &mut String,
+    a: Option<&Assignment>,
+    host_count: usize,
+    pause: &mut impl FnMut(),
+) {
     match a {
         None => out.push_str("null"),
         Some(a) => {
             out.push('[');
             for host in 0..host_count {
+                slice_boundary(host, SLICE_HOSTS, pause);
                 if host > 0 {
                     out.push(',');
                 }
@@ -754,12 +814,13 @@ fn encode_snapshot(
     revision: u64,
     network: &Network,
     assignment: Option<&Assignment>,
+    pause: &mut impl FnMut(),
 ) {
     push_field(out, "{\"kind\":\"snapshot\",\"revision\":", revision);
     out.push_str(",\"network\":");
-    encode_network(out, network);
+    encode_network(out, network, pause);
     out.push_str(",\"assignment\":");
-    encode_assignment(out, assignment, network.host_count());
+    encode_assignment(out, assignment, network.host_count(), pause);
     out.push('}');
 }
 
@@ -1330,6 +1391,41 @@ mod tests {
                 assignment: assignment.cloned(),
             });
             assert_eq!(snapshot_line(&network, assignment), record.to_line());
+        }
+    }
+
+    #[test]
+    fn sliced_snapshot_line_is_byte_identical() {
+        use crate::topology::{generate, RandomNetworkConfig, TopologyKind};
+        // Large enough for every slice kind: 3,000 hosts, ~12,000 links,
+        // a line over 256 KiB.
+        let g = generate(
+            &RandomNetworkConfig {
+                hosts: 3000,
+                mean_degree: 8,
+                services: 2,
+                products_per_service: 3,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            11,
+        );
+        let network = g.network;
+        let rows = network
+            .iter_hosts()
+            .map(|(_, h)| h.services().iter().map(|s| s.candidates()[0]).collect())
+            .collect();
+        let assignment = Assignment::from_slots(rows);
+        for assignment in [None, Some(&assignment)] {
+            let mut pauses = 0;
+            let sliced = snapshot_line_sliced(&network, assignment, || pauses += 1);
+            assert_eq!(sliced, snapshot_line(&network, assignment));
+            let expected = (3000 - 1) / SLICE_HOSTS
+                + (network.links().len() - 1) / SLICE_LINKS
+                + assignment.map_or(0, |_| (3000 - 1) / SLICE_HOSTS)
+                + (sliced.len() - 10 - 1) / SLICE_BYTES;
+            assert!(sliced.len() > SLICE_BYTES, "line of {} bytes", sliced.len());
+            assert_eq!(pauses, expected);
         }
     }
 

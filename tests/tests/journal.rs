@@ -148,13 +148,20 @@ proptest! {
     /// same network (revision counters included), same revision, same
     /// topology revision, same assignment, objective within 1e-9 — across
     /// arbitrary delta streams, burst sizes and snapshot cadences
-    /// (including compaction).
+    /// (including compaction). Recovery runs after every commit, so with
+    /// a cadence of 1 or 2 it reads the file while background compactions
+    /// are still in flight.
     #[test]
     fn recovery_matches_live_engine(
         config in arb_config(),
         seed in 0u64..200,
         steps in 1usize..8,
-        cadence in prop_oneof![Just(None), Just(Some(2usize)), Just(Some(64usize))],
+        cadence in prop_oneof![
+            Just(None),
+            Just(Some(1usize)),
+            Just(Some(2usize)),
+            Just(Some(64usize))
+        ],
     ) {
         let path = tmp_path("prop");
         let g = generate(&config, seed);
@@ -166,36 +173,41 @@ proptest! {
         for step in 0..steps {
             let burst = valid_burst(&live, &mut rng, 1 + step % 3);
             live.apply_batch(&burst).map_err(fail("apply_batch"))?;
-        }
 
-        let recovered = recover(&path).map_err(fail("recover"))?;
-        prop_assert_eq!(recovered.network(), live.network());
-        prop_assert_eq!(recovered.revision(), live.revision());
-        prop_assert_eq!(
-            recovered.network().topology_revision(),
-            live.network().topology_revision()
-        );
-        prop_assert_eq!(recovered.assignment(), live.assignment());
-        let (live_obj, back_obj) = (objective(&live), objective(&recovered));
-        prop_assert!(
-            (live_obj - back_obj).abs() <= 1e-9,
-            "objective drifted: live {} vs recovered {}",
-            live_obj,
-            back_obj
-        );
+            let recovered = recover(&path).map_err(fail("recover"))?;
+            prop_assert_eq!(recovered.network(), live.network());
+            prop_assert_eq!(recovered.revision(), live.revision());
+            prop_assert_eq!(
+                recovered.network().topology_revision(),
+                live.network().topology_revision()
+            );
+            prop_assert_eq!(recovered.assignment(), live.assignment());
+            let (live_obj, back_obj) = (objective(&live), objective(&recovered));
+            prop_assert!(
+                (live_obj - back_obj).abs() <= 1e-9,
+                "objective drifted: live {} vs recovered {}",
+                live_obj,
+                back_obj
+            );
+        }
+        // Dropping the engine lands its last compaction before the file
+        // goes.
+        drop(live);
         std::fs::remove_file(&path).ok();
     }
 
-    /// The sharded engine journals through the same hook: with cadence 2
-    /// (a compaction every other burst) and bursts that add hosts — some
-    /// to fresh zones, creating shards — and remove others, recovery
-    /// reproduces its network and assignment exactly.
+    /// The sharded engine journals through the same hook: with cadence 1
+    /// or 2 (a compaction every burst or every other one) and bursts that
+    /// add hosts — some to fresh zones, creating shards — and remove
+    /// others, recovery after every commit reproduces its network and
+    /// assignment exactly.
     #[test]
     fn sharded_recovery_matches_live_engine(
         zones in 2usize..4,
         hosts_per_zone in 3usize..7,
         seed in 0u64..200,
         steps in 1usize..7,
+        cadence in 1usize..3,
     ) {
         let path = tmp_path("prop-sharded");
         let g = generate_zoned(
@@ -212,19 +224,20 @@ proptest! {
             seed,
         );
         let mut live = ShardedEngine::new(g.network, g.catalog, g.similarity)
-            .with_journal_cadence(&path, Some(2))
+            .with_journal_cadence(&path, Some(cadence))
             .map_err(fail("attach journal"))?;
         live.solve().map_err(fail("cold solve"))?;
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5DEE_CE66_D1CE_4E5B);
         for step in 0..steps {
             let burst = churning_burst(live.network(), live.catalog(), &mut rng, step);
             live.apply_batch(&burst).map_err(fail("apply_batch"))?;
-        }
 
-        let recovered = recover(&path).map_err(fail("recover"))?;
-        prop_assert_eq!(recovered.network(), live.network());
-        prop_assert_eq!(recovered.revision(), live.revision());
-        prop_assert_eq!(recovered.assignment(), live.assignment());
+            let recovered = recover(&path).map_err(fail("recover"))?;
+            prop_assert_eq!(recovered.network(), live.network());
+            prop_assert_eq!(recovered.revision(), live.revision());
+            prop_assert_eq!(recovered.assignment(), live.assignment());
+        }
+        drop(live);
         std::fs::remove_file(&path).ok();
     }
 }
@@ -358,11 +371,12 @@ fn single_byte_flips_are_always_detected_never_absorbed() {
 }
 
 /// A compaction that fails is retried at the next commit, not a whole
-/// cadence later. With cadence 2 the second commit is due to compact, but
-/// its directory is gone: the commit lands in memory and then reports the
-/// journal error (today's "committed, then `Err`" contract). Once the
-/// directory is back, the third commit compacts and the journal recovers
-/// revision 3. Both engines run the sequence: they share one journal hook.
+/// cadence later, and does not fail the commit that started it. With
+/// cadence 2 the second commit is due to compact, but its directory is
+/// gone: the commit succeeds, and the background compaction fails, is
+/// counted and leaves no temp file. Once the directory is back, the third
+/// commit compacts again and the journal recovers revision 3. Both engines
+/// run the sequence: they share one journal hook.
 #[test]
 fn failed_compaction_is_retried_at_the_next_commit() {
     for sharded in [false, true] {
@@ -404,13 +418,25 @@ fn failed_compaction_is_retried_at_the_next_commit() {
         };
         mandate(&mut core, 0).expect("first commit journals");
         std::fs::remove_dir_all(&dir).expect("directory removed");
-        assert!(
-            mandate(&mut core, 1).is_err(),
-            "sharded {sharded}: the compaction cannot create its file"
-        );
+        mandate(&mut core, 1).expect("a failing compaction does not fail the commit");
         assert_eq!(core.revision(), 2, "sharded {sharded}: the commit stands");
+        core.wait_for_compaction();
+        let journal = core.journal().expect("journal attached");
+        assert_eq!(journal.compaction_failures(), 1, "sharded {sharded}");
+        let error = journal.last_compaction_error().expect("error kept");
+        assert!(
+            error.contains("compact-tmp"),
+            "sharded {sharded}: the compaction cannot create its file: {error}"
+        );
         std::fs::create_dir_all(&dir).expect("directory restored");
         mandate(&mut core, 2).expect("third commit journals");
+        core.wait_for_compaction();
+        assert_eq!(
+            core.journal().unwrap().compaction_failures(),
+            1,
+            "sharded {sharded}: the retry succeeded"
+        );
+        assert!(!path.with_extension("compact-tmp").exists());
         let recovered = recover(&path).expect("the retried compaction wrote the journal");
         assert_eq!(recovered.revision(), 3, "sharded {sharded}");
         assert_eq!(recovered.network(), core.network(), "sharded {sharded}");
