@@ -22,7 +22,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ics_diversity::cache::EnergyCache;
-use ics_diversity::energy::EnergyParams;
 use ics_diversity::engine::DiversityEngine;
 use netmodel::constraints::ConstraintSet;
 use netmodel::delta::NetworkDelta;
@@ -78,13 +77,8 @@ fn bench_model_maintenance(c: &mut Criterion) {
     // cost matrices warm.
     group.bench_with_input(BenchmarkId::from_parameter("model_edit"), &g, |b, g| {
         let mut network = g.network.clone();
-        let mut cache = EnergyCache::new(
-            &network,
-            &g.similarity,
-            &ConstraintSet::new(),
-            EnergyParams::default(),
-        )
-        .expect("instance builds");
+        let mut cache = EnergyCache::new(&network, &g.similarity, &ConstraintSet::new())
+            .expect("instance builds");
         let mut fix = true;
         b.iter(|| {
             let effect = network
@@ -102,13 +96,8 @@ fn bench_model_maintenance(c: &mut Criterion) {
     // Cache-level, a link toggle: no domain moves, so no variable does.
     group.bench_with_input(BenchmarkId::from_parameter("link_edit"), &g, |b, g| {
         let mut network = g.network.clone();
-        let mut cache = EnergyCache::new(
-            &network,
-            &g.similarity,
-            &ConstraintSet::new(),
-            EnergyParams::default(),
-        )
-        .expect("instance builds");
+        let mut cache = EnergyCache::new(&network, &g.similarity, &ConstraintSet::new())
+            .expect("instance builds");
         let (x, y) = link_pair(g);
         let mut add = true;
         b.iter(|| {

@@ -13,7 +13,7 @@
 
 use criterion::{BenchmarkId, Criterion};
 
-use ics_diversity::energy::{build_energy, EnergyModel, EnergyParams};
+use ics_diversity::energy::{build_energy, EnergyModel};
 use ics_diversity::optimizer::SolverKind;
 use mrf::icm::IcmOptions;
 use mrf::order::SolveScratch;
@@ -49,13 +49,7 @@ fn instance(hosts: usize) -> GeneratedNetwork {
 }
 
 fn energy_for(g: &GeneratedNetwork) -> EnergyModel {
-    build_energy(
-        &g.network,
-        &g.similarity,
-        &ConstraintSet::new(),
-        EnergyParams::default(),
-    )
-    .expect("instance builds")
+    build_energy(&g.network, &g.similarity, &ConstraintSet::new()).expect("instance builds")
 }
 
 fn solver_cases() -> [(&'static str, SolverKind); 2] {

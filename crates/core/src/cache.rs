@@ -58,8 +58,8 @@
 //! domain and link revision counters
 //! ([`netmodel::network::Network::host_revision`] /
 //! [`netmodel::network::Network::link_revision`]). Only refreshes with no
-//! synced model to edit — a cold build, a constraint or parameter change, a
-//! similarity invalidation — reassemble linearly, as does any refresh once
+//! synced model to edit — a cold build, a constraint change, a similarity
+//! invalidation — reassemble linearly, as does any refresh once
 //! the edited model's fragmentation crosses
 //! [`mrf::model::MrfModel::should_compact`]'s threshold: the rebuild
 //! doubles as the compaction, restoring a dense model. The expensive part
@@ -70,14 +70,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mrf::model::{EdgeId, MrfBuilder, MrfModel, PotentialId, VarId};
+use mrf::model::{EdgeId, MrfModel, PotentialId, VarId};
 
 use netmodel::catalog::ProductSimilarity;
 use netmodel::constraints::{ConstraintSet, Scope};
 use netmodel::network::Network;
 use netmodel::{HostId, ProductId, ServiceId};
 
-use crate::energy::{EnergyModel, EnergyParams, SlotBinding};
+use crate::energy::{EnergyModel, SlotBinding, CONSTRAINT_COST, PREFERENCE_COST};
 use crate::{Error, Result};
 
 /// Handle to an interned candidate domain (a distinct `Vec<ProductId>`).
@@ -319,7 +319,6 @@ pub(crate) fn filter_host_domains(
 /// A stateful, revision-aware energy builder (module docs).
 #[derive(Debug)]
 pub struct EnergyCache {
-    params: EnergyParams,
     constraints: ConstraintSet,
     interner: DomainInterner,
     /// Cross-revision cost-matrix cache, keyed by interned domain pair in
@@ -367,20 +366,18 @@ impl EnergyCache {
         network: &Network,
         similarity: &ProductSimilarity,
         constraints: &ConstraintSet,
-        params: EnergyParams,
     ) -> Result<EnergyCache> {
-        let mut cache = EnergyCache::deferred(constraints, params);
+        let mut cache = EnergyCache::deferred(constraints);
         cache.refresh(network, similarity)?;
         Ok(cache)
     }
 
     /// A cache with no model built yet: the first [`EnergyCache::refresh`]
-    /// does the full build. Lets callers layer configuration
-    /// (constraints, params) without paying for a build they would
-    /// immediately invalidate.
-    pub fn deferred(constraints: &ConstraintSet, params: EnergyParams) -> EnergyCache {
+    /// does the full build. Lets callers layer configuration (the
+    /// constraints) without paying for a build they would immediately
+    /// invalidate.
+    pub fn deferred(constraints: &ConstraintSet) -> EnergyCache {
         EnergyCache {
-            params,
             constraints: constraints.clone(),
             interner: DomainInterner::default(),
             costs: HashMap::new(),
@@ -390,7 +387,7 @@ impl EnergyCache {
             adjacency: Vec::new(),
             services: Vec::new(),
             synced: None,
-            model: EnergyModel::from_parts(MrfBuilder::new().build(), Vec::new(), 0.0),
+            model: EnergyModel::from_parts(MrfModel::new(), Vec::new(), 0.0),
             registered: HashMap::new(),
         }
     }
@@ -411,11 +408,6 @@ impl EnergyCache {
     /// another refresh, so cached revision bookkeeping stays valid.
     pub(crate) fn model_mut(&mut self) -> &mut EnergyModel {
         &mut self.model
-    }
-
-    /// The energy parameters in use.
-    pub fn params(&self) -> EnergyParams {
-        self.params
     }
 
     /// The constraint set the cached domains were filtered under.
@@ -515,8 +507,11 @@ impl EnergyCache {
     }
 
     /// Brings the cached model up to `network.revision()`: refilters the
-    /// domains of hosts whose revision moved, then reassembles the MRF with
-    /// cached domains and cost matrices. A no-op when already current.
+    /// domains of hosts whose revision moved, then edits the synced model
+    /// in place, or reassembles the MRF from the cached domains and cost
+    /// matrices when there is no synced model to edit or it needs a
+    /// compaction ([`EnergyCache::refresh_hinted`] says when). A no-op when
+    /// already current.
     ///
     /// Transactional with respect to failure: an [`Error::Infeasible`]
     /// domain leaves the previously cached model intact.
@@ -771,7 +766,6 @@ impl EnergyCache {
     /// The intra-host combination-constraint cost matrix for a pair of free
     /// slots, or `None` when the constraint is vacuous there.
     fn combination_costs(
-        params: &EnergyParams,
         comb: &netmodel::constraints::Combination,
         ca: &[ProductId],
         cb: &[ProductId],
@@ -785,7 +779,7 @@ impl EnergyCache {
                 pb != comb.other
             };
             if violates {
-                matrix[trigger * cb.len() + j] = params.constraint_cost;
+                matrix[trigger * cb.len() + j] = CONSTRAINT_COST;
             }
         }
         Some(matrix)
@@ -807,7 +801,7 @@ impl EnergyCache {
             list.extend_from_slice(network.neighbors(host_id));
         }
         // --- Variables. -----------------------------------------------------
-        let mut builder = MrfBuilder::new();
+        let mut model = MrfModel::new();
         let mut slots: Vec<Vec<SlotBinding>> = Vec::with_capacity(network.host_count());
         for (host_id, host) in network.iter_hosts() {
             let mut host_slots = Vec::with_capacity(host.services().len());
@@ -816,8 +810,8 @@ impl EnergyCache {
                 if domain.len() == 1 {
                     host_slots.push(SlotBinding::Fixed(domain[0]));
                 } else {
-                    let var = builder.add_variable(domain.len());
-                    builder.set_unary(var, vec![self.params.preference_cost; domain.len()])?;
+                    let var = model.add_var(domain.len())?;
+                    model.set_unary(var, vec![PREFERENCE_COST; domain.len()])?;
                     host_slots.push(SlotBinding::Variable {
                         var,
                         candidates: Arc::clone(domain),
@@ -847,12 +841,12 @@ impl EnergyCache {
                     }
                     (SlotBinding::Fixed(pa), SlotBinding::Variable { var, candidates }) => {
                         for (label, &pb) in candidates.iter().enumerate() {
-                            builder.add_unary(*var, label, similarity.get(*pa, pb))?;
+                            model.add_unary(*var, label, similarity.get(*pa, pb))?;
                         }
                     }
                     (SlotBinding::Variable { var, candidates }, SlotBinding::Fixed(pb)) => {
                         for (label, &pa) in candidates.iter().enumerate() {
-                            builder.add_unary(*var, label, similarity.get(pa, *pb))?;
+                            model.add_unary(*var, label, similarity.get(pa, *pb))?;
                         }
                     }
                     (
@@ -869,11 +863,11 @@ impl EnergyCache {
                             &mut self.registered,
                             similarity,
                             key,
-                            |rows, cols, matrix| Ok(builder.add_potential(rows, cols, matrix)?),
+                            |rows, cols, matrix| Ok(model.add_potential(rows, cols, matrix)?),
                             &mut computed,
                             &mut reused,
                         )?;
-                        builder.add_edge(*va, *vb, pot)?;
+                        model.add_pairwise(*va, *vb, pot)?;
                     }
                 }
             }
@@ -912,15 +906,14 @@ impl EnergyCache {
                 else {
                     continue; // fixed sides were resolved by the fixpoint
                 };
-                let Some(matrix) = EnergyCache::combination_costs(&self.params, &comb, ca, cb)
-                else {
+                let Some(matrix) = EnergyCache::combination_costs(&comb, ca, cb) else {
                     continue; // trigger filtered out: vacuous
                 };
-                builder.add_edge_dense(*va, *vb, matrix)?;
+                model.add_pairwise_dense(*va, *vb, matrix)?;
             }
         }
 
-        self.model = EnergyModel::from_parts(builder.build(), slots, base_energy);
+        self.model = EnergyModel::from_parts(model, slots, base_energy);
         Ok((computed, reused))
     }
 
@@ -1052,7 +1045,6 @@ impl EnergyCache {
             edit.retracted = edit.scope_energy(&self.model, labels);
         }
 
-        let params = self.params;
         let (model, slots, owners, base_energy) = self.model.parts_mut();
         if slots.len() < network.host_count() {
             slots.resize(network.host_count(), Vec::new());
@@ -1164,7 +1156,7 @@ impl EnergyCache {
                 continue;
             };
             let s = services[h.index()][k];
-            let mut unary = vec![params.preference_cost; candidates.len()];
+            let mut unary = vec![PREFERENCE_COST; candidates.len()];
             for &g in network.neighbors(h) {
                 let Some(&SlotBinding::Fixed(p)) =
                     slot_of(g, s).and_then(|l| binding(slots, (g, l)))
@@ -1219,7 +1211,7 @@ impl EnergyCache {
                 else {
                     continue; // fixed sides were resolved by the fixpoint
                 };
-                let Some(matrix) = EnergyCache::combination_costs(&params, &comb, ca, cb) else {
+                let Some(matrix) = EnergyCache::combination_costs(&comb, ca, cb) else {
                     continue; // trigger filtered out: vacuous
                 };
                 model
@@ -1408,9 +1400,7 @@ mod tests {
             (carried - after).abs() < 1e-9,
             "priced {carried} vs evaluated {after}"
         );
-        let scratch =
-            crate::energy::build_energy(net, sim, &ConstraintSet::new(), EnergyParams::default())
-                .unwrap();
+        let scratch = crate::energy::build_energy(net, sim, &ConstraintSet::new()).unwrap();
         assert_equivalent(cache.model(), &scratch);
         edit
     }
@@ -1420,8 +1410,7 @@ mod tests {
         let (mut net, c, sim) = ring(2);
         let s1 = c.service_by_name("s1").unwrap();
         let fixed = c.product_by_name("s1p2").unwrap();
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         carried_edit(
             &mut cache,
             &mut net,
@@ -1463,8 +1452,7 @@ mod tests {
         let (mut net, c, sim) = ring(4);
         let s2 = c.service_by_name("s2").unwrap();
         let product = c.product_by_name("s2p1").unwrap();
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let before = cache.model().slots().to_vec();
         let edit = carried_edit(
             &mut cache,
@@ -1498,8 +1486,7 @@ mod tests {
     #[test]
     fn remove_host_refolds_neighbours_only_for_its_fixed_slots() {
         let (mut net, c, sim) = ring(2);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let before = cache.model().slots().to_vec();
         let edit = carried_edit(
             &mut cache,
@@ -1541,8 +1528,7 @@ mod tests {
     #[test]
     fn refresh_is_idempotent_and_cheap_when_current() {
         let (net, _, sim) = instance(6);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let stats = cache.refresh(&net, &sim).unwrap();
         assert!(!stats.rebuilt);
         assert!(!stats.edited);
@@ -1553,8 +1539,7 @@ mod tests {
     #[test]
     fn delta_refilters_only_touched_hosts_and_reuses_potentials() {
         let (mut net, c, sim) = instance(8);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let os = c.service_by_name("os").unwrap();
         let p0 = c.product_by_name("p0").unwrap();
         net.apply_delta(&NetworkDelta::fix_slot(HostId(3), os, p0), &c)
@@ -1582,10 +1567,8 @@ mod tests {
     #[test]
     fn hinted_refresh_edits_in_place_and_matches_full_scan() {
         let (mut net, c, sim) = instance(8);
-        let mut hinted =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
-        let mut full =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut hinted = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
+        let mut full = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let os = c.service_by_name("os").unwrap();
         let p0 = c.product_by_name("p0").unwrap();
         let p1 = c.product_by_name("p1").unwrap();
@@ -1611,8 +1594,7 @@ mod tests {
     #[test]
     fn unhinted_structural_refresh_edits_in_place_and_matches_scratch() {
         let (mut net, c, sim) = instance(8);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let os = c.service_by_name("os").unwrap();
         let p0 = c.product_by_name("p0").unwrap();
         // A burst mixing every structural variant with a slot change —
@@ -1634,8 +1616,7 @@ mod tests {
             stats.edited,
             "structural changes must not force a reassembly"
         );
-        let scratch =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let scratch = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         assert_equivalent(cache.model(), scratch.model());
         // And the counters are resynced: the next refresh is a no-op.
         let again = cache.refresh(&net, &sim).unwrap();
@@ -1645,8 +1626,7 @@ mod tests {
     #[test]
     fn edit_path_keeps_untouched_variable_ids_stable() {
         let (mut net, c, sim) = instance(8);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let before: Vec<_> = cache.model().slots().to_vec();
         let os = c.service_by_name("os").unwrap();
         let p0 = c.product_by_name("p0").unwrap();
@@ -1669,8 +1649,7 @@ mod tests {
     #[test]
     fn edit_path_tracks_a_delta_stream_against_scratch() {
         let (mut net, c, sim) = instance(6);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let os = c.service_by_name("os").unwrap();
         let p1 = c.product_by_name("p1").unwrap();
         for delta in [
@@ -1686,13 +1665,7 @@ mod tests {
                 .refresh_hinted(&net, &sim, Some(&effect.touched))
                 .unwrap();
             assert!(stats.edited, "after {delta}");
-            let scratch = crate::energy::build_energy(
-                &net,
-                &sim,
-                &ConstraintSet::new(),
-                EnergyParams::default(),
-            )
-            .unwrap();
+            let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
             assert_equivalent(cache.model(), &scratch);
         }
     }
@@ -1700,8 +1673,7 @@ mod tests {
     #[test]
     fn matches_scratch_build_after_deltas() {
         let (mut net, c, sim) = instance(6);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let os = c.service_by_name("os").unwrap();
         let p1 = c.product_by_name("p1").unwrap();
         for delta in [
@@ -1712,13 +1684,7 @@ mod tests {
         ] {
             net.apply_delta(&delta, &c).unwrap();
             cache.refresh(&net, &sim).unwrap();
-            let scratch = crate::energy::build_energy(
-                &net,
-                &sim,
-                &ConstraintSet::new(),
-                EnergyParams::default(),
-            )
-            .unwrap();
+            let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
             // The un-hinted refresh edits in place (recycled variable ids),
             // so the comparison is semantic, not id-exact.
             assert_equivalent(cache.model(), &scratch);
@@ -1733,8 +1699,7 @@ mod tests {
         let p1 = c.product_by_name("p1").unwrap();
         let mut constraints = ConstraintSet::new();
         constraints.push(Constraint::fix(HostId(1), os, p0));
-        let mut cache =
-            EnergyCache::new(&net, &sim, &constraints, EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &constraints).unwrap();
         let vars_before = cache.model().model().live_var_count();
         // Narrow host 1 to p1 only: the Fix(p0) constraint empties the domain.
         let effect = net
@@ -1772,8 +1737,7 @@ mod tests {
         b.add_link(ids[2], ids[3]).unwrap();
         let mut net = b.build(&c).unwrap();
         let sim = ProductSimilarity::uniform(&c, 0.3);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let mut peak = 0usize;
         for i in 0..150u32 {
             // A distinct 2-3 product subset per revision.
@@ -1806,26 +1770,21 @@ mod tests {
             "interner grew to {peak} entries; compaction failed"
         );
         // Compaction must not corrupt the model: compare against scratch.
-        let scratch =
-            crate::energy::build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default())
-                .unwrap();
+        let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         assert_equivalent(cache.model(), &scratch);
     }
 
     #[test]
     fn similarity_invalidation_recomputes_matrices() {
         let (net, _, mut sim) = instance(5);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         sim.set(ProductId(0), ProductId(1), 0.9);
         cache.invalidate_similarity();
         let stats = cache.refresh(&net, &sim).unwrap();
         assert!(stats.rebuilt);
         assert_eq!(stats.potentials_reused, 0);
         assert!(stats.potentials_computed >= 1);
-        let scratch =
-            crate::energy::build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default())
-                .unwrap();
+        let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         let labels = vec![0usize, 1, 0, 1, 0];
         assert!(
             (cache.model().model().energy(&labels) - scratch.model().energy(&labels)).abs() < 1e-12
@@ -1856,8 +1815,7 @@ mod tests {
         }
         let net = b.build(&c).unwrap();
         let mut sim = ProductSimilarity::uniform(&c, 0.4);
-        let mut cache =
-            EnergyCache::new(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
         let matrices_before = cache.footprint().1;
         assert!(matrices_before >= 2, "one matrix per service domain");
 
@@ -1873,9 +1831,7 @@ mod tests {
             stats.potentials_reused >= 1,
             "the browser matrix survives the pair invalidation"
         );
-        let scratch =
-            crate::energy::build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default())
-                .unwrap();
+        let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         assert_equivalent(cache.model(), &scratch);
     }
 }

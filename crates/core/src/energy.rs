@@ -4,20 +4,23 @@
 //! One MRF variable per *free* (host, service) slot, labels = the slot's
 //! candidate products after constraint-driven domain filtering:
 //!
-//! * **Unary cost** (paper §V-A): the constant product preference `Prconst`
-//!   for every label, plus — for slots whose linked counterpart is fixed
-//!   (legacy hosts, mandated products) — the folded-in pairwise similarity
-//!   against the fixed product. Folding keeps the model small: a fixed slot
-//!   never becomes a variable.
+//! * **Unary cost** (paper §V-A): the constant product preference
+//!   `Prconst` (0.01) for every label, plus — for slots whose linked
+//!   counterpart is fixed (legacy hosts, mandated products) — the
+//!   folded-in pairwise similarity against the fixed product. Folding
+//!   keeps the model small: a fixed slot never becomes a variable.
 //! * **Pairwise cost** (paper §V-B): for every link and every shared
 //!   service, the vulnerability similarity `sim(p, q)` between the
 //!   candidate products. Cost matrices are *shared* across edges with
 //!   identical candidate sets, which keeps large instances in memory.
 //! * **Constraints** (paper §V-A): fixed products restrict domains;
 //!   conditional combination constraints become intra-host pairwise
-//!   potentials with a large finite cost `constraint_cost`, after a
-//!   domain-filtering fixpoint resolves every combination with an
-//!   already-fixed side.
+//!   potentials with a large finite cost (1e6, standing in for the
+//!   paper's `∞`), after a domain-filtering fixpoint resolves every
+//!   combination with an already-fixed side.
+//!
+//! Both costs are fixed by the paper's energy, so they are constants, not
+//! settings.
 
 use std::sync::Arc;
 
@@ -32,25 +35,13 @@ use netmodel::{HostId, ProductId};
 use crate::cache::EnergyCache;
 use crate::Result;
 
-/// Cost parameters of the energy function.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnergyParams {
-    /// The paper's `Prconst`: a small constant unary cost expressing "no
-    /// specific preference amongst available products".
-    pub preference_cost: f64,
-    /// The large finite cost standing in for the paper's `∞` on undesirable
-    /// combinations (finite to keep message arithmetic well-behaved).
-    pub constraint_cost: f64,
-}
+/// The paper's `Prconst`: a small constant unary cost expressing "no
+/// specific preference amongst available products".
+pub(crate) const PREFERENCE_COST: f64 = 0.01;
 
-impl Default for EnergyParams {
-    fn default() -> EnergyParams {
-        EnergyParams {
-            preference_cost: 0.01,
-            constraint_cost: 1e6,
-        }
-    }
-}
+/// The large finite cost standing in for the paper's `∞` on undesirable
+/// combinations (finite to keep message arithmetic well-behaved).
+pub(crate) const CONSTRAINT_COST: f64 = 1e6;
 
 /// How one (host, service) slot maps into the MRF.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,15 +144,6 @@ impl EnergyModel {
         self.base_energy
     }
 
-    /// Number of variable *slots* in the model, tombstones included: the
-    /// arity of a labeling of this model ([`MrfModel::var_count`]). Equal
-    /// to the number of free (host, service) slots only for a freshly
-    /// assembled model; after in-place edits use
-    /// [`MrfModel::live_var_count`] on [`EnergyModel::model`] for that.
-    pub fn variable_count(&self) -> usize {
-        self.model.var_count()
-    }
-
     /// Decodes an MRF labeling into a product assignment.
     ///
     /// # Panics
@@ -207,9 +189,8 @@ pub fn build_energy(
     network: &Network,
     similarity: &ProductSimilarity,
     constraints: &ConstraintSet,
-    params: EnergyParams,
 ) -> Result<EnergyModel> {
-    EnergyCache::new(network, similarity, constraints, params).map(EnergyCache::into_model)
+    EnergyCache::new(network, similarity, constraints).map(EnergyCache::into_model)
 }
 
 #[cfg(test)]
@@ -276,9 +257,9 @@ mod tests {
     #[test]
     fn variable_and_fixed_slot_layout() {
         let (net, _, sim) = fixture();
-        let e = build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let e = build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         // 4 free slots (h0 os/wb, h1 os/wb); h2 os is fixed.
-        assert_eq!(e.variable_count(), 4);
+        assert_eq!(e.model().var_count(), 4);
         assert!(matches!(e.slots()[2][0], SlotBinding::Fixed(_)));
         // h0-h1 shares two services -> 2 MRF edges.
         assert_eq!(e.model().edge_count(), 2);
@@ -289,8 +270,8 @@ mod tests {
     #[test]
     fn decode_round_trip_is_valid() {
         let (net, _, sim) = fixture();
-        let e = build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
-        let labels = vec![0usize; e.variable_count()];
+        let e = build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
+        let labels = vec![0usize; e.model().var_count()];
         let a = e.decode(&labels);
         a.validate(&net).unwrap();
     }
@@ -300,7 +281,7 @@ mod tests {
         // h1's OS unary must carry sim(candidate, win) from the fixed h2.
         let (net, c, sim) = fixture();
         let (_, _, win, lin, _, _) = ids(&c);
-        let e = build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let e = build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         let SlotBinding::Variable { var, candidates } = &e.slots()[1][0] else {
             panic!("h1 os should be free");
         };
@@ -318,8 +299,8 @@ mod tests {
         let (os, _, _, lin, _, _) = ids(&c);
         let mut cs = ConstraintSet::new();
         cs.push(Constraint::fix(HostId(0), os, lin));
-        let e = build_energy(&net, &sim, &cs, EnergyParams::default()).unwrap();
-        assert_eq!(e.variable_count(), 3);
+        let e = build_energy(&net, &sim, &cs).unwrap();
+        assert_eq!(e.model().var_count(), 3);
         assert_eq!(e.slots()[0][0], SlotBinding::Fixed(lin));
     }
 
@@ -330,7 +311,7 @@ mod tests {
         let mut cs = ConstraintSet::new();
         // h2 can only run win; fixing lin empties the domain.
         cs.push(Constraint::fix(HostId(2), os, lin));
-        let err = build_energy(&net, &sim, &cs, EnergyParams::default()).unwrap_err();
+        let err = build_energy(&net, &sim, &cs).unwrap_err();
         assert!(matches!(err, Error::Infeasible { .. }));
     }
 
@@ -346,7 +327,7 @@ mod tests {
             (os, win),
             (wb, ie),
         ));
-        let e = build_energy(&net, &sim, &cs, EnergyParams::default()).unwrap();
+        let e = build_energy(&net, &sim, &cs).unwrap();
         assert_eq!(e.slots()[0][1], SlotBinding::Fixed(ch));
     }
 
@@ -361,7 +342,7 @@ mod tests {
             (os, win),
             (wb, ie),
         ));
-        let e = build_energy(&net, &sim, &cs, EnergyParams::default()).unwrap();
+        let e = build_energy(&net, &sim, &cs).unwrap();
         assert_eq!(e.slots()[0][1], SlotBinding::Fixed(ie));
     }
 
@@ -375,7 +356,7 @@ mod tests {
             (os, lin),
             (wb, ie),
         ));
-        let e = build_energy(&net, &sim, &cs, EnergyParams::default()).unwrap();
+        let e = build_energy(&net, &sim, &cs).unwrap();
         // Two extra intra-host edges (h0 and h1; h2 has no browser).
         assert_eq!(e.model().edge_count(), 4);
         // Energy of a violating labeling includes the BIG cost: set h0 to
@@ -388,7 +369,7 @@ mod tests {
         };
         let lin_label = ca.iter().position(|&p| p == lin).unwrap();
         let ie_label = cb.iter().position(|&p| p == ie).unwrap();
-        let mut labels = vec![0usize; e.variable_count()];
+        let mut labels = vec![0usize; e.model().var_count()];
         labels[0] = lin_label;
         labels[1] = ie_label;
         assert!(e.model().energy(&labels) >= 1e6);
@@ -414,7 +395,7 @@ mod tests {
         b.add_link(hs[0], hs[2]).unwrap();
         let net = b.build(&c).unwrap();
         let sim = ProductSimilarity::from_dense(2, vec![1.0, 0.4, 0.4, 1.0]);
-        let e = build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let e = build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         assert_eq!(e.model().edge_count(), 3);
         for edge in e.model().edges() {
             assert_eq!(e.model().edge_cost(edge, 0, 0), 1.0);
@@ -426,7 +407,7 @@ mod tests {
     fn energy_matches_manual_computation() {
         let (net, c, sim) = fixture();
         let (_, _, win, lin, ie, ch) = ids(&c);
-        let e = build_energy(&net, &sim, &ConstraintSet::new(), EnergyParams::default()).unwrap();
+        let e = build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         // Assignment: h0=(win, ie), h1=(lin, ch), h2=(win).
         let mut labels = vec![0usize; 4];
         let find = |slot: &SlotBinding, p: ProductId| -> (VarId, usize) {

@@ -69,7 +69,7 @@ use netmodel::network::Network;
 use netmodel::{HostId, ProductId, ServiceId};
 
 use crate::cache::{Edit, EnergyCache, RebuildStats};
-use crate::energy::{EnergyModel, EnergyParams, SlotBinding};
+use crate::energy::{EnergyModel, SlotBinding};
 use crate::journal::{Journal, DEFAULT_SNAPSHOT_EVERY};
 use crate::optimizer::SolverKind;
 use crate::{Error, Result};
@@ -227,8 +227,8 @@ impl fmt::Debug for DiversityEngine {
 }
 
 impl DiversityEngine {
-    /// Creates an engine over `network` (unconstrained, default parameters,
-    /// TRW-S cold solver, ICM warm-start refiner). Construction is lazy:
+    /// Creates an engine over `network` (unconstrained, TRW-S cold solver,
+    /// ICM warm-start refiner). Construction is lazy:
     /// the energy model is built — under whatever constraints the
     /// `with_*` builders set — at the first [`DiversityEngine::solve`] or
     /// [`DiversityEngine::apply`], which is also where infeasibility
@@ -242,7 +242,7 @@ impl DiversityEngine {
             network,
             catalog,
             similarity,
-            cache: EnergyCache::deferred(&ConstraintSet::new(), EnergyParams::default()),
+            cache: EnergyCache::deferred(&ConstraintSet::new()),
             solver: Arc::new(Trws::default()),
             refiner: Arc::new(Icm::default()),
             pinned: Vec::new(),
@@ -410,22 +410,20 @@ impl DiversityEngine {
 
     /// Drops the built model, caches and last assignment, resetting the
     /// cache to its deferred (unbuilt) state under the same constraints
-    /// and parameters (crate-internal: how a retired shard releases its
-    /// interned domains and cost matrices while staying revivable — the
-    /// next step performs a full cold build).
+    /// (crate-internal: how a retired shard releases its interned domains
+    /// and cost matrices while staying revivable — the next step performs a
+    /// full cold build).
     pub(crate) fn release_model(&mut self) {
-        let params = self.cache.params();
-        let constraints = self.cache.constraints().clone();
-        self.cache = EnergyCache::deferred(&constraints, params);
+        self.cache = EnergyCache::deferred(self.cache.constraints());
         self.last = None;
         self.carried = None;
         self.scratch = SolveScratch::new();
     }
 
     /// A fresh, unsolved engine over `network` inheriting this engine's
-    /// configuration — solvers, refiner, constraints and energy
-    /// parameters (crate-internal: how the sharded engine spins up
-    /// a shard for a zone created mid-stream by an `AddHost` delta).
+    /// configuration — solvers, refiner and constraints (crate-internal:
+    /// how the sharded engine spins up a shard for a zone created
+    /// mid-stream by an `AddHost` delta).
     pub(crate) fn configured_like(
         &self,
         network: Network,
@@ -436,7 +434,7 @@ impl DiversityEngine {
             network,
             catalog,
             similarity,
-            cache: EnergyCache::deferred(self.cache.constraints(), self.cache.params()),
+            cache: EnergyCache::deferred(self.cache.constraints()),
             solver: Arc::clone(&self.solver),
             refiner: Arc::clone(&self.refiner),
             pinned: Vec::new(),

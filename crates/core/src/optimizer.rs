@@ -3,11 +3,10 @@
 //! Built entirely on the open [`MapSolver`] trait: any solver — the
 //! built-ins or a user-supplied implementation — drops into
 //! [`DiversityOptimizer::with_map_solver`]. [`SolverKind`]
-//! remains as a declarative convenience constructor. Refinement is a
-//! *chain* of solvers applied via [`MapSolver::refine`], replacing the old
-//! hardcoded ILS special case, and every run reports telemetry: solver
-//! name, wall time, and whether (and why) an exact solve fell back to an
-//! approximate one.
+//! remains as a declarative convenience constructor. Refinement is one
+//! optional ILS stage applied via [`MapSolver::refine`], and every run
+//! reports telemetry: solver name, wall time, and whether (and why) an
+//! exact solve fell back to an approximate one.
 
 use std::fmt;
 use std::sync::Arc;
@@ -26,7 +25,7 @@ use netmodel::catalog::ProductSimilarity;
 use netmodel::constraints::ConstraintSet;
 use netmodel::network::Network;
 
-use crate::energy::{build_energy, EnergyModel, EnergyParams};
+use crate::energy::{build_energy, EnergyModel};
 use crate::{Error, Result};
 
 /// Declarative solver selection — a convenience constructor for the
@@ -182,7 +181,7 @@ impl OptimizedAssignment {
 #[derive(Clone)]
 pub struct DiversityOptimizer {
     solver: Arc<dyn MapSolver>,
-    refiners: Vec<Arc<dyn MapSolver>>,
+    refinement: Option<Ils>,
     budget: Option<Duration>,
 }
 
@@ -190,10 +189,7 @@ impl fmt::Debug for DiversityOptimizer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DiversityOptimizer")
             .field("solver", &self.solver.name())
-            .field(
-                "refiners",
-                &self.refiners.iter().map(|r| r.name()).collect::<Vec<_>>(),
-            )
+            .field("refinement", &self.refinement)
             .field("budget", &self.budget)
             .finish()
     }
@@ -203,15 +199,15 @@ impl Default for DiversityOptimizer {
     fn default() -> DiversityOptimizer {
         DiversityOptimizer {
             solver: Arc::new(Trws::default()),
-            refiners: vec![Arc::new(Ils::default())],
+            refinement: Some(Ils::default()),
             budget: None,
         }
     }
 }
 
 impl DiversityOptimizer {
-    /// Creates an optimizer with TRW-S, default energy parameters, and ILS
-    /// refinement of the decoded solution.
+    /// Creates an optimizer with TRW-S and ILS refinement of the decoded
+    /// solution.
     pub fn new() -> DiversityOptimizer {
         DiversityOptimizer::default()
     }
@@ -227,22 +223,11 @@ impl DiversityOptimizer {
         self
     }
 
-    /// Replaces (or disables, with `None`) the refinement chain with the
-    /// classic single ILS stage. Kept for backward compatibility; see
-    /// [`DiversityOptimizer::with_refiners`] for the general form.
+    /// Replaces (or disables, with `None`) the ILS refinement stage. Its
+    /// [`MapSolver::refine`] runs on the solver's labeling, and its result
+    /// is kept only if it improves the energy.
     pub fn with_refinement(mut self, refine: Option<IlsOptions>) -> DiversityOptimizer {
-        self.refiners = match refine {
-            Some(opts) => vec![Arc::new(Ils::new(opts)) as Arc<dyn MapSolver>],
-            None => Vec::new(),
-        };
-        self
-    }
-
-    /// Replaces the refinement chain. Each stage's [`MapSolver::refine`] is
-    /// applied in order to the incumbent labeling; a stage's result is kept
-    /// only if it improves the energy.
-    pub fn with_refiners(mut self, refiners: Vec<Box<dyn MapSolver>>) -> DiversityOptimizer {
-        self.refiners = refiners.into_iter().map(Arc::from).collect();
+        self.refinement = refine.map(Ils::new);
         self
     }
 
@@ -277,21 +262,6 @@ impl DiversityOptimizer {
         self.optimize_constrained(network, similarity, &ConstraintSet::new())
     }
 
-    /// Computes the unconstrained optimal assignment under a caller-supplied
-    /// [`SolveControl`] (deadline, cancellation flag, progress callback).
-    ///
-    /// # Errors
-    ///
-    /// See [`DiversityOptimizer::optimize_constrained`].
-    pub fn optimize_with(
-        &self,
-        network: &Network,
-        similarity: &ProductSimilarity,
-        ctl: &SolveControl,
-    ) -> Result<OptimizedAssignment> {
-        self.optimize_constrained_with(network, similarity, &ConstraintSet::new(), ctl)
-    }
-
     /// Computes the constrained optimal assignment `α̂_C`.
     ///
     /// # Errors
@@ -308,40 +278,9 @@ impl DiversityOptimizer {
     ) -> Result<OptimizedAssignment> {
         // Construct the energy *before* starting the budget clock: the
         // documented budget covers solve + refinement, not model building.
-        let energy = build_energy(network, similarity, constraints, EnergyParams::default())?;
-        self.finish(network, constraints, energy, &self.control())
-    }
-
-    /// Computes the constrained optimal assignment under a caller-supplied
-    /// [`SolveControl`]. Note that an absolute deadline on `ctl` also
-    /// bounds the energy-construction phase, unlike
-    /// [`DiversityOptimizer::with_time_budget`], whose clock starts after
-    /// construction.
-    ///
-    /// # Errors
-    ///
-    /// See [`DiversityOptimizer::optimize_constrained`].
-    pub fn optimize_constrained_with(
-        &self,
-        network: &Network,
-        similarity: &ProductSimilarity,
-        constraints: &ConstraintSet,
-        ctl: &SolveControl,
-    ) -> Result<OptimizedAssignment> {
-        let energy = build_energy(network, similarity, constraints, EnergyParams::default())?;
-        self.finish(network, constraints, energy, ctl)
-    }
-
-    /// Solve + refine + decode + telemetry, shared by every `optimize*`.
-    fn finish(
-        &self,
-        network: &Network,
-        constraints: &ConstraintSet,
-        energy: EnergyModel,
-        ctl: &SolveControl,
-    ) -> Result<OptimizedAssignment> {
+        let energy = build_energy(network, similarity, constraints)?;
         let started = Instant::now();
-        let solution = self.run_pipeline(&energy, ctl);
+        let solution = self.run_pipeline(&energy, &self.control());
         let wall = started.elapsed();
         let assignment = energy.decode(solution.labels());
         debug_assert!(assignment.validate(network).is_ok());
@@ -365,12 +304,12 @@ impl DiversityOptimizer {
         })
     }
 
-    /// Main solve followed by the refinement chain, all driven through the
+    /// Main solve followed by the refinement stage, both driven through the
     /// [`MapSolver`] trait.
     fn run_pipeline(&self, energy: &EnergyModel, ctl: &SolveControl) -> Solution {
         let model = energy.model();
         let mut solution = self.solver.solve(model, ctl);
-        for refiner in &self.refiners {
+        if let Some(refiner) = &self.refinement {
             let refined = refiner.refine(model, solution.labels().to_vec(), ctl);
             if refined.energy() < solution.energy() {
                 // Keep the main solver's bound/iteration diagnostics; the
@@ -608,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn refiner_chain_never_hurts() {
+    fn refinement_never_hurts() {
         let g = generate(
             &RandomNetworkConfig {
                 hosts: 40,
@@ -624,11 +563,10 @@ mod tests {
             .with_refinement(None)
             .optimize(&g.network, &g.similarity)
             .unwrap();
-        let chained = DiversityOptimizer::new()
-            .with_refiners(vec![Box::new(Icm::default()), Box::new(Ils::default())])
+        let refined = DiversityOptimizer::new()
             .optimize(&g.network, &g.similarity)
             .unwrap();
-        assert!(chained.objective() <= bare.objective() + 1e-9);
+        assert!(refined.objective() <= bare.objective() + 1e-9);
     }
 
     #[test]

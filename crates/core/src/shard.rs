@@ -124,7 +124,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mrf::ils::{Ils, IlsOptions};
-use mrf::model::{MrfBuilder, MrfModel, UnaryOverlay, VarId};
+use mrf::model::{MrfModel, UnaryOverlay, VarId};
 use mrf::solver::{MapSolver, SolveControl};
 use mrf::trws::{Trws, TrwsOptions};
 
@@ -1648,12 +1648,14 @@ impl ShardedEngine {
         let energy = shard.engine.energy();
         let model = energy.model();
         let addons = self.cross_addons(model.var_count(), global, &self.boundary_entries(s));
-        let mut builder = MrfBuilder::new();
+        let mut augmented = MrfModel::new();
         // Mirror the shard model's slot layout so labelings transfer
         // verbatim; tombstoned slots become inert 1-label placeholders
         // (their label in any transferred labeling is ignored either way).
         for v in 0..model.var_count() {
-            builder.add_variable(model.labels(VarId(v)).max(1));
+            augmented
+                .add_var(model.labels(VarId(v)).max(1))
+                .expect("every slot gets at least one label");
         }
         for (v, addon) in addons.iter().enumerate() {
             if !model.is_live(VarId(v)) {
@@ -1665,7 +1667,7 @@ impl ShardedEngine {
                     *u += extra[label];
                 }
             }
-            builder
+            augmented
                 .set_unary(VarId(v), unary)
                 .expect("arity is copied from the shard model");
         }
@@ -1677,11 +1679,11 @@ impl ShardedEngine {
                     costs.push(model.edge_cost(edge, xa, xb));
                 }
             }
-            builder
-                .add_edge_dense(edge.a(), edge.b(), costs)
+            augmented
+                .add_pairwise_dense(edge.a(), edge.b(), costs)
                 .expect("edges are copied from the shard model");
         }
-        builder.build()
+        augmented
     }
 
     /// The boundary-coordination dispatcher (module docs). Returns the
@@ -2358,7 +2360,6 @@ mod tests {
             sharded.network(),
             sharded.similarity(),
             &ConstraintSet::new(),
-            crate::energy::EnergyParams::default(),
         )
         .unwrap();
         let mut labels = vec![0usize; energy.model().var_count()];

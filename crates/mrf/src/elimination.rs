@@ -272,7 +272,6 @@ fn pick_min_degree(tables: &[CostTable], remaining: &BTreeSet<usize>) -> Option<
 mod tests {
     use super::*;
     use crate::exhaustive::Exhaustive;
-    use crate::model::MrfBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -288,12 +287,12 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let s = solve(&MrfBuilder::new().build());
+        let s = solve(&MrfModel::new());
         assert_eq!(s.energy(), 0.0);
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(3);
-        b.set_unary(x, vec![2.0, 1.0, 3.0]).unwrap();
-        let s = solve(&b.build());
+        let mut m = MrfModel::new();
+        let x = m.add_var(3).unwrap();
+        m.set_unary(x, vec![2.0, 1.0, 3.0]).unwrap();
+        let s = solve(&m);
         assert_eq!(s.labels(), &[1]);
         assert_eq!(s.energy(), 1.0);
         assert!(s.is_certified_optimal(1e-12));
@@ -303,17 +302,17 @@ mod tests {
     fn matches_exhaustive_on_random_loopy_graphs() {
         let mut rng = StdRng::seed_from_u64(99);
         for trial in 0..12 {
-            let mut b = MrfBuilder::new();
+            let mut m = MrfModel::new();
             let n = 8;
-            let vars: Vec<_> = (0..n).map(|_| b.add_variable(3)).collect();
+            let vars: Vec<_> = (0..n).map(|_| m.add_var(3).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                m.set_unary(v, (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
                     .unwrap();
             }
             for i in 0..n {
                 for j in (i + 1)..n {
                     if rng.gen_bool(0.4) {
-                        b.add_edge_dense(
+                        m.add_pairwise_dense(
                             vars[i],
                             vars[j],
                             (0..9).map(|_| rng.gen_range(-2.0..2.0)).collect(),
@@ -322,7 +321,6 @@ mod tests {
                     }
                 }
             }
-            let m = b.build();
             let exact = solve(&m);
             let brute = Exhaustive::new().solve(&m, &ctl());
             assert!(
@@ -336,14 +334,14 @@ mod tests {
 
     #[test]
     fn solves_disconnected_components() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        let z = b.add_variable(2);
-        b.set_unary(x, vec![1.0, 0.0]).unwrap();
-        b.set_unary(z, vec![0.0, 1.0]).unwrap();
-        b.add_edge_dense(x, y, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        let m = b.build();
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        let z = m.add_var(2).unwrap();
+        m.set_unary(x, vec![1.0, 0.0]).unwrap();
+        m.set_unary(z, vec![0.0, 1.0]).unwrap();
+        m.add_pairwise_dense(x, y, vec![0.0, 1.0, 1.0, 0.0])
+            .unwrap();
         let s = solve(&m);
         assert_eq!(s.labels(), &[1, 1, 0]);
         assert_eq!(s.energy(), 0.0);
@@ -351,12 +349,13 @@ mod tests {
 
     #[test]
     fn handles_parallel_edges() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.add_edge_dense(x, y, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        b.add_edge_dense(x, y, vec![0.0, 0.5, 0.5, 0.0]).unwrap();
-        let m = b.build();
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.add_pairwise_dense(x, y, vec![1.0, 0.0, 0.0, 1.0])
+            .unwrap();
+        m.add_pairwise_dense(x, y, vec![0.0, 0.5, 0.5, 0.0])
+            .unwrap();
         let s = solve(&m);
         // Disagreeing: 0 + 0.5; agreeing: 1 + 0 -> disagree wins at 0.5.
         assert_eq!(s.energy(), 0.5);
@@ -365,14 +364,14 @@ mod tests {
     #[test]
     fn treewidth_cap_is_enforced() {
         // A clique over 12 four-label variables exceeds a tiny cap.
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..12).map(|_| b.add_variable(4)).collect();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..12).map(|_| m.add_var(4).unwrap()).collect();
         for i in 0..12 {
             for j in (i + 1)..12 {
-                b.add_edge_dense(vars[i], vars[j], vec![0.0; 16]).unwrap();
+                m.add_pairwise_dense(vars[i], vars[j], vec![0.0; 16])
+                    .unwrap();
             }
         }
-        let m = b.build();
         let err = Elimination::new(EliminationOptions {
             max_table_entries: 1000,
         })
@@ -384,17 +383,16 @@ mod tests {
     #[test]
     fn certifies_optimality() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..10).map(|_| b.add_variable(2)).collect();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..10).map(|_| m.add_var(2).unwrap()).collect();
         for w in vars.windows(2) {
-            b.add_edge_dense(
+            m.add_pairwise_dense(
                 w[0],
                 w[1],
                 (0..4).map(|_| rng.gen_range(0.0..1.0)).collect(),
             )
             .unwrap();
         }
-        let m = b.build();
         let s = solve(&m);
         assert!(s.is_certified_optimal(1e-9));
     }

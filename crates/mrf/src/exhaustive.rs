@@ -106,7 +106,6 @@ impl MapSolver for Exhaustive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::MrfBuilder;
 
     fn ctl() -> SolveControl {
         SolveControl::new()
@@ -114,14 +113,15 @@ mod tests {
 
     #[test]
     fn finds_global_optimum() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.set_unary(x, vec![0.0, 0.2]).unwrap();
-        b.set_unary(y, vec![0.0, 0.2]).unwrap();
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.set_unary(x, vec![0.0, 0.2]).unwrap();
+        m.set_unary(y, vec![0.0, 0.2]).unwrap();
         // Strong disagreement preference overrides the unary pull to (0, 0).
-        b.add_edge_dense(x, y, vec![5.0, 0.0, 0.0, 5.0]).unwrap();
-        let s = Exhaustive::new().solve(&b.build(), &ctl());
+        m.add_pairwise_dense(x, y, vec![5.0, 0.0, 0.0, 5.0])
+            .unwrap();
+        let s = Exhaustive::new().solve(&m, &ctl());
         assert_eq!(s.energy(), 0.2);
         assert_ne!(s.labels()[0], s.labels()[1]);
         assert_eq!(s.lower_bound(), Some(0.2));
@@ -129,18 +129,18 @@ mod tests {
 
     #[test]
     fn empty_model() {
-        let s = Exhaustive::new().solve(&MrfBuilder::new().build(), &ctl());
+        let s = Exhaustive::new().solve(&MrfModel::new(), &ctl());
         assert_eq!(s.energy(), 0.0);
     }
 
     #[test]
     fn enumerates_heterogeneous_domains() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(3);
-        let y = b.add_variable(4);
-        b.set_unary(x, vec![2.0, 1.0, 3.0]).unwrap();
-        b.set_unary(y, vec![5.0, 4.0, 0.5, 6.0]).unwrap();
-        let s = Exhaustive::new().solve(&b.build(), &ctl());
+        let mut m = MrfModel::new();
+        let x = m.add_var(3).unwrap();
+        let y = m.add_var(4).unwrap();
+        m.set_unary(x, vec![2.0, 1.0, 3.0]).unwrap();
+        m.set_unary(y, vec![5.0, 4.0, 0.5, 6.0]).unwrap();
+        let s = Exhaustive::new().solve(&m, &ctl());
         assert_eq!(s.labels(), &[1, 2]);
         assert_eq!(s.energy(), 1.5);
     }
@@ -148,19 +148,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds exhaustive limit")]
     fn refuses_huge_spaces() {
-        let mut b = MrfBuilder::new();
+        let mut m = MrfModel::new();
         for _ in 0..40 {
-            b.add_variable(4);
+            m.add_var(4).unwrap();
         }
-        Exhaustive::new().solve(&b.build(), &ctl());
+        Exhaustive::new().solve(&m, &ctl());
     }
 
     #[test]
     fn custom_limit() {
-        let mut b = MrfBuilder::new();
-        b.add_variable(2);
-        b.add_variable(2);
-        let s = Exhaustive::with_limit(4.0).solve(&b.build(), &ctl());
+        let mut m = MrfModel::new();
+        m.add_var(2).unwrap();
+        m.add_var(2).unwrap();
+        let s = Exhaustive::with_limit(4.0).solve(&m, &ctl());
         assert_eq!(s.labels().len(), 2);
     }
 

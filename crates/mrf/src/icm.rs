@@ -467,7 +467,6 @@ impl LocalDescent {
 mod tests {
     use super::*;
     use crate::exhaustive::Exhaustive;
-    use crate::model::MrfBuilder;
 
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -478,10 +477,10 @@ mod tests {
 
     #[test]
     fn single_variable() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(3);
-        b.set_unary(x, vec![2.0, 0.0, 1.0]).unwrap();
-        let s = Icm::default().solve(&b.build(), &ctl());
+        let mut m = MrfModel::new();
+        let x = m.add_var(3).unwrap();
+        m.set_unary(x, vec![2.0, 0.0, 1.0]).unwrap();
+        let s = Icm::default().solve(&m, &ctl());
         assert_eq!(s.labels(), &[1]);
         assert!(s.converged());
     }
@@ -490,21 +489,20 @@ mod tests {
     fn energy_never_increases_relative_to_start() {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..8).map(|_| b.add_variable(3)).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..8).map(|_| m.add_var(3).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
+                m.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
                     .unwrap();
             }
             for i in 0..8 {
-                b.add_edge_dense(
+                m.add_pairwise_dense(
                     vars[i],
                     vars[(i + 1) % 8],
                     (0..9).map(|_| rng.gen_range(0.0..2.0)).collect(),
                 )
                 .unwrap();
             }
-            let m = b.build();
             let start = m.unary_argmin();
             let start_energy = m.energy(&start);
             let s = Icm::default().solve_from(&m, start, &ctl());
@@ -514,13 +512,12 @@ mod tests {
 
     #[test]
     fn optimal_on_independent_variables() {
-        let mut b = MrfBuilder::new();
+        let mut m = MrfModel::new();
         for i in 0..5 {
-            let v = b.add_variable(4);
-            b.set_unary(v, (0..4).map(|l| ((l + i) % 4) as f64).collect())
+            let v = m.add_var(4).unwrap();
+            m.set_unary(v, (0..4).map(|l| ((l + i) % 4) as f64).collect())
                 .unwrap();
         }
-        let m = b.build();
         let s = Icm::default().solve(&m, &ctl());
         let opt = Exhaustive::new().solve(&m, &ctl());
         assert_eq!(s.energy(), opt.energy());
@@ -528,13 +525,14 @@ mod tests {
 
     #[test]
     fn respects_strong_pairwise_preferences() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.set_unary(x, vec![0.0, 0.1]).unwrap();
-        b.set_unary(y, vec![0.0, 0.1]).unwrap();
-        b.add_edge_dense(x, y, vec![10.0, 0.0, 0.0, 10.0]).unwrap();
-        let s = Icm::default().solve(&b.build(), &ctl());
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.set_unary(x, vec![0.0, 0.1]).unwrap();
+        m.set_unary(y, vec![0.0, 0.1]).unwrap();
+        m.add_pairwise_dense(x, y, vec![10.0, 0.0, 0.0, 10.0])
+            .unwrap();
+        let s = Icm::default().solve(&m, &ctl());
         assert_ne!(s.labels()[0], s.labels()[1]);
     }
 
@@ -542,15 +540,15 @@ mod tests {
     fn can_get_stuck_in_local_optimum() {
         // Frustrated symmetric start: from the all-zeros unary argmin, no
         // single flip improves, though the optimum flips both variables.
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.set_unary(x, vec![0.0, 0.4]).unwrap();
-        b.set_unary(y, vec![0.0, 0.4]).unwrap();
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.set_unary(x, vec![0.0, 0.4]).unwrap();
+        m.set_unary(y, vec![0.0, 0.4]).unwrap();
         // (0,0) -> 1.0; flipping one -> 1.4+0.0... choose costs so single
         // flips are worse but the double flip wins.
-        b.add_edge_dense(x, y, vec![1.0, 1.1, 1.1, 0.0]).unwrap();
-        let m = b.build();
+        m.add_pairwise_dense(x, y, vec![1.0, 1.1, 1.1, 0.0])
+            .unwrap();
         let s = Icm::default().solve(&m, &ctl());
         let opt = Exhaustive::new().solve(&m, &ctl());
         assert_eq!(opt.labels(), &[1, 1]);
@@ -561,8 +559,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn wrong_arity_panics() {
-        let mut b = MrfBuilder::new();
-        b.add_variable(2);
-        Icm::default().solve_from(&b.build(), vec![], &ctl());
+        let mut m = MrfModel::new();
+        m.add_var(2).unwrap();
+        Icm::default().solve_from(&m, vec![], &ctl());
     }
 }

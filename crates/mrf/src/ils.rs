@@ -153,17 +153,17 @@ impl MapSolver for Ils {
 mod tests {
     use super::*;
     use crate::exhaustive::Exhaustive;
-    use crate::model::MrfBuilder;
 
     /// The frustrated instance ICM alone cannot solve (see icm.rs tests).
     fn frustrated() -> MrfModel {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.set_unary(x, vec![0.0, 0.4]).unwrap();
-        b.set_unary(y, vec![0.0, 0.4]).unwrap();
-        b.add_edge_dense(x, y, vec![1.0, 1.1, 1.1, 0.0]).unwrap();
-        b.build()
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.set_unary(x, vec![0.0, 0.4]).unwrap();
+        m.set_unary(y, vec![0.0, 0.4]).unwrap();
+        m.add_pairwise_dense(x, y, vec![1.0, 1.1, 1.1, 0.0])
+            .unwrap();
+        m
     }
 
     #[test]
@@ -181,21 +181,20 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..5 {
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..10).map(|_| b.add_variable(3)).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..10).map(|_| m.add_var(3).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
+                m.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
                     .unwrap();
             }
             for i in 0..10 {
-                b.add_edge_dense(
+                m.add_pairwise_dense(
                     vars[i],
                     vars[(i + 1) % 10],
                     (0..9).map(|_| rng.gen_range(0.0..2.0)).collect(),
                 )
                 .unwrap();
             }
-            let m = b.build();
             let start: Vec<usize> = (0..10).map(|_| rng.gen_range(0..3)).collect();
             let start_energy = m.energy(&start);
             let refined = Ils::default().refine(&m, start, &SolveControl::new());
@@ -219,18 +218,17 @@ mod tests {
         for _ in 0..5 {
             // K4 with 3 labels and Potts-like costs: the pigeonhole forces
             // one agreeing edge; ILS must find an optimal placement.
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..4).map(|_| b.add_variable(3)).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..4).map(|_| m.add_var(3).unwrap()).collect();
             for i in 0..4 {
                 for j in (i + 1)..4 {
                     let mut costs = vec![0.0; 9];
                     for l in 0..3 {
                         costs[l * 3 + l] = rng.gen_range(0.5..1.5);
                     }
-                    b.add_edge_dense(vars[i], vars[j], costs).unwrap();
+                    m.add_pairwise_dense(vars[i], vars[j], costs).unwrap();
                 }
             }
-            let m = b.build();
             let opt = Exhaustive::new().solve(&m, &SolveControl::new());
             // Two-variable kicks: escaping a frustrated K4 coloring needs
             // coordinated moves a single re-randomized variable cannot make.
@@ -251,7 +249,7 @@ mod tests {
 
     #[test]
     fn empty_model() {
-        let m = MrfBuilder::new().build();
+        let m = MrfModel::new();
         let s = Ils::default().refine(&m, vec![], &SolveControl::new());
         assert_eq!(s.energy(), 0.0);
     }

@@ -52,17 +52,16 @@
 //! # Quick start
 //!
 //! ```
-//! use mrf::model::MrfBuilder;
+//! use mrf::model::MrfModel;
 //! use mrf::solver::{MapSolver, SolveControl};
 //! use mrf::trws::Trws;
 //!
 //! # fn main() -> Result<(), mrf::Error> {
 //! // Two variables with two labels each; disagreeing labels are cheaper.
-//! let mut b = MrfBuilder::new();
-//! let x = b.add_variable(2);
-//! let y = b.add_variable(2);
-//! b.add_edge_dense(x, y, vec![1.0, 0.0, 0.0, 1.0])?; // cost(xa, xb)
-//! let model = b.build();
+//! let mut model = MrfModel::new();
+//! let x = model.add_var(2)?;
+//! let y = model.add_var(2)?;
+//! model.add_pairwise_dense(x, y, vec![1.0, 0.0, 0.0, 1.0])?; // cost(xa, xb)
 //!
 //! let solution = Trws::default().solve(&model, &SolveControl::new());
 //! assert_ne!(solution.labels()[0], solution.labels()[1]);
@@ -75,16 +74,15 @@
 //!
 //! ```
 //! use std::time::Duration;
-//! use mrf::model::MrfBuilder;
+//! use mrf::model::MrfModel;
 //! use mrf::solver::{ExactFallback, MapSolver, SolveControl};
 //!
 //! # fn main() -> Result<(), mrf::Error> {
-//! let mut b = MrfBuilder::new();
-//! let vars: Vec<_> = (0..10).map(|_| b.add_variable(3)).collect();
+//! let mut model = MrfModel::new();
+//! let vars: Vec<_> = (0..10).map(|_| model.add_var(3)).collect::<Result<_, _>>()?;
 //! for w in vars.windows(2) {
-//!     b.add_edge_dense(w[0], w[1], vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])?;
+//!     model.add_pairwise_dense(w[0], w[1], vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])?;
 //! }
-//! let model = b.build();
 //!
 //! // Exact elimination under a 100 ms budget. A chain has treewidth one,
 //! // so elimination certifies the optimum and the TRW-S fallback never
@@ -100,9 +98,9 @@
 //!
 //! # Mutable models: build, mutate, re-solve
 //!
-//! A model is not frozen at build time: [`MrfModel`] exposes
+//! A model is built and edited through one API: [`MrfModel`]'s
 //! `add_var` / `remove_var` / `set_unary` / `add_pairwise` /
-//! `remove_pairwise` mutators whose handles stay stable across mutations
+//! `remove_pairwise` mutators, whose handles stay stable across mutations
 //! of *other* variables (removal tombstones a slot; a free list recycles
 //! it). Solvers sweep live variables only, and the previous solution
 //! remains a valid warm start because labeling arity is the slot count:
@@ -159,7 +157,7 @@ mod error;
 
 pub use error::Error;
 pub use local::{condition_submodel, LocalRefine, Start};
-pub use model::{EdgeId, MrfBuilder, MrfModel, PotentialId, UnaryOverlay, VarId};
+pub use model::{EdgeId, MrfModel, PotentialId, UnaryOverlay, VarId};
 pub use order::SolveScratch;
 pub use solution::Solution;
 pub use solver::{ExactFallback, MapSolver, ProgressEvent, SolveControl};

@@ -42,7 +42,7 @@
 //! themselves (the sharded engine's boundary coordination in
 //! `ics-diversity` is built on it).
 
-use crate::model::{MrfBuilder, MrfModel, VarId};
+use crate::model::{MrfModel, VarId};
 use crate::solution::Solution;
 use crate::solver::{MapSolver, SolveControl};
 
@@ -223,16 +223,15 @@ pub(crate) fn refine_unsealed<S: MapSolver + ?Sized>(
 ///
 /// ```
 /// use mrf::local::condition_submodel;
-/// use mrf::model::MrfBuilder;
+/// use mrf::model::MrfModel;
 ///
 /// # fn main() -> Result<(), mrf::Error> {
 /// // A 3-chain: x0 — x1 — x2, each edge preferring agreement.
-/// let mut b = MrfBuilder::new();
-/// let vars: Vec<_> = (0..3).map(|_| b.add_variable(2)).collect();
+/// let mut model = MrfModel::new();
+/// let vars: Vec<_> = (0..3).map(|_| model.add_var(2)).collect::<Result<_, _>>()?;
 /// for w in vars.windows(2) {
-///     b.add_edge_dense(w[0], w[1], vec![0.0, 1.0, 1.0, 0.0])?;
+///     model.add_pairwise_dense(w[0], w[1], vec![0.0, 1.0, 1.0, 0.0])?;
 /// }
-/// let model = b.build();
 ///
 /// // Freeze x0 = 1 and x2 = 1; condition the middle variable on them.
 /// let labels = vec![1, 0, 1];
@@ -260,7 +259,7 @@ pub fn condition_submodel(
     debug_assert_eq!(active.len(), model.var_count());
     let mut sub_index = vec![usize::MAX; model.var_count()];
     let mut map = Vec::new();
-    let mut builder = MrfBuilder::new();
+    let mut sub = MrfModel::new();
     for i in 0..model.var_count() {
         // Tombstoned slots are conditioned out like inactive variables;
         // they contribute no energy at any label.
@@ -269,7 +268,9 @@ pub fn condition_submodel(
         }
         sub_index[i] = map.len();
         map.push(i);
-        let v = builder.add_variable(model.labels(VarId(i)));
+        let v = sub
+            .add_var(model.labels(VarId(i)))
+            .expect("a live variable has labels");
         let mut unary = model.unary(VarId(i)).to_vec();
         for &eidx in model.incident_edges(VarId(i)) {
             let e = model.edges()[eidx as usize];
@@ -290,8 +291,7 @@ pub fn condition_submodel(
                 };
             }
         }
-        builder
-            .set_unary(v, unary)
+        sub.set_unary(v, unary)
             .expect("fresh variable accepts its own arity");
     }
     for e in model.edges() {
@@ -309,11 +309,10 @@ pub fn condition_submodel(
                 costs.push(model.edge_cost(e, xa, xb));
             }
         }
-        builder
-            .add_edge_dense(VarId(sub_index[a]), VarId(sub_index[b]), costs)
+        sub.add_pairwise_dense(VarId(sub_index[a]), VarId(sub_index[b]), costs)
             .expect("active endpoints were added in order");
     }
-    (builder.build(), map)
+    (sub, map)
 }
 
 #[cfg(test)]
@@ -353,37 +352,36 @@ mod tests {
     /// correction wave propagates one hop per activation — the expansion
     /// workload (strict, so greedy descent cannot stall on a tie).
     fn biased_chain(n: usize) -> MrfModel {
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..n).map(|_| b.add_variable(2)).collect();
-        b.set_unary(vars[0], vec![10.0, 0.0]).unwrap();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..n).map(|_| m.add_var(2).unwrap()).collect();
+        m.set_unary(vars[0], vec![10.0, 0.0]).unwrap();
         for &v in &vars[1..] {
-            b.set_unary(v, vec![0.1, 0.0]).unwrap();
+            m.set_unary(v, vec![0.1, 0.0]).unwrap();
         }
         for w in vars.windows(2) {
-            b.add_edge_dense(w[0], w[1], vec![0.0, 1.0, 1.0, 0.0])
+            m.add_pairwise_dense(w[0], w[1], vec![0.0, 1.0, 1.0, 0.0])
                 .unwrap();
         }
-        b.build()
+        m
     }
 
     #[test]
     fn conditioned_submodel_preserves_energy_differences() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..8).map(|_| b.add_variable(3)).collect();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..8).map(|_| m.add_var(3).unwrap()).collect();
         for &v in &vars {
-            b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
+            m.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
                 .unwrap();
         }
         for i in 0..8 {
-            b.add_edge_dense(
+            m.add_pairwise_dense(
                 vars[i],
                 vars[(i + 1) % 8],
                 (0..9).map(|_| rng.gen_range(0.0..2.0)).collect(),
             )
             .unwrap();
         }
-        let m = b.build();
         let labels: Vec<usize> = (0..8).map(|_| rng.gen_range(0..3)).collect();
         let mut active = vec![false; 8];
         for i in [2usize, 3, 4] {
@@ -443,17 +441,17 @@ mod tests {
     fn local_refiners_never_return_worse_than_start() {
         let mut rng = StdRng::seed_from_u64(31);
         for trial in 0..10 {
-            let mut b = MrfBuilder::new();
+            let mut m = MrfModel::new();
             let n = 10;
-            let vars: Vec<_> = (0..n).map(|_| b.add_variable(3)).collect();
+            let vars: Vec<_> = (0..n).map(|_| m.add_var(3).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
+                m.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..2.0)).collect())
                     .unwrap();
             }
             for i in 0..n {
                 for j in (i + 1)..n {
                     if rng.gen_bool(0.3) {
-                        b.add_edge_dense(
+                        m.add_pairwise_dense(
                             vars[i],
                             vars[j],
                             (0..9).map(|_| rng.gen_range(0.0..2.0)).collect(),
@@ -462,7 +460,6 @@ mod tests {
                     }
                 }
             }
-            let m = b.build();
             let start: Vec<usize> = (0..n).map(|_| rng.gen_range(0..3)).collect();
             let start_energy = m.energy(&start);
             let frontier = [VarId(rng.gen_range(0..n))];

@@ -35,11 +35,14 @@
 //!
 //! Slot recycling keeps fragmentation bounded under steady churn; a model
 //! that *shrinks* (many removals, few additions) accretes dead slots and
-//! unreferenced potentials instead. [`MrfModel::fragmentation`] measures
-//! that share and [`MrfModel::should_compact`] reports when it crosses the
-//! built-in threshold; [`MrfModel::compact`] then rewrites the model dense
-//! again, returning the slot remap (the one operation that moves handles —
-//! callers holding [`VarId`]s apply the remap or rebuild their index).
+//! unreferenced potentials instead. [`MrfModel::should_compact`] reports
+//! when that dead weight crosses the built-in threshold; the owner then
+//! assembles a fresh model, which is dense, and re-derives its handles.
+//!
+//! [`MrfModel::new`] and the mutators are the one way to assemble a model:
+//! a cold build is the same sequence of `add_var`, `set_unary`,
+//! `add_potential` and `add_pairwise` calls an incremental edit makes, so
+//! both are checked by the same validation.
 //!
 //! ```
 //! use mrf::model::MrfModel;
@@ -76,8 +79,8 @@ use crate::{Error, Result};
 /// Handle to a variable in an [`MrfModel`].
 ///
 /// Stable across mutations of other variables: only removing the variable
-/// itself (which tombstones and eventually recycles the slot) or a
-/// [`MrfModel::compact`] invalidates a handle.
+/// itself (which tombstones and eventually recycles the slot) invalidates
+/// a handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct VarId(pub usize);
 
@@ -140,7 +143,7 @@ impl Edge {
 
     /// Whether this edge slot is live (vs. tombstoned by
     /// [`MrfModel::remove_pairwise`] / [`MrfModel::remove_var`]). Dead
-    /// slots linger in [`MrfModel::edges`] until recycled or compacted;
+    /// slots linger in [`MrfModel::edges`] until recycled;
     /// full-edge iterations must skip them (or use
     /// [`MrfModel::live_edges`]).
     #[inline]
@@ -171,7 +174,7 @@ pub struct MrfModel {
     label_counts: Vec<u32>,
     /// Unary cost vector per variable slot (empty at tombstones).
     unary: Vec<Vec<f64>>,
-    /// Shared potentials, append-only between compactions.
+    /// Shared potentials, append-only.
     potentials: Vec<Potential>,
     /// Live-edge reference count per potential.
     pot_refs: Vec<u32>,
@@ -195,7 +198,7 @@ impl Default for MrfModel {
 
 impl MrfModel {
     /// An empty model; grow it with [`MrfModel::add_var`] and the pairwise
-    /// mutators, or assemble one in bulk through [`MrfBuilder`].
+    /// mutators.
     pub fn new() -> MrfModel {
         MrfModel {
             label_counts: Vec::new(),
@@ -393,9 +396,9 @@ impl MrfModel {
     }
 
     /// Tombstones variable `v`, removing its incident edges (shared
-    /// potentials losing their last reference become reclaimable by the
-    /// next compaction). All other handles stay valid; the slot is recycled
-    /// by a later [`MrfModel::add_var`].
+    /// potentials losing their last reference stay registered, unused). All
+    /// other handles stay valid; the slot is recycled by a later
+    /// [`MrfModel::add_var`].
     ///
     /// # Errors
     ///
@@ -459,8 +462,9 @@ impl MrfModel {
     }
 
     /// Registers a shared `rows × cols` potential (row-major costs).
-    /// Potential ids are stable until [`MrfModel::compact`]; potentials no
-    /// live edge references linger until then.
+    /// Potential ids are stable for the model's lifetime; potentials no
+    /// live edge references linger, counted by
+    /// [`MrfModel::should_compact`].
     ///
     /// # Errors
     ///
@@ -611,24 +615,6 @@ impl MrfModel {
 
     // --- Compaction -----------------------------------------------------
 
-    /// The share of storage held by tombstones and unreferenced potentials:
-    /// the maximum over dead variable slots, dead edge slots, and dead
-    /// potentials, each as a fraction of their slot array. 0.0 for a dense
-    /// model.
-    pub fn fragmentation(&self) -> f64 {
-        let frac = |dead: usize, total: usize| {
-            if total == 0 {
-                0.0
-            } else {
-                dead as f64 / total as f64
-            }
-        };
-        let dead_pots = self.pot_refs.iter().filter(|&&r| r == 0).count();
-        frac(self.free_vars.len(), self.label_counts.len())
-            .max(frac(self.free_edges.len(), self.edges.len()))
-            .max(frac(dead_pots, self.potentials.len()))
-    }
-
     /// Dead slots a compaction would reclaim before the threshold trips.
     /// Slot recycling keeps steady churn fragmentation-free; only a model
     /// that shrank (or churned its shared potentials) accretes enough dead
@@ -637,275 +623,14 @@ impl MrfModel {
 
     /// Whether fragmentation crossed the compaction threshold: at least 32
     /// dead slots in some array *and* more than half of that array dead.
-    /// Callers owning handle indexes react by calling
-    /// [`MrfModel::compact`] (and remapping) or rebuilding.
+    /// The owner compacts by assembling a fresh model, which is dense, and
+    /// re-deriving the handles it holds.
     pub fn should_compact(&self) -> bool {
         let dead_pots = self.pot_refs.iter().filter(|&&r| r == 0).count();
         let trips = |dead: usize, total: usize| dead >= Self::COMPACT_MIN_DEAD && 2 * dead > total;
         trips(self.free_vars.len(), self.label_counts.len())
             || trips(self.free_edges.len(), self.edges.len())
             || trips(dead_pots, self.potentials.len())
-    }
-
-    /// Rewrites the model dense: drops tombstoned variable and edge slots
-    /// and unreferenced potentials, renumbering the survivors in slot
-    /// order. Returns the variable remap, indexed by old slot:
-    /// `remap[old.0] == Some(new)` for surviving variables, `None` for
-    /// tombstones. **This is the one operation that invalidates handles** —
-    /// all previously issued [`VarId`]s, [`EdgeId`]s and [`PotentialId`]s
-    /// refer to the new layout only through the remap.
-    pub fn compact(&mut self) -> Vec<Option<VarId>> {
-        let old_vars = self.label_counts.len();
-        let mut remap = vec![None; old_vars];
-        let mut next = 0usize;
-        for (i, &c) in self.label_counts.iter().enumerate() {
-            if c > 0 {
-                remap[i] = Some(VarId(next));
-                next += 1;
-            }
-        }
-        let mut pot_remap = vec![u32::MAX; self.potentials.len()];
-        let mut live_pots = Vec::new();
-        let mut live_refs = Vec::new();
-        for (i, pot) in self.potentials.drain(..).enumerate() {
-            if self.pot_refs[i] > 0 {
-                pot_remap[i] = live_pots.len() as u32;
-                live_refs.push(self.pot_refs[i]);
-                live_pots.push(pot);
-            }
-        }
-        self.potentials = live_pots;
-        self.pot_refs = live_refs;
-
-        let mut live_edges = Vec::with_capacity(self.live_edges);
-        for e in self.edges.drain(..) {
-            if !e.is_live() {
-                continue;
-            }
-            // The remap is monotone in slot order, so a < b is preserved.
-            live_edges.push(Edge {
-                a: remap[e.a as usize].expect("live edge endpoint").0 as u32,
-                b: remap[e.b as usize].expect("live edge endpoint").0 as u32,
-                potential: pot_remap[e.potential as usize],
-                transposed: e.transposed,
-            });
-        }
-        self.edges = live_edges;
-        self.free_edges.clear();
-        self.free_vars.clear();
-
-        let mut label_counts = Vec::with_capacity(next);
-        let mut unary = Vec::with_capacity(next);
-        for (i, &c) in self.label_counts.iter().enumerate() {
-            if c > 0 {
-                label_counts.push(c);
-                unary.push(std::mem::take(&mut self.unary[i]));
-            }
-        }
-        self.label_counts = label_counts;
-        self.unary = unary;
-
-        self.incident = vec![Vec::new(); next];
-        for (idx, e) in self.edges.iter().enumerate() {
-            self.incident[e.a as usize].push(idx as u32);
-            self.incident[e.b as usize].push(idx as u32);
-        }
-        self.live_edges = self.edges.len();
-        remap
-    }
-}
-
-/// Bulk builder for [`MrfModel`] — the classic assemble-then-solve path.
-///
-/// Produces a dense model (no tombstones); incremental pipelines keep
-/// mutating it afterwards through the [`MrfModel`] mutators.
-#[derive(Debug, Clone, Default)]
-pub struct MrfBuilder {
-    label_counts: Vec<u32>,
-    unary: Vec<Vec<f64>>,
-    potentials: Vec<Potential>,
-    edges: Vec<Edge>,
-}
-
-impl MrfBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> MrfBuilder {
-        MrfBuilder::default()
-    }
-
-    /// Adds a variable with `labels` possible labels (unary costs default to
-    /// zero) and returns its handle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `labels == 0`; empty domains make the model infeasible.
-    pub fn add_variable(&mut self, labels: usize) -> VarId {
-        assert!(labels > 0, "variables need at least one label");
-        let id = VarId(self.label_counts.len());
-        self.label_counts.push(labels as u32);
-        self.unary.push(vec![0.0; labels]);
-        id
-    }
-
-    /// Sets the unary cost vector of `v` (replacing any previous costs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownVariable`] or [`Error::UnaryArity`].
-    pub fn set_unary(&mut self, v: VarId, costs: Vec<f64>) -> Result<()> {
-        let labels = *self
-            .label_counts
-            .get(v.0)
-            .ok_or(Error::UnknownVariable(v))? as usize;
-        if costs.len() != labels {
-            return Err(Error::UnaryArity {
-                var: v,
-                labels,
-                got: costs.len(),
-            });
-        }
-        self.unary[v.0] = costs;
-        Ok(())
-    }
-
-    /// Adds `delta` to one unary entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownVariable`] or [`Error::UnaryArity`] (label out
-    /// of range).
-    pub fn add_unary(&mut self, v: VarId, label: usize, delta: f64) -> Result<()> {
-        let labels = *self
-            .label_counts
-            .get(v.0)
-            .ok_or(Error::UnknownVariable(v))? as usize;
-        if label >= labels {
-            return Err(Error::UnaryArity {
-                var: v,
-                labels,
-                got: label + 1,
-            });
-        }
-        self.unary[v.0][label] += delta;
-        Ok(())
-    }
-
-    /// Registers a shared `rows × cols` potential (row-major costs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::CostLength`] if `costs.len() != rows * cols`.
-    pub fn add_potential(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        costs: Vec<f64>,
-    ) -> Result<PotentialId> {
-        if costs.len() != rows * cols {
-            return Err(Error::CostLength {
-                expected: rows * cols,
-                got: costs.len(),
-            });
-        }
-        let id = PotentialId(self.potentials.len());
-        self.potentials.push(Potential { rows, cols, costs });
-        Ok(id)
-    }
-
-    /// Adds an edge between `a` and `b` using a shared potential whose rows
-    /// index `a`'s labels and columns `b`'s labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownVariable`], [`Error::UnknownPotential`],
-    /// [`Error::SelfEdge`] or [`Error::PotentialShape`].
-    pub fn add_edge(&mut self, a: VarId, b: VarId, potential: PotentialId) -> Result<()> {
-        let la = *self
-            .label_counts
-            .get(a.0)
-            .ok_or(Error::UnknownVariable(a))? as usize;
-        let lb = *self
-            .label_counts
-            .get(b.0)
-            .ok_or(Error::UnknownVariable(b))? as usize;
-        if a == b {
-            return Err(Error::SelfEdge(a));
-        }
-        let p = self
-            .potentials
-            .get(potential.0)
-            .ok_or(Error::UnknownPotential(potential))?;
-        if p.shape() != (la, lb) {
-            return Err(Error::PotentialShape {
-                a,
-                b,
-                expected: (la, lb),
-                got: p.shape(),
-            });
-        }
-        // Normalize to a < b; the potential was given in (a, b) orientation,
-        // so flipping endpoints transposes it.
-        let (lo, hi, transposed) = if a.0 < b.0 {
-            (a, b, false)
-        } else {
-            (b, a, true)
-        };
-        self.edges.push(Edge {
-            a: lo.0 as u32,
-            b: hi.0 as u32,
-            potential: potential.0 as u32,
-            transposed,
-        });
-        Ok(())
-    }
-
-    /// Adds an edge with its own dense cost matrix (`labels(a) × labels(b)`,
-    /// row-major).
-    ///
-    /// # Errors
-    ///
-    /// See [`MrfBuilder::add_edge`] and [`MrfBuilder::add_potential`].
-    pub fn add_edge_dense(&mut self, a: VarId, b: VarId, costs: Vec<f64>) -> Result<()> {
-        let la = *self
-            .label_counts
-            .get(a.0)
-            .ok_or(Error::UnknownVariable(a))? as usize;
-        let lb = *self
-            .label_counts
-            .get(b.0)
-            .ok_or(Error::UnknownVariable(b))? as usize;
-        let p = self.add_potential(la, lb, costs)?;
-        self.add_edge(a, b, p)
-    }
-
-    /// Number of variables added so far.
-    pub fn var_count(&self) -> usize {
-        self.label_counts.len()
-    }
-
-    /// Freezes the bulk phase, producing a dense [`MrfModel`] (which stays
-    /// mutable through its own slot-recycling mutators).
-    pub fn build(self) -> MrfModel {
-        let n = self.label_counts.len();
-        let mut incident = vec![Vec::new(); n];
-        let mut pot_refs = vec![0u32; self.potentials.len()];
-        for (idx, e) in self.edges.iter().enumerate() {
-            incident[e.a as usize].push(idx as u32);
-            incident[e.b as usize].push(idx as u32);
-            pot_refs[e.potential as usize] += 1;
-        }
-        let live_edges = self.edges.len();
-        MrfModel {
-            label_counts: self.label_counts,
-            unary: self.unary,
-            potentials: self.potentials,
-            pot_refs,
-            edges: self.edges,
-            free_edges: Vec::new(),
-            incident,
-            free_vars: Vec::new(),
-            live_edges,
-        }
     }
 }
 
@@ -1025,14 +750,13 @@ mod tests {
 
     #[test]
     fn build_and_evaluate_energy() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(3);
-        b.set_unary(x, vec![1.0, 2.0]).unwrap();
-        b.set_unary(y, vec![0.0, 5.0, 1.0]).unwrap();
-        b.add_edge_dense(x, y, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(3).unwrap();
+        m.set_unary(x, vec![1.0, 2.0]).unwrap();
+        m.set_unary(y, vec![0.0, 5.0, 1.0]).unwrap();
+        m.add_pairwise_dense(x, y, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
             .unwrap();
-        let m = b.build();
         assert_eq!(m.var_count(), 2);
         assert_eq!(m.edge_count(), 1);
         // E(x=1, y=2) = 2.0 + 1.0 + cost(1,2)=5.0 -> 8.0
@@ -1042,13 +766,12 @@ mod tests {
 
     #[test]
     fn shared_potentials_are_reused() {
-        let mut b = MrfBuilder::new();
-        let vars: Vec<VarId> = (0..4).map(|_| b.add_variable(2)).collect();
-        let pot = b.add_potential(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
+        let mut m = MrfModel::new();
+        let vars: Vec<VarId> = (0..4).map(|_| m.add_var(2).unwrap()).collect();
+        let pot = m.add_potential(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         for w in vars.windows(2) {
-            b.add_edge(w[0], w[1], pot).unwrap();
+            m.add_pairwise(w[0], w[1], pot).unwrap();
         }
-        let m = b.build();
         assert_eq!(m.edge_count(), 3);
         // Alternating labels cost 0; uniform labels cost 3.
         assert_eq!(m.energy(&[0, 1, 0, 1]), 0.0);
@@ -1057,17 +780,16 @@ mod tests {
 
     #[test]
     fn reversed_edge_is_transposed() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(3);
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(3).unwrap();
         // Register the potential in (y, x) orientation: 3 rows, 2 cols.
         let costs = vec![
             0.0, 1.0, // y=0
             2.0, 3.0, // y=1
             4.0, 5.0, // y=2
         ];
-        b.add_edge_dense(y, x, costs).unwrap();
-        let m = b.build();
+        m.add_pairwise_dense(y, x, costs).unwrap();
         // Edge is normalized to (x, y); cost(x=1, y=2) must equal cost(y=2, x=1)=5.
         let e = &m.edges()[0];
         assert_eq!(e.a(), x);
@@ -1078,13 +800,12 @@ mod tests {
 
     #[test]
     fn incident_edges_cover_both_endpoints() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        let z = b.add_variable(2);
-        b.add_edge_dense(x, y, vec![0.0; 4]).unwrap();
-        b.add_edge_dense(y, z, vec![0.0; 4]).unwrap();
-        let m = b.build();
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        let z = m.add_var(2).unwrap();
+        m.add_pairwise_dense(x, y, vec![0.0; 4]).unwrap();
+        m.add_pairwise_dense(y, z, vec![0.0; 4]).unwrap();
         assert_eq!(m.incident_edges(x), &[0]);
         assert_eq!(m.incident_edges(y), &[0, 1]);
         assert_eq!(m.incident_edges(z), &[1]);
@@ -1092,86 +813,77 @@ mod tests {
 
     #[test]
     fn unary_argmin() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(3);
-        b.set_unary(x, vec![2.0, 0.5, 1.0]).unwrap();
-        let y = b.add_variable(2);
-        b.set_unary(y, vec![0.0, -1.0]).unwrap();
-        let m = b.build();
+        let mut m = MrfModel::new();
+        let x = m.add_var(3).unwrap();
+        m.set_unary(x, vec![2.0, 0.5, 1.0]).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.set_unary(y, vec![0.0, -1.0]).unwrap();
         assert_eq!(m.unary_argmin(), vec![1, 1]);
     }
 
     #[test]
     fn add_unary_accumulates() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        b.add_unary(x, 0, 1.5).unwrap();
-        b.add_unary(x, 0, 2.0).unwrap();
-        let m = b.build();
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        m.add_unary(x, 0, 1.5).unwrap();
+        m.add_unary(x, 0, 2.0).unwrap();
         assert_eq!(m.unary(x), &[3.5, 0.0]);
     }
 
     #[test]
     fn builder_errors() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
         assert!(matches!(
-            b.set_unary(x, vec![0.0; 3]),
+            m.set_unary(x, vec![0.0; 3]),
             Err(Error::UnaryArity { .. })
         ));
         assert!(matches!(
-            b.set_unary(VarId(9), vec![0.0]),
+            m.set_unary(VarId(9), vec![0.0]),
             Err(Error::UnknownVariable(_))
         ));
         assert!(matches!(
-            b.add_edge_dense(x, x, vec![0.0; 4]),
+            m.add_pairwise_dense(x, x, vec![0.0; 4]),
             Err(Error::SelfEdge(_))
         ));
-        let y = b.add_variable(3);
+        let y = m.add_var(3).unwrap();
         assert!(matches!(
-            b.add_edge_dense(x, y, vec![0.0; 4]),
+            m.add_pairwise_dense(x, y, vec![0.0; 4]),
             Err(Error::CostLength { .. })
         ));
-        let pot = b.add_potential(2, 2, vec![0.0; 4]).unwrap();
+        let pot = m.add_potential(2, 2, vec![0.0; 4]).unwrap();
         assert!(matches!(
-            b.add_edge(x, y, pot),
+            m.add_pairwise(x, y, pot),
             Err(Error::PotentialShape { .. })
         ));
         assert!(matches!(
-            b.add_edge(x, VarId(7), pot),
+            m.add_pairwise(x, VarId(7), pot),
             Err(Error::UnknownVariable(_))
         ));
         assert!(matches!(
-            b.add_edge(x, y, PotentialId(9)),
+            m.add_pairwise(x, y, PotentialId(9)),
             Err(Error::UnknownPotential(_))
         ));
         assert!(matches!(
-            b.add_unary(x, 5, 1.0),
+            m.add_unary(x, 5, 1.0),
             Err(Error::UnaryArity { .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one label")]
-    fn zero_label_variable_panics() {
-        MrfBuilder::new().add_variable(0);
     }
 
     #[test]
     fn search_space() {
-        let mut b = MrfBuilder::new();
-        b.add_variable(3);
-        b.add_variable(4);
-        let m = b.build();
+        let mut m = MrfModel::new();
+        m.add_var(3).unwrap();
+        m.add_var(4).unwrap();
         assert_eq!(m.search_space(), 12.0);
     }
 
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn energy_rejects_wrong_arity() {
-        let mut b = MrfBuilder::new();
-        b.add_variable(2);
-        b.build().energy(&[]);
+        let mut m = MrfModel::new();
+        m.add_var(2).unwrap();
+        m.energy(&[]);
     }
 
     // --- Mutable-model tests -------------------------------------------
@@ -1313,31 +1025,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_equals_bulk_assembly() {
-        // The same model assembled through the builder and through the
-        // mutable API must agree everywhere the solvers look.
-        let mut b = MrfBuilder::new();
-        let bx = b.add_variable(2);
-        let by = b.add_variable(3);
-        b.set_unary(bx, vec![1.0, 2.0]).unwrap();
-        b.set_unary(by, vec![0.0, 5.0, 1.0]).unwrap();
-        b.add_edge_dense(bx, by, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-            .unwrap();
-        let bulk = b.build();
-
-        let mut m = MrfModel::new();
-        let x = m.add_var(2).unwrap();
-        let y = m.add_var(3).unwrap();
-        m.set_unary(x, vec![1.0, 2.0]).unwrap();
-        m.set_unary(y, vec![0.0, 5.0, 1.0]).unwrap();
-        m.add_pairwise_dense(x, y, vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-            .unwrap();
-
-        assert_eq!(bulk, m);
-        assert_eq!(m.energy(&[1, 2]), 8.0);
-    }
-
-    #[test]
     fn fragmentation_and_compaction() {
         let mut m = MrfModel::new();
         let vars: Vec<VarId> = (0..100).map(|_| m.add_var(2).unwrap()).collect();
@@ -1345,36 +1032,12 @@ mod tests {
             m.add_pairwise_dense(w[0], w[1], vec![1.0, 0.0, 0.0, 1.0])
                 .unwrap();
         }
-        assert_eq!(m.fragmentation(), 0.0);
         assert!(!m.should_compact());
         // Shrink: remove 70 of the 100 variables.
         for &v in &vars[30..] {
             m.remove_var(v).unwrap();
         }
-        assert!(m.fragmentation() > 0.5);
         assert!(m.should_compact());
-        let energy_before = {
-            let labels: Vec<usize> = (0..m.var_count()).map(|i| i % 2).collect();
-            m.energy(&labels)
-        };
-        let remap = m.compact();
-        assert_eq!(m.var_count(), 30);
-        assert_eq!(m.live_var_count(), 30);
-        assert_eq!(m.edge_count(), 29);
-        assert_eq!(m.edge_slots(), 29);
-        assert_eq!(m.fragmentation(), 0.0);
-        assert!(!m.should_compact());
-        // The remap maps survivors in order and drops tombstones.
-        for (old, new) in remap.iter().enumerate() {
-            if old < 30 {
-                assert_eq!(*new, Some(VarId(old)));
-            } else {
-                assert_eq!(*new, None);
-            }
-        }
-        // Same energy through the remapped labeling.
-        let labels: Vec<usize> = (0..30).map(|i| i % 2).collect();
-        assert_eq!(m.energy(&labels), energy_before);
     }
 
     #[test]
@@ -1389,10 +1052,6 @@ mod tests {
             m.remove_pairwise(e).unwrap();
         }
         assert!(m.should_compact(), "40 dead potentials against 1 live");
-        m.compact();
-        assert_eq!(m.edge_count(), 1);
-        assert_eq!(m.energy(&[0, 1]), 0.0);
-        assert_eq!(m.energy(&[1, 1]), 1.0);
     }
 
     #[test]

@@ -367,15 +367,14 @@ pub(crate) fn energy_fast(model: &MrfModel, t: &Tables<'_>, pot: &[f64], labels:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::MrfBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     #[test]
     fn resolved_tables_match_edge_cost() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..8).map(|i| b.add_variable(2 + (i % 3))).collect();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..8).map(|i| m.add_var(2 + (i % 3)).unwrap()).collect();
         for i in 0..8 {
             for j in (i + 1)..8 {
                 if rng.gen_bool(0.5) {
@@ -383,14 +382,14 @@ mod tests {
                     // Randomly flip endpoint order to exercise transposed
                     // potentials.
                     if rng.gen_bool(0.5) {
-                        b.add_edge_dense(
+                        m.add_pairwise_dense(
                             vars[i],
                             vars[j],
                             (0..la * lb).map(|_| rng.gen_range(0.0..3.0)).collect(),
                         )
                         .unwrap();
                     } else {
-                        b.add_edge_dense(
+                        m.add_pairwise_dense(
                             vars[j],
                             vars[i],
                             (0..la * lb).map(|_| rng.gen_range(0.0..3.0)).collect(),
@@ -400,7 +399,6 @@ mod tests {
                 }
             }
         }
-        let m = b.build();
         let mut s = SolveScratch::new();
         s.prepare(&m);
         let p = s.parts();
@@ -423,13 +421,12 @@ mod tests {
 
     #[test]
     fn arena_offsets_are_disjoint_and_cover() {
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..6).map(|_| b.add_variable(3)).collect();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..6).map(|_| m.add_var(3).unwrap()).collect();
         for i in 0..6 {
-            b.add_edge_dense(vars[i], vars[(i + 1) % 6], vec![0.0; 9])
+            m.add_pairwise_dense(vars[i], vars[(i + 1) % 6], vec![0.0; 9])
                 .unwrap();
         }
-        let m = b.build();
         let mut s = SolveScratch::new();
         s.prepare(&m);
         let p = s.parts();
@@ -454,16 +451,16 @@ mod tests {
     #[test]
     fn energy_fast_matches_model_energy() {
         let mut rng = StdRng::seed_from_u64(19);
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..10).map(|_| b.add_variable(3)).collect();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..10).map(|_| m.add_var(3).unwrap()).collect();
         for &v in &vars {
-            b.set_unary(v, (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
+            m.set_unary(v, (0..3).map(|_| rng.gen_range(-2.0..2.0)).collect())
                 .unwrap();
         }
         for i in 0..10 {
             for j in (i + 1)..10 {
                 if rng.gen_bool(0.4) {
-                    b.add_edge_dense(
+                    m.add_pairwise_dense(
                         vars[i],
                         vars[j],
                         (0..9).map(|_| rng.gen_range(-1.0..1.0)).collect(),
@@ -472,7 +469,6 @@ mod tests {
                 }
             }
         }
-        let m = b.build();
         let mut s = SolveScratch::new();
         s.prepare(&m);
         let p = s.parts();
@@ -487,13 +483,13 @@ mod tests {
     #[test]
     fn prepare_reuses_capacity_after_churn() {
         let mut m = {
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..12).map(|_| b.add_variable(2)).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..12).map(|_| m.add_var(2).unwrap()).collect();
             for i in 0..12 {
-                b.add_edge_dense(vars[i], vars[(i + 1) % 12], vec![0.0; 4])
+                m.add_pairwise_dense(vars[i], vars[(i + 1) % 12], vec![0.0; 4])
                     .unwrap();
             }
-            b.build()
+            m
         };
         let mut s = SolveScratch::new();
         s.prepare(&m);

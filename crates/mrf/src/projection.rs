@@ -52,16 +52,15 @@ pub fn project_label(model: &MrfModel, v: VarId, seed: Option<usize>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::MrfBuilder;
 
     fn model() -> MrfModel {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(3);
-        b.set_unary(x, vec![0.5, 0.0]).unwrap();
-        b.set_unary(y, vec![1.0, 0.2, 3.0]).unwrap();
-        b.add_edge_dense(x, y, vec![0.0; 6]).unwrap();
-        b.build()
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(3).unwrap();
+        m.set_unary(x, vec![0.5, 0.0]).unwrap();
+        m.set_unary(y, vec![1.0, 0.2, 3.0]).unwrap();
+        m.add_pairwise_dense(x, y, vec![0.0; 6]).unwrap();
+        m
     }
 
     #[test]

@@ -61,16 +61,15 @@ type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 ///
 /// ```
 /// use std::time::Duration;
-/// use mrf::model::MrfBuilder;
+/// use mrf::model::MrfModel;
 /// use mrf::solver::{MapSolver, SolveControl};
 /// use mrf::trws::Trws;
 ///
 /// # fn main() -> Result<(), mrf::Error> {
-/// let mut b = MrfBuilder::new();
-/// let x = b.add_variable(2);
-/// let y = b.add_variable(2);
-/// b.add_edge_dense(x, y, vec![1.0, 0.0, 0.0, 1.0])?;
-/// let model = b.build();
+/// let mut model = MrfModel::new();
+/// let x = model.add_var(2)?;
+/// let y = model.add_var(2)?;
+/// model.add_pairwise_dense(x, y, vec![1.0, 0.0, 0.0, 1.0])?;
 ///
 /// let ctl = SolveControl::new().with_budget(Duration::from_millis(50));
 /// let solution = Trws::default().solve(&model, &ctl);
@@ -399,15 +398,15 @@ pub(crate) fn best_effort(model: &MrfModel, ctl: &SolveControl) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::MrfBuilder;
     use std::sync::atomic::AtomicUsize;
 
     fn two_var_model() -> MrfModel {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.add_edge_dense(x, y, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        b.build()
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.add_pairwise_dense(x, y, vec![1.0, 0.0, 0.0, 1.0])
+            .unwrap();
+        m
     }
 
     #[test]
@@ -477,12 +476,11 @@ mod tests {
 
         // Equal energies that round apart: [0, 0] prices at 0.1 + 0.2 =
         // 0.30000000000000004 and [1, 1] at 0.3 + 0.0 = 0.3.
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.set_unary(x, vec![0.1, 0.3]).unwrap();
-        b.set_unary(y, vec![0.2, 0.0]).unwrap();
-        let model = b.build();
+        let mut model = MrfModel::new();
+        let x = model.add_var(2).unwrap();
+        let y = model.add_var(2).unwrap();
+        model.set_unary(x, vec![0.1, 0.3]).unwrap();
+        model.set_unary(y, vec![0.2, 0.0]).unwrap();
         assert!(model.energy(&[1, 1]) < model.energy(&[0, 0]));
         let fresh = Solution::new(vec![1, 1], model.energy(&[1, 1]), None, 1, true);
         assert_eq!(keep_better(&model, vec![0, 0], fresh).labels(), &[0, 0]);
@@ -505,14 +503,15 @@ mod tests {
         );
 
         // A 14-clique with 3 labels blows a tiny table cap.
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..14).map(|_| b.add_variable(3)).collect();
+        let mut clique = MrfModel::new();
+        let vars: Vec<_> = (0..14).map(|_| clique.add_var(3).unwrap()).collect();
         for i in 0..vars.len() {
             for j in (i + 1)..vars.len() {
-                b.add_edge_dense(vars[i], vars[j], vec![0.5; 9]).unwrap();
+                clique
+                    .add_pairwise_dense(vars[i], vars[j], vec![0.5; 9])
+                    .unwrap();
             }
         }
-        let clique = b.build();
         let capped = ExactFallback::new(EliminationOptions {
             max_table_entries: 100,
         });

@@ -523,7 +523,6 @@ fn decode(
 mod tests {
     use super::*;
     use crate::exhaustive::Exhaustive;
-    use crate::model::MrfBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -537,7 +536,7 @@ mod tests {
 
     #[test]
     fn empty_model() {
-        let s = solve(&MrfBuilder::new().build());
+        let s = solve(&MrfModel::new());
         assert!(s.labels().is_empty());
         assert_eq!(s.energy(), 0.0);
         assert!(s.converged());
@@ -545,10 +544,10 @@ mod tests {
 
     #[test]
     fn single_variable_picks_unary_minimum() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(4);
-        b.set_unary(x, vec![3.0, 0.5, 2.0, 1.0]).unwrap();
-        let s = solve(&b.build());
+        let mut m = MrfModel::new();
+        let x = m.add_var(4).unwrap();
+        m.set_unary(x, vec![3.0, 0.5, 2.0, 1.0]).unwrap();
+        let s = solve(&m);
         assert_eq!(s.labels(), &[1]);
         assert_eq!(s.energy(), 0.5);
         assert!(s.is_certified_optimal(1e-9));
@@ -556,11 +555,12 @@ mod tests {
 
     #[test]
     fn antiferromagnetic_pair() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.add_edge_dense(x, y, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        let s = solve(&b.build());
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.add_pairwise_dense(x, y, vec![1.0, 0.0, 0.0, 1.0])
+            .unwrap();
+        let s = solve(&m);
         assert_ne!(s.labels()[0], s.labels()[1]);
         assert_eq!(s.energy(), 0.0);
         assert!(s.is_certified_optimal(1e-9));
@@ -571,21 +571,20 @@ mod tests {
         // TRW-S is exact on chains.
         let mut rng = StdRng::seed_from_u64(11);
         for trial in 0..10 {
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..6).map(|_| b.add_variable(3)).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..6).map(|_| m.add_var(3).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..4.0)).collect())
+                m.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..4.0)).collect())
                     .unwrap();
             }
             for w in vars.windows(2) {
-                b.add_edge_dense(
+                m.add_pairwise_dense(
                     w[0],
                     w[1],
                     (0..9).map(|_| rng.gen_range(0.0..4.0)).collect(),
                 )
                 .unwrap();
             }
-            let m = b.build();
             let s = solve(&m);
             let opt = brute(&m);
             assert!(
@@ -606,22 +605,21 @@ mod tests {
     fn tree_matches_exhaustive() {
         let mut rng = StdRng::seed_from_u64(23);
         for trial in 0..10 {
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..9).map(|_| b.add_variable(2)).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..9).map(|_| m.add_var(2).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, (0..2).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                m.set_unary(v, (0..2).map(|_| rng.gen_range(-2.0..2.0)).collect())
                     .unwrap();
             }
             // Balanced binary tree edges.
             for i in 1..vars.len() {
-                b.add_edge_dense(
+                m.add_pairwise_dense(
                     vars[(i - 1) / 2],
                     vars[i],
                     (0..4).map(|_| rng.gen_range(-2.0..2.0)).collect(),
                 )
                 .unwrap();
             }
-            let m = b.build();
             let s = solve(&m);
             let opt = brute(&m);
             assert!(
@@ -637,29 +635,28 @@ mod tests {
     fn lower_bound_never_exceeds_optimum_on_loopy_graphs() {
         let mut rng = StdRng::seed_from_u64(37);
         for trial in 0..10 {
-            let mut b = MrfBuilder::new();
+            let mut m = MrfModel::new();
             let n = 6;
-            let vars: Vec<_> = (0..n).map(|_| b.add_variable(3)).collect();
+            let vars: Vec<_> = (0..n).map(|_| m.add_var(3).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..3.0)).collect())
+                m.set_unary(v, (0..3).map(|_| rng.gen_range(0.0..3.0)).collect())
                     .unwrap();
             }
             // Ring plus a chord: loopy.
             for i in 0..n {
-                b.add_edge_dense(
+                m.add_pairwise_dense(
                     vars[i],
                     vars[(i + 1) % n],
                     (0..9).map(|_| rng.gen_range(0.0..3.0)).collect(),
                 )
                 .unwrap();
             }
-            b.add_edge_dense(
+            m.add_pairwise_dense(
                 vars[0],
                 vars[3],
                 (0..9).map(|_| rng.gen_range(0.0..3.0)).collect(),
             )
             .unwrap();
-            let m = b.build();
             let s = solve(&m);
             let opt = brute(&m);
             let lb = s.lower_bound().unwrap();
@@ -683,28 +680,28 @@ mod tests {
     fn potts_grid_prefers_agreement_with_strong_coupling() {
         // 3x3 grid Potts model with strong attractive coupling and a single
         // biased corner: all variables should align with the bias.
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..9).map(|_| b.add_variable(3)).collect();
-        b.set_unary(vars[0], vec![0.0, 5.0, 5.0]).unwrap();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..9).map(|_| m.add_var(3).unwrap()).collect();
+        m.set_unary(vars[0], vec![0.0, 5.0, 5.0]).unwrap();
         // Potts: 0 if equal, 2 otherwise.
         let mut potts = vec![2.0; 9];
         for l in 0..3 {
             potts[l * 3 + l] = 0.0;
         }
-        let pot = b.add_potential(3, 3, potts).unwrap();
+        let pot = m.add_potential(3, 3, potts).unwrap();
         for r in 0..3 {
             for c in 0..3 {
                 if c + 1 < 3 {
-                    b.add_edge(vars[r * 3 + c], vars[r * 3 + c + 1], pot)
+                    m.add_pairwise(vars[r * 3 + c], vars[r * 3 + c + 1], pot)
                         .unwrap();
                 }
                 if r + 1 < 3 {
-                    b.add_edge(vars[r * 3 + c], vars[(r + 1) * 3 + c], pot)
+                    m.add_pairwise(vars[r * 3 + c], vars[(r + 1) * 3 + c], pot)
                         .unwrap();
                 }
             }
         }
-        let s = solve(&b.build());
+        let s = solve(&m);
         assert_eq!(s.labels(), &[0; 9]);
         assert!(s.is_certified_optimal(1e-6));
     }
@@ -714,29 +711,32 @@ mod tests {
         // Variable y is forbidden (BIG cost) from label 0 when x takes its
         // otherwise-optimal label 1.
         const BIG: f64 = 1e6;
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        b.set_unary(x, vec![1.0, 0.0]).unwrap();
-        b.set_unary(y, vec![0.0, 0.3]).unwrap();
-        b.add_edge_dense(x, y, vec![0.0, 0.0, BIG, 0.0]).unwrap();
-        let s = solve(&b.build());
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        m.set_unary(x, vec![1.0, 0.0]).unwrap();
+        m.set_unary(y, vec![0.0, 0.3]).unwrap();
+        m.add_pairwise_dense(x, y, vec![0.0, 0.0, BIG, 0.0])
+            .unwrap();
+        let s = solve(&m);
         assert_eq!(s.labels(), &[1, 1]);
         assert!((s.energy() - 0.3).abs() < 1e-9);
     }
 
     #[test]
     fn disconnected_components_solved_independently() {
-        let mut b = MrfBuilder::new();
-        let x = b.add_variable(2);
-        let y = b.add_variable(2);
-        let z = b.add_variable(2);
-        let w = b.add_variable(2);
-        b.set_unary(x, vec![0.0, 1.0]).unwrap();
-        b.set_unary(w, vec![1.0, 0.0]).unwrap();
-        b.add_edge_dense(x, y, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        b.add_edge_dense(z, w, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        let s = solve(&b.build());
+        let mut m = MrfModel::new();
+        let x = m.add_var(2).unwrap();
+        let y = m.add_var(2).unwrap();
+        let z = m.add_var(2).unwrap();
+        let w = m.add_var(2).unwrap();
+        m.set_unary(x, vec![0.0, 1.0]).unwrap();
+        m.set_unary(w, vec![1.0, 0.0]).unwrap();
+        m.add_pairwise_dense(x, y, vec![0.0, 1.0, 1.0, 0.0])
+            .unwrap();
+        m.add_pairwise_dense(z, w, vec![0.0, 1.0, 1.0, 0.0])
+            .unwrap();
+        let s = solve(&m);
         assert_eq!(s.labels(), &[0, 0, 1, 1]);
         assert!(s.is_certified_optimal(1e-9));
     }
@@ -745,17 +745,17 @@ mod tests {
     fn random_loopy_graphs_close_to_exhaustive() {
         let mut rng = StdRng::seed_from_u64(101);
         for trial in 0..8 {
-            let mut b = MrfBuilder::new();
+            let mut m = MrfModel::new();
             let n = 7;
-            let vars: Vec<_> = (0..n).map(|_| b.add_variable(2)).collect();
+            let vars: Vec<_> = (0..n).map(|_| m.add_var(2).unwrap()).collect();
             for &v in &vars {
-                b.set_unary(v, vec![rng.gen_range(0.0..2.0), rng.gen_range(0.0..2.0)])
+                m.set_unary(v, vec![rng.gen_range(0.0..2.0), rng.gen_range(0.0..2.0)])
                     .unwrap();
             }
             for i in 0..n {
                 for j in (i + 1)..n {
                     if rng.gen_bool(0.45) {
-                        b.add_edge_dense(
+                        m.add_pairwise_dense(
                             vars[i],
                             vars[j],
                             (0..4).map(|_| rng.gen_range(0.0..1.5)).collect(),
@@ -764,7 +764,6 @@ mod tests {
                     }
                 }
             }
-            let m = b.build();
             let s = solve(&m);
             let opt = brute(&m);
             let rel = (s.energy() - opt.energy()) / opt.energy().abs().max(1.0);
@@ -779,17 +778,17 @@ mod tests {
 
     #[test]
     fn iteration_cap_is_respected() {
-        let mut b = MrfBuilder::new();
-        let vars: Vec<_> = (0..20).map(|_| b.add_variable(3)).collect();
+        let mut m = MrfModel::new();
+        let vars: Vec<_> = (0..20).map(|_| m.add_var(3).unwrap()).collect();
         for i in 0..20 {
-            b.add_edge_dense(vars[i], vars[(i + 1) % 20], vec![0.5; 9])
+            m.add_pairwise_dense(vars[i], vars[(i + 1) % 20], vec![0.5; 9])
                 .unwrap();
         }
         let s = Trws::new(TrwsOptions {
             max_iterations: 2,
             ..TrwsOptions::default()
         })
-        .solve(&b.build(), &SolveControl::new());
+        .solve(&m, &SolveControl::new());
         assert!(s.iterations() <= 2);
     }
 }

@@ -8,7 +8,7 @@ use mrf::exhaustive::Exhaustive;
 use mrf::icm::{Icm, IcmOptions};
 use mrf::ils::Ils;
 use mrf::local::{LocalRefine, Start};
-use mrf::model::{MrfBuilder, MrfModel};
+use mrf::model::MrfModel;
 use mrf::order::SolveScratch;
 use mrf::solver::{MapSolver, SolveControl};
 use mrf::trws::{Trws, TrwsOptions};
@@ -27,11 +27,11 @@ fn arb_model() -> impl Strategy<Value = MrfModel> {
         proptest::collection::vec(2usize..4, 7),
     )
         .prop_map(|(n, unaries, pairwise, edge_mask, cards)| {
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..n).map(|i| b.add_variable(cards[i])).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..n).map(|i| m.add_var(cards[i]).unwrap()).collect();
             for (i, &v) in vars.iter().enumerate() {
                 let costs = unaries[i * 3..i * 3 + cards[i]].to_vec();
-                b.set_unary(v, costs).unwrap();
+                m.set_unary(v, costs).unwrap();
             }
             let mut k = 0usize;
             for i in 0..n {
@@ -39,12 +39,12 @@ fn arb_model() -> impl Strategy<Value = MrfModel> {
                     if edge_mask[k % edge_mask.len()] {
                         let need = cards[i] * cards[j];
                         let costs = pairwise[k * 9..k * 9 + need].to_vec();
-                        b.add_edge_dense(vars[i], vars[j], costs).unwrap();
+                        m.add_pairwise_dense(vars[i], vars[j], costs).unwrap();
                     }
                     k += 1;
                 }
             }
-            b.build()
+            m
         })
 }
 
@@ -60,19 +60,19 @@ fn arb_tree_model() -> impl Strategy<Value = MrfModel> {
         proptest::collection::vec(0usize..8, 8),
     )
         .prop_map(|(n, unaries, pairwise, cards, parents)| {
-            let mut b = MrfBuilder::new();
-            let vars: Vec<_> = (0..n).map(|i| b.add_variable(cards[i])).collect();
+            let mut m = MrfModel::new();
+            let vars: Vec<_> = (0..n).map(|i| m.add_var(cards[i]).unwrap()).collect();
             for (i, &v) in vars.iter().enumerate() {
-                b.set_unary(v, unaries[i * 3..i * 3 + cards[i]].to_vec())
+                m.set_unary(v, unaries[i * 3..i * 3 + cards[i]].to_vec())
                     .unwrap();
             }
             for i in 1..n {
                 let p = parents[i] % i;
                 let need = cards[p] * cards[i];
                 let costs = pairwise[i * 9..i * 9 + need].to_vec();
-                b.add_edge_dense(vars[p], vars[i], costs).unwrap();
+                m.add_pairwise_dense(vars[p], vars[i], costs).unwrap();
             }
-            b.build()
+            m
         })
 }
 

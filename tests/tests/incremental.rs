@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ics_diversity::cache::EnergyCache;
-use ics_diversity::energy::{build_energy, EnergyModel, EnergyParams};
+use ics_diversity::energy::{build_energy, EnergyModel};
 use ics_diversity::engine::{DiversityEngine, ReassignmentReport};
 use ics_diversity::shard::ShardedEngine;
 use ics_diversity::Error;
@@ -226,9 +226,8 @@ proptest! {
     ) {
         let g = generate(&config, net_seed);
         let mut network = g.network;
-        let params = EnergyParams::default();
         let constraints = ConstraintSet::new();
-        let mut cache = EnergyCache::new(&network, &g.similarity, &constraints, params)
+        let mut cache = EnergyCache::new(&network, &g.similarity, &constraints)
             .expect("generated instances are feasible");
         let mut rng = StdRng::seed_from_u64(delta_seed);
         for _ in 0..steps {
@@ -236,7 +235,7 @@ proptest! {
             network.apply_delta(&delta, &g.catalog).expect("generated deltas are valid");
             cache.refresh(&network, &g.similarity).expect("unconstrained refresh succeeds");
         }
-        let scratch = build_energy(&network, &g.similarity, &constraints, params)
+        let scratch = build_energy(&network, &g.similarity, &constraints)
             .expect("scratch build succeeds");
         assert_models_match(cache.model(), &scratch, &mut rng)?;
     }
@@ -255,10 +254,9 @@ proptest! {
         let g = generate(&config, net_seed);
         let mut rng = StdRng::seed_from_u64(delta_seed ^ 0xC0FFEE);
         let constraints = random_constraints(&g, &mut rng);
-        let params = EnergyParams::default();
         let mut network = g.network.clone();
-        let cache = EnergyCache::new(&network, &g.similarity, &constraints, params);
-        let mut cache = match (cache, build_energy(&network, &g.similarity, &constraints, params)) {
+        let cache = EnergyCache::new(&network, &g.similarity, &constraints);
+        let mut cache = match (cache, build_energy(&network, &g.similarity, &constraints)) {
             (Ok(cache), Ok(scratch)) => {
                 assert_models_match(cache.model(), &scratch, &mut rng)?;
                 cache
@@ -275,7 +273,7 @@ proptest! {
             let delta = random_delta(&network, &g.catalog, &mut rng, &[]);
             network.apply_delta(&delta, &g.catalog).expect("generated deltas are valid");
             let refreshed = cache.refresh(&network, &g.similarity);
-            let scratch = build_energy(&network, &g.similarity, &constraints, params);
+            let scratch = build_energy(&network, &g.similarity, &constraints);
             match (refreshed, scratch) {
                 (Ok(_), Ok(scratch)) => assert_models_match(cache.model(), &scratch, &mut rng)?,
                 // Both sides reject the revision: the (kept) cached model

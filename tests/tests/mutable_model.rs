@@ -1,36 +1,53 @@
 //! Property tests for the mutable MRF and the in-place energy-cache edit:
 //! any random sequence of model edits — one delta per refresh or whole
-//! bursts of them — must be indistinguishable from a scratch-assembled
-//! model — same energy function (≤1e-9 divergence on random labelings),
-//! same exact MAP — and edits addressed at tombstoned handles must error
-//! without corrupting the model. Bursts that cancel themselves must leave
-//! every kept variable where it was.
+//! bursts of them, unconstrained or under combination and fix
+//! constraints — must be indistinguishable from a scratch-assembled
+//! model — same energy function (≤1e-9 divergence on random labelings,
+//! relative 1e-12 where constraint costs enter), same exact MAP — and
+//! edits addressed at tombstoned handles must error without corrupting the
+//! model. Bursts that cancel themselves must leave every kept variable
+//! where it was.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ics_diversity::cache::EnergyCache;
-use ics_diversity::energy::{build_energy, EnergyModel, EnergyParams, SlotBinding};
+use ics_diversity::energy::{build_energy, EnergyModel, SlotBinding};
+use ics_diversity::Error;
 use mrf::model::MrfModel;
 use mrf::solver::{ExactFallback, MapSolver, SolveControl};
 use mrf::VarId;
-use netmodel::constraints::ConstraintSet;
+use netmodel::constraints::{Constraint, ConstraintSet, Scope};
 use netmodel::delta::{random_delta, NetworkDelta};
 use netmodel::network::Network;
 use netmodel::topology::{generate, GeneratedNetwork, RandomNetworkConfig, TopologyKind};
 use netmodel::HostId;
+
+/// The objective tolerance for unconstrained models: absolute.
+fn absolute(_objective: f64) -> f64 {
+    1e-9
+}
+
+/// The objective tolerance for constrained models, relative: a violated
+/// combination adds its 1e6 cost, and two sums of the same terms in a
+/// different order differ by a few ulps of that magnitude.
+fn relative(objective: f64) -> f64 {
+    1e-12 * objective.abs().max(1.0)
+}
 
 /// Semantic equivalence of an edited energy model and a scratch-assembled
 /// one. The two may disagree on variable *ids* (edits recycle tombstoned
 /// slots; scratch assembly is dense), so the comparison goes through the
 /// slot bindings: identical binding structure and candidate lists, equal
 /// live counts and base energy, and — for random per-slot product picks
-/// encoded through each model's own variables — objectives within 1e-9.
+/// encoded through each model's own variables — objectives within
+/// `tolerance` of the scratch objective.
 fn assert_equivalent(
     edited: &EnergyModel,
     scratch: &EnergyModel,
     rng: &mut StdRng,
+    tolerance: fn(f64) -> f64,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(edited.slots().len(), scratch.slots().len());
     for (host, (ra, rb)) in edited
@@ -91,7 +108,7 @@ fn assert_equivalent(
         let oe = edited.model().energy(&labels_e) + edited.base_energy();
         let os = scratch.model().energy(&labels_s) + scratch.base_energy();
         prop_assert!(
-            (oe - os).abs() < 1e-9,
+            (oe - os).abs() < tolerance(os),
             "objective mismatch: edited {} vs scratch {}",
             oe,
             os
@@ -134,8 +151,7 @@ proptest! {
         let mut cache = EnergyCache::new(
             &net,
             &g.similarity,
-            &ConstraintSet::new(),
-            EnergyParams::default(),
+            &ConstraintSet::new()
         )
         .expect("unconstrained instances are feasible");
         let mut edited_any = false;
@@ -150,11 +166,10 @@ proptest! {
             let scratch = build_energy(
                 &net,
                 &g.similarity,
-                &ConstraintSet::new(),
-                EnergyParams::default(),
+                &ConstraintSet::new()
             )
             .expect("scratch build");
-            assert_equivalent(cache.model(), &scratch, &mut check_rng)?;
+            assert_equivalent(cache.model(), &scratch, &mut check_rng, absolute)?;
             // Same MAP under a fixed exact solver: the energy functions are
             // identical up to variable ids, so the exact optima coincide.
             let ctl = SolveControl::new();
@@ -177,7 +192,12 @@ proptest! {
     /// by one hinted refresh with the burst's merged `touched` set: later
     /// deltas may undo or build on earlier ones (a link added then removed,
     /// a slot fixed and then its host removed), and the one edit must still
-    /// land on the scratch model.
+    /// land on the scratch model. With two services or more the input can
+    /// be constrained: an all-host forbid combination, a one-host require
+    /// combination and a fix at host 0, so the edit re-derives the
+    /// combination edges at rebound slots. A burst the constraints make
+    /// infeasible is rejected: the network is restored, and the cache it
+    /// left must equal the scratch build of that network.
     #[test]
     fn burst_edits_equal_scratch_assembly(
         hosts in 3usize..12,
@@ -187,6 +207,7 @@ proptest! {
         net_seed in 0u64..100,
         delta_seed in 0u64..100,
         bursts in 1usize..6,
+        constrained in any::<bool>(),
     ) {
         let g = generate(
             &RandomNetworkConfig {
@@ -201,14 +222,31 @@ proptest! {
         );
         let mut rng = StdRng::seed_from_u64(delta_seed);
         let mut check_rng = StdRng::seed_from_u64(delta_seed ^ 0xB0257);
+        let mut constraints = ConstraintSet::new();
+        let mut tolerance: fn(f64) -> f64 = absolute;
+        if constrained && services >= 2 {
+            let ids: Vec<_> = g.catalog.iter_services().map(|(s, _)| s).collect();
+            let product = |s: usize, p: usize| g.catalog.products_of(ids[s])[p];
+            constraints.push(Constraint::forbid_combination(
+                Scope::All,
+                (ids[0], product(0, 0)),
+                (ids[1], product(1, 0)),
+            ));
+            constraints.push(Constraint::require_combination(
+                Scope::Host(HostId(rng.gen_range(0..hosts) as u32)),
+                (ids[1], product(1, 1)),
+                (ids[0], product(0, 1)),
+            ));
+            constraints.push(Constraint::fix(
+                HostId(0),
+                ids[services - 1],
+                product(services - 1, rng.gen_range(0..products)),
+            ));
+            tolerance = relative;
+        }
         let mut net = g.network.clone();
-        let mut cache = EnergyCache::new(
-            &net,
-            &g.similarity,
-            &ConstraintSet::new(),
-            EnergyParams::default(),
-        )
-        .expect("unconstrained instances are feasible");
+        let mut cache = EnergyCache::new(&net, &g.similarity, &constraints)
+            .expect("fresh instances are feasible");
         for _ in 0..bursts {
             let len = rng.gen_range(2usize..=8);
             let mut staged = net.clone();
@@ -219,19 +257,16 @@ proptest! {
                     delta
                 })
                 .collect();
+            let before = net.clone();
             let effect = net.apply_batch(&burst, &g.catalog).expect("valid burst");
-            let stats = cache
-                .refresh_hinted(&net, &g.similarity, Some(&effect.touched))
-                .expect("feasible refresh");
-            prop_assert!(stats.rebuilt);
-            let scratch = build_energy(
-                &net,
-                &g.similarity,
-                &ConstraintSet::new(),
-                EnergyParams::default(),
-            )
-            .expect("scratch build");
-            assert_equivalent(cache.model(), &scratch, &mut check_rng)?;
+            match cache.refresh_hinted(&net, &g.similarity, Some(&effect.touched)) {
+                Ok(stats) => prop_assert!(stats.rebuilt),
+                Err(Error::Infeasible { .. }) if !constraints.is_empty() => net = before,
+                Err(err) => return Err(TestCaseError::Fail(format!("refresh: {err}"))),
+            }
+            let scratch = build_energy(&net, &g.similarity, &constraints)
+                .expect("scratch build");
+            assert_equivalent(cache.model(), &scratch, &mut check_rng, tolerance)?;
         }
     }
 
@@ -351,13 +386,8 @@ fn line_instance() -> (GeneratedNetwork, EnergyCache) {
         },
         7,
     );
-    let cache = EnergyCache::new(
-        &g.network,
-        &g.similarity,
-        &ConstraintSet::new(),
-        EnergyParams::default(),
-    )
-    .expect("unconstrained instances are feasible");
+    let cache = EnergyCache::new(&g.network, &g.similarity, &ConstraintSet::new())
+        .expect("unconstrained instances are feasible");
     (g, cache)
 }
 
@@ -376,15 +406,10 @@ fn absorb_burst(
         .refresh_hinted(net, &g.similarity, Some(&effect.touched))
         .expect("feasible refresh");
     assert!(stats.edited, "a synced cache edits in place");
-    let scratch = build_energy(
-        net,
-        &g.similarity,
-        &ConstraintSet::new(),
-        EnergyParams::default(),
-    )
-    .expect("scratch build");
+    let scratch = build_energy(net, &g.similarity, &ConstraintSet::new()).expect("scratch build");
     let mut rng = StdRng::seed_from_u64(11);
-    assert_equivalent(cache.model(), &scratch, &mut rng).expect("edited model equals scratch");
+    assert_equivalent(cache.model(), &scratch, &mut rng, absolute)
+        .expect("edited model equals scratch");
     (before, cache.model().slots().to_vec())
 }
 

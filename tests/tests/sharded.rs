@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ics_diversity::energy::{build_energy, EnergyParams, SlotBinding};
+use ics_diversity::energy::{build_energy, SlotBinding};
 use ics_diversity::engine::DiversityEngine;
 use ics_diversity::shard::ShardedEngine;
 use netmodel::assignment::Assignment;
@@ -75,13 +75,8 @@ fn valid_zoned_stream(g: &GeneratedNetwork, seed: u64, steps: usize) -> Vec<Netw
 /// The full single-network model's objective of `assignment` — the
 /// reference the sharded decomposition must reproduce exactly.
 fn full_model_objective(g_like: &ShardedEngine, assignment: &Assignment) -> f64 {
-    let energy = build_energy(
-        g_like.network(),
-        g_like.similarity(),
-        &ConstraintSet::new(),
-        EnergyParams::default(),
-    )
-    .expect("unconstrained instances are feasible");
+    let energy = build_energy(g_like.network(), g_like.similarity(), &ConstraintSet::new())
+        .expect("unconstrained instances are feasible");
     let mut labels = vec![0usize; energy.model().var_count()];
     for (host, host_slots) in energy.slots().iter().enumerate() {
         let row = assignment.products_at(HostId(host as u32));

@@ -53,13 +53,9 @@ fn deadline_limited_solve_returns_valid_assignment() {
 #[test]
 fn cancellation_is_honored() {
     let g = generate(&config(300, 8), 3);
-    let energy = ics_diversity::energy::build_energy(
-        &g.network,
-        &g.similarity,
-        &ConstraintSet::new(),
-        ics_diversity::energy::EnergyParams::default(),
-    )
-    .unwrap();
+    let energy =
+        ics_diversity::energy::build_energy(&g.network, &g.similarity, &ConstraintSet::new())
+            .unwrap();
     let ctl = SolveControl::new();
     ctl.cancel(); // cancelled before it starts: must stop at first check
     let solution = mrf::trws::Trws::default().solve(energy.model(), &ctl);
@@ -73,13 +69,9 @@ fn cancellation_is_honored() {
 #[test]
 fn progress_reports_stream_and_never_worsen() {
     let g = generate(&config(60, 5), 11);
-    let energy = ics_diversity::energy::build_energy(
-        &g.network,
-        &g.similarity,
-        &ConstraintSet::new(),
-        ics_diversity::energy::EnergyParams::default(),
-    )
-    .unwrap();
+    let energy =
+        ics_diversity::energy::build_energy(&g.network, &g.similarity, &ConstraintSet::new())
+            .unwrap();
     let events = Arc::new(AtomicUsize::new(0));
     let last_energy = Arc::new(std::sync::Mutex::new(f64::INFINITY));
     let seen = Arc::clone(&events);
