@@ -47,6 +47,7 @@
 //!
 //! [`NetworkDelta`]: netmodel::delta::NetworkDelta
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -939,28 +940,32 @@ fn check_step(
 /// is excluded from the ball — its former neighbors are already in the
 /// touched set (the delta layer records them).
 fn frontier_ball(network: &Network, touched: &[HostId], k: usize) -> Vec<HostId> {
-    let mut depth = vec![usize::MAX; network.host_count()];
+    // Dedupe over the ball alone, not a host-indexed table: O(ball), not
+    // O(V), per burst. Sized for the first hop, so it rarely rehashes.
+    let first_hop = touched
+        .iter()
+        .filter(|h| h.index() < network.host_count())
+        .map(|&h| 1 + network.degree(h))
+        .sum();
+    let mut seen = HashSet::with_capacity(first_hop);
     let mut queue = std::collections::VecDeque::new();
     let mut ball = Vec::new();
     for &h in touched {
-        if h.index() < depth.len() && depth[h.index()] == usize::MAX {
-            depth[h.index()] = 0;
+        if h.index() < network.host_count() && seen.insert(h) {
             if network.host(h).is_ok_and(|host| !host.is_removed()) {
                 ball.push(h);
             }
-            queue.push_back(h);
+            queue.push_back((h, 0));
         }
     }
-    while let Some(h) = queue.pop_front() {
-        let d = depth[h.index()];
+    while let Some((h, d)) = queue.pop_front() {
         if d == k {
             continue;
         }
         for &n in network.neighbors(h) {
-            if depth[n.index()] == usize::MAX {
-                depth[n.index()] = d + 1;
+            if seen.insert(n) {
                 ball.push(n);
-                queue.push_back(n);
+                queue.push_back((n, d + 1));
             }
         }
     }

@@ -30,11 +30,12 @@
 //!   snapshot costs O(network), ~18 ms at 10k hosts, so the periodic
 //!   compaction runs on a helper thread, in the manner of checkpointing a
 //!   memory-resident database while transactions continue (Salem &
-//!   Garcia-Molina, ICDE 1989). At the due batch the writer hands it a
-//!   clone of the committed network and a chunk-sharing clone of the
-//!   assignment, and from then on copies every line it appends to the
-//!   live file into an in-memory tail. The helper encodes the snapshot in
-//!   slices ([`netmodel::journal::snapshot_line_sliced`]), yielding the
+//!   Garcia-Molina, ICDE 1989). At the due batch the writer hands it
+//!   chunk-sharing clones of the committed network and of the assignment
+//!   (a pointer copy per chunk, a few µs at 10k hosts), and from then on
+//!   copies every line it appends to the live file into an in-memory
+//!   tail. The helper encodes the snapshot in slices
+//!   ([`netmodel::journal::snapshot_line_sliced`]), yielding the
 //!   processor between them so the writer never waits behind it, writes
 //!   and syncs the temp file, then — holding the lock the writer's appends
 //!   take — appends the tail, renames the temp file over the journal and
@@ -452,9 +453,9 @@ impl Journal {
     }
 
     /// Hands the compaction of the committed state to a helper thread:
-    /// the writer pays for a clone of `network` and a chunk-sharing clone
-    /// of the landed assignment, and from here on copies each appended
-    /// line into the tail the helper carries over.
+    /// the writer pays for chunk-sharing clones of `network` and of the
+    /// landed assignment, and from here on copies each appended line into
+    /// the tail the helper carries over.
     fn start_compaction(&mut self, network: &Network) {
         let network = network.clone();
         let assignment = self.landed.clone();

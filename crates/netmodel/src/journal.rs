@@ -347,7 +347,7 @@ pub fn snapshot_line_sliced(
     assignment: Option<&Assignment>,
     mut pause: impl FnMut(),
 ) -> String {
-    let capacity = 256 + 128 * network.host_count() + 16 * network.links().len();
+    let capacity = 256 + 128 * network.host_count() + 16 * network.link_count();
     framed(capacity, &mut pause, |out, pause| {
         encode_snapshot(out, network.revision(), network, assignment, pause)
     })
@@ -680,7 +680,7 @@ fn encode_network(out: &mut String, n: &Network, pause: &mut impl FnMut()) {
         });
     }
     out.push_str("],\"links\":[");
-    for (i, &(a, b)) in n.links().iter().enumerate() {
+    for (i, (a, b)) in n.link_pairs().enumerate() {
         slice_boundary(i, SLICE_LINKS, pause);
         if i > 0 {
             out.push(',');
@@ -1111,21 +1111,17 @@ fn decode_network(v: &Value) -> Result<Network> {
             link_revisions.len()
         )));
     }
-    let mut network = Network {
+    Ok(Network::from_parts(
         hosts,
         links,
-        offsets: Vec::new(),
-        neighbors: Vec::new(),
-        revision: as_u64(get(obj, "revision", "network")?, "network revision")?,
+        as_u64(get(obj, "revision", "network")?, "network revision")?,
         host_revisions,
-        topology_revision: as_u64(
+        as_u64(
             get(obj, "topology_revision", "network")?,
             "topology revision",
         )?,
         link_revisions,
-    };
-    network.rebuild_adjacency();
-    Ok(network)
+    ))
 }
 
 fn decode_assignment(v: &Value) -> Result<Option<Assignment>> {

@@ -404,40 +404,25 @@ pub fn extract_shard(network: &Network, members: &[HostId]) -> ShardView {
     let mut hosts = Vec::with_capacity(members.len());
     for (local, &global) in members.iter().enumerate() {
         let host = network
-            .hosts
-            .get(global.index())
+            .record(global)
             .expect("shard member must exist in the parent network");
         to_local[global.index()] = local as u32;
         hosts.push(Arc::clone(host));
     }
-    let links: Vec<(HostId, HostId)> = network
-        .links()
-        .iter()
-        .filter_map(|&(a, b)| {
-            let (la, lb) = (to_local[a.index()], to_local[b.index()]);
-            if la == u32::MAX || lb == u32::MAX {
-                return None;
+    // Each induced link once, from its lower local endpoint.
+    let mut links = Vec::new();
+    for (la, &global) in members.iter().enumerate() {
+        for &peer in network.neighbors(global) {
+            let lb = to_local[peer.index()];
+            if lb != u32::MAX && la < lb as usize {
+                links.push((HostId(la as u32), HostId(lb)));
             }
-            let key = if la < lb { (la, lb) } else { (lb, la) };
-            Some((HostId(key.0), HostId(key.1)))
-        })
-        .collect();
-    let mut links = links;
+        }
+    }
     links.sort_unstable();
     let n = hosts.len();
-    let mut sub = Network {
-        hosts,
-        links,
-        offsets: Vec::new(),
-        neighbors: Vec::new(),
-        revision: 0,
-        host_revisions: vec![0; n],
-        topology_revision: 0,
-        link_revisions: vec![0; n],
-    };
-    sub.rebuild_adjacency();
     ShardView {
-        network: sub,
+        network: Network::from_parts(hosts, links, 0, vec![0; n], 0, vec![0; n]),
         to_global: members.to_vec(),
     }
 }

@@ -6,9 +6,9 @@ use rand::{Rng, SeedableRng};
 
 use netmodel::assignment::Assignment;
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
-use netmodel::delta::NetworkDelta;
+use netmodel::delta::{random_delta, NetworkDelta};
 use netmodel::journal::{read_strict, Record, SnapshotRecord};
-use netmodel::network::Network;
+use netmodel::network::{Network, NetworkBuilder};
 use netmodel::partition::partition_by_zone;
 use netmodel::strategies::{mono_assignment, random_assignment};
 use netmodel::topology::{
@@ -52,6 +52,50 @@ fn journal_round_trip(net: &Network) -> Network {
         [Record::Snapshot(ref snapshot)] => snapshot.network.clone(),
         ref other => panic!("expected one snapshot record, got {other:?}"),
     }
+}
+
+/// Everything a caller can read off `net`, by value.
+fn observables(net: &Network) -> String {
+    let hosts: Vec<_> = net
+        .iter_hosts()
+        .map(|(id, h)| {
+            (
+                h.clone(),
+                net.neighbors(id).to_vec(),
+                net.host_revision(id),
+                net.link_revision(id),
+            )
+        })
+        .collect();
+    format!(
+        "{hosts:?} {:?} r{} t{} l{} a{} s{}",
+        net.links(),
+        net.revision(),
+        net.topology_revision(),
+        net.link_count(),
+        net.active_host_count(),
+        net.slot_count()
+    )
+}
+
+/// A `NetworkBuilder` build of `net`'s hosts (names, zones, services) and
+/// links; tombstones come back as live hosts without services.
+fn rebuild(net: &Network, catalog: &netmodel::catalog::Catalog) -> Network {
+    let mut b = NetworkBuilder::new();
+    for (_, host) in net.iter_hosts() {
+        let id = match host.zone() {
+            Some(zone) => b.add_host_in_zone(host.name(), zone),
+            None => b.add_host(host.name()),
+        };
+        for inst in host.services() {
+            b.add_service(id, inst.service(), inst.candidates().to_vec())
+                .expect("a valid service");
+        }
+    }
+    for &(x, y) in net.links() {
+        b.add_link(x, y).expect("a valid link");
+    }
+    b.build(catalog).expect("a valid network")
 }
 
 /// Replays a random topology-delta stream against `g`, maintaining the
@@ -478,6 +522,60 @@ proptest! {
         prop_assert_eq!(g.network.host_count(), config.total_hosts());
         assert_connected_from_zero(&g);
         assert_partition_tracks_stream(g, seed, steps);
+    }
+
+    /// Bursts staged on a clone, as the engine stages them, over networks
+    /// of up to five 32-host chunks: the original keeps every observable,
+    /// and the staged network equals the one its deltas built one at a
+    /// time, its own journal round trip, and a `NetworkBuilder` rebuild of
+    /// its hosts and links (`links()` and every `neighbors()` included).
+    #[test]
+    fn staged_bursts_equal_a_rebuild(
+        hosts in 1usize..160,
+        seed in 0u64..500,
+        bursts in proptest::collection::vec(1usize..12, 1..6),
+    ) {
+        let g = generate(
+            &RandomNetworkConfig {
+                hosts,
+                mean_degree: 4,
+                services: 2,
+                products_per_service: 3,
+                vendors_per_service: 2,
+                topology: TopologyKind::Random,
+            },
+            seed,
+        );
+        let mut net = g.network;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC10E);
+        for len in bursts {
+            let mut shadow = net.clone();
+            let burst: Vec<NetworkDelta> = (0..len)
+                .map(|_| {
+                    let delta = random_delta(&shadow, &g.catalog, &mut rng, &[]);
+                    shadow.apply_delta(&delta, &g.catalog).expect("a drawn delta applies");
+                    delta
+                })
+                .collect();
+            let before = observables(&net);
+            let mut staged = net.clone();
+            staged.apply_all(&burst, &g.catalog).expect("a drawn burst applies");
+            prop_assert_eq!(observables(&net), before, "the original moved");
+            prop_assert_eq!(&staged, &shadow);
+            prop_assert_eq!(&journal_round_trip(&staged), &staged);
+            let rebuilt = rebuild(&staged, &g.catalog);
+            prop_assert_eq!(rebuilt.links(), staged.links());
+            for (id, host) in staged.iter_hosts() {
+                prop_assert_eq!(rebuilt.neighbors(id), staged.neighbors(id));
+                let twin = rebuilt.host(id).expect("same host count");
+                prop_assert_eq!(
+                    (twin.name(), twin.zone(), twin.services()),
+                    (host.name(), host.zone(), host.services())
+                );
+            }
+            prop_assert_eq!(rebuilt.host_count(), staged.host_count());
+            net = staged;
+        }
     }
 
     /// The chunked copy-on-write `Assignment` behaves as the plain
