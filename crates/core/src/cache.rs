@@ -19,8 +19,7 @@
 //! * **Potential matrices persist across revisions.** The `O(L²)`
 //!   similarity-lookup cost matrices are cached by `(DomainId, DomainId)`
 //!   and survive rebuilds; a refresh only recomputes matrices for domain
-//!   pairs it has never seen. [`EnergyCache::invalidate_similarity_pair`]
-//!   drops exactly the matrices a single similarity update touched.
+//!   pairs it has never seen.
 //! * **The MRF is edited in place, factor by factor.** `mrf`'s
 //!   [`mrf::model::MrfModel`] keeps stable variable handles across
 //!   mutations (tombstones + free lists), so a refresh re-derives only the
@@ -58,14 +57,13 @@
 //! domain and link revision counters
 //! ([`netmodel::network::Network::host_revision`] /
 //! [`netmodel::network::Network::link_revision`]). Only refreshes with no
-//! synced model to edit — a cold build, a constraint change, a similarity
-//! invalidation — reassemble linearly, as does any refresh once
-//! the edited model's fragmentation crosses
-//! [`mrf::model::MrfModel::should_compact`]'s threshold: the rebuild
-//! doubles as the compaction, restoring a dense model. The expensive part
-//! of reacting to a delta — the re-solve — is warm-started by
-//! [`crate::engine::DiversityEngine`] from the previous MAP assignment
-//! either way.
+//! synced model to edit — a cold build or a constraint change —
+//! reassemble linearly, as does any refresh once the edited model's
+//! fragmentation crosses [`mrf::model::MrfModel::should_compact`]'s
+//! threshold: the rebuild doubles as the compaction, restoring a dense
+//! model. The expensive part of reacting to a delta — the re-solve — is
+//! warm-started by [`crate::engine::DiversityEngine`] from the previous
+//! MAP assignment either way.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -467,43 +465,6 @@ impl EnergyCache {
         self.interner.refs.fill(0);
         self.interner.live = 0;
         self.synced = None;
-    }
-
-    /// Drops all cached cost matrices, forcing them to be recomputed at the
-    /// next refresh. Call after bulk-mutating pairwise similarities in
-    /// place (e.g. a whole CVE-feed refresh) — cached matrices would
-    /// silently keep the old values otherwise. Domains are unaffected. For
-    /// a *single* pair update, [`EnergyCache::invalidate_similarity_pair`]
-    /// drops only the affected matrices.
-    pub fn invalidate_similarity(&mut self) {
-        self.costs.clear();
-        self.synced = None;
-    }
-
-    /// Invalidates exactly the cached cost matrices that reference the
-    /// product pair `(a, b)` — the matrices whose row domain contains one
-    /// product and whose column domain contains the other — and forces a
-    /// reassembly at the next refresh (folded unaries and fixed–fixed base
-    /// terms involving the pair must be recomputed too, and those live in
-    /// the model, not the matrix cache). Every *untouched* matrix survives
-    /// and is reused by that reassembly. Returns the number of matrices
-    /// dropped.
-    pub fn invalidate_similarity_pair(&mut self, a: ProductId, b: ProductId) -> usize {
-        let affected: Vec<(DomainId, DomainId)> = self
-            .costs
-            .keys()
-            .filter(|(da, db)| {
-                let ca = self.interner.resolve(*da);
-                let cb = self.interner.resolve(*db);
-                (ca.contains(&a) && cb.contains(&b)) || (ca.contains(&b) && cb.contains(&a))
-            })
-            .copied()
-            .collect();
-        for key in &affected {
-            self.costs.remove(key);
-        }
-        self.synced = None;
-        affected.len()
     }
 
     /// Brings the cached model up to `network.revision()`: refilters the
@@ -1770,67 +1731,6 @@ mod tests {
             "interner grew to {peak} entries; compaction failed"
         );
         // Compaction must not corrupt the model: compare against scratch.
-        let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
-        assert_equivalent(cache.model(), &scratch);
-    }
-
-    #[test]
-    fn similarity_invalidation_recomputes_matrices() {
-        let (net, _, mut sim) = instance(5);
-        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
-        sim.set(ProductId(0), ProductId(1), 0.9);
-        cache.invalidate_similarity();
-        let stats = cache.refresh(&net, &sim).unwrap();
-        assert!(stats.rebuilt);
-        assert_eq!(stats.potentials_reused, 0);
-        assert!(stats.potentials_computed >= 1);
-        let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
-        let labels = vec![0usize, 1, 0, 1, 0];
-        assert!(
-            (cache.model().model().energy(&labels) - scratch.model().energy(&labels)).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn pair_invalidation_drops_only_affected_matrices() {
-        // Two services with disjoint product sets: updating an OS pair must
-        // not touch the browser matrices.
-        let mut c = Catalog::new();
-        let os = c.add_service("os");
-        let wb = c.add_service("wb");
-        let os_products: Vec<_> = (0..3)
-            .map(|i| c.add_product(&format!("os{i}"), os).unwrap())
-            .collect();
-        let wb_products: Vec<_> = (0..3)
-            .map(|i| c.add_product(&format!("wb{i}"), wb).unwrap())
-            .collect();
-        let mut b = NetworkBuilder::new();
-        let ids: Vec<HostId> = (0..4).map(|i| b.add_host(&format!("h{i}"))).collect();
-        for &h in &ids {
-            b.add_service(h, os, os_products.clone()).unwrap();
-            b.add_service(h, wb, wb_products.clone()).unwrap();
-        }
-        for w in ids.windows(2) {
-            b.add_link(w[0], w[1]).unwrap();
-        }
-        let net = b.build(&c).unwrap();
-        let mut sim = ProductSimilarity::uniform(&c, 0.4);
-        let mut cache = EnergyCache::new(&net, &sim, &ConstraintSet::new()).unwrap();
-        let matrices_before = cache.footprint().1;
-        assert!(matrices_before >= 2, "one matrix per service domain");
-
-        sim.set(os_products[0], os_products[1], 0.95);
-        cache.invalidate_similarity_pair(os_products[0], os_products[1]);
-        let stats = cache.refresh(&net, &sim).unwrap();
-        assert!(stats.rebuilt);
-        assert_eq!(
-            stats.potentials_computed, 1,
-            "only the OS matrix is recomputed"
-        );
-        assert!(
-            stats.potentials_reused >= 1,
-            "the browser matrix survives the pair invalidation"
-        );
         let scratch = crate::energy::build_energy(&net, &sim, &ConstraintSet::new()).unwrap();
         assert_equivalent(cache.model(), &scratch);
     }

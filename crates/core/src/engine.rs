@@ -41,9 +41,15 @@
 //! instead wherever the carried state is not known to match the model:
 //! after a reassembling refresh (which renumbers every variable), after
 //! the shard coordinator writes an assignment back or overlays multipliers
-//! on the model, after a constraint, parameter or similarity change, and
-//! after [`Error::UnsatisfiableConstraints`]. Debug builds check every step
+//! on the model, after [`DiversityEngine::with_constraints`], and after
+//! [`Error::UnsatisfiableConstraints`]. Debug builds check every step
 //! against that full derivation.
+//!
+//! **The problem is fixed once a journal is attached.** The journal's
+//! preamble records the catalog, similarity matrix and constraint set at
+//! attach, and recovery solves exactly that problem, so nothing changes
+//! them afterwards: the catalog and similarity matrix have no mutator, and
+//! [`DiversityEngine::with_constraints`] panics on a journaled engine.
 //!
 //! [`NetworkDelta`]: netmodel::delta::NetworkDelta
 
@@ -67,7 +73,7 @@ use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::ConstraintSet;
 use netmodel::delta::{BatchEffect, NetworkDelta};
 use netmodel::network::Network;
-use netmodel::{HostId, ProductId, ServiceId};
+use netmodel::{HostId, ProductId};
 
 use crate::cache::{Edit, EnergyCache, RebuildStats};
 use crate::energy::{EnergyModel, SlotBinding};
@@ -257,7 +263,17 @@ impl DiversityEngine {
     /// Replaces the constraint set; the next step refilters every domain
     /// and solves cold (cached assignments may be infeasible under the new
     /// constraints).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a journal is attached: its preamble already recorded the
+    /// constraint set, and recovery would solve under that one. Attach the
+    /// journal last ([`DiversityEngine::with_journal`]).
     pub fn with_constraints(mut self, constraints: ConstraintSet) -> DiversityEngine {
+        assert!(
+            self.journal.is_none(),
+            "with_constraints after with_journal: the journal's preamble already recorded the constraint set"
+        );
         self.cache.set_constraints(&constraints);
         self.last = None;
         self.carried = None;
@@ -467,47 +483,6 @@ impl DiversityEngine {
         self.pinned = pinned;
     }
 
-    /// Registers a new product in the catalog and grows the similarity
-    /// matrix, seeding the given pairwise similarities (all other pairs of
-    /// the new product default to 0). Existing cached potentials stay valid
-    /// because existing pair values are untouched; the new product only
-    /// enters the model once a delta makes it a candidate somewhere.
-    ///
-    /// # Errors
-    ///
-    /// See [`Catalog::add_product`].
-    pub fn add_product(
-        &mut self,
-        name: &str,
-        service: ServiceId,
-        similarities: &[(ProductId, f64)],
-    ) -> Result<ProductId> {
-        let id = self
-            .catalog
-            .add_product(name, service)
-            .map_err(Error::Model)?;
-        self.similarity.grow(self.catalog.product_count());
-        for &(other, s) in similarities {
-            self.similarity.set(id, other, s);
-        }
-        Ok(id)
-    }
-
-    /// Updates one pairwise similarity in place (a CVE-feed refresh) and
-    /// invalidates exactly the cached cost matrices whose domain pair
-    /// references `(a, b)` — every other matrix survives and is reused by
-    /// the next step's rebuild
-    /// ([`EnergyCache::invalidate_similarity_pair`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range.
-    pub fn update_similarity(&mut self, a: ProductId, b: ProductId, similarity: f64) {
-        self.similarity.set(a, b, similarity);
-        self.cache.invalidate_similarity_pair(a, b);
-        self.carried = None;
-    }
-
     /// Applies one delta end to end: staged network mutation, incremental
     /// model rebuild, warm-started (localized) re-solve, report. Equivalent
     /// to a one-delta [`DiversityEngine::apply_batch`], except that errors
@@ -524,7 +499,11 @@ impl DiversityEngine {
     /// * [`Error::UnsatisfiableConstraints`] — the re-solved assignment
     ///   violates a hard constraint. The delta *is* committed (the network
     ///   and model advance), but the engine holds no valid assignment until
-    ///   a later step succeeds (which then solves cold).
+    ///   a later step succeeds (which then solves cold). An attached journal
+    ///   records the committed batch with no assignment, so recovery lands
+    ///   on the same state. A serving writer counts such a burst in
+    ///   `ServingStats::bursts_rejected` and publishes nothing until a
+    ///   later burst solves.
     pub fn apply(&mut self, delta: &NetworkDelta) -> Result<ReassignmentReport> {
         self.apply_batch(std::slice::from_ref(delta)).map_err(|e| {
             match e {
@@ -571,15 +550,18 @@ impl DiversityEngine {
             [single] => single.kind(),
             _ => "batch",
         };
-        let report = self.step(Some(StagedDeltas {
+        let stepped = self.step(Some(StagedDeltas {
             network: staged,
             kind,
             effect,
-        }))?;
-        if let Some(journal) = self.journal.as_mut() {
+        }));
+        // A post-check failure comes after the commit: journal the batch
+        // (with no assignment) like a success, or recovery lands behind.
+        let committed = matches!(stepped, Ok(_) | Err(Error::UnsatisfiableConstraints { .. }));
+        if let (true, Some(journal)) = (committed, self.journal.as_mut()) {
             journal.commit_batch(deltas, &self.network, self.last.as_ref())?;
         }
-        Ok(report)
+        stepped
     }
 
     /// Solves (or re-solves) the current revision without a delta: cold the
@@ -1358,46 +1340,5 @@ mod tests {
         assert!(report.warm_started);
         assert!(!report.localized);
         assert_eq!(report.frontier_hosts, eng.network().active_host_count());
-    }
-
-    #[test]
-    fn catalog_extension_flows_into_the_model() {
-        let mut eng = engine(10, 2);
-        eng.solve().unwrap();
-        let os = eng.catalog().service_by_name("service0").unwrap();
-        let before = eng.assignment().unwrap().clone();
-        // A brand-new product with zero similarity to everything is a
-        // strictly better label wherever similarity was being paid.
-        let fresh = eng.add_product("fresh0", os, &[]).unwrap();
-        for h in 0..eng.network().host_count() as u32 {
-            eng.apply(&NetworkDelta::extend_candidates(HostId(h), os, vec![fresh]))
-                .unwrap();
-        }
-        let after = eng.assignment().unwrap();
-        let adopted = (0..eng.network().host_count() as u32)
-            .filter(|&h| after.products_at(HostId(h)).contains(&fresh))
-            .count();
-        assert!(adopted > 0, "nobody adopted the zero-similarity product");
-        assert!(before != *after);
-    }
-
-    #[test]
-    fn similarity_update_changes_the_objective() {
-        let mut eng = engine(10, 8);
-        let r0 = eng.solve().unwrap();
-        let a = ProductId(0);
-        let b = ProductId(1);
-        eng.update_similarity(a, b, 1.0);
-        let r1 = eng.solve().unwrap();
-        assert!(r1.rebuild.rebuilt, "similarity update must force a rebuild");
-        assert!(r1.objective_after >= r0.objective_after - 1e-9);
-        // The invalidation is targeted: products 0 and 1 belong to
-        // service0, so service1's cost matrix must have been reused, and
-        // only the matrices referencing the pair recomputed.
-        assert!(
-            r1.rebuild.potentials_reused >= 1,
-            "matrices not referencing the updated pair must survive"
-        );
-        assert!(r1.rebuild.potentials_computed >= 1);
     }
 }

@@ -53,8 +53,7 @@
 //! * [`optimizer`] — the solver facade, built on the open
 //!   [`mrf::MapSolver`] trait: TRW-S (default), ICM, ILS, exact
 //!   elimination with a *recorded* fallback, brute force, or any
-//!   user-supplied `MapSolver`. Runs accept wall-clock
-//!   budgets, cancellation flags and progress callbacks
+//!   user-supplied `MapSolver`. Runs accept a wall-clock budget
 //!   ([`mrf::SolveControl`]), chain refinement stages, and report
 //!   telemetry (solver name, wall time, fallback cause).
 //! * [`evaluate`] — `dbn` and MTTC reports for any assignment.

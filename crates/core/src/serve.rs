@@ -504,8 +504,8 @@ impl Gate {
         }
     }
 
-    fn set(&self, paused: bool) {
-        *self.paused.lock().expect("gate lock poisoned") = paused;
+    fn open(&self) {
+        *self.paused.lock().expect("gate lock poisoned") = false;
         self.cv.notify_all();
     }
 
@@ -710,29 +710,15 @@ impl ServingEngine {
         }
     }
 
-    /// Gates absorption: queued and newly submitted bursts accumulate
-    /// (and will coalesce) until [`ServingEngine::resume`]. Reads are
-    /// unaffected. Best-effort for a cycle already past the gate.
-    pub fn pause(&self) {
-        self.gate.set(true);
-    }
-
-    /// Reopens the gate after [`ServingEngine::pause`] (or a paused
-    /// start). Everything queued while paused is absorbed as one batch.
+    /// Opens the gate of a paused start ([`ServingConfig::paused`]).
+    /// Everything queued while paused is absorbed as one batch.
     pub fn resume(&self) {
-        self.gate.set(false);
+        self.gate.open();
     }
 
     /// A consistent copy of the lifetime counters.
     pub fn stats(&self) -> ServingStats {
         self.stats.lock().expect("stats lock poisoned").clone()
-    }
-
-    /// Blocks (polling) until a snapshot with `epoch >= epoch` is
-    /// published or `timeout` elapses; `true` on success. A test and
-    /// bring-up convenience — the serving read path itself never waits.
-    pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
-        self.wait_until(timeout, |cell| cell.epoch() >= epoch)
     }
 
     /// Blocks (polling) until a snapshot with `revision >= revision` is
@@ -747,7 +733,7 @@ impl ServingEngine {
     /// can complete.
     pub fn shutdown(mut self) -> (WriterCore, DrainReport) {
         let _ = self.tx.send(Msg::Shutdown);
-        self.gate.set(false);
+        self.gate.open();
         let core = self
             .writer
             .take()
@@ -790,7 +776,7 @@ impl Drop for ServingEngine {
     fn drop(&mut self) {
         if let Some(writer) = self.writer.take() {
             let _ = self.tx.send(Msg::Shutdown);
-            self.gate.set(false);
+            self.gate.open();
             let _ = writer.join();
         }
         if let Some(probe) = self.probe.take() {

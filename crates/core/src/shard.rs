@@ -77,9 +77,10 @@
 //!
 //! The gap measures how far the engine's primal sits from its own dual
 //! value, not from the optimum. The names `dual_bound` and
-//! `certified_gap` are kept for API stability; item 1 of `ROADMAP.md`
-//! plans the engine's retirement or a sound `D` from the shards' TRW-S
-//! lower bounds. The loop stops at [`DUAL_GAP_TOLERANCE`], on a stalled
+//! `certified_gap` are kept for API stability; the ROADMAP item "Retire
+//! the sharded engine" plans the engine's removal (a sound `D` could be
+//! no higher than the LP relaxation's bound, about 10× below the primal at
+//! 10k hosts). The loop stops at [`DUAL_GAP_TOLERANCE`], on a stalled
 //! `D`, or at [`ShardedEngine::with_max_rounds`]; a final polish round
 //! refines each shard's full cross-augmented model with a bounded ILS,
 //! closing the primal gap the message-passing decodes leave.
@@ -538,7 +539,16 @@ impl ShardedEngine {
     /// modified. (Constraints that *validate* but are unsatisfiable
     /// surface at solve time as [`Error::Infeasible`], with the host id
     /// remapped back to the master network.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if a journal is attached, as
+    /// [`DiversityEngine::with_constraints`] does.
     pub fn with_constraints(mut self, constraints: ConstraintSet) -> Result<ShardedEngine> {
+        assert!(
+            self.journal.is_none(),
+            "with_constraints after with_journal: the journal's preamble already recorded the constraint set"
+        );
         for (index, c) in constraints.iter().enumerate() {
             if let Some(h) = constraint_host(c) {
                 if h.index() >= self.locator.len() {

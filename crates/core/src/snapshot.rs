@@ -233,12 +233,6 @@ impl SnapshotReader {
     pub fn is_stale(&self) -> bool {
         self.cell.epoch() != self.cached.epoch
     }
-
-    /// The epoch of the latest *published* snapshot (not the cached one).
-    /// Wait-free.
-    pub fn published_epoch(&self) -> u64 {
-        self.cell.epoch()
-    }
 }
 
 #[cfg(test)]

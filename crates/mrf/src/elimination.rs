@@ -81,12 +81,12 @@ impl Elimination {
     /// * [`Error::TreewidthExceeded`] — an intermediate table would exceed
     ///   the configured cap; the model is untouched and the caller can fall
     ///   back to an approximate solver.
-    /// * [`Error::Interrupted`] — the control's deadline passed or the run
-    ///   was cancelled mid-elimination (checked once per eliminated
-    ///   variable). Elimination has no meaningful partial labeling, so this
-    ///   surfaces as an error rather than a degraded solution; the
-    ///   [`MapSolver`] impl and [`crate::solver::ExactFallback`] translate
-    ///   it into a best-effort fallback.
+    /// * [`Error::Interrupted`] — the control's deadline passed
+    ///   mid-elimination (checked once per eliminated variable).
+    ///   Elimination has no meaningful partial labeling, so this surfaces
+    ///   as an error rather than a degraded solution; the [`MapSolver`]
+    ///   impl and [`crate::solver::ExactFallback`] translate it into a
+    ///   best-effort fallback.
     pub fn solve_exact(&self, model: &MrfModel, ctl: &SolveControl) -> Result<Solution> {
         let n = model.var_count();
         if model.live_var_count() == 0 {
@@ -225,7 +225,6 @@ impl Elimination {
             (energy - constant).abs() < 1e-6 * energy.abs().max(1.0),
             "back-substituted energy {energy} disagrees with eliminated optimum {constant}"
         );
-        ctl.report(n, energy, Some(constant));
         Ok(Solution::new(labels, energy, Some(constant), 1, true))
     }
 }

@@ -52,9 +52,9 @@ pub enum Error {
         /// The configured cap.
         limit: usize,
     },
-    /// A solve was stopped by its deadline or a cancellation request before
-    /// the algorithm could produce a meaningful result (only raised by
-    /// solvers without anytime semantics, i.e. exact elimination).
+    /// A solve was stopped by its deadline before the algorithm could
+    /// produce a meaningful result (only raised by solvers without anytime
+    /// semantics, i.e. exact elimination).
     Interrupted,
 }
 
@@ -89,10 +89,7 @@ impl fmt::Display for Error {
                 "exact elimination needs a table of {entries} entries, above the {limit} cap"
             ),
             Error::Interrupted => {
-                write!(
-                    f,
-                    "solve interrupted by deadline or cancellation before completion"
-                )
+                write!(f, "solve interrupted by its deadline before completion")
             }
         }
     }

@@ -37,7 +37,7 @@ impl Exhaustive {
     }
 }
 
-/// Deadline/cancellation is polled every this many evaluated labelings.
+/// The deadline is polled every this many evaluated labelings.
 const CHECK_EVERY: u64 = 4096;
 
 impl MapSolver for Exhaustive {
@@ -46,9 +46,9 @@ impl MapSolver for Exhaustive {
     }
 
     /// Finds the global optimum by enumeration. Honors the control's
-    /// deadline/cancellation every `CHECK_EVERY` labelings, returning the
-    /// best labeling seen so far (uncertified, `converged() == false`) when
-    /// stopped early.
+    /// deadline every `CHECK_EVERY` labelings, returning the best labeling
+    /// seen so far (uncertified, `converged() == false`) when stopped
+    /// early.
     ///
     /// # Panics
     ///
@@ -71,12 +71,9 @@ impl MapSolver for Exhaustive {
         let mut evaluated = 1u64;
         let mut stopped = false;
         'outer: loop {
-            if evaluated.is_multiple_of(CHECK_EVERY) {
-                if ctl.should_stop() {
-                    stopped = true;
-                    break 'outer;
-                }
-                ctl.report(evaluated as usize, best_energy, None);
+            if evaluated.is_multiple_of(CHECK_EVERY) && ctl.should_stop() {
+                stopped = true;
+                break 'outer;
             }
             // Odometer increment.
             let mut i = 0;

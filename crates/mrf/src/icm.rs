@@ -167,8 +167,8 @@ impl Icm {
     }
 
     /// Runs ICM from a caller-supplied initial labeling, honoring the
-    /// control's deadline/cancellation at sweep granularity (the start
-    /// labeling is returned unchanged if the budget is already spent).
+    /// control's deadline at sweep granularity (the start labeling is
+    /// returned unchanged if the budget is already spent).
     ///
     /// # Panics
     ///
@@ -209,7 +209,6 @@ impl Icm {
             }
         }
         let energy = model.energy(&labels);
-        ctl.report(sweeps, energy, None);
         Solution::new(labels, energy, None, sweeps, converged)
     }
 
@@ -292,7 +291,7 @@ impl Icm {
                 break;
             }
         }
-        d.finish(sweeps, converged, full_sweep, ctl)
+        d.finish(sweeps, converged, full_sweep)
     }
 }
 
@@ -446,14 +445,7 @@ impl LocalDescent {
         }
     }
 
-    fn finish(
-        self,
-        sweeps: usize,
-        converged: bool,
-        full_sweep: bool,
-        ctl: &SolveControl,
-    ) -> LocalRefine {
-        ctl.report(sweeps, self.energy, None);
+    fn finish(self, sweeps: usize, converged: bool, full_sweep: bool) -> LocalRefine {
         LocalRefine {
             solution: Solution::new(self.labels, self.energy, None, sweeps, converged),
             swept_vars: self.region.count,

@@ -90,8 +90,8 @@ impl MapSolver for Ils {
     }
 
     /// Refines `start`, returning a labeling with energy ≤ the start's.
-    /// Honors the control's deadline/cancellation at kick granularity; a
-    /// stopped run reports `converged() == false`.
+    /// Honors the control's deadline at kick granularity; a stopped run
+    /// reports `converged() == false`.
     ///
     /// # Panics
     ///
@@ -143,7 +143,6 @@ impl MapSolver for Ils {
                 best_energy = best_energy.min(descended.energy());
                 best = descended.labels().to_vec();
             }
-            ctl.report(kicks_run, best_energy, None);
         }
         Solution::new(best, best_energy, None, kicks_run, !stopped)
     }

@@ -8,9 +8,8 @@
 //! behind one open interface:
 //!
 //! * [`solver`] — the [`MapSolver`] trait every solver implements:
-//!   `solve(&model, &SolveControl)` with wall-clock deadlines, atomic
-//!   cancellation and progress callbacks, all honored at iteration
-//!   granularity with anytime (best-so-far) semantics. Also home to
+//!   `solve(&model, &SolveControl)` with a wall-clock deadline honored at
+//!   iteration granularity with anytime (best-so-far) semantics. Also home to
 //!   [`solver::ExactFallback`], which composes exact elimination with an
 //!   approximate fallback and records *why* the fallback fired.
 //! * [`model`] — the energy function: variables with finite label sets,
@@ -160,7 +159,7 @@ pub use local::{condition_submodel, LocalRefine, Start};
 pub use model::{EdgeId, MrfModel, PotentialId, UnaryOverlay, VarId};
 pub use order::SolveScratch;
 pub use solution::Solution;
-pub use solver::{ExactFallback, MapSolver, ProgressEvent, SolveControl};
+pub use solver::{ExactFallback, MapSolver, SolveControl};
 
 /// Convenient result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, Error>;

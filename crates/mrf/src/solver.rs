@@ -1,19 +1,16 @@
-//! The [`MapSolver`] trait: one uniform, budgeted, observable API over
-//! every MAP solver in this crate.
+//! The [`MapSolver`] trait: one uniform, budgeted API over every MAP
+//! solver in this crate.
 //!
 //! Historically each solver exposed its own `solve` method and callers
 //! dispatched by hand; scaling work (sharding, async serving) needs an
 //! *open* interface instead. The contract is:
 //!
 //! * **Anytime semantics** — [`MapSolver::solve`] always returns a complete,
-//!   in-domain labeling. If the [`SolveControl`] deadline passes or the run
-//!   is cancelled, the solver stops at the next iteration boundary and
-//!   returns its best-so-far labeling with `converged() == false`.
+//!   in-domain labeling. If the [`SolveControl`] deadline passes, the
+//!   solver stops at the next iteration boundary and returns its
+//!   best-so-far labeling with `converged() == false`.
 //! * **Budgets** — [`SolveControl`] carries an optional wall-clock deadline
 //!   checked at iteration granularity.
-//! * **Cancellation** — an atomic flag, settable from any thread.
-//! * **Progress** — an optional callback receiving
-//!   [`ProgressEvent`]s (iteration, current best energy, lower bound).
 //! * **Warm starts** — [`MapSolver::refine`] improves a given labeling over
 //!   the whole model; [`MapSolver::refine_local`] is the one warm re-solve
 //!   an incremental caller makes: a carried start labeling with its
@@ -29,8 +26,7 @@
 //! error — the telemetry surfaced by `ics_diversity`'s optimizer.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::elimination::{Elimination, EliminationOptions};
@@ -41,23 +37,8 @@ use crate::order::SolveScratch;
 use crate::solution::Solution;
 use crate::trws::Trws;
 
-/// One progress sample from a running solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProgressEvent {
-    /// Iterations (sweeps, kicks, passes) completed so far.
-    pub iteration: usize,
-    /// Energy of the best labeling found so far.
-    pub energy: f64,
-    /// Best certified lower bound so far, for solvers that produce one.
-    pub lower_bound: Option<f64>,
-}
-
-type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
-
-/// Deadline, cancellation and progress plumbing shared by all solvers.
-///
-/// Cheap to clone (the flag and callback are reference-counted). A default
-/// control never stops a solver and reports nothing.
+/// A solve's optional wall-clock deadline, honored by every solver at
+/// iteration granularity. A default control never stops a solver.
 ///
 /// ```
 /// use std::time::Duration;
@@ -77,35 +58,13 @@ type ProgressFn = Arc<dyn Fn(&ProgressEvent) + Send + Sync>;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolveControl {
     deadline: Option<Instant>,
-    cancel: Arc<AtomicBool>,
-    progress: Option<ProgressFn>,
-}
-
-impl Default for SolveControl {
-    fn default() -> SolveControl {
-        SolveControl {
-            deadline: None,
-            cancel: Arc::new(AtomicBool::new(false)),
-            progress: None,
-        }
-    }
-}
-
-impl fmt::Debug for SolveControl {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SolveControl")
-            .field("deadline", &self.deadline)
-            .field("cancelled", &self.is_cancelled())
-            .field("has_progress", &self.progress.is_some())
-            .finish()
-    }
 }
 
 impl SolveControl {
-    /// An unbounded control: no deadline, not cancelled, no progress sink.
+    /// An unbounded control: no deadline.
     pub fn new() -> SolveControl {
         SolveControl::default()
     }
@@ -121,32 +80,6 @@ impl SolveControl {
         self.with_deadline(Instant::now() + budget)
     }
 
-    /// Installs a progress callback, called at iteration granularity from
-    /// the thread that runs the solver.
-    pub fn with_progress(
-        mut self,
-        callback: impl Fn(&ProgressEvent) + Send + Sync + 'static,
-    ) -> SolveControl {
-        self.progress = Some(Arc::new(callback));
-        self
-    }
-
-    /// The shared cancellation flag; set it (from any thread) to stop the
-    /// solve at the next iteration boundary.
-    pub fn cancel_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
-    }
-
-    /// Requests cancellation of this solve (and of solves sharing the flag).
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation was requested on this control or a clone of it.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::Relaxed)
-    }
-
     /// The absolute deadline, if one is set.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
@@ -158,26 +91,10 @@ impl SolveControl {
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
-    /// Whether the deadline has passed.
-    pub fn deadline_exceeded(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// The one check solvers make at each iteration boundary: deadline
-    /// passed or cancellation requested.
+    /// The one check solvers make at each iteration boundary: whether the
+    /// deadline has passed.
     pub fn should_stop(&self) -> bool {
-        self.deadline_exceeded() || self.is_cancelled()
-    }
-
-    /// Emits a progress sample (no-op without a callback installed).
-    pub fn report(&self, iteration: usize, energy: f64, lower_bound: Option<f64>) {
-        if let Some(cb) = &self.progress {
-            cb(&ProgressEvent {
-                iteration,
-                energy,
-                lower_bound,
-            });
-        }
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -185,7 +102,7 @@ impl SolveControl {
 ///
 /// Implementations must honor [`SolveControl`] at iteration granularity and
 /// return their best-so-far labeling when stopped early (anytime
-/// semantics); `solve` never panics because of a deadline or cancellation.
+/// semantics); `solve` never panics because of a deadline.
 pub trait MapSolver: Send + Sync {
     /// A short human-readable name for telemetry (e.g. `"trws"`).
     fn name(&self) -> String;
@@ -398,7 +315,6 @@ pub(crate) fn best_effort(model: &MrfModel, ctl: &SolveControl) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     fn two_var_model() -> MrfModel {
         let mut m = MrfModel::new();
@@ -418,38 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn cancel_stops_and_links_propagate() {
-        let ctl = SolveControl::new();
-        let clone = ctl.clone();
-        assert!(!clone.should_stop());
-        ctl.cancel();
-        assert!(clone.should_stop(), "a clone shares the cancellation flag");
-        // Setting the flag handed out by `cancel_flag` stops the solve too.
-        let ctl = SolveControl::new();
-        ctl.cancel_flag().store(true, Ordering::Relaxed);
-        assert!(ctl.is_cancelled());
-        // A fresh control does not observe another control's flag.
-        assert!(!SolveControl::new().is_cancelled());
-    }
-
-    #[test]
     fn expired_deadline_stops() {
         let ctl = SolveControl::new().with_budget(Duration::from_secs(0));
         assert!(ctl.should_stop());
         assert_eq!(ctl.remaining(), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn progress_callback_fires() {
-        let count = Arc::new(AtomicUsize::new(0));
-        let seen = Arc::clone(&count);
-        let ctl = SolveControl::new().with_progress(move |event| {
-            assert!(event.energy.is_finite());
-            seen.fetch_add(1, Ordering::Relaxed);
-        });
-        let solution = Trws::default().solve(&two_var_model(), &ctl);
-        assert_eq!(solution.energy(), 0.0);
-        assert!(count.load(Ordering::Relaxed) > 0, "no progress events seen");
     }
 
     #[test]

@@ -85,9 +85,9 @@ impl MapSolver for Trws {
 
     /// Runs TRW-S on `model` and returns the best labeling found, its
     /// energy, and the tightest certified lower bound. Honors the control's
-    /// deadline/cancellation at iteration granularity, returning the best
-    /// labeling seen so far (the unary argmin if stopped before the first
-    /// pass completes).
+    /// deadline at iteration granularity, returning the best labeling seen
+    /// so far (the unary argmin if stopped before the first pass
+    /// completes).
     fn solve(&self, model: &MrfModel, ctl: &SolveControl) -> Solution {
         let mut scratch = SolveScratch::new();
         self.solve_with(model, ctl, &mut scratch)
@@ -211,7 +211,6 @@ impl MapSolver for Trws {
             }
             region.expansions += 1;
         }
-        ctl.report(iterations, energy, None);
         LocalRefine {
             solution: Solution::new(labels, energy, None, iterations, converged),
             swept_vars: region.count,
@@ -265,7 +264,6 @@ fn run(
         if bound > best_bound {
             best_bound = bound;
         }
-        ctl.report(iterations, best_energy, Some(best_bound));
         // Converged: the gap certifies optimality, or the bound stopped
         // improving for `patience` iterations.
         if (best_energy - best_bound).abs() <= options.tolerance {

@@ -277,29 +277,6 @@ impl ProductSimilarity {
         self.values[i * self.n + j]
     }
 
-    /// Grows the matrix to cover `n` products (no-op if it already does).
-    /// New products start with similarity 1.0 to themselves and 0.0 to
-    /// everything else; fill real values in with [`ProductSimilarity::set`].
-    ///
-    /// Growing is how a long-lived service absorbs catalog extensions:
-    /// existing pairs keep their values, so models cached against them stay
-    /// valid.
-    pub fn grow(&mut self, n: usize) {
-        if n <= self.n {
-            return;
-        }
-        let mut values = vec![0.0; n * n];
-        for i in 0..self.n {
-            values[i * n..i * n + self.n]
-                .copy_from_slice(&self.values[i * self.n..(i + 1) * self.n]);
-        }
-        for i in self.n..n {
-            values[i * n + i] = 1.0;
-        }
-        self.n = n;
-        self.values = values;
-    }
-
     /// Sets the symmetric similarity of two products, clamped into `[0, 1]`.
     /// Setting a diagonal entry is a no-op (self-similarity is 1 by
     /// definition).

@@ -4,16 +4,16 @@
 //! round-trip every [`NetworkDelta`] variant, and the on-disk format is
 //! pinned byte-for-byte by a golden file (format 1 files stay readable).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ics_diversity::engine::DiversityEngine;
-use ics_diversity::journal::{read_records, recover, recover_with};
+use ics_diversity::journal::{read_records, recover, recover_with, Checkpoint};
 use ics_diversity::shard::ShardedEngine;
-use ics_diversity::WriterCore;
+use ics_diversity::{Error, WriterCore};
 use netmodel::assignment::Assignment;
 use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
@@ -137,6 +137,137 @@ fn objective(engine: &DiversityEngine) -> f64 {
         .total_edge_similarity(engine.network(), engine.similarity())
 }
 
+/// A constraint set of the case study's kinds: a `Fix` mandate on a seeded
+/// host, plus 1–3 `Scope::All` forbid or require combinations between two
+/// services when the catalog has more than one.
+fn drawn_constraints(network: &Network, catalog: &Catalog, rng: &mut StdRng) -> ConstraintSet {
+    let hosts: Vec<HostId> = network
+        .iter_hosts()
+        .filter(|(_, h)| !h.services().is_empty())
+        .map(|(id, _)| id)
+        .collect();
+    let host = hosts[rng.gen_range(0..hosts.len())];
+    let slot = &network.host(host).expect("generated host").services()[0];
+    let mandated = slot.candidates()[rng.gen_range(0..slot.candidates().len())];
+    let mut set = ConstraintSet::new();
+    set.push(Constraint::fix(host, slot.service(), mandated));
+    let services = catalog.service_count() as u16;
+    if services > 1 {
+        let pick = |rng: &mut StdRng, service: ServiceId| {
+            let products = catalog.products_of(service);
+            (service, products[rng.gen_range(0..products.len())])
+        };
+        for _ in 0..rng.gen_range(1..4) {
+            let a = ServiceId(rng.gen_range(0..services));
+            let b = ServiceId((a.0 + rng.gen_range(1..services)) % services);
+            let (trigger, other) = (pick(rng, a), pick(rng, b));
+            set.push(if rng.gen_bool(0.5) {
+                Constraint::forbid_combination(Scope::All, trigger, other)
+            } else {
+                Constraint::require_combination(Scope::All, trigger, other)
+            });
+        }
+    }
+    set
+}
+
+/// The failures a burst of [`failing_burst`] may end in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Failure {
+    Rejected,
+    Infeasible,
+    Unsatisfiable,
+}
+
+fn failure(error: &Error) -> Option<Failure> {
+    match error {
+        Error::Model(netmodel::Error::BatchRejected { .. }) => Some(Failure::Rejected),
+        Error::Infeasible { .. } => Some(Failure::Infeasible),
+        Error::UnsatisfiableConstraints { .. } => Some(Failure::Unsatisfiable),
+        _ => None,
+    }
+}
+
+/// A burst for the recovery proptest, with the failure it was built to
+/// end in. Half are [`valid_burst`]s, which may still fail under
+/// constraints. One in eight ends in a delta naming no host; while the
+/// `mandate` host is live, two in eight narrow its mandated slot to every
+/// other product, and one in eight removes it, after which every re-solve
+/// fails the constraint post-check.
+fn failing_burst(
+    engine: &DiversityEngine,
+    mandate: Option<&Constraint>,
+    rng: &mut StdRng,
+    len: usize,
+) -> (Vec<NetworkDelta>, Option<Failure>) {
+    let mut burst = valid_burst(engine, rng, len);
+    let draw = rng.gen_range(0..8);
+    if draw == 0 {
+        burst.push(NetworkDelta::remove_host(HostId(u32::MAX)));
+        return (burst, Some(Failure::Rejected));
+    }
+    let Some(&Constraint::Fix {
+        host,
+        service,
+        product,
+    }) = mandate
+    else {
+        return (burst, None);
+    };
+    if engine.network().host(host).map_or(true, |h| h.is_removed()) {
+        return (burst, None);
+    }
+    match draw {
+        1 | 2 => {
+            let others = engine.catalog().products_of(service);
+            let others = others.iter().copied().filter(|&p| p != product).collect();
+            (
+                vec![NetworkDelta::unfix_slot(host, service, others)],
+                Some(Failure::Infeasible),
+            )
+        }
+        3 => (
+            vec![NetworkDelta::remove_host(host)],
+            Some(Failure::Unsatisfiable),
+        ),
+        _ => (burst, None),
+    }
+}
+
+/// Recover ≡ live: the journal at `path` rebuilds the live engine's
+/// network (revision counters included), revision, topology revision,
+/// assignment (or its absence), catalog, similarity and objective, and
+/// its preamble holds the configured `constraints`.
+fn assert_recovers(
+    live: &DiversityEngine,
+    path: &Path,
+    constraints: &ConstraintSet,
+) -> Result<(), TestCaseError> {
+    let recovered = recover(path).map_err(fail("recover"))?;
+    prop_assert_eq!(recovered.network(), live.network());
+    prop_assert_eq!(recovered.revision(), live.revision());
+    prop_assert_eq!(
+        recovered.network().topology_revision(),
+        live.network().topology_revision()
+    );
+    prop_assert_eq!(recovered.assignment(), live.assignment());
+    prop_assert_eq!(recovered.catalog(), live.catalog());
+    prop_assert_eq!(recovered.similarity(), live.similarity());
+    let read = read_records(path).map_err(fail("read"))?;
+    let checkpoint = Checkpoint::find(&read.records).map_err(fail("checkpoint"))?;
+    prop_assert_eq!(&checkpoint.preamble.constraints, constraints);
+    if live.assignment().is_some() {
+        let (live_obj, back_obj) = (objective(live), objective(&recovered));
+        prop_assert!(
+            (live_obj - back_obj).abs() <= 1e-9,
+            "objective drifted: live {} vs recovered {}",
+            live_obj,
+            back_obj
+        );
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Recovery ≡ live engine.
 // ---------------------------------------------------------------------------
@@ -144,13 +275,16 @@ fn objective(engine: &DiversityEngine) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Journal + snapshot + recover reproduces the live engine exactly:
-    /// same network (revision counters included), same revision, same
-    /// topology revision, same assignment, objective within 1e-9 — across
-    /// arbitrary delta streams, burst sizes and snapshot cadences
-    /// (including compaction). Recovery runs after every commit, so with
-    /// a cadence of 1 or 2 it reads the file while background compactions
-    /// are still in flight.
+    /// Journal + snapshot + recover reproduces the live engine exactly
+    /// (`assert_recovers`) after every call — the cold solve and every
+    /// burst, whether it commits or fails with `BatchRejected`,
+    /// `Infeasible` or `UnsatisfiableConstraints` — across arbitrary
+    /// delta streams, burst sizes, snapshot cadences (including
+    /// compaction) and, in half the cases, a drawn constraint set. A
+    /// burst that fails the post-check is committed, so it must be
+    /// journaled too. Recovery runs after every call, so with a cadence of
+    /// 1 or 2 it reads the file while background compactions are still in
+    /// flight.
     #[test]
     fn recovery_matches_live_engine(
         config in arb_config(),
@@ -162,33 +296,41 @@ proptest! {
             Just(Some(2usize)),
             Just(Some(64usize))
         ],
+        constrained in any::<bool>(),
     ) {
         let path = tmp_path("prop");
         let g = generate(&config, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+        let constraints = if constrained {
+            drawn_constraints(&g.network, &g.catalog, &mut rng)
+        } else {
+            ConstraintSet::new()
+        };
+        let mandate = constraints.iter().next().cloned();
         let mut live = DiversityEngine::new(g.network, g.catalog, g.similarity)
+            .with_constraints(constraints.clone())
             .with_journal_cadence(&path, cadence)
             .map_err(fail("attach journal"))?;
-        live.solve().map_err(fail("cold solve"))?;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+        if let Err(e) = live.solve() {
+            prop_assert!(failure(&e).is_some(), "cold solve: {}", e);
+        }
+        assert_recovers(&live, &path, &constraints)?;
         for step in 0..steps {
-            let burst = valid_burst(&live, &mut rng, 1 + step % 3);
-            live.apply_batch(&burst).map_err(fail("apply_batch"))?;
-
-            let recovered = recover(&path).map_err(fail("recover"))?;
-            prop_assert_eq!(recovered.network(), live.network());
-            prop_assert_eq!(recovered.revision(), live.revision());
-            prop_assert_eq!(
-                recovered.network().topology_revision(),
-                live.network().topology_revision()
-            );
-            prop_assert_eq!(recovered.assignment(), live.assignment());
-            let (live_obj, back_obj) = (objective(&live), objective(&recovered));
-            prop_assert!(
-                (live_obj - back_obj).abs() <= 1e-9,
-                "objective drifted: live {} vs recovered {}",
-                live_obj,
-                back_obj
-            );
+            let (burst, built_to) = failing_burst(&live, mandate.as_ref(), &mut rng, 1 + step % 3);
+            match live.apply_batch(&burst) {
+                Ok(_) => prop_assert!(built_to.is_none(), "built to fail with {:?}", built_to),
+                Err(e) => {
+                    let failed = failure(&e);
+                    prop_assert!(failed.is_some(), "apply_batch: {}", e);
+                    prop_assert!(
+                        built_to.is_none() || built_to == failed,
+                        "built to fail with {:?}, failed with {}",
+                        built_to,
+                        e
+                    );
+                }
+            }
+            assert_recovers(&live, &path, &constraints)?;
         }
         // Dropping the engine lands its last compaction before the file
         // goes.
@@ -240,6 +382,108 @@ proptest! {
         drop(live);
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// A burst that fails the constraint post-check is committed, so it is
+/// journaled (with no assignment): after removing the host a `Fix`
+/// mandates, and after the next burst, which fails the same way, recovery
+/// lands on the live revision with no assignment.
+#[test]
+fn a_burst_failing_the_post_check_is_journaled() {
+    let path = tmp_path("post-check");
+    let g = generate(
+        &RandomNetworkConfig {
+            hosts: 40,
+            mean_degree: 8,
+            services: 4,
+            products_per_service: 4,
+            vendors_per_service: 2,
+            topology: TopologyKind::Random,
+        },
+        5,
+    );
+    let (host, service) = (HostId(7), ServiceId(0));
+    let mandated = g
+        .network
+        .host(host)
+        .unwrap()
+        .candidates_for(service)
+        .unwrap()[0];
+    let mut constraints = ConstraintSet::new();
+    constraints.push(Constraint::fix(host, service, mandated));
+    let mut live = DiversityEngine::new(g.network, g.catalog, g.similarity)
+        .with_constraints(constraints)
+        .with_journal_cadence(&path, None)
+        .unwrap();
+    live.solve().unwrap();
+    assert_eq!(live.revision(), 0);
+    for (victim, revision) in [(host, 1), (HostId(8), 2)] {
+        let err = live
+            .apply_batch(&[NetworkDelta::remove_host(victim)])
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::UnsatisfiableConstraints { .. }),
+            "{err}"
+        );
+        assert_eq!(live.revision(), revision, "the failed burst is committed");
+        assert!(live.assignment().is_none());
+        let recovered = recover(&path).unwrap();
+        assert_eq!(recovered.revision(), revision);
+        assert_eq!(recovered.network(), live.network());
+        assert!(recovered.assignment().is_none());
+    }
+    drop(live);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The preamble records the constraint set once, so replacing it on a
+/// journaled engine panics rather than leave recovery solving another
+/// problem.
+#[test]
+#[should_panic(expected = "with_constraints after with_journal")]
+fn constraints_after_the_journal_panic() {
+    let path = tmp_path("late-constraints");
+    let g = generate(
+        &RandomNetworkConfig {
+            hosts: 4,
+            mean_degree: 2,
+            services: 2,
+            products_per_service: 3,
+            vendors_per_service: 2,
+            topology: TopologyKind::Random,
+        },
+        1,
+    );
+    let engine = DiversityEngine::new(g.network, g.catalog, g.similarity)
+        .with_journal_cadence(&path, None)
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let _ = engine.with_constraints(ConstraintSet::new());
+}
+
+/// [`constraints_after_the_journal_panic`] on the sharded engine.
+#[test]
+#[should_panic(expected = "with_constraints after with_journal")]
+fn sharded_constraints_after_the_journal_panic() {
+    let path = tmp_path("late-constraints-sharded");
+    let g = generate_zoned(
+        &ZonedNetworkConfig {
+            zones: 2,
+            hosts_per_zone: 3,
+            gateway_links: 1,
+            mean_degree: 2,
+            services: 2,
+            products_per_service: 3,
+            vendors_per_service: 2,
+            topology: TopologyKind::Random,
+        },
+        1,
+    );
+    let engine = ShardedEngine::new(g.network, g.catalog, g.similarity)
+        .with_journal_cadence(&path, None)
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let _ = engine.with_constraints(ConstraintSet::new());
 }
 
 // ---------------------------------------------------------------------------
