@@ -166,8 +166,8 @@ COLUMNS (sequential/batched mode):
                  touched hosts' variables and incident factors re-derived;
                  the usual path). \"-\" when the step reassembled instead.
     model rebuild Wall-clock time of the linear model reassembly, on steps
-                 that could not edit in place (cold builds, compaction, a
-                 similarity invalidation). \"-\" when the step edited.
+                 that could not edit in place (cold builds, compaction).
+                 \"-\" when the step edited.
     solve        Wall-clock time of the (localized) warm re-solve.
 
 EXTRA COLUMNS (sharded mode, replacing touched/frontier/swept/changed and

@@ -269,6 +269,16 @@ impl DiversityEngine {
     /// Panics if a journal is attached: its preamble already recorded the
     /// constraint set, and recovery would solve under that one. Attach the
     /// journal last ([`DiversityEngine::with_journal`]).
+    ///
+    /// A journaled engine therefore keeps its constraint set for life,
+    /// even where that set can no longer hold: once the host a
+    /// [`Constraint::fix`] mandates is removed, the missing slot violates
+    /// the mandate and every later step fails with
+    /// [`Error::UnsatisfiableConstraints`]. The way out is a new engine
+    /// over [`DiversityEngine::network`], with its own constraint set and
+    /// journal.
+    ///
+    /// [`Constraint::fix`]: netmodel::constraints::Constraint::fix
     pub fn with_constraints(mut self, constraints: ConstraintSet) -> DiversityEngine {
         assert!(
             self.journal.is_none(),
@@ -503,7 +513,10 @@ impl DiversityEngine {
     ///   records the committed batch with no assignment, so recovery lands
     ///   on the same state. A serving writer counts such a burst in
     ///   `ServingStats::bursts_rejected` and publishes nothing until a
-    ///   later burst solves.
+    ///   later burst solves. No later step solves while the violation
+    ///   cannot be undone — a `Fix` on a removed host — and a journaled
+    ///   engine cannot drop the constraint (see
+    ///   [`DiversityEngine::with_constraints`]).
     pub fn apply(&mut self, delta: &NetworkDelta) -> Result<ReassignmentReport> {
         self.apply_batch(std::slice::from_ref(delta)).map_err(|e| {
             match e {
@@ -557,8 +570,7 @@ impl DiversityEngine {
         }));
         // A post-check failure comes after the commit: journal the batch
         // (with no assignment) like a success, or recovery lands behind.
-        let committed = matches!(stepped, Ok(_) | Err(Error::UnsatisfiableConstraints { .. }));
-        if let (true, Some(journal)) = (committed, self.journal.as_mut()) {
+        if let (true, Some(journal)) = (committed(&stepped), self.journal.as_mut()) {
             journal.commit_batch(deltas, &self.network, self.last.as_ref())?;
         }
         stepped
@@ -569,13 +581,15 @@ impl DiversityEngine {
     ///
     /// # Errors
     ///
-    /// See [`DiversityEngine::apply`].
+    /// See [`DiversityEngine::apply`]. A re-solve that fails the
+    /// constraint post-check drops the assignment; an attached journal
+    /// records that in a snapshot with no assignment.
     pub fn solve(&mut self) -> Result<ReassignmentReport> {
-        let report = self.step(None)?;
-        if let Some(journal) = self.journal.as_mut() {
+        let stepped = self.step(None);
+        if let (true, Some(journal)) = (committed(&stepped), self.journal.as_mut()) {
             journal.commit_snapshot(&self.network, self.last.as_ref())?;
         }
-        Ok(report)
+        stepped
     }
 
     /// Shared pipeline behind [`DiversityEngine::apply`],
@@ -837,6 +851,13 @@ impl WarmStart {
 enum Locality {
     Local(usize, usize),
     Full(usize),
+}
+
+/// Whether a step's outcome changed the engine: a success, or a
+/// post-check failure, which commits the network and drops the
+/// assignment. What a journal must record.
+fn committed(stepped: &Result<ReassignmentReport>) -> bool {
+    matches!(stepped, Ok(_) | Err(Error::UnsatisfiableConstraints { .. }))
 }
 
 /// The committed rows after a carried step: `prev`'s rows with the rows

@@ -14,6 +14,7 @@ use ics_diversity::engine::DiversityEngine;
 use ics_diversity::journal::{read_records, recover, recover_with, Checkpoint};
 use ics_diversity::shard::ShardedEngine;
 use ics_diversity::{Error, WriterCore};
+use mrf::{LocalRefine, MapSolver, MrfModel, Solution, SolveControl, SolveScratch, Start, VarId};
 use netmodel::assignment::Assignment;
 use netmodel::catalog::{Catalog, ProductSimilarity};
 use netmodel::constraints::{Constraint, ConstraintSet, Scope};
@@ -188,6 +189,17 @@ fn failure(error: &Error) -> Option<Failure> {
     }
 }
 
+/// Whether a call built to succeed — a solve or a [`valid_burst`] — may
+/// end in `error`: only under constraints, and only because they cannot
+/// hold.
+fn fails_validly(constrained: bool, error: &Error) -> bool {
+    constrained
+        && matches!(
+            failure(error),
+            Some(Failure::Infeasible | Failure::Unsatisfiable)
+        )
+}
+
 /// A burst for the recovery proptest, with the failure it was built to
 /// end in. Half are [`valid_burst`]s, which may still fail under
 /// constraints. One in eight ends in a delta naming no host; while the
@@ -276,15 +288,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Journal + snapshot + recover reproduces the live engine exactly
-    /// (`assert_recovers`) after every call — the cold solve and every
-    /// burst, whether it commits or fails with `BatchRejected`,
-    /// `Infeasible` or `UnsatisfiableConstraints` — across arbitrary
-    /// delta streams, burst sizes, snapshot cadences (including
-    /// compaction) and, in half the cases, a drawn constraint set. A
-    /// burst that fails the post-check is committed, so it must be
-    /// journaled too. Recovery runs after every call, so with a cadence of
-    /// 1 or 2 it reads the file while background compactions are still in
-    /// flight.
+    /// (`assert_recovers`) after every call — the cold solve, a re-solve
+    /// between bursts in one step of four, and every burst, whether it
+    /// commits or fails with `BatchRejected`, `Infeasible` or
+    /// `UnsatisfiableConstraints` — across arbitrary delta streams, burst
+    /// sizes, snapshot cadences (including compaction) and, in half the
+    /// cases, a drawn constraint set. A call that fails the post-check
+    /// drops the assignment, and a burst that does is committed, so the
+    /// journal must record both. Without constraints every call built to
+    /// succeed must succeed and leave an assignment. Recovery runs after
+    /// every call, so with a cadence of 1 or 2 it reads the file while
+    /// background compactions are still in flight.
     #[test]
     fn recovery_matches_live_engine(
         config in arb_config(),
@@ -311,26 +325,39 @@ proptest! {
             .with_constraints(constraints.clone())
             .with_journal_cadence(&path, cadence)
             .map_err(fail("attach journal"))?;
+        let check = |live: &DiversityEngine| {
+            prop_assert!(
+                constrained || live.assignment().is_some(),
+                "an unconstrained engine lost its assignment"
+            );
+            assert_recovers(live, &path, &constraints)
+        };
         if let Err(e) = live.solve() {
-            prop_assert!(failure(&e).is_some(), "cold solve: {}", e);
+            prop_assert!(fails_validly(constrained, &e), "cold solve: {}", e);
         }
-        assert_recovers(&live, &path, &constraints)?;
+        check(&live)?;
         for step in 0..steps {
-            let (burst, built_to) = failing_burst(&live, mandate.as_ref(), &mut rng, 1 + step % 3);
-            match live.apply_batch(&burst) {
-                Ok(_) => prop_assert!(built_to.is_none(), "built to fail with {:?}", built_to),
-                Err(e) => {
-                    let failed = failure(&e);
-                    prop_assert!(failed.is_some(), "apply_batch: {}", e);
-                    prop_assert!(
-                        built_to.is_none() || built_to == failed,
-                        "built to fail with {:?}, failed with {}",
-                        built_to,
-                        e
-                    );
+            if rng.gen_range(0..4) == 0 {
+                if let Err(e) = live.solve() {
+                    prop_assert!(fails_validly(constrained, &e), "re-solve: {}", e);
                 }
+                check(&live)?;
+                continue;
             }
-            assert_recovers(&live, &path, &constraints)?;
+            let (burst, built_to) = failing_burst(&live, mandate.as_ref(), &mut rng, 1 + step % 3);
+            match (live.apply_batch(&burst), built_to) {
+                (Ok(_), None) => {}
+                (Ok(_), Some(built_to)) => prop_assert!(false, "built to fail with {:?}", built_to),
+                (Err(e), None) => prop_assert!(fails_validly(constrained, &e), "valid burst: {}", e),
+                (Err(e), Some(built_to)) => prop_assert_eq!(
+                    failure(&e),
+                    Some(built_to),
+                    "built to fail with {:?}, failed with {}",
+                    built_to,
+                    e
+                ),
+            }
+            check(&live)?;
         }
         // Dropping the engine lands its last compaction before the file
         // goes.
@@ -432,6 +459,97 @@ fn a_burst_failing_the_post_check_is_journaled() {
         assert_eq!(recovered.network(), live.network());
         assert!(recovered.assignment().is_none());
     }
+    drop(live);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A refiner that returns its model's costliest labeling, found by brute
+/// force (tiny models only). Where the model holds a combination
+/// constraint's penalty edge, that labeling violates the constraint.
+struct Costliest;
+
+impl MapSolver for Costliest {
+    fn name(&self) -> String {
+        "costliest".into()
+    }
+
+    fn solve(&self, model: &MrfModel, _: &SolveControl) -> Solution {
+        let mut labels = vec![0; model.var_count()];
+        let mut costliest = labels.clone();
+        loop {
+            if model.energy(&labels) > model.energy(&costliest) {
+                costliest.clone_from(&labels);
+            }
+            let Some(v) = (0..labels.len()).find(|&v| labels[v] + 1 < model.labels(VarId(v)))
+            else {
+                break;
+            };
+            labels[v] += 1;
+            labels[..v].fill(0);
+        }
+        let energy = model.energy(&costliest);
+        Solution::new(costliest, energy, None, 1, true)
+    }
+
+    fn refine_local(
+        &self,
+        model: &MrfModel,
+        _: Start,
+        _: &[VarId],
+        _: &[VarId],
+        ctl: &SolveControl,
+        _: &mut SolveScratch,
+    ) -> LocalRefine {
+        LocalRefine::full(self.solve(model, ctl), model.live_var_count())
+    }
+}
+
+/// A warm re-solve that fails the post-check drops the assignment without
+/// moving the revision, and the journal records that: recovery holds no
+/// assignment either.
+#[test]
+fn a_resolve_failing_the_post_check_is_journaled() {
+    let path = tmp_path("resolve-post-check");
+    let mut catalog = Catalog::new();
+    let (os, web) = (catalog.add_service("os"), catalog.add_service("web"));
+    let [a, b] = ["a", "b"].map(|name| catalog.add_product(name, os).unwrap());
+    let [x, y] = ["x", "y"].map(|name| catalog.add_product(name, web).unwrap());
+    let mut builder = NetworkBuilder::new();
+    let hosts = ["h0", "h1"].map(|name| builder.add_host(name));
+    for host in hosts {
+        builder.add_service(host, os, vec![a, b]).unwrap();
+        builder.add_service(host, web, vec![x, y]).unwrap();
+    }
+    builder.add_link(hosts[0], hosts[1]).unwrap();
+    let network = builder.build(&catalog).unwrap();
+    let mut similarity = vec![0.0; 16];
+    for p in 0..4 {
+        similarity[p * 5] = 1.0;
+    }
+    let similarity = ProductSimilarity::from_dense(4, similarity);
+    let mut constraints = ConstraintSet::new();
+    constraints.push(Constraint::forbid_combination(
+        Scope::All,
+        (os, a),
+        (web, x),
+    ));
+    let mut live = DiversityEngine::new(network, catalog, similarity)
+        .with_refiner(Box::new(Costliest))
+        .with_constraints(constraints)
+        .with_journal_cadence(&path, None)
+        .unwrap();
+    live.solve().expect("the cold solver avoids the penalty");
+    assert!(live.assignment().is_some());
+    let err = live.solve().unwrap_err();
+    assert!(
+        matches!(err, Error::UnsatisfiableConstraints { .. }),
+        "{err}"
+    );
+    assert_eq!(live.revision(), 0);
+    assert!(live.assignment().is_none());
+    let recovered = recover(&path).unwrap();
+    assert_eq!(recovered.revision(), 0);
+    assert!(recovered.assignment().is_none());
     drop(live);
     std::fs::remove_file(&path).ok();
 }

@@ -47,8 +47,9 @@ fn deadline_limited_solve_returns_valid_assignment() {
     );
 }
 
-/// A solve whose deadline has already passed stops at its first check and
-/// still yields a complete labeling.
+/// A deadline is the one way to cancel a solve: one that has already
+/// passed stops it at its first check, and the solve still yields a
+/// complete labeling.
 #[test]
 fn cancellation_is_honored() {
     let g = generate(&config(300, 8), 3);
