@@ -69,8 +69,8 @@ fn bench_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_240_hosts");
     group.sample_size(10);
 
-    // Steady state: epoch unchanged, the read is an atomic load plus a
-    // local Arc clone.
+    // Steady state: epoch unchanged, the read is one atomic load and a
+    // borrow of the reader's cached Arc.
     group.bench_with_input(BenchmarkId::from_parameter("read_steady"), &g, |b, g| {
         let engine = serving(g);
         let mut reader = engine.reader();

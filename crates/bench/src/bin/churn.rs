@@ -220,7 +220,8 @@ SERVING TELEMETRY (--serve mode, replacing the per-step table):
     deltas/sec   Absorbed write throughput: deltas over the wall time from
                  first submission to last publication.
     read p50/p99 Median and 99th-percentile snapshot read latency across all
-                 reader threads (reader.current(): epoch check + Arc clone).
+                 reader threads (reader.current(): an epoch check, then a
+                 borrow of the reader's cached Arc).
     reads        Completed reads per reader thread — every one of them
                  lock-free against the concurrently absorbing writer.
     mttc table   One row per async MTTC probe result observed in the

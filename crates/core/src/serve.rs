@@ -35,8 +35,9 @@
 //!   [`ServingStats`] with the owning shard when the core is sharded
 //!   ([`Error::ShardRejected`]); serving continues at the old revision.
 //! * **Reads** never touch the writer: each successful absorb publishes
-//!   an immutable [`Snapshot`] into a shared [`SnapshotCell`], and
-//!   readers clone the `Arc` lock-free, detecting staleness by epoch and
+//!   an immutable [`Snapshot`] into a shared [`SnapshotCell`], and each
+//!   [`SnapshotReader`] lends its cached `Arc` lock-free, re-loading it
+//!   when the epoch moves, so readers detect staleness by epoch and
 //!   revision instead of waiting.
 //! * **MTTC telemetry** (optional, [`MttcProbe`]) runs on a dedicated
 //!   helper thread: on sampled publications the writer hands it cloned
@@ -55,6 +56,7 @@
 //! use netmodel::delta::NetworkDelta;
 //! use netmodel::topology::{generate, RandomNetworkConfig, TopologyKind};
 //! use netmodel::HostId;
+//! use std::sync::Arc;
 //! use std::time::Duration;
 //!
 //! let g = generate(
@@ -73,7 +75,8 @@
 //!
 //! // Readers are cheap clones; reads are lock-free against absorption.
 //! let mut reader = serving.reader();
-//! let before = reader.current();
+//! // `current()` lends the reader's handle; clone it to keep a snapshot.
+//! let before = Arc::clone(reader.current());
 //! assert_eq!(before.epoch(), 1);
 //! assert!(!before.products_at(HostId(0)).is_empty());
 //!

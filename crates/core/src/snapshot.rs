@@ -17,10 +17,11 @@
 //! write lock for the duration of a pointer swap — nanoseconds, and never
 //! while solving or while freeing the snapshot it replaced. A wait-free
 //! `AtomicU64` epoch published alongside lets [`SnapshotReader`] skip
-//! even the brief read lock in the steady state:
-//! `current()` is an atomic load plus a local `Arc` clone while the epoch
-//! is unchanged, and pays one uncontended read-lock acquisition exactly
-//! when a fresh snapshot exists to fetch.
+//! even the brief read lock in the steady state: while the epoch is
+//! unchanged, `current()` is one Acquire load and a compare, and it lends
+//! the reader's cached `Arc` instead of cloning it, so a read writes no
+//! shared memory. It pays one uncontended read-lock acquisition and one
+//! `Arc` clone exactly when a fresh snapshot exists to fetch.
 //!
 //! Epochs are *publication* counters (1, 2, 3, … from the first solve);
 //! revisions are the underlying network's delta counters. Both are
@@ -175,8 +176,9 @@ impl SnapshotCell {
     }
 
     /// Clones the latest published snapshot handle. Takes the slot's read
-    /// lock for the duration of an `Arc` clone; prefer a cached
-    /// [`SnapshotReader`] on hot read paths.
+    /// lock for the duration of an `Arc` clone, an atomic increment of a
+    /// count every reader shares; on hot read paths prefer a
+    /// [`SnapshotReader`], which pays both only when the epoch moves.
     pub fn load(&self) -> Arc<Snapshot> {
         Arc::clone(&self.slot.read().expect("snapshot lock poisoned"))
     }
@@ -201,7 +203,11 @@ impl SnapshotCell {
 
 /// A per-thread read handle: caches the last loaded snapshot and re-loads
 /// only when the cell's epoch says a newer one exists, so the steady-state
-/// read is a wait-free atomic load plus a local `Arc` clone.
+/// read is one wait-free atomic load that lends the cached handle.
+///
+/// To keep a snapshot across later reads, clone the handle
+/// (`Arc::clone(reader.current())`): the reader drops its own handle on
+/// the old snapshot at the refresh that replaces it.
 #[derive(Debug, Clone)]
 pub struct SnapshotReader {
     cell: Arc<SnapshotCell>,
@@ -216,22 +222,15 @@ impl SnapshotReader {
 
     /// The latest snapshot, refreshing the local cache if a newer epoch
     /// was published. Never blocks on delta absorption (module docs).
-    pub fn current(&mut self) -> Arc<Snapshot> {
+    ///
+    /// Returns a borrow of the reader's own handle, so the steady-state
+    /// read writes no shared memory. The borrow cannot outlive the next
+    /// `current()`; clone it to keep the snapshot longer (type docs).
+    pub fn current(&mut self) -> &Arc<Snapshot> {
         if self.cell.epoch() != self.cached.epoch {
             self.cached = self.cell.load();
         }
-        Arc::clone(&self.cached)
-    }
-
-    /// The cached snapshot without checking for a newer one. Wait-free.
-    pub fn cached(&self) -> &Arc<Snapshot> {
         &self.cached
-    }
-
-    /// Whether a newer snapshot than the cached one has been published.
-    /// Wait-free.
-    pub fn is_stale(&self) -> bool {
-        self.cell.epoch() != self.cached.epoch
     }
 }
 
@@ -260,14 +259,36 @@ mod tests {
     fn reader_caches_until_a_new_epoch() {
         let cell = Arc::new(SnapshotCell::new(snap(1, 0)));
         let mut reader = SnapshotReader::new(Arc::clone(&cell));
-        assert_eq!(reader.current().epoch(), 1);
-        assert!(!reader.is_stale());
+        let first = Arc::clone(reader.current());
+        assert_eq!(first.epoch(), 1);
+        assert!(
+            Arc::ptr_eq(reader.current(), &first),
+            "an unchanged epoch reuses the cached handle"
+        );
         cell.publish(snap(2, 3));
-        assert!(reader.is_stale());
-        assert_eq!(reader.cached().epoch(), 1, "cached view is unchanged");
         let fresh = reader.current();
         assert_eq!((fresh.epoch(), fresh.revision()), (2, 3));
-        assert!(!reader.is_stale());
+        assert!(Arc::ptr_eq(fresh, &cell.load()));
+    }
+
+    #[test]
+    fn a_read_lends_the_readers_handle() {
+        let cell = Arc::new(SnapshotCell::new(snap(1, 0)));
+        let mut reader = SnapshotReader::new(Arc::clone(&cell));
+        let held = reader.current();
+        // The cell's handle and the reader's: the read took no third one.
+        assert_eq!(Arc::strong_count(held), 2);
+    }
+
+    #[test]
+    fn a_refresh_releases_the_old_snapshot() {
+        let cell = Arc::new(SnapshotCell::new(snap(1, 0)));
+        let mut reader = SnapshotReader::new(Arc::clone(&cell));
+        let old = Arc::clone(reader.current());
+        cell.publish(snap(2, 4));
+        assert_eq!(Arc::strong_count(&old), 2, "the reader still holds it");
+        assert_eq!(reader.current().epoch(), 2);
+        assert_eq!(Arc::strong_count(&old), 1, "only the test's clone is left");
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn deadline_limited_solve_returns_valid_assignment() {
 /// passed stops it at its first check, and the solve still yields a
 /// complete labeling.
 #[test]
-fn cancellation_is_honored() {
+fn expired_deadline_stops_at_first_boundary() {
     let g = generate(&config(300, 8), 3);
     let energy =
         ics_diversity::energy::build_energy(&g.network, &g.similarity, &ConstraintSet::new())
